@@ -3,7 +3,6 @@
 from .analysis import (
     OrderEstimate,
     bisect_root,
-    error_from_steps,
     estimate_order,
     estimate_order_from_steps,
     map_derivatives_at,
@@ -39,12 +38,8 @@ from .solver import (
     ScalarProblem,
     Termination,
     Trajectory,
-    TransformedFunction,
     apply_method,
-    apply_t0,
-    apply_tn,
     iterate,
-    transform_function,
 )
 from .tables import TableReport, TableRow, run_table
 
@@ -73,21 +68,17 @@ __all__ = [
     "TableRow",
     "Termination",
     "Trajectory",
-    "TransformedFunction",
     "UnknownIdentifier",
     "UnsupportedRule",
     "VectorFunction",
     "VectorTrajectory",
     "apply_method",
-    "apply_t0",
-    "apply_tn",
     "bigreal",
     "bisect_root",
     "builtin_rule",
     "check_moments",
     "demo_system",
     "derive_rule",
-    "error_from_steps",
     "estimate_order",
     "estimate_order_from_steps",
     "eval_jet",
@@ -100,5 +91,4 @@ __all__ = [
     "run_table",
     "significant_digits",
     "solve_linear",
-    "transform_function",
 ]

@@ -43,6 +43,28 @@ def significant_digits(x: BigReal, z: BigReal) -> BigReal:
         return BigReal(-mp.log10(err), precision)
 
 
+def _decreasing_run(values, floor):
+    """Leading strictly decreasing values above ``floor``; whether the floor cut them short."""
+    usable = []
+    for value in values:
+        if value <= floor:
+            return usable, True
+        if usable and value >= usable[-1]:
+            break
+        usable.append(value)
+    return usable, False
+
+
+def _order_estimate(q, usable, ratios, precision) -> OrderEstimate:
+    if q <= 0:
+        raise InsufficientData("estimated order is not positive")
+    return OrderEstimate(
+        BigReal(q, precision),
+        len(usable),
+        tuple(BigReal(r, precision) for r in ratios),
+    )
+
+
 def _stable_tail(ratios) -> mp.mpf:
     for i in range(len(ratios) - 1, 0, -1):
         if abs(ratios[i] - ratios[i - 1]) < STABLE_GAP:
@@ -64,15 +86,7 @@ def estimate_order(traj: Trajectory, reference_root: BigReal) -> OrderEstimate:
         errors = [abs(root - rec.x.value) for rec in traj.iterates]
         while errors and errors[0] >= 1:
             errors.pop(0)
-        usable: list[mp.mpf] = []
-        hit_floor = False
-        for err in errors:
-            if err <= floor:
-                hit_floor = True
-                break
-            if usable and err >= usable[-1]:
-                break
-            usable.append(err)
+        usable, hit_floor = _decreasing_run(errors, floor)
         if len(usable) < 4:
             if hit_floor:
                 raise RoundoffFloor(
@@ -82,14 +96,7 @@ def estimate_order(traj: Trajectory, reference_root: BigReal) -> OrderEstimate:
                 f"need 4 strictly decreasing errors, have {len(usable)}"
             )
         ratios = [mp.log(usable[k + 1]) / mp.log(usable[k]) for k in range(len(usable) - 1)]
-        q = _stable_tail(ratios)
-        if q <= 0:
-            raise InsufficientData("estimated order is not positive")
-        return OrderEstimate(
-            BigReal(q, precision),
-            len(usable),
-            tuple(BigReal(r, precision) for r in ratios),
-        )
+        return _order_estimate(_stable_tail(ratios), usable, ratios, precision)
 
 
 def estimate_order_from_steps(traj: Trajectory) -> OrderEstimate:
@@ -97,14 +104,7 @@ def estimate_order_from_steps(traj: Trajectory) -> OrderEstimate:
     precision = traj.iterates[0].x.precision
     with mp.workdps(working_dps(precision)):
         floor = mp.mpf(10) ** (FLOOR_MARGIN - precision)
-        deltas = [abs(rec.step.value) for rec in traj.iterates if rec.step is not None]
-        usable: list[mp.mpf] = []
-        for d in deltas:
-            if d <= floor:
-                break
-            if usable and d >= usable[-1]:
-                break
-            usable.append(d)
+        usable, _ = _decreasing_run([abs(step.value) for step in traj.steps()], floor)
         if len(usable) < 3:
             raise InsufficientData(f"need 3 strictly decreasing steps, have {len(usable)}")
         ratios = [
@@ -112,18 +112,7 @@ def estimate_order_from_steps(traj: Trajectory) -> OrderEstimate:
             for k in range(1, len(usable) - 1)
         ]
         q = _stable_tail(ratios) if len(ratios) > 1 else ratios[-1]
-        if q <= 0:
-            raise InsufficientData("estimated order is not positive")
-        return OrderEstimate(
-            BigReal(q, precision),
-            len(usable),
-            tuple(BigReal(r, precision) for r in ratios),
-        )
-
-
-def error_from_steps(traj: Trajectory) -> list[BigReal]:
-    """Error estimates e_k ~ x_{k+1} - x_k for each consecutive pair."""
-    return traj.steps()
+        return _order_estimate(q, usable, ratios, precision)
 
 
 @lru_cache(maxsize=None)

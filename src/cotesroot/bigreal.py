@@ -15,11 +15,21 @@ from fractions import Fraction
 import mpmath as mp
 
 GUARD_DIGITS = 10
+# below this the default stop tolerance 10^(10 - precision) is no longer small
+# enough to mean anything: at 10 digits or fewer it is >= 1 and a run
+# "converges" at its start point
+MIN_DIGITS = 15
 
 
 def working_dps(precision: int) -> int:
     """Decimal digits used internally for a target precision."""
     return precision + GUARD_DIGITS
+
+
+def check_digits(precision: int) -> None:
+    """Reject a solve precision below ``MIN_DIGITS``."""
+    if precision < MIN_DIGITS:
+        raise ValueError(f"digits must be at least {MIN_DIGITS}, got {precision}")
 
 
 def as_mpf(value) -> mp.mpf:

@@ -20,8 +20,8 @@ import os
 import sys
 
 from . import __version__
-from .analysis import estimate_order, estimate_order_from_steps, significant_digits
-from .bigreal import BigReal
+from .analysis import estimate_order, estimate_order_from_steps
+from .bigreal import MIN_DIGITS, BigReal
 from .errors import CotesrootError, InsufficientData, RoundoffFloor
 from .expr import parse
 from .multivariate import demo_system, nd_iterate
@@ -48,7 +48,7 @@ def _default_digits() -> int:
     if env:
         try:
             value = int(env)
-            if value >= 15:
+            if value >= MIN_DIGITS:
                 return value
         except ValueError:
             pass
@@ -118,16 +118,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_csv(rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    print(buf.getvalue(), end="")
+
+
 def _cmd_weights(args) -> int:
     rule = derive_rule(args.n) if args.derive else builtin_rule(args.n)
     if args.format == "json":
         print(json.dumps({"n": rule.n, "weights": list(rule.weights), "c": rule.c}))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "c"] + [f"A{i}" for i in range(rule.n + 1)])
-        writer.writerow([rule.n, rule.c] + list(rule.weights))
-        print(buf.getvalue(), end="")
+        _print_csv([["n", "c"] + [f"A{i}" for i in range(rule.n + 1)],
+                    [rule.n, rule.c] + list(rule.weights)])
     else:
         print(f"n = {rule.n}")
         print(f"weights = {' '.join(str(w) for w in rule.weights)}")
@@ -135,9 +138,10 @@ def _cmd_weights(args) -> int:
     return 0
 
 
-def _build_problem(args, digits):
-    if digits < 15:
-        raise ValueError(f"--digits must be at least 15, got {digits}")
+def _solve(args):
+    """The problem the solve flags describe, and its trajectory."""
+    digits = _default_digits() if args.digits is None else args.digits
+    method = MethodId.parse(args.method, simpson_seed=args.simpson_seed)
     f = parse(args.function)
     kwargs = {}
     if args.step_tol is not None:
@@ -146,13 +150,14 @@ def _build_problem(args, digits):
         kwargs["residual_tol"] = BigReal.of(args.residual_tol, digits)
     if args.root is not None:
         kwargs["known_root"] = BigReal.of(args.root, digits)
-    return ScalarProblem(
+    problem = ScalarProblem(
         f,
         BigReal.of(args.x0, digits),
         precision=digits,
         max_iter=args.max_iter,
         **kwargs,
     )
+    return problem, iterate(problem, method)
 
 
 def _config_json(args, problem, method) -> dict:
@@ -189,25 +194,23 @@ def _trajectory_json(traj: Trajectory, args, problem) -> dict:
     }
 
 
-def _print_trajectory(traj: Trajectory, digits: int, fmt: str, args, problem) -> None:
-    if fmt == "json":
+def _print_trajectory(traj: Trajectory, args, problem) -> None:
+    if args.format == "json":
         print(json.dumps(_trajectory_json(traj, args, problem), indent=2))
         return
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k", "x", "fx", "step", "s"])
-        for rec in traj.iterates:
-            writer.writerow([
+    if args.format == "csv":
+        _print_csv([["k", "x", "fx", "step", "s"]] + [
+            [
                 rec.k,
                 rec.x.decimal(),
                 "" if rec.fx is None else rec.fx.decimal(),
                 "" if rec.step is None else rec.step.decimal(),
                 "" if rec.s is None else rec.s.decimal(8),
-            ])
-        print(buf.getvalue(), end="")
+            ]
+            for rec in traj.iterates
+        ])
         return
-    shown = min(digits, 30)
+    shown = min(problem.precision, 30)
     for rec in traj.iterates:
         line = f"k={rec.k:<3d} x={rec.x.decimal(shown)}"
         if rec.fx is not None:
@@ -220,22 +223,16 @@ def _print_trajectory(traj: Trajectory, digits: int, fmt: str, args, problem) ->
 
 
 def _cmd_solve(args) -> int:
-    digits = args.digits or _default_digits()
-    method = MethodId.parse(args.method, simpson_seed=args.simpson_seed)
-    problem = _build_problem(args, digits)
-    traj = iterate(problem, method)
-    _print_trajectory(traj, digits, args.format, args, problem)
+    problem, traj = _solve(args)
+    _print_trajectory(traj, args, problem)
     return _EXIT_BY_KIND.get(traj.termination.kind, 2)
 
 
 def _cmd_order(args) -> int:
-    digits = args.digits or _default_digits()
     if args.root is None and not args.three_point:
         print("order needs --root or --three-point", file=sys.stderr)
         return 1
-    method = MethodId.parse(args.method, simpson_seed=args.simpson_seed)
-    problem = _build_problem(args, digits)
-    traj = iterate(problem, method)
+    problem, traj = _solve(args)
     try:
         if args.three_point:
             estimate = estimate_order_from_steps(traj)
@@ -246,19 +243,15 @@ def _cmd_order(args) -> int:
         return 3
     if args.format == "json":
         print(json.dumps({
-            "method": str(method),
+            "method": str(traj.method),
             "q": estimate.q.decimal(6),
             "samples_used": estimate.samples_used,
             "per_pair": [r.decimal(6) for r in estimate.per_pair],
         }))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["pair", "q"])
-        for i, r in enumerate(estimate.per_pair):
-            writer.writerow([i, r.decimal(6)])
-        writer.writerow(["final", estimate.q.decimal(6)])
-        print(buf.getvalue(), end="")
+        _print_csv([["pair", "q"]]
+                   + [[i, r.decimal(6)] for i, r in enumerate(estimate.per_pair)]
+                   + [["final", estimate.q.decimal(6)]])
     else:
         pairs = ", ".join(r.decimal(4) for r in estimate.per_pair)
         print(f"estimated order q = {estimate.q.decimal(4)} "
@@ -278,14 +271,12 @@ def _cmd_table(args) -> int:
         }, indent=2))
         return 0
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["method", "quantity", "computed", "reference", "diff",
-                         "runtime_s", "provenance"])
-        for row in report.rows:
-            writer.writerow([row.method, row.quantity, row.computed, row.reference,
-                             f"{row.diff:.4g}", f"{row.runtime:.3f}", row.provenance])
-        print(buf.getvalue(), end="")
+        _print_csv([["method", "quantity", "computed", "reference", "diff", "runtime_s",
+                     "provenance"]] + [
+            [row.method, row.quantity, row.computed, row.reference, f"{row.diff:.4g}",
+             f"{row.runtime:.3f}", row.provenance]
+            for row in report.rows
+        ])
         return 0
     print(f"{report.table_id}: {report.title} ({report.digits} digits)")
     print(f"{'method':<8} {'qty':<4} {'computed':>14} {'reference':>12} {'|diff|':>10} {'time':>8}")
@@ -297,35 +288,25 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    digits = args.digits or _default_digits()
     if args.metric == "sdigits" and args.root is None:
         print("metric 'sdigits' needs --root", file=sys.stderr)
         return 1
-    method = MethodId.parse(args.method, simpson_seed=args.simpson_seed)
-    problem = _build_problem(args, digits)
-    traj = iterate(problem, method)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["iteration", args.metric])
+    problem, traj = _solve(args)
     if args.metric == "sdigits":
-        for rec in traj.iterates[1:]:
-            if rec.s is not None:
-                writer.writerow([rec.k, rec.s.decimal(8)])
+        rows = [[rec.k, rec.s.decimal(8)] for rec in traj.iterates[1:] if rec.s is not None]
     elif problem.known_root is not None:
         root = problem.known_root
-        for rec in traj.iterates[1:]:
-            writer.writerow([rec.k, abs(rec.x - root).decimal(8)])
+        rows = [[rec.k, abs(rec.x - root).decimal(8)] for rec in traj.iterates[1:]]
     else:
         # without a root the step to the next iterate estimates the error
-        for rec in traj.iterates:
-            if rec.step is not None:
-                writer.writerow([rec.k, abs(rec.step).decimal(8)])
-    print(buf.getvalue(), end="")
+        rows = [[rec.k, abs(rec.step).decimal(8)] for rec in traj.iterates
+                if rec.step is not None]
+    _print_csv([["iteration", args.metric]] + rows)
     return _EXIT_BY_KIND.get(traj.termination.kind, 2)
 
 
 def _cmd_ndsolve(args) -> int:
-    digits = args.digits or _default_digits()
+    digits = _default_digits() if args.digits is None else args.digits
     kind = {"newton": "newton", "trap": "trapezoidal", "simpson": "simpson"}[args.kind]
     demo = demo_system(args.system)
     traj = nd_iterate(demo.function, demo.x0, kind=kind, precision=digits,
@@ -376,6 +357,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (CotesrootError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # the parser and the evaluators recurse once per nesting level
+        print("error: expression nested too deeply", file=sys.stderr)
         return 1
 
 

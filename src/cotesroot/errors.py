@@ -31,14 +31,18 @@ class Breakdown(CotesrootError, ArithmeticError):
 
     ZERO_DERIVATIVE = "zero_derivative"
     ZERO_DENOMINATOR = "zero_denominator"
+    SINGULAR_MATRIX = "singular_matrix"
 
     def __init__(self, kind: str, message: str = ""):
         super().__init__(message or kind)
         self.kind = kind
 
 
-class SingularMatrix(CotesrootError, ArithmeticError):
+class SingularMatrix(Breakdown):
     """LU elimination met a pivot below the working-precision threshold."""
+
+    def __init__(self, message: str = ""):
+        super().__init__(Breakdown.SINGULAR_MATRIX, message)
 
 
 class InsufficientData(CotesrootError, ValueError):

@@ -79,12 +79,6 @@ class Expression:
     def __str__(self) -> str:
         return self.text
 
-    def jet(self, x, precision: int) -> "Jet2":
-        return eval_jet(self, x, precision)
-
-    def value(self, x, precision: int) -> BigReal:
-        return eval_value(self, x, precision)
-
 
 @dataclass(frozen=True)
 class Jet2:

@@ -1,10 +1,11 @@
 """Dense d-dimensional Newton, Newton-trapezoidal, and Newton-Simpson steps.
 
 Vector functions are caller-supplied callables (residual and Jacobian); no
-parsing happens at this level.  Linear systems are solved by LU with partial
-pivoting at the working precision.  The trapezoidal predictor step is taken
-as h1 = -J(x)^-1 F(x), the sign that makes the d=1 case collapse to the
-scalar two-node map.
+parsing happens at this level.  The three step kinds are levels 0, 1 and 2
+of the solver's ladder, with Jacobians for slopes, B_k = sum_i A_i J(x + i h_k),
+and an LU solve with partial pivoting at the working precision in place of
+the division; the trapezoidal step is the variant of Weerakoon & Fernando
+(2000).  For d = 1 a step therefore equals the scalar map bit for bit.
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .bigreal import BigReal, as_mpf, working_dps
-from .errors import DomainError, SingularMatrix
-from .solver import BREAKDOWN, CONVERGED, DIVERGED, MAX_ITERATIONS, Termination
+from .errors import SingularMatrix
+from .solver import SEED_TRAPEZOID, Termination, _ladder_full, _outer_loop, _stop_rules
 
-KIND_NEWTON = "newton"
-KIND_TRAPEZOIDAL = "trapezoidal"
-KIND_SIMPSON = "simpson"
-KINDS = (KIND_NEWTON, KIND_TRAPEZOIDAL, KIND_SIMPSON)
+_LEVELS = {"newton": 0, "trapezoidal": 1, "simpson": 2}  # step kind -> ladder level
 
 
 @dataclass(frozen=True)
@@ -50,6 +48,22 @@ class VectorTrajectory:
     @property
     def final(self) -> VectorIterateRecord:
         return self.iterates[-1]
+
+
+class _Point(list):
+    """A vector iterate with the per-coordinate arithmetic the ladder uses."""
+
+    def __add__(self, other):
+        return _Point(a + b for a, b in zip(self, other))
+
+    def __sub__(self, other):
+        return _Point(a - b for a, b in zip(self, other))
+
+    def __rmul__(self, k):
+        return _Point(k * a for a in self)
+
+    def __truediv__(self, k):
+        return _Point(a / k for a in self)
 
 
 def _as_vector(values, d) -> list[mp.mpf]:
@@ -111,49 +125,47 @@ def solve_linear(matrix, rhs, precision: int) -> list[BigReal]:
         return [BigReal(v, precision) for v in x]
 
 
-def _step_raw(kind, func, x, precision):
+def _jacobian_sum(weights, jacobians):
+    """Entrywise sum of A_i J_i; a Jacobian of weight 1 is added without a multiply."""
+    scaled = [jac if w == 1 else [[w * v for v in row] for row in jac]
+              for w, jac in zip(weights, jacobians)]
+    return [[sum(entries) for entries in zip(*rows)] for rows in zip(*scaled)]
+
+
+def _level(kind: str) -> int:
+    if kind not in _LEVELS:
+        raise ValueError(f"unknown step kind {kind!r}")
+    return _LEVELS[kind]
+
+
+def _vector_map(n, func, x, precision):
+    """Level n of the ladder at the point x (a _Point)."""
     d = func.dimension
+
+    def jacobian(p):
+        return _as_matrix(func.jacobian(p), d)
+
+    def solve(b, c, f):
+        return _lu_solve(b, [c * v for v in f], precision)
+
     fx = _as_vector(func.residual(x), d)
-    j0 = _as_matrix(func.jacobian(x), d)
-    if kind == KIND_NEWTON:
-        s = _lu_solve(j0, fx, precision)
-        return [xi - si for xi, si in zip(x, s)]
-    if kind == KIND_TRAPEZOIDAL:
-        return _trapezoid_raw(func, x, fx, j0, precision)
-    if kind == KIND_SIMPSON:
-        t1 = _trapezoid_raw(func, x, fx, j0, precision)
-        h2 = [(t - xi) / 2 for t, xi in zip(t1, x)]
-        jm = _as_matrix(func.jacobian([xi + hi for xi, hi in zip(x, h2)]), d)
-        jf = _as_matrix(func.jacobian([xi + 2 * hi for xi, hi in zip(x, h2)]), d)
-        total = [
-            [j0[r][c] + 4 * jm[r][c] + jf[r][c] for c in range(d)] for r in range(d)
-        ]
-        u = _lu_solve(total, fx, precision)
-        return [xi - 6 * ui for xi, ui in zip(x, u)]
-    raise ValueError(f"unknown step kind {kind!r}")
-
-
-def _trapezoid_raw(func, x, fx, j0, precision):
-    d = func.dimension
-    h1 = [-v for v in _lu_solve(j0, fx, precision)]
-    j1 = _as_matrix(func.jacobian([xi + hi for xi, hi in zip(x, h1)]), d)
-    total = [[j0[r][c] + j1[r][c] for c in range(d)] for r in range(d)]
-    u = _lu_solve(total, fx, precision)
-    return [xi - 2 * ui for xi, ui in zip(x, u)]
+    ys, _ = _ladder_full(n, x, fx, jacobian(x), jacobian, _jacobian_sum, solve,
+                         SEED_TRAPEZOID)
+    return ys[n]
 
 
 def nd_step(kind: str, func: VectorFunction, x, precision: int) -> list[BigReal]:
     """One step of the chosen kind from x."""
+    level = _level(kind)
     with mp.workdps(working_dps(precision)):
-        point = _as_vector(x, func.dimension)
-        result = _step_raw(kind, func, point, precision)
-        return [BigReal(v, precision) for v in result]
+        point = _Point(_as_vector(x, func.dimension))
+        return [BigReal(v, precision) for v in _vector_map(level, func, point, precision)]
 
 
 def nd_iterate(
     func: VectorFunction,
     x0,
-    kind: str = KIND_NEWTON,
+    kind: str = "newton",
     precision: int = 50,
     max_iter: int = 30,
     step_tol=None,
@@ -161,68 +173,28 @@ def nd_iterate(
     divergence_bound=None,
 ) -> VectorTrajectory:
     """Outer loop around nd_step with max-norm stopping rules."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown step kind {kind!r}")
+    level = _level(kind)
+    d = func.dimension
     with mp.workdps(working_dps(precision)):
-        x = _as_vector(x0, func.dimension)
-        default_tol = mp.mpf(10) ** (10 - precision)
-        stol = as_mpf(step_tol) if step_tol is not None else default_tol
-        rtol = as_mpf(residual_tol) if residual_tol is not None else default_tol
-        bound = (
-            as_mpf(divergence_bound)
-            if divergence_bound is not None
-            else mp.mpf(10) ** 6 * (1 + _max_norm(x))
+        x = _Point(_as_vector(x0, d))
+        points, steps, termination = _outer_loop(
+            x,
+            lambda p: _as_vector(func.residual(p), d),
+            lambda p: _vector_map(level, func, p, precision),
+            _max_norm,
+            max_iter,
+            *_stop_rules(precision, x, step_tol, residual_tol, divergence_bound),
         )
 
-        def wrap_point(vec):
-            return tuple(BigReal(v, precision) for v in vec)
+        def norm(vec):
+            return None if vec is None else BigReal(_max_norm(vec), precision)
 
-        records: list[VectorIterateRecord] = []
-        try:
-            fx = _as_vector(func.residual(x), func.dimension)
-        except DomainError:
-            return VectorTrajectory(
-                kind,
-                (VectorIterateRecord(0, wrap_point(x), None),),
-                Termination(BREAKDOWN, "domain"),
-            )
-        records.append(
-            VectorIterateRecord(0, wrap_point(x), BigReal(_max_norm(fx), precision))
+        records = tuple(
+            VectorIterateRecord(k, tuple(BigReal(v, precision) for v in point), norm(fx),
+                                norm(steps[k - 1]) if k else None)
+            for k, (point, fx) in enumerate(points)
         )
-        if _max_norm(fx) < rtol:
-            return VectorTrajectory(kind, tuple(records), Termination(CONVERGED, "residual"))
-
-        termination = Termination(MAX_ITERATIONS)
-        for k in range(1, max_iter + 1):
-            try:
-                xn = _step_raw(kind, func, x, precision)
-                fxn = _as_vector(func.residual(xn), func.dimension)
-            except SingularMatrix:
-                termination = Termination(BREAKDOWN, "singular_matrix")
-                break
-            except DomainError:
-                termination = Termination(BREAKDOWN, "domain")
-                break
-            step_norm = _max_norm([a - b for a, b in zip(xn, x)])
-            records.append(
-                VectorIterateRecord(
-                    k,
-                    wrap_point(xn),
-                    BigReal(_max_norm(fxn), precision),
-                    BigReal(step_norm, precision),
-                )
-            )
-            x = xn
-            if _max_norm(xn) > bound:
-                termination = Termination(DIVERGED)
-                break
-            if step_norm < stol:
-                termination = Termination(CONVERGED, "step")
-                break
-            if _max_norm(fxn) < rtol:
-                termination = Termination(CONVERGED, "residual")
-                break
-    return VectorTrajectory(kind, tuple(records), termination)
+    return VectorTrajectory(kind, records, termination)
 
 
 @dataclass(frozen=True)

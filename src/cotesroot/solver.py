@@ -4,8 +4,13 @@ The map with n+1 nodes is built bottom-up per evaluation point x: starting
 from the Newton value y_0 = x - f(x)/f'(x), each level k takes the step
 h_k = (y_{k-1} - x)/k, forms the weighted slope sum
 B_k = sum_i A_i f'(x + i h_k) with the level-k rule weights, and sets
-y_k = x - c_k f(x)/B_k.  Every level is computed exactly once, so one
-application of the n-th map costs (n+1)(n+2)/2 slope evaluations.
+y_k = x - c_k f(x)/B_k.  Every level is computed exactly once and node 0 of
+every level is x itself, so one application of the n-th map costs
+1 + n(n+1)/2 slope evaluations.
+
+The same ladder and the same outer loop run the vector steps of
+``multivariate``: there the slopes are Jacobians, B_k is a matrix and the
+division by B_k is an LU solve.
 
 ``simpson_seed`` switches how the three-node level obtains its step: the
 default "trapezoid" wiring (h_2 from y_1) is the properly recursive ladder
@@ -16,14 +21,14 @@ published reference tables, so the table-reproduction layer selects it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
 
-from .bigreal import BigReal, as_mpf, working_dps
+from .bigreal import BigReal, as_mpf, check_digits, working_dps
 from .errors import Breakdown, DomainError
-from .expr import Expression, Jet2, _jet, _value
+from .expr import Expression, _jet, _value
 from .quadrature import MAX_RULE, builtin_rule
 
 SEED_TRAPEZOID = "trapezoid"
@@ -61,14 +66,6 @@ class MethodId:
             raise ValueError(f"unknown simpson_seed {self.simpson_seed!r}")
 
     @classmethod
-    def basic(cls, n: int, **kw) -> "MethodId":
-        return cls(n, **kw)
-
-    @classmethod
-    def composed(cls, i: int, j: int, **kw) -> "MethodId":
-        return cls(i, inner=j, **kw)
-
-    @classmethod
     def parse(cls, spec: str, simpson_seed: str = SEED_TRAPEZOID) -> "MethodId":
         """Parse "tN", "tI_J" (composition t_I o t_J), optional "+F" suffix."""
         text = spec.strip()
@@ -87,9 +84,6 @@ class MethodId:
             return cls(int(body), transform=transform, simpson_seed=simpson_seed)
         except ValueError as exc:
             raise ValueError(f"bad method spec {spec!r}") from exc
-
-    def with_seed(self, simpson_seed: str) -> "MethodId":
-        return replace(self, simpson_seed=simpson_seed)
 
     def __str__(self) -> str:
         body = f"t{self.outer}" if self.inner is None else f"t{self.outer}_{self.inner}"
@@ -110,24 +104,14 @@ class ScalarProblem:
     known_root: Optional[BigReal] = None
 
     def __post_init__(self):
-        if self.precision < 1:
-            raise ValueError("precision must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         with mp.workdps(working_dps(self.precision)):
-            default_tol = BigReal(mp.mpf(10) ** (10 - self.precision), self.precision)
-            if self.step_tol is None:
-                object.__setattr__(self, "step_tol", default_tol)
-            if self.residual_tol is None:
-                object.__setattr__(self, "residual_tol", default_tol)
-            if self.divergence_bound is None:
-                bound = mp.mpf(10) ** 6 * (1 + abs(as_mpf(self.x0)))
-                object.__setattr__(self, "divergence_bound", BigReal(bound, self.precision))
-        for name in ("step_tol", "residual_tol"):
-            if getattr(self, name).value <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.divergence_bound.value <= abs(self.x0.value):
-            raise ValueError("divergence_bound must exceed |x0|")
+            rules = _stop_rules(self.precision, [as_mpf(self.x0)], self.step_tol,
+                                self.residual_tol, self.divergence_bound)
+        for name, value in zip(("step_tol", "residual_tol", "divergence_bound"), rules):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, BigReal(value, self.precision))
 
 
 @dataclass(frozen=True)
@@ -174,18 +158,14 @@ class _PlainTarget:
         return v, d1
 
 
-class TransformedFunction:
-    """Evaluator for the multiple-root transform F = -f/f'.
+class _TransformTarget(_PlainTarget):
+    """(F, F') pairs for the multiple-root transform F = -f/f' (the "+F" maps).
 
     F has a simple root wherever f has a multiple one (when f'' does not
     vanish there); its slope follows from the quotient rule:
     F' = f f''/(f')^2 - 1.  The removable 0/0 singularity at the multiple
     root itself is not patched: evaluation there raises DomainError.
     """
-
-    def __init__(self, f: Expression):
-        self.f = f
-        self.jet_evals = 0
 
     def pair(self, x):
         self.jet_evals += 1
@@ -196,18 +176,36 @@ class TransformedFunction:
             raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished under the transform")
         return -v / d1, v * d2 / (d1 * d1) - 1
 
-    def __call__(self, x, precision: int) -> tuple[BigReal, BigReal]:
-        with mp.workdps(working_dps(precision)):
-            value, slope = self.pair(as_mpf(x))
-        return BigReal(value, precision), BigReal(slope, precision)
 
-
-def transform_function(f: Expression) -> TransformedFunction:
-    return TransformedFunction(f)
-
-
-def _ladder_full(n, target, x, simpson_seed, precision):
+def _ladder_full(n, x, fx, slope0, slope_at, weighted_sum, solve, simpson_seed):
     """Map values y_0..y_n at x plus the weighted slope sums B_0..B_n.
+
+    One ladder serves scalars and vectors.  ``fx`` and ``slope0`` are the
+    value and slope at x; ``slope0`` is node 0 of every level.  The caller
+    supplies ``slope_at(p)``, ``weighted_sum(weights, slopes)`` and
+    ``solve(B, c, F)``, the u with B u = c F, which raises Breakdown when B
+    is numerically singular.  Points need only ``+``, ``-`` and ``*``, ``/``
+    by an integer.
+    """
+    ys = [x - solve(slope0, 1, fx)]
+    sums = [slope0]
+    for k in range(1, n + 1):
+        rule = _RULES[k]
+        base = ys[0] if (k == 2 and simpson_seed == SEED_NEWTON) else ys[k - 1]
+        h = (base - x) / k
+        slopes = [slope0] + [slope_at(x + i * h) for i in range(1, k + 1)]
+        b = weighted_sum(rule.weights, slopes)
+        ys.append(x - solve(b, rule.c, fx))
+        sums.append(b)
+    return ys, sums
+
+
+def _weighted_sum(weights, slopes):
+    return sum(w * s for w, s in zip(weights, slopes))
+
+
+def _scalar_ladder(n, target, x, simpson_seed, precision):
+    """The ladder on a scalar target: slopes are f', the solve is a division.
 
     Raises Breakdown when a denominator vanishes: exactly-zero slope at the
     base point, or a slope sum more than ~precision digits below it.
@@ -218,66 +216,96 @@ def _ladder_full(n, target, x, simpson_seed, precision):
     # cancellation trap for the weighted slope sums, relative to the slope
     # at this step's base point
     tiny = mp.mpf(10) ** (5 - precision) * abs(slope0)
-    ys = [x - fx / slope0]
-    sums = [slope0]
-    for k in range(1, n + 1):
-        rule = _RULES[k]
-        base = ys[0] if (k == 2 and simpson_seed == SEED_NEWTON) else ys[k - 1]
-        h = (base - x) / k
-        acc = mp.mpf(0)
-        for i, w in enumerate(rule.weights):
-            _, slope = target.pair(x + i * h)
-            acc += w * slope
-        if acc == 0 or abs(acc) < tiny:
-            raise Breakdown(
-                Breakdown.ZERO_DENOMINATOR,
-                f"weighted slope sum vanished at level {k}",
-            )
-        ys.append(x - rule.c * fx / acc)
-        sums.append(acc)
-    return ys, sums
+
+    def solve(b, c, f):
+        if b == 0 or abs(b) < tiny:
+            raise Breakdown(Breakdown.ZERO_DENOMINATOR, "weighted slope sum vanished")
+        return c * f / b
+
+    return _ladder_full(n, x, fx, slope0, lambda p: target.pair(p)[1], _weighted_sum,
+                        solve, simpson_seed)
 
 
-def _ladder(n, target, x, simpson_seed, precision):
-    return _ladder_full(n, target, x, simpson_seed, precision)[0]
+def _method_map(m: MethodId, f: Expression, precision: int):
+    """x -> t(x) on working-precision values; a composition applies inner first."""
+    target = _TransformTarget(f) if m.transform else _PlainTarget(f)
+    levels = (m.outer,) if m.inner is None else (m.inner, m.outer)
 
+    def apply(x):
+        for n in levels:
+            x = _scalar_ladder(n, target, x, m.simpson_seed, precision)[0][n]
+        return x
 
-def apply_t0(x: BigReal, jet: Jet2) -> BigReal:
-    """One Newton step from a precomputed jet."""
-    precision = max(x.precision, jet.f.precision)
-    with mp.workdps(working_dps(precision)):
-        if jet.d1.value == 0:
-            raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
-        return BigReal(x.value - jet.f.value / jet.d1.value, precision)
-
-
-def apply_tn(
-    n: int,
-    f: Expression,
-    x,
-    precision: int,
-    *,
-    simpson_seed: str = SEED_TRAPEZOID,
-    transform: bool = False,
-) -> BigReal:
-    """One application of the map with n+1 nodes at x."""
-    if not 0 <= n <= MAX_RULE:
-        raise ValueError(f"map index must be in 0..{MAX_RULE}, got {n}")
-    target = TransformedFunction(f) if transform else _PlainTarget(f)
-    with mp.workdps(working_dps(precision)):
-        ys = _ladder(n, target, as_mpf(x), simpson_seed, precision)
-    return BigReal(ys[n], precision)
+    return apply
 
 
 def apply_method(m: MethodId, f: Expression, x, precision: int) -> BigReal:
     """One application of a basic or composed map (inner map first)."""
-    target = TransformedFunction(f) if m.transform else _PlainTarget(f)
     with mp.workdps(working_dps(precision)):
-        point = as_mpf(x)
-        if m.inner is not None:
-            point = _ladder(m.inner, target, point, m.simpson_seed, precision)[m.inner]
-        result = _ladder(m.outer, target, point, m.simpson_seed, precision)[m.outer]
-    return BigReal(result, precision)
+        return BigReal(_method_map(m, f, precision)(as_mpf(x)), precision)
+
+
+def _stop_rules(precision, x0, step_tol, residual_tol, divergence_bound):
+    """The outer loop's step and residual tolerances and divergence bound.
+
+    ``x0`` holds the start point's coordinates.  Unset values default to
+    10^(10 - precision) for both tolerances and 10^6 (1 + max |x0_i|) for the
+    bound.  Call under the working precision.
+    """
+    check_digits(precision)
+    if not all(mp.isfinite(v) for v in x0):
+        raise ValueError("x0 must be finite")
+    size = max(abs(v) for v in x0)
+    default_tol = mp.mpf(10) ** (10 - precision)
+    step_tol = default_tol if step_tol is None else as_mpf(step_tol)
+    residual_tol = default_tol if residual_tol is None else as_mpf(residual_tol)
+    bound = mp.mpf(10) ** 6 * (1 + size) if divergence_bound is None else as_mpf(divergence_bound)
+    for name, value in (("step_tol", step_tol), ("residual_tol", residual_tol)):
+        if value <= 0:
+            raise ValueError(f"{name} must be positive")
+    if bound <= size:
+        raise ValueError("divergence_bound must exceed |x0|")
+    return step_tol, residual_tol, bound
+
+
+def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound):
+    """Iterate x <- step(x) until a stop rule fires; scalars and vectors alike.
+
+    ``norm`` is abs or the max norm.  Returns the iterates paired with their
+    residuals (None where the residual left its domain), the steps between
+    consecutive iterates, and the termination.  Breakdowns (vanishing
+    denominator, singular matrix, domain exit) end the run; they are never
+    raised to the caller.
+    """
+    try:
+        fx = residual(x)
+    except DomainError:
+        return [(x, None)], [], Termination(BREAKDOWN, "domain")
+    points, steps = [(x, fx)], []
+    if norm(fx) < residual_tol:
+        return points, steps, Termination(CONVERGED, "residual")
+    for _ in range(max_iter):
+        try:
+            xn = step(x)
+        except Breakdown as exc:
+            return points, steps, Termination(BREAKDOWN, exc.kind)
+        except DomainError:
+            return points, steps, Termination(BREAKDOWN, "domain")
+        steps.append(xn - x)
+        try:
+            fx = residual(xn)
+        except DomainError:
+            points.append((xn, None))
+            return points, steps, Termination(BREAKDOWN, "domain")
+        points.append((xn, fx))
+        x = xn
+        if norm(x) > bound:
+            return points, steps, Termination(DIVERGED)
+        if norm(steps[-1]) < step_tol:
+            return points, steps, Termination(CONVERGED, "step")
+        if norm(fx) < residual_tol:
+            return points, steps, Termination(CONVERGED, "residual")
+    return points, steps, Termination(MAX_ITERATIONS)
 
 
 def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
@@ -288,72 +316,31 @@ def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
     Breakdowns terminate the trajectory; they are never raised to the caller.
     """
     precision = problem.precision
-    target = TransformedFunction(problem.f) if m.transform else _PlainTarget(problem.f)
-    root_node = problem.f.root
-
     with mp.workdps(working_dps(precision)):
-        x = as_mpf(problem.x0)
-        step_tol = as_mpf(problem.step_tol)
-        residual_tol = as_mpf(problem.residual_tol)
-        bound = as_mpf(problem.divergence_bound)
+        points, steps, termination = _outer_loop(
+            as_mpf(problem.x0),
+            lambda x: _value(problem.f.root, x),
+            _method_map(m, problem.f, precision),
+            abs,
+            problem.max_iter,
+            as_mpf(problem.step_tol),
+            as_mpf(problem.residual_tol),
+            as_mpf(problem.divergence_bound),
+        )
         root = as_mpf(problem.known_root) if problem.known_root is not None else None
+
+        def wrap(value):
+            return None if value is None else BigReal(value, precision)
 
         def sdigits(value):
             if root is None:
                 return None
             err = abs(root - value)
-            if err == 0:
-                return BigReal(mp.mpf(precision), precision)
-            return BigReal(-mp.log10(err), precision)
+            return wrap(mp.mpf(precision) if err == 0 else -mp.log10(err))
 
-        def wrap(value):
-            return BigReal(value, precision)
-
-        records: list[IterateRecord] = []
-
-        try:
-            fx = _value(root_node, x)
-        except DomainError:
-            return Trajectory(m, (IterateRecord(0, wrap(x), None, s=sdigits(x)),),
-                              Termination(BREAKDOWN, "domain"))
-        records.append(IterateRecord(0, wrap(x), wrap(fx), s=sdigits(x)))
-        if abs(fx) < residual_tol:
-            return Trajectory(m, tuple(records), Termination(CONVERGED, "residual"))
-
-        termination = Termination(MAX_ITERATIONS)
-        for k in range(1, problem.max_iter + 1):
-            try:
-                if m.inner is not None:
-                    mid = _ladder(m.inner, target, x, m.simpson_seed, precision)[m.inner]
-                    xn = _ladder(m.outer, target, mid, m.simpson_seed, precision)[m.outer]
-                else:
-                    xn = _ladder(m.outer, target, x, m.simpson_seed, precision)[m.outer]
-            except Breakdown as exc:
-                termination = Termination(BREAKDOWN, exc.kind)
-                break
-            except DomainError:
-                termination = Termination(BREAKDOWN, "domain")
-                break
-
-            step = xn - x
-            records[-1] = replace(records[-1], step=wrap(step))
-            try:
-                fxn = _value(root_node, xn)
-            except DomainError:
-                records.append(IterateRecord(k, wrap(xn), None, s=sdigits(xn)))
-                termination = Termination(BREAKDOWN, "domain")
-                break
-            records.append(IterateRecord(k, wrap(xn), wrap(fxn), s=sdigits(xn)))
-            x = xn
-
-            if abs(xn) > bound:
-                termination = Termination(DIVERGED)
-                break
-            if abs(step) < step_tol:
-                termination = Termination(CONVERGED, "step")
-                break
-            if abs(fxn) < residual_tol:
-                termination = Termination(CONVERGED, "residual")
-                break
-
-    return Trajectory(m, tuple(records), termination)
+        records = tuple(
+            IterateRecord(k, wrap(x), wrap(fx), wrap(steps[k] if k < len(steps) else None),
+                          sdigits(x))
+            for k, (x, fx) in enumerate(points)
+        )
+    return Trajectory(m, records, termination)

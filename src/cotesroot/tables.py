@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .analysis import bisect_root, map_derivatives_at, significant_digits
-from .bigreal import BigReal
+from .bigreal import BigReal, check_digits
 from .expr import Expression, parse
 from .solver import (
     SEED_NEWTON,
@@ -63,7 +63,6 @@ class _SDigitsTable:
     q_reference: Optional[tuple[int, ...]]
     root: Optional[str]  # exact root text; None means bisect the bracket below
     bracket: Optional[tuple[str, str]] = None
-    transform: bool = False
 
 
 _TABLES: dict[str, _SDigitsTable] = {
@@ -215,6 +214,8 @@ def _run_derivatives(digits: int) -> TableReport:
 
 def run_table(table_id: str, digits: int | None = None) -> TableReport:
     """Recompute one reference table; ``digits`` overrides the preset."""
+    if digits is not None:
+        check_digits(digits)
     if table_id == "tab1":
         return _run_derivatives(digits or _DERIVATIVE_DIGITS)
     spec = _TABLES.get(table_id)

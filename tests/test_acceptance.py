@@ -21,7 +21,6 @@ from cotesroot import (
     check_moments,
     demo_system,
     derive_rule,
-    error_from_steps,
     estimate_order,
     iterate,
     map_derivatives_at,
@@ -33,7 +32,7 @@ from cotesroot import (
 )
 from cotesroot.expr import eval_jet, eval_value
 from cotesroot.multivariate import VectorFunction
-from cotesroot.solver import CONVERGED, DIVERGED, SEED_NEWTON, apply_method, apply_tn
+from cotesroot.solver import CONVERGED, DIVERGED, SEED_NEWTON, apply_method
 from cotesroot.tables import run_table
 
 
@@ -104,7 +103,7 @@ def test_criterion_5_polynomial_composed_run():
     # independent root oracle: bisection on the plain polynomial callable
     root = bisect_mpf(lambda x: x**11 + 4 * x * x - 10, 1, 2, digits + 100)
     f = parse("x^11+4*x^2-10")
-    method = MethodId.composed(7, 6, simpson_seed=SEED_NEWTON)
+    method = MethodId(7, inner=6, simpson_seed=SEED_NEWTON)
     problem = ScalarProblem(
         f, bigreal(2, digits), precision=digits, max_iter=4,
         known_root=bigreal(root, digits + 100),
@@ -116,7 +115,7 @@ def test_criterion_5_polynomial_composed_run():
     checks.append(("s after 3 iterations", abs(s3 - 2410.6) <= 2.0, f"s={s3:.2f}"))
 
     published = ("-0.799781", "-0.0491500", "-2.50444e-44", "-2.75873e-2411")
-    steps = error_from_steps(traj)
+    steps = traj.steps()
     checks.append(("four steps recorded", len(steps) == 4, f"{len(steps)}"))
     with mp.workdps(digits + 20):
         for k, (got, want) in enumerate(zip(steps, published)):
@@ -144,7 +143,7 @@ def test_criterion_6_derivative_probe():
     z = bigreal(1, 250)
     checks = []
 
-    derivs = map_derivatives_at(MethodId.basic(0), f, z, 5, 250)
+    derivs = map_derivatives_at(MethodId(0), f, z, 5, 250)
     for got, want in zip(derivs, (0.0, 0.0, -4.0, 0.0, -16.0)):
         if want == 0.0:
             checks.append(("t0 zero derivative", abs(float(got)) < 1e-3, f"{float(got):.2e}"))
@@ -152,10 +151,10 @@ def test_criterion_6_derivative_probe():
             rel = abs(float(got) - want) / abs(want)
             checks.append((f"t0 derivative {want}", rel < 0.01, f"got {float(got):.6f}"))
 
-    d3 = float(map_derivatives_at(MethodId.basic(1), f, z, 3, 250)[2])
+    d3 = float(map_derivatives_at(MethodId(1), f, z, 3, 250)[2])
     checks.append(("t1 third derivative -1", abs(d3 + 1.0) < 0.01, f"got {d3:.6f}"))
 
-    d5 = float(map_derivatives_at(MethodId.basic(2, simpson_seed=SEED_NEWTON), f, z, 5, 250)[4])
+    d5 = float(map_derivatives_at(MethodId(2, simpson_seed=SEED_NEWTON), f, z, 5, 250)[4])
     checks.append(("t2 fifth derivative 82/3", abs(d5 - 82 / 3) / (82 / 3) < 0.01,
                    f"got {d5:.6f}"))
     finish(6, "fixed-point derivative probe on tanh", checks,
@@ -172,7 +171,7 @@ def test_criterion_7_order_ladder(cubic_root_10000):
     for n, precision in ORDER_PRECISION.items():
         problem = ScalarProblem(f, bigreal("1.5", precision), precision=precision,
                                 max_iter=14)
-        traj = iterate(problem, MethodId.basic(n))
+        traj = iterate(problem, MethodId(n))
         est = estimate_order(traj, bigreal(cubic_root_10000, 4 * precision))
         q = float(est.q)
         checks.append((f"t{n} order >= {n + 1.8}", q >= n + 1.8, f"q={q:.3f}"))
@@ -186,24 +185,24 @@ def test_criterion_8_negative_and_edge_suite():
     checks = []
     for x0 in (-5, 3):
         problem = ScalarProblem(parse("tanh(x-1)"), bigreal(x0, 30), precision=30)
-        traj = iterate(problem, MethodId.basic(0))
+        traj = iterate(problem, MethodId(0))
         checks.append((f"tanh Newton from {x0} diverges",
                        traj.termination.kind == DIVERGED, traj.termination.kind))
 
     problem = ScalarProblem(parse("cbrt(x)"), bigreal("0.5", 40), precision=40)
-    traj = iterate(problem, MethodId.basic(0))
+    traj = iterate(problem, MethodId(0))
     checks.append(("raw cbrt diverges (repelling fixed point)",
                    traj.termination.kind == DIVERGED, traj.termination.kind))
 
     f = parse("cbrt(x)")
     with mp.workdps(70):
         for x0 in ("0.5", "-3"):
-            one = apply_method(MethodId.basic(0, transform=True), f, bigreal(x0, 50), 50)
+            one = apply_method(MethodId(0, transform=True), f, bigreal(x0, 50), 50)
             exact = abs(one.value) < mp.mpf(10) ** -50 * abs(mp.mpf(x0))
             checks.append((f"transformed cbrt one step from {x0} hits zero",
                            exact, one.decimal(5)))
     problem = ScalarProblem(f, bigreal("0.5", 50), precision=50)
-    traj = iterate(problem, MethodId.basic(0, transform=True))
+    traj = iterate(problem, MethodId(0, transform=True))
     checks.append(("transformed cbrt trajectory converges",
                    traj.termination.kind == CONVERGED and len(traj.iterates) <= 4,
                    f"{traj.termination.kind} after {len(traj.iterates) - 1} steps"))
@@ -229,7 +228,7 @@ def test_criterion_9_multivariate_consistency():
         embedded = VectorFunction(1, residual, jacobian)
         for kind, n in (("newton", 0), ("trapezoidal", 1), ("simpson", 2)):
             got = nd_step(kind, embedded, [x0], precision)[0]
-            want = apply_tn(n, expr, bigreal(x0, precision), precision)
+            want = apply_method(MethodId(n), expr, bigreal(x0, precision), precision)
             with mp.workdps(precision + 10):
                 close = abs(got.value - want.value) <= \
                     mp.mpf(10) ** (5 - precision) * max(1, abs(want.value))
@@ -270,8 +269,8 @@ def test_criterion_10_simpson_seeding_matters(cubic_root_10000):
     reference = bigreal(cubic_root_10000, 4 * precision)
     results = {}
     for label, method in (
-        ("recursive", MethodId.basic(2)),
-        ("newton-seeded", MethodId.basic(2, simpson_seed=SEED_NEWTON)),
+        ("recursive", MethodId(2)),
+        ("newton-seeded", MethodId(2, simpson_seed=SEED_NEWTON)),
     ):
         problem = ScalarProblem(f, bigreal("1.5", precision), precision=precision,
                                 max_iter=14)

@@ -8,7 +8,6 @@ from cotesroot import (
     ScalarProblem,
     bigreal,
     bisect_root,
-    error_from_steps,
     estimate_order,
     estimate_order_from_steps,
     iterate,
@@ -16,7 +15,7 @@ from cotesroot import (
     parse,
     significant_digits,
 )
-from cotesroot.solver import SEED_NEWTON, apply_tn
+from cotesroot.solver import SEED_NEWTON, apply_method
 
 
 # ------------------------------------------------------- significant digits
@@ -39,7 +38,7 @@ def test_sdigits_monotone():
 def test_sdigits_one_simpson_application_on_tanh():
     # published-tables wiring; reference row value 5.6
     f = parse("tanh(x-1)")
-    got = apply_tn(2, f, bigreal("1.1", 60), 60, simpson_seed=SEED_NEWTON)
+    got = apply_method(MethodId(2, simpson_seed=SEED_NEWTON), f, bigreal("1.1", 60), 60)
     s = float(significant_digits(got, bigreal(1, 60)))
     assert s == pytest.approx(5.6, abs=0.15)
 
@@ -49,7 +48,7 @@ def test_sdigits_one_simpson_application_on_tanh():
 def _newton_on_sqrt2(precision=200, max_iter=12):
     problem = ScalarProblem(parse("x^2-2"), bigreal("1.5", precision),
                             precision=precision, max_iter=max_iter)
-    return iterate(problem, MethodId.basic(0))
+    return iterate(problem, MethodId(0))
 
 
 def test_order_newton_on_sqrt2():
@@ -64,14 +63,14 @@ def test_order_newton_on_sqrt2():
 def test_order_newton_on_tanh_is_cubic():
     problem = ScalarProblem(parse("tanh(x-1)"), bigreal("1.5", 300), precision=300,
                             max_iter=10)
-    est = estimate_order(iterate(problem, MethodId.basic(0)), bigreal(1, 300))
+    est = estimate_order(iterate(problem, MethodId(0)), bigreal(1, 300))
     assert float(est.q) == pytest.approx(3.0, abs=0.2)
 
 
 def test_order_simpson_on_tanh_is_quintic():
     problem = ScalarProblem(parse("tanh(x-1)"), bigreal("1.5", 600), precision=600,
                             max_iter=10)
-    est = estimate_order(iterate(problem, MethodId.basic(2)), bigreal(1, 600))
+    est = estimate_order(iterate(problem, MethodId(2)), bigreal(1, 600))
     assert float(est.q) == pytest.approx(5.0, abs=0.3)
 
 
@@ -87,7 +86,7 @@ def test_order_roundoff_floor():
     # start so close that the very first error is already below the floor
     problem = ScalarProblem(parse("x^2-4"), bigreal(2 + mp.mpf(10) ** -30, 40),
                             precision=40, max_iter=6)
-    traj = iterate(problem, MethodId.basic(0))
+    traj = iterate(problem, MethodId(0))
     with pytest.raises(RoundoffFloor):
         estimate_order(traj, bigreal(2, 40))
 
@@ -98,7 +97,7 @@ def test_order_scale_invariant():
     for text in ("x^2-2", "8*(x^2-2)"):
         problem = ScalarProblem(parse(text), bigreal("1.5", 200), precision=200,
                                 max_iter=12)
-        traj = iterate(problem, MethodId.basic(0))
+        traj = iterate(problem, MethodId(0))
         with mp.workdps(410):
             reference = bigreal(mp.sqrt(2), 400)
         results.append(estimate_order(traj, reference))
@@ -122,7 +121,7 @@ def test_order_from_steps_insufficient():
 
 def test_error_from_steps_matches_differences():
     traj = _newton_on_sqrt2(precision=80, max_iter=8)
-    steps = error_from_steps(traj)
+    steps = traj.steps()
     assert len(steps) == len(traj.iterates) - 1
     with mp.workdps(90):
         for k, st in enumerate(steps):
@@ -132,21 +131,21 @@ def test_error_from_steps_matches_differences():
 
 def test_error_from_steps_empty_when_converged_at_start():
     problem = ScalarProblem(parse("x^2-4"), bigreal(2, 40), precision=40)
-    traj = iterate(problem, MethodId.basic(0))
-    assert error_from_steps(traj) == []
+    traj = iterate(problem, MethodId(0))
+    assert traj.steps() == []
 
 
 # ------------------------------------------------------- map derivatives
 
 def test_map_derivatives_newton_superattracting():
     f = parse("x^2-4")
-    derivs = map_derivatives_at(MethodId.basic(0), f, bigreal(2, 100), 1, 100)
+    derivs = map_derivatives_at(MethodId(0), f, bigreal(2, 100), 1, 100)
     assert abs(float(derivs[0])) < 1e-6
 
 
 def test_map_derivatives_newton_on_tanh():
     f = parse("tanh(x-1)")
-    derivs = map_derivatives_at(MethodId.basic(0), f, bigreal(1, 250), 5, 250)
+    derivs = map_derivatives_at(MethodId(0), f, bigreal(1, 250), 5, 250)
     expected = (0.0, 0.0, -4.0, 0.0, -16.0)
     for got, want in zip(derivs, expected):
         if want == 0.0:
@@ -158,9 +157,9 @@ def test_map_derivatives_newton_on_tanh():
 def test_map_derivatives_validation():
     f = parse("x^2-4")
     with pytest.raises(ValueError):
-        map_derivatives_at(MethodId.basic(0), f, bigreal(2, 100), 6, 400)
+        map_derivatives_at(MethodId(0), f, bigreal(2, 100), 6, 400)
     with pytest.raises(ValueError):
-        map_derivatives_at(MethodId.basic(0), f, bigreal(2, 100), 5, 100)
+        map_derivatives_at(MethodId(0), f, bigreal(2, 100), 5, 100)
 
 
 # ------------------------------------------------------- reference roots

@@ -109,6 +109,21 @@ def test_solve_rejects_tiny_digits(capsys):
     assert "digits" in err
 
 
+@pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+def test_solve_rejects_nonfinite_start(capsys, x0):
+    code, _, err = run_cli(capsys, "solve", "-f", "x^2-2", f"--x0={x0}", "--digits", "30")
+    assert code == 1
+    assert "x0" in err
+
+
+@pytest.mark.parametrize("text", ["(" * 1500 + "x" + ")" * 1500, "+".join(["x"] * 3000)])
+def test_solve_deep_expression_fails_cleanly(capsys, text):
+    # 1500 nested parentheses, or a flat sum of 3000 terms
+    code, _, err = run_cli(capsys, "solve", "-f", text, "--x0", "1")
+    assert code == 1
+    assert err == "error: expression nested too deeply\n"
+
+
 def test_table_row_reproducible_via_solve(capsys):
     # round-trip: the tab1nn t2 row equals a solve run with the same wiring
     row = [r for r in __import__("cotesroot").run_table("tab1nn").rows
@@ -180,6 +195,12 @@ def test_table_json(capsys):
     assert all(row["diff"] < 0.05 for row in data["rows"])
 
 
+def test_table_rejects_tiny_digits(capsys):
+    code, _, err = run_cli(capsys, "table", "tab1nn", "--digits", "5")
+    assert code == 1
+    assert "digits" in err
+
+
 def test_table_unknown_id(capsys):
     with pytest.raises(SystemExit):
         main(["table", "tab9"])
@@ -248,6 +269,21 @@ def test_ndsolve_circle_line_simpson_json(capsys):
     assert data["termination"]["kind"] == "converged"
     final = data["iterates"][-1]["x"]
     assert float(final[0]) == pytest.approx(0.7071067811865475, abs=1e-12)
+
+
+def test_ndsolve_rejects_tiny_digits(capsys):
+    code, _, err = run_cli(capsys, "ndsolve", "--system", "circle-line", "--digits", "3")
+    assert code == 1
+    assert "digits" in err
+
+
+@pytest.mark.parametrize("argv", [["solve", "-f", "x^2-2", "--x0", "1.5"],
+                                  ["ndsolve", "--system", "affine"],
+                                  ["table", "tab1nn"]])
+def test_zero_digits_is_not_the_default(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--digits", "0")
+    assert code == 1
+    assert "error" in err
 
 
 # ------------------------------------------------------------- entry point

@@ -2,8 +2,11 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cotesroot import (
+    Breakdown,
     SingularMatrix,
     VectorFunction,
     bigreal,
@@ -13,8 +16,10 @@ from cotesroot import (
     parse,
     solve_linear,
 )
-from cotesroot.expr import eval_jet, eval_value
-from cotesroot.solver import BREAKDOWN, CONVERGED, MethodId, apply_tn
+from cotesroot.expr import eval_jet
+from cotesroot.solver import BREAKDOWN, CONVERGED, MethodId, apply_method
+
+KIND_LEVELS = [("newton", 0), ("trapezoidal", 1), ("simpson", 2)]
 
 
 def scalar_as_vector(text, precision):
@@ -22,7 +27,7 @@ def scalar_as_vector(text, precision):
     expr = parse(text)
 
     def residual(p):
-        return [eval_value(expr, bigreal(p[0], precision), precision).value]
+        return [eval_jet(expr, bigreal(p[0], precision), precision).f.value]
 
     def jacobian(p):
         return [[eval_jet(expr, bigreal(p[0], precision), precision).d1.value]]
@@ -61,8 +66,10 @@ def test_solve_random_residual(seed):
 
 
 def test_solve_singular():
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SingularMatrix) as err:
         solve_linear([[1, 1], [1, 1]], [1, 2], 40)
+    assert isinstance(err.value, Breakdown)
+    assert err.value.kind == "singular_matrix"
 
 
 def test_solve_needs_pivoting():
@@ -96,14 +103,33 @@ def test_d1_embedding_trapezoidal():
         assert abs(got.value - mp.mpf(63) / 31) < mp.mpf(10) ** -45
 
 
-@pytest.mark.parametrize("kind,n", [("newton", 0), ("trapezoidal", 1), ("simpson", 2)])
+@pytest.mark.parametrize("kind,n", KIND_LEVELS)
 @pytest.mark.parametrize("text,x0", [("x^2-4", "3"), ("x^2-2", "1.5"), ("tanh(x-1)", "1.5")])
 def test_d1_embedding_matches_scalar(kind, n, text, x0):
+    # the vector steps are levels of the scalar ladder: equal bit for bit
     precision = 50
     got = nd_step(kind, scalar_as_vector(text, precision), [x0], precision)[0]
-    want = apply_tn(n, parse(text), bigreal(x0, precision), precision)
-    with mp.workdps(precision + 10):
-        assert abs(got.value - want.value) < mp.mpf(10) ** (5 - precision) * max(1, abs(want.value))
+    want = apply_method(MethodId(n), parse(text), bigreal(x0, precision), precision)
+    assert got.value == want.value
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    coeffs=st.tuples(*[st.integers(-9, 9)] * 4).filter(lambda c: c[0] != 0),
+    start=st.integers(-300, 300),
+    precision=st.sampled_from([30, 60]),
+)
+def test_d1_embedding_equals_scalar_map_on_cubics(coeffs, start, precision):
+    text = "({})*x^3+({})*x^2+({})*x+({})".format(*coeffs)
+    x0 = str(start / 100)
+    embedded = scalar_as_vector(text, precision)
+    for kind, n in KIND_LEVELS:
+        try:
+            want = apply_method(MethodId(n), parse(text), bigreal(x0, precision), precision)
+        except Breakdown:
+            assume(False)
+        got = nd_step(kind, embedded, [x0], precision)[0]
+        assert got.value == want.value
 
 
 # ------------------------------------------------------------ iteration
@@ -170,6 +196,20 @@ def test_unknown_kind_rejected():
         nd_step("midpoint", demo.function, demo.x0, 40)
     with pytest.raises(ValueError):
         nd_iterate(demo.function, demo.x0, kind="midpoint", precision=40)
+
+
+def test_nd_iterate_rejects_low_precision():
+    # at 8 digits the default tolerance 10^(10-p) would stop at the start point
+    demo = demo_system("circle-line")
+    with pytest.raises(ValueError, match="digits"):
+        nd_iterate(demo.function, demo.x0, precision=8)
+
+
+@pytest.mark.parametrize("x0", [["nan", "0.5"], ["0.5", "nan"], ["inf", "0.5"], ["0.5", "-inf"]])
+def test_nd_iterate_rejects_nonfinite_start(x0):
+    demo = demo_system("circle-line")
+    with pytest.raises(ValueError, match="x0"):
+        nd_iterate(demo.function, x0, precision=40)
 
 
 def test_unknown_demo_system():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,7 +12,6 @@ from cotesroot import (
     bigreal,
     eval_jet,
     parse,
-    transform_function,
 )
 from cotesroot.solver import (
     BREAKDOWN,
@@ -20,10 +20,9 @@ from cotesroot.solver import (
     MAX_ITERATIONS,
     SEED_NEWTON,
     _PlainTarget,
-    _ladder_full,
+    _scalar_ladder,
+    _TransformTarget,
     apply_method,
-    apply_t0,
-    apply_tn,
     iterate,
 )
 
@@ -54,14 +53,14 @@ def test_method_parse_rejects(bad):
 def test_method_seed_validation():
     with pytest.raises(ValueError):
         MethodId(2, simpson_seed="midpoint")
-    assert MethodId(2).with_seed(SEED_NEWTON).simpson_seed == SEED_NEWTON
+    assert replace(MethodId(2), simpson_seed=SEED_NEWTON).simpson_seed == SEED_NEWTON
 
 
 def test_apply_tn_rejects_out_of_range_index():
     f = parse("x^2-2")
     for n in (-1, 8):
         with pytest.raises(ValueError):
-            apply_tn(n, f, bigreal("1.5", 40), 40)
+            apply_method(MethodId(n), f, bigreal("1.5", 40), 40)
 
 
 # ------------------------------------------------------------- one step
@@ -69,8 +68,7 @@ def test_apply_tn_rejects_out_of_range_index():
 def test_newton_step_on_square():
     f = parse("x^2-4")
     x = bigreal(3, 50)
-    jet = eval_jet(f, x, 50)
-    assert close_to_fraction(apply_t0(x, jet), Fraction(13, 6), 50)
+    assert close_to_fraction(apply_method(MethodId(0), f, x, 50), Fraction(13, 6), 50)
 
 
 def test_newton_step_on_cbrt_doubles_and_flips():
@@ -78,105 +76,109 @@ def test_newton_step_on_cbrt_doubles_and_flips():
     with mp.workdps(60):
         for a in ("0.7", "-1.3", "4"):
             x = bigreal(a, 50)
-            got = apply_t0(x, eval_jet(f, x, 50))
+            got = apply_method(MethodId(0), f, x, 50)
             assert abs(got.value - (-2 * x.value)) < mp.mpf(10) ** -45
 
 
 def test_newton_step_exact_on_affine():
     f = parse("3*x-7")
     x = bigreal("11.25", 50)
-    assert close_to_fraction(apply_t0(x, eval_jet(f, x, 50)), Fraction(7, 3), 50)
+    assert close_to_fraction(apply_method(MethodId(0), f, x, 50), Fraction(7, 3), 50)
 
 
 def test_newton_step_zero_derivative():
     f = parse("x^2-4")
     x = bigreal(0, 50)
     with pytest.raises(Breakdown) as err:
-        apply_t0(x, eval_jet(f, x, 50))
+        apply_method(MethodId(0), f, x, 50)
     assert err.value.kind == Breakdown.ZERO_DERIVATIVE
 
 
 def test_two_node_map_on_square():
     # h = -5/6, B = 6 + 13/3 = 31/3, t1 = 3 - 2*5/(31/3) = 63/31
-    got = apply_tn(1, parse("x^2-4"), bigreal(3, 60), 60)
+    got = apply_method(MethodId(1), parse("x^2-4"), bigreal(3, 60), 60)
     assert close_to_fraction(got, Fraction(63, 31), 60)
 
 
 def test_level_zero_reduces_to_newton():
     f = parse("tanh(x-1)")
     x = bigreal("1.37", 50)
-    a = apply_tn(0, f, x, 50)
-    b = apply_t0(x, eval_jet(f, x, 50))
-    assert a.value == b.value
+    a = apply_method(MethodId(0), f, x, 50)
+    jet = eval_jet(f, x, 50)
+    with mp.workdps(60):
+        assert a.value == x.value - jet.f.value / jet.d1.value
 
 
 def test_two_node_map_exact_on_affine():
-    got = apply_tn(1, parse("3*x-7"), bigreal(40, 50), 50)
+    got = apply_method(MethodId(1), parse("3*x-7"), bigreal(40, 50), 50)
     assert close_to_fraction(got, Fraction(7, 3), 50)
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_slope_evaluation_count(n):
-    target = _PlainTarget(parse("x^3+2*x-5"))
-    with mp.workdps(60):
-        _ladder_full(n, target, mp.mpf("1.4"), "trapezoid", 50)
-    assert target.jet_evals == (n + 1) * (n + 2) // 2
+    # node 0 of every level is the base point, whose slope is evaluated once
+    for target_type in (_PlainTarget, _TransformTarget):
+        target = target_type(parse("x^3+2*x-5"))
+        with mp.workdps(60):
+            _scalar_ladder(n, target, mp.mpf("1.4"), "trapezoid", 50)
+        assert target.jet_evals == 1 + n * (n + 1) // 2
 
 
 def test_composed_two_newton_steps():
     # t0(t0(3)) on x^2-4: t0(13/6) = 13/6 - (25/36)/(13/3) = 313/156
-    got = apply_method(MethodId.composed(0, 0), parse("x^2-4"), bigreal(3, 60), 60)
+    got = apply_method(MethodId(0, inner=0), parse("x^2-4"), bigreal(3, 60), 60)
     assert close_to_fraction(got, Fraction(313, 156), 60)
 
 
 def test_composition_applies_inner_first():
     f = parse("tanh(x-1)")
     x = bigreal("1.1", 80)
-    inner = apply_tn(6, f, x, 80)
-    direct = apply_tn(7, f, inner, 80)
-    composed = apply_method(MethodId.composed(7, 6), f, x, 80)
+    inner = apply_method(MethodId(6), f, x, 80)
+    direct = apply_method(MethodId(7), f, inner, 80)
+    composed = apply_method(MethodId(7, inner=6), f, x, 80)
     assert abs(composed.value - direct.value) < mp.mpf(10) ** -75
 
 
 # ------------------------------------------------------------- transform
 
+def transform_pair(text, x, precision):
+    """(F, F') of the +F maps at x, at the working precision of ``precision``."""
+    with mp.workdps(precision + 10):
+        return _TransformTarget(parse(text)).pair(mp.mpf(x))
+
+
 def test_transform_of_square():
-    F = transform_function(parse("x^2"))
     with mp.workdps(60):
         for x in ("0.8", "-2.5"):
-            val, slope = F(bigreal(x, 50), 50)
-            assert abs(val.value - (-mp.mpf(x) / 2)) < mp.mpf(10) ** -45
-            assert abs(slope.value - mp.mpf("-0.5")) < mp.mpf(10) ** -45
+            val, slope = transform_pair("x^2", x, 50)
+            assert abs(val - (-mp.mpf(x) / 2)) < mp.mpf(10) ** -45
+            assert abs(slope - mp.mpf("-0.5")) < mp.mpf(10) ** -45
 
 
 def test_transform_of_cbrt_is_minus_3x():
-    F = transform_function(parse("cbrt(x)"))
     with mp.workdps(60):
-        val, slope = F(bigreal("0.5", 50), 50)
-        assert abs(val.value + mp.mpf("1.5")) < mp.mpf(10) ** -45
-        assert abs(slope.value + 3) < mp.mpf(10) ** -45
+        val, slope = transform_pair("cbrt(x)", "0.5", 50)
+        assert abs(val + mp.mpf("1.5")) < mp.mpf(10) ** -45
+        assert abs(slope + 3) < mp.mpf(10) ** -45
 
 
 def test_transform_slope_limit_at_multiple_root():
     # f = sin(x) - x has a triple root at 0; F = -f/f' has slope -> -1/3
-    F = transform_function(parse("sin(x)-x"))
-    _, slope = F(bigreal("1e-8", 60), 60)
-    assert abs(slope.value + mp.mpf(1) / 3) < 1e-14  # magnitude 1/3
+    _, slope = transform_pair("sin(x)-x", "1e-8", 60)
+    assert abs(slope + mp.mpf(1) / 3) < 1e-14  # magnitude 1/3
 
 
 def test_transform_errors():
-    F = transform_function(parse("x^2"))
     with pytest.raises(DomainError):  # f = f' = 0: removable 0/0, not patched
-        F(bigreal(0, 50), 50)
-    G = transform_function(parse("x^2-4"))
+        transform_pair("x^2", 0, 50)
     with pytest.raises(Breakdown) as err:  # f' = 0 while f != 0
-        G(bigreal(0, 50), 50)
+        transform_pair("x^2-4", 0, 50)
     assert err.value.kind == Breakdown.ZERO_DERIVATIVE
 
 
 def test_transformed_cbrt_one_application_hits_zero():
     f = parse("cbrt(x)")
-    m = MethodId.basic(0, transform=True)
+    m = MethodId(0, transform=True)
     for x0 in ("0.5", "-3", "100"):
         got = apply_method(m, f, bigreal(x0, 50), 50)
         assert abs(got.value) < mp.mpf(10) ** -50 * abs(mp.mpf(x0))
@@ -198,7 +200,7 @@ def test_zero_denominator_guard():
     with mp.workdps(60):
         base = mp.mpf("0.3")
         with pytest.raises(Breakdown) as err:
-            _ladder_full(1, _StubTarget(base), base, "trapezoid", 50)
+            _scalar_ladder(1, _StubTarget(base), base, "trapezoid", 50)
     assert err.value.kind == Breakdown.ZERO_DENOMINATOR
 
 
@@ -206,7 +208,7 @@ def test_zero_denominator_guard():
 
 def test_iterate_square_root_of_two():
     problem = ScalarProblem(parse("x^2-2"), bigreal("1.5", 60), precision=60)
-    traj = iterate(problem, MethodId.basic(0))
+    traj = iterate(problem, MethodId(0))
     assert traj.termination.kind == CONVERGED
     with mp.workdps(130):
         reference = mp.sqrt(2)  # independent 2x-precision oracle
@@ -218,7 +220,7 @@ def test_iterate_records_steps_and_s():
     problem = ScalarProblem(
         parse("tanh(x-1)"), bigreal(2, 40), precision=40, known_root=root
     )
-    traj = iterate(problem, MethodId.basic(2))
+    traj = iterate(problem, MethodId(2))
     assert traj.termination.kind == CONVERGED
     xs = [r.x.value for r in traj.iterates]
     with mp.workdps(50 + 10):  # the solver's internal working precision
@@ -232,13 +234,13 @@ def test_iterate_records_steps_and_s():
 def test_iterate_flat_tail_diverges():
     for x0 in (-5, 3):
         problem = ScalarProblem(parse("tanh(x-1)"), bigreal(x0, 30), precision=30)
-        traj = iterate(problem, MethodId.basic(0))
+        traj = iterate(problem, MethodId(0))
         assert traj.termination.kind == DIVERGED
 
 
 def test_iterate_repelling_fixed_point_diverges():
     problem = ScalarProblem(parse("cbrt(x)"), bigreal("0.5", 40), precision=40)
-    traj = iterate(problem, MethodId.basic(0))
+    traj = iterate(problem, MethodId(0))
     assert traj.termination.kind == DIVERGED
     # |t0'(0)| = 2: each application doubles the distance
     xs = [r.x.value for r in traj.iterates]
@@ -247,7 +249,7 @@ def test_iterate_repelling_fixed_point_diverges():
 
 def test_iterate_transformed_cbrt_converges():
     problem = ScalarProblem(parse("cbrt(x)"), bigreal("0.5", 50), precision=50)
-    traj = iterate(problem, MethodId.basic(0, transform=True))
+    traj = iterate(problem, MethodId(0, transform=True))
     assert traj.termination.kind == CONVERGED
     assert len(traj.iterates) <= 4
     assert abs(traj.final.x.value) < mp.mpf(10) ** -40
@@ -255,7 +257,7 @@ def test_iterate_transformed_cbrt_converges():
 
 def test_iterate_converged_at_start():
     problem = ScalarProblem(parse("x^2-4"), bigreal(2, 40), precision=40)
-    traj = iterate(problem, MethodId.basic(0))
+    traj = iterate(problem, MethodId(0))
     assert traj.termination == (traj.termination.__class__(CONVERGED, "residual"))
     assert len(traj.iterates) == 1
     assert traj.steps() == []
@@ -263,14 +265,14 @@ def test_iterate_converged_at_start():
 
 def test_iterate_domain_exit_records_breakdown():
     problem = ScalarProblem(parse("log(x)"), bigreal(3, 40), precision=40)
-    traj = iterate(problem, MethodId.basic(0))
+    traj = iterate(problem, MethodId(0))
     assert traj.termination.kind == BREAKDOWN
     assert traj.termination.detail == "domain"
 
 
 def test_iterate_zero_derivative_breakdown():
     problem = ScalarProblem(parse("x^2-4"), bigreal(0, 40), precision=40)
-    traj = iterate(problem, MethodId.basic(0))
+    traj = iterate(problem, MethodId(0))
     assert traj.termination.kind == BREAKDOWN
     assert traj.termination.detail == Breakdown.ZERO_DERIVATIVE
 
@@ -278,7 +280,7 @@ def test_iterate_zero_derivative_breakdown():
 def test_iterate_max_iterations():
     problem = ScalarProblem(parse("sin(x)-x"), bigreal("0.1", 40), precision=40,
                             max_iter=3)
-    traj = iterate(problem, MethodId.basic(0))
+    traj = iterate(problem, MethodId(0))
     assert traj.termination.kind == MAX_ITERATIONS
     assert len(traj.iterates) == 4
 
@@ -292,6 +294,19 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         ScalarProblem(f, bigreal(1, 40), precision=40,
                       divergence_bound=bigreal("0.5", 40))
+
+
+def test_problem_rejects_low_precision():
+    # at 5 digits the default tolerance 10^(10-p) would stop at the start point
+    with pytest.raises(ValueError, match="digits"):
+        ScalarProblem(parse("x^2-2"), bigreal(3, 5), precision=5)
+    ScalarProblem(parse("x^2-2"), bigreal(3, 15), precision=15)
+
+
+@pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+def test_problem_rejects_nonfinite_start(x0):
+    with pytest.raises(ValueError, match="x0"):
+        ScalarProblem(parse("x^2-2"), bigreal(x0, 40), precision=40)
 
 
 # ------------------------------------------------------------- properties
@@ -308,7 +323,7 @@ def test_one_application_is_superlinear(text, root, n, d):
     with mp.workdps(precision + 10):
         z = mp.mpf(root)
         x = bigreal(z + mp.mpf(10) ** -d, precision)
-        got = apply_tn(n, f, x, precision)
+        got = apply_method(MethodId(n), f, x, precision)
         assert abs(got.value - z) < mp.mpf(10) ** (-(2 * d - 2))
 
 
@@ -320,16 +335,16 @@ def test_scaling_function_leaves_iterates_bit_identical():
         scaled = parse(f"{lam}*(tanh(x-1))")
         p1 = ScalarProblem(base, bigreal("1.5", 50), precision=50)
         p2 = ScalarProblem(scaled, bigreal("1.5", 50), precision=50)
-        t1 = iterate(p1, MethodId.basic(2))
-        t2 = iterate(p2, MethodId.basic(2))
+        t1 = iterate(p1, MethodId(2))
+        t2 = iterate(p2, MethodId(2))
         assert [r.x.decimal() for r in t1.iterates] == [r.x.decimal() for r in t2.iterates]
         assert [r.x.value for r in t1.iterates] == [r.x.value for r in t2.iterates]
 
 
 def test_iterate_deterministic():
     problem = ScalarProblem(parse("x^3+2*x-5"), bigreal("1.5", 80), precision=80)
-    a = iterate(problem, MethodId.basic(3))
-    b = iterate(problem, MethodId.basic(3))
+    a = iterate(problem, MethodId(3))
+    b = iterate(problem, MethodId(3))
     assert [r.x.decimal() for r in a.iterates] == [r.x.decimal() for r in b.iterates]
     assert a.termination == b.termination
 
@@ -342,7 +357,7 @@ def test_slope_sum_near_root_approximates_scaled_derivative(n):
     target = _PlainTarget(f)
     with mp.workdps(precision + 10):
         z = mp.sqrt(2)
-        _, sums = _ladder_full(n, target, z, "trapezoid", precision)
+        _, sums = _scalar_ladder(n, target, z, "trapezoid", precision)
         fpz = 2 * z
         from cotesroot.quadrature import builtin_rule
         for k in range(1, n + 1):
@@ -355,7 +370,7 @@ def test_newton_seeded_simpson_matches_alternate_wiring():
     # value; check against a direct transcription of that variant
     f = parse("tanh(x-1)")
     x = bigreal("1.1", 60)
-    got = apply_tn(2, f, x, 60, simpson_seed=SEED_NEWTON)
+    got = apply_method(MethodId(2, simpson_seed=SEED_NEWTON), f, x, 60)
     with mp.workdps(70):
         u = mp.mpf("1.1")
         fx = mp.tanh(u - 1)
