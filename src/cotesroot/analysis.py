@@ -19,7 +19,8 @@ import mpmath as mp
 
 from .bigreal import BigReal, as_mpf, working_dps
 from .errors import InsufficientData, RoundoffFloor
-from .expr import Expression, _value
+from .expr import Expression, _eval
+from .quadrature import _solve_fraction_free
 from .solver import MethodId, Trajectory, apply_method
 
 STABLE_GAP = 0.15  # adjacent ratio gap below which the estimate counts as settled
@@ -119,21 +120,8 @@ def estimate_order_from_steps(traj: Trajectory) -> OrderEstimate:
 def _stencil_weights(half_width: int, order: int) -> tuple[Fraction, ...]:
     """Exact weights w with sum_k w_k k^i = [i == order] for i = 0..2*half_width."""
     offsets = range(-half_width, half_width + 1)
-    size = 2 * half_width + 1
-    rows = [[Fraction(k) ** i for k in offsets] for i in range(size)]
-    rhs = [Fraction(1) if i == order else Fraction(0) for i in range(size)]
-    # plain Gaussian elimination over Fractions; the system is tiny
-    a = [row[:] + [r] for row, r in zip(rows, rhs)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(size):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * c for v, c in zip(a[r], a[col])]
-    return tuple(a[r][size] for r in range(size))
+    rows = [[k**i for k in offsets] for i in range(len(offsets))]
+    return tuple(_solve_fraction_free(rows, [int(i == order) for i in range(len(offsets))]))
 
 
 def map_derivatives_at(
@@ -197,8 +185,8 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
     """
     with mp.workdps(working_dps(precision)):
         a, b = as_mpf(lo), as_mpf(hi)
-        fa = _value(f.root, a)
-        fb = _value(f.root, b)
+        fa = _eval(f, a, 0)
+        fb = _eval(f, b, 0)
         if fa == 0:
             return BigReal(a, precision)
         if fb == 0:
@@ -210,7 +198,7 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
             mid = (a + b) / 2
             if mid == a or mid == b:
                 break
-            fm = _value(f.root, mid)
+            fm = _eval(f, mid, 0)
             if fm == 0:
                 return BigReal(mid, precision)
             if mp.sign(fm) == mp.sign(fa):

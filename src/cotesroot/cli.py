@@ -358,10 +358,6 @@ def main(argv=None) -> int:
     except (CotesrootError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        # the parser and the evaluators recurse once per nesting level
-        print("error: expression nested too deeply", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
-"""Scalar function parsing and evaluation with second-order forward jets.
+"""Scalar function parsing and evaluation at derivative order 0, 1 or 2.
 
-Functions are given as text over one variable ``x``.  Evaluation propagates
-(value, first, second derivative) triples through the syntax tree, which is
-all the iterative maps need: the maps consume f and f', and the multiple-root
-transform additionally needs f'' for its own slope.
+Functions are given as text over one variable ``x``.  Parsing turns the text
+into a tape: a tuple of instructions in post-order, so every instruction
+finds its operands on top of a stack.  One loop runs the tape.  Order 0
+computes f alone; orders 1 and 2 carry (f, f') and (f, f', f'') forward
+through every instruction, which is forward-mode automatic differentiation.
+The maps consume f and f', and the multiple-root transform additionally
+needs f'' for its own slope.  Neither parsing nor evaluation recurses, so
+the nesting depth of a function is limited only by memory.
 
 Grammar (whitespace-insensitive, ``^`` right-associative):
 
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
 
 import mpmath as mp
 
@@ -34,46 +37,16 @@ CONSTANTS = ("pi", "e")
 
 
 @dataclass(frozen=True)
-class Number:
-    literal: str  # kept as text so conversion is exact at any precision
-
-
-@dataclass(frozen=True)
-class Variable:
-    pass
-
-
-@dataclass(frozen=True)
-class Constant:
-    name: str
-
-
-@dataclass(frozen=True)
-class Negate:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # + - * / ^
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Node"
-
-
-Node = Union[Number, Variable, Constant, Negate, Binary, Call]
-
-
-@dataclass(frozen=True)
 class Expression:
-    """Parsed function of one variable."""
+    """Parsed function of one variable.
 
-    root: Node
+    ``tape`` holds (op, arg) instructions in post-order: ("x", None),
+    ("num", literal text), ("const", "pi" or "e"), ("neg", None), a binary
+    operator ("+", "-", "*", "/") with None, ("^", whether the exponent
+    depends on x), or a function name from FUNCTIONS with None.
+    """
+
+    tape: tuple
     text: str
 
     def __str__(self) -> str:
@@ -96,10 +69,10 @@ def _tokenize(text: str):
     tokens = []
     pos = 0
     while pos < len(text):
-        if not text[pos:].strip():
-            break
         m = _TOKEN.match(text, pos)
         if m is None:
+            if not text[pos:].strip():
+                break  # trailing whitespace
             bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
             raise ParseError(f"unexpected character {text[bad]!r}", bad)
         if m.group(1):
@@ -113,274 +86,221 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != symbol:
-            raise ParseError(f"expected {symbol!r}", pos)
-        self.take()
-
-    def parse(self) -> Node:
-        node = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {text!r} after expression", pos)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.take()[1]
-            node = Binary(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.take()[1]
-            node = Binary(op, node, self.factor())
-        return node
-
-    def factor(self) -> Node:
-        node = self.unary()
-        if self.peek()[0] == "op" and self.peek()[1] == "^":
-            self.take()
-            node = Binary("^", node, self.factor())  # right-associative
-        return node
-
-    def unary(self) -> Node:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.take()
-            return Negate(self.unary())
-        return self.atom()
-
-    def atom(self) -> Node:
-        kind, text, pos = self.take()
-        if kind == "num":
-            return Number(text)
-        if kind == "ident":
-            if text == "x":
-                return Variable()
-            if text in CONSTANTS:
-                return Constant(text)
-            if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, arg)
-            raise UnknownIdentifier(f"unknown identifier {text!r}", pos)
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "end":
-            raise ParseError("unexpected end of input", pos)
-        raise ParseError(f"unexpected {text!r}", pos)
+_BINARY = ("+", "-", "*", "/", "^")
+# unary minus binds tighter than "^", so "-x^2" is (-x)^2
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3, "neg": 4}
 
 
 def parse(text: str) -> Expression:
-    """Parse function text into an Expression; errors carry the offset."""
+    """Parse function text into an Expression; errors carry the offset.
+
+    Operator-precedence parsing with an explicit operator stack: the parser
+    alternates between expecting an operand and expecting an operator, and
+    emits each instruction once its operands are on the tape.
+    """
     if not text or not text.strip():
         raise ParseError("empty function text", 0)
-    return Expression(_Parser(text).parse(), text)
+    tape = []
+    uses_x = []  # per operand on the tape: whether it depends on x
+    pending = []  # operators, "(" and function names awaiting their ")"
+    opened = 0  # number of "(" and function names in ``pending``
+
+    def emit(op):
+        depends = None
+        if op in _BINARY:
+            depends = uses_x.pop()
+            uses_x[-1] = uses_x[-1] or depends
+        tape.append((op, depends if op == "^" else None))
+
+    tokens = iter(_tokenize(text))
+    want_operand = True
+    for kind, tok, pos in tokens:
+        if want_operand:
+            if kind == "op" and tok in "-(":
+                pending.append("neg" if tok == "-" else "(")
+                opened += tok == "("
+            elif kind == "ident" and tok in FUNCTIONS:
+                _, after, after_pos = next(tokens)
+                if after != "(":
+                    raise ParseError("expected '('", after_pos)
+                pending.append(tok)
+                opened += 1
+            elif kind == "num" or tok == "x" or tok in CONSTANTS:
+                tape.append(("x", None) if tok == "x" else
+                            ("num" if kind == "num" else "const", tok))
+                uses_x.append(tok == "x")
+                want_operand = False
+            elif kind == "ident":
+                raise UnknownIdentifier(f"unknown identifier {tok!r}", pos)
+            elif kind == "end":
+                raise ParseError("unexpected end of input", pos)
+            else:
+                raise ParseError(f"unexpected {tok!r}", pos)
+        elif kind == "op" and tok in _BINARY:
+            bar = _PRECEDENCE[tok] + (tok == "^")  # right-associative
+            while pending and _PRECEDENCE.get(pending[-1], 0) >= bar:
+                emit(pending.pop())
+            pending.append(tok)
+            want_operand = True
+        elif tok == ")" and opened:
+            while pending[-1] in _PRECEDENCE:
+                emit(pending.pop())
+            opener = pending.pop()
+            opened -= 1
+            if opener != "(":
+                emit(opener)
+        elif kind == "end" and not opened:
+            while pending:
+                emit(pending.pop())
+        elif opened:
+            raise ParseError("expected ')'", pos)
+        else:
+            raise ParseError(f"unexpected {tok!r} after expression", pos)
+    return Expression(tuple(tape), text)
 
 
-def _depends_on_x(node: Node) -> bool:
-    if isinstance(node, Variable):
-        return True
-    if isinstance(node, Negate):
-        return _depends_on_x(node.operand)
-    if isinstance(node, Binary):
-        return _depends_on_x(node.left) or _depends_on_x(node.right)
-    if isinstance(node, Call):
-        return _depends_on_x(node.arg)
-    return False
+_ZERO = mp.mpf(0)
+_ONE = mp.mpf(1)
 
 
-def _chain(g, gp, gpp, u):
-    v, u1, u2 = u
-    return g(v), gp(v) * u1, gpp(v) * u1 * u1 + gp(v) * u2
+def _eval(expr: Expression, x, order: int):
+    """Run the tape at ``x``; call under the working precision.
 
-
-def _call_jet(func: str, u):
-    v, u1, u2 = u
-    if func == "sin":
-        return _chain(mp.sin, mp.cos, lambda t: -mp.sin(t), u)
-    if func == "cos":
-        return _chain(mp.cos, lambda t: -mp.sin(t), lambda t: -mp.cos(t), u)
-    if func == "tan":
-        t = mp.tan(v)
-        sec2 = 1 + t * t
-        return t, sec2 * u1, 2 * t * sec2 * u1 * u1 + sec2 * u2
-    if func == "tanh":
-        t = mp.tanh(v)
-        sech2 = mp.sech(v) ** 2  # 1 - t*t underflows to 0 for large |v|
-        return t, sech2 * u1, -2 * t * sech2 * u1 * u1 + sech2 * u2
-    if func == "exp":
-        e = mp.exp(v)
-        return e, e * u1, e * u1 * u1 + e * u2
-    if func == "log":
-        if v <= 0:
-            raise DomainError(f"log of nonpositive value {mp.nstr(v, 8)}")
-        return mp.log(v), u1 / v, -u1 * u1 / (v * v) + u2 / v
-    if func == "sqrt":
-        if v < 0:
-            raise DomainError(f"sqrt of negative value {mp.nstr(v, 8)}")
-        if v == 0:
-            raise DomainError("derivative of sqrt at 0")
-        r = mp.sqrt(v)
-        gp = 1 / (2 * r)
-        return r, gp * u1, -gp / (2 * v) * u1 * u1 + gp * u2
-    if func == "cbrt":
-        if v == 0:
-            raise DomainError("derivative of cbrt at 0")
-        r = mp.sign(v) * mp.cbrt(abs(v))  # real odd root
-        r2 = r * r
-        gp = 1 / (3 * r2)
-        gpp = -2 / (9 * r2 * r2 * r)
-        return r, gp * u1, gpp * u1 * u1 + gp * u2
-    if func == "abs":
-        if v == 0:
-            raise DomainError("derivative of abs at 0")
-        sgn = mp.sign(v)
-        return abs(v), sgn * u1, sgn * u2
-    raise ValueError(f"no such function {func!r}")
-
-
-def _pow_jet(base, exponent_node: Node, exp_value):
-    v, u1, u2 = base
-    w = exp_value[0]
-    if not _depends_on_x(exponent_node):
-        if mp.isint(w):
-            c = int(w)
-            if c == 0:
-                return mp.mpf(1), mp.mpf(0), mp.mpf(0)
-            if c == 1:
-                return base
-            if v == 0 and c < 0:
-                raise DomainError("zero raised to a negative power")
-            pm2 = v ** (c - 2)  # 0^0 == 1 covers the c == 2 corner
-            pm1 = pm2 * v
-            p = pm1 * v
-            return p, c * pm1 * u1, c * (c - 1) * pm2 * u1 * u1 + c * pm1 * u2
-        if v <= 0:
-            raise DomainError("real power of a nonpositive base; use cbrt() for odd roots")
-        p = v**w
-        pm1 = v ** (w - 1)
-        return p, w * pm1 * u1, w * (w - 1) * v ** (w - 2) * u1 * u1 + w * pm1 * u2
-    # variable exponent: u^w = exp(w * log u), defined for u > 0
-    if v <= 0:
-        raise DomainError("variable power of a nonpositive base")
-    log_u = _call_jet("log", base)
-    prod = _mul_jet(exp_value, log_u)
-    return _call_jet("exp", prod)
-
-
-def _mul_jet(a, b):
-    av, a1, a2 = a
-    bv, b1, b2 = b
-    return av * bv, a1 * bv + av * b1, a2 * bv + 2 * a1 * b1 + av * b2
-
-
-def _div_jet(a, b):
-    av, a1, a2 = a
-    bv, b1, b2 = b
-    if bv == 0:
-        raise DomainError("division by zero")
-    v = av / bv
-    d1 = (a1 - v * b1) / bv
-    d2 = (a2 - 2 * d1 * b1 - v * b2) / bv
-    return v, d1, d2
-
-
-def _jet(node: Node, x):
-    if isinstance(node, Number):
-        return mp.mpf(node.literal), mp.mpf(0), mp.mpf(0)
-    if isinstance(node, Variable):
-        return x, mp.mpf(1), mp.mpf(0)
-    if isinstance(node, Constant):
-        return (mp.pi if node.name == "pi" else mp.e) + 0, mp.mpf(0), mp.mpf(0)
-    if isinstance(node, Negate):
-        v, d1, d2 = _jet(node.operand, x)
-        return -v, -d1, -d2
-    if isinstance(node, Binary):
-        left = _jet(node.left, x)
-        if node.op == "^":
-            return _pow_jet(left, node.right, _jet(node.right, x))
-        right = _jet(node.right, x)
-        if node.op == "+":
-            return tuple(a + b for a, b in zip(left, right))
-        if node.op == "-":
-            return tuple(a - b for a, b in zip(left, right))
-        if node.op == "*":
-            return _mul_jet(left, right)
-        return _div_jet(left, right)
-    return _call_jet(node.func, _jet(node.arg, x))
-
-
-def _value(node: Node, x):
-    """Order-0 evaluation; only value-level domain constraints apply."""
-    if isinstance(node, Number):
-        return mp.mpf(node.literal)
-    if isinstance(node, Variable):
-        return x
-    if isinstance(node, Constant):
-        return (mp.pi if node.name == "pi" else mp.e) + 0
-    if isinstance(node, Negate):
-        return -_value(node.operand, x)
-    if isinstance(node, Binary):
-        a = _value(node.left, x)
-        b = _value(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0:
-                raise DomainError("division by zero")
-            return a / b
-        if not _depends_on_x(node.right) and mp.isint(b):
-            if a == 0 and b < 0:
-                raise DomainError("zero raised to a negative power")
-            return a ** int(b)
-        if a < 0 or (a == 0 and b < 0):
-            raise DomainError("real power of a negative base; use cbrt() for odd roots")
-        return a**b
-    func, v = node.func, _value(node.arg, x)
-    if func == "log":
-        if v <= 0:
-            raise DomainError(f"log of nonpositive value {mp.nstr(v, 8)}")
-        return mp.log(v)
-    if func == "sqrt":
-        if v < 0:
-            raise DomainError(f"sqrt of negative value {mp.nstr(v, 8)}")
-        return mp.sqrt(v)
-    if func == "cbrt":
-        return mp.sign(v) * mp.cbrt(abs(v))
-    if func == "abs":
-        return abs(v)
-    return getattr(mp, func)(v)
+    Order 0 returns f(x) and applies only the value-level domain rules.
+    Order 1 returns (f, f') and order 2 (f, f', f''); both add the
+    derivative-level rules: no sqrt, cbrt or abs at 0, no real or variable
+    power of a nonpositive base.  The value of a power may differ between
+    order 0 and the jets in the last bits (``v**c`` against ``v**(c-2)*v*v``).
+    """
+    second = order == 2
+    vals = []  # f of each operand
+    ders = []  # (f', f'') of each operand at orders 1 and 2; order 1 skips f''
+    for op, arg in expr.tape:
+        if op == "x":
+            vals.append(x)
+            if order:
+                ders.append((_ONE, _ZERO))
+        elif op == "num" or op == "const":
+            vals.append(mp.mpf(arg) if op == "num" else getattr(mp, arg) + 0)
+            if order:
+                ders.append((_ZERO, _ZERO))
+        elif op in _BINARY:
+            b = vals.pop()
+            a = vals[-1]
+            if order:
+                b1, b2 = ders.pop()
+                a1, a2 = ders[-1]
+            if op == "+":
+                vals[-1] = a + b
+                if order:
+                    ders[-1] = (a1 + b1, a2 + b2 if second else None)
+            elif op == "-":
+                vals[-1] = a - b
+                if order:
+                    ders[-1] = (a1 - b1, a2 - b2 if second else None)
+            elif op == "*":
+                vals[-1] = a * b
+                if order:
+                    ders[-1] = (a1 * b + a * b1,
+                                a2 * b + 2 * a1 * b1 + a * b2 if second else None)
+            elif op == "/":
+                if b == 0:
+                    raise DomainError("division by zero")
+                v = vals[-1] = a / b
+                if order:
+                    d1 = (a1 - v * b1) / b
+                    ders[-1] = (d1, (a2 - 2 * d1 * b1 - v * b2) / b if second else None)
+            elif not arg and mp.isint(b):  # power with a constant integer exponent
+                c = int(b)
+                if a == 0 and c < 0:
+                    raise DomainError("zero raised to a negative power")
+                if not order:
+                    vals[-1] = a**c
+                elif c == 0:
+                    vals[-1], ders[-1] = _ONE, (_ZERO, _ZERO)
+                elif c != 1:  # a first power leaves its operand as it is
+                    pm2 = a ** (c - 2)  # 0^0 == 1 covers the c == 2 corner
+                    pm1 = pm2 * a
+                    vals[-1] = pm1 * a
+                    ders[-1] = (c * pm1 * a1,
+                                c * (c - 1) * pm2 * a1 * a1 + c * pm1 * a2 if second else None)
+            elif not order:
+                if a < 0 or (a == 0 and b < 0):
+                    raise DomainError("real power of a negative base; use cbrt() for odd roots")
+                vals[-1] = a**b
+            elif a <= 0:
+                raise DomainError("variable power of a nonpositive base" if arg else
+                                  "real power of a nonpositive base; use cbrt() for odd roots")
+            elif not arg:
+                vals[-1] = a**b
+                pm1 = a ** (b - 1)
+                ders[-1] = (b * pm1 * a1,
+                            b * (b - 1) * a ** (b - 2) * a1 * a1 + b * pm1 * a2 if second else None)
+            else:  # variable exponent: a^b = exp(b * log a), through the jets of log and *
+                lv, l1 = mp.log(a), a1 / a
+                p, p1 = b * lv, b1 * lv + b * l1
+                e = vals[-1] = mp.exp(p)
+                if second:
+                    p2 = b2 * lv + 2 * b1 * l1 + b * (-a1 * a1 / (a * a) + a2 / a)
+                ders[-1] = (e * p1, e * p1 * p1 + e * p2 if second else None)
+        elif op == "neg":
+            vals[-1] = -vals[-1]
+            if order:
+                d1, d2 = ders[-1]
+                ders[-1] = (-d1, -d2 if second else None)
+        else:  # function call
+            v = vals[-1]
+            if op == "log" and v <= 0:
+                raise DomainError(f"log of nonpositive value {mp.nstr(v, 8)}")
+            if op == "sqrt" and v < 0:
+                raise DomainError(f"sqrt of negative value {mp.nstr(v, 8)}")
+            if order and v == 0 and op in ("sqrt", "cbrt", "abs"):
+                raise DomainError(f"derivative of {op} at 0")
+            if op == "cbrt":
+                r = mp.sign(v) * mp.cbrt(abs(v))  # real odd root
+            elif op == "abs":
+                r = abs(v)
+            else:
+                r = getattr(mp, op)(v)
+            vals[-1] = r
+            if not order:
+                continue
+            u1, u2 = ders[-1]
+            if op == "log":
+                ders[-1] = (u1 / v, -u1 * u1 / (v * v) + u2 / v if second else None)
+                continue
+            if op == "abs":
+                sgn = mp.sign(v)
+                ders[-1] = (sgn * u1, sgn * u2 if second else None)
+                continue
+            # g(u)' = g'(v) u', g(u)'' = g''(v) u'^2 + g'(v) u''
+            if op == "sin":
+                gp, gpp = mp.cos(v), -r
+            elif op == "cos":
+                gp, gpp = -mp.sin(v), -r
+            elif op == "exp":
+                gp = gpp = r
+            elif op == "tan":
+                gp = 1 + r * r
+                gpp = 2 * r * gp if second else None
+            elif op == "tanh":
+                gp = mp.sech(v) ** 2  # 1 - r*r underflows to 0 for large |v|
+                gpp = -2 * r * gp if second else None
+            elif op == "sqrt":
+                gp = 1 / (2 * r)
+                gpp = -gp / (2 * v) if second else None
+            else:  # cbrt
+                r2 = r * r
+                gp = 1 / (3 * r2)
+                gpp = -2 / (9 * r2 * r2 * r) if second else None
+            ders[-1] = (gp * u1, gpp * u1 * u1 + gp * u2 if second else None)
+    return (vals[0], *ders[0][:order]) if order else vals[0]
 
 
 def eval_jet(expr: Expression, x, precision: int) -> Jet2:
     """Evaluate (f, f', f'') at ``x`` with ``precision`` working digits."""
     with mp.workdps(working_dps(precision)):
-        v, d1, d2 = _jet(expr.root, as_mpf(x))
+        v, d1, d2 = _eval(expr, as_mpf(x), 2)
     return Jet2(
         BigReal(v, precision), BigReal(d1, precision), BigReal(d2, precision)
     )
@@ -389,4 +309,4 @@ def eval_jet(expr: Expression, x, precision: int) -> Jet2:
 def eval_value(expr: Expression, x, precision: int) -> BigReal:
     """Evaluate f(x) only; no derivative-level domain restrictions."""
     with mp.workdps(working_dps(precision)):
-        return BigReal(_value(expr.root, as_mpf(x)), precision)
+        return BigReal(_eval(expr, as_mpf(x), 0), precision)

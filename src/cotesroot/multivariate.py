@@ -183,7 +183,7 @@ def nd_iterate(
             lambda p: _vector_map(level, func, p, precision),
             _max_norm,
             max_iter,
-            *_stop_rules(precision, x, step_tol, residual_tol, divergence_bound),
+            *_stop_rules(precision, x, max_iter, step_tol, residual_tol, divergence_bound),
         )
 
         def norm(vec):

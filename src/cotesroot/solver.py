@@ -28,7 +28,7 @@ import mpmath as mp
 
 from .bigreal import BigReal, as_mpf, check_digits, working_dps
 from .errors import Breakdown, DomainError
-from .expr import Expression, _jet, _value
+from .expr import Expression, _eval
 from .quadrature import MAX_RULE, builtin_rule
 
 SEED_TRAPEZOID = "trapezoid"
@@ -104,11 +104,9 @@ class ScalarProblem:
     known_root: Optional[BigReal] = None
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
         with mp.workdps(working_dps(self.precision)):
-            rules = _stop_rules(self.precision, [as_mpf(self.x0)], self.step_tol,
-                                self.residual_tol, self.divergence_bound)
+            rules = _stop_rules(self.precision, [as_mpf(self.x0)], self.max_iter,
+                                self.step_tol, self.residual_tol, self.divergence_bound)
         for name, value in zip(("step_tol", "residual_tol", "divergence_bound"), rules):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, BigReal(value, self.precision))
@@ -146,7 +144,7 @@ class Trajectory:
 
 
 class _PlainTarget:
-    """(f, f') pairs straight from the expression jets."""
+    """(f, f') pairs from order-1 jets; the plain maps never read f''."""
 
     def __init__(self, f: Expression):
         self.f = f
@@ -154,8 +152,7 @@ class _PlainTarget:
 
     def pair(self, x):
         self.jet_evals += 1
-        v, d1, _ = _jet(self.f.root, x)
-        return v, d1
+        return _eval(self.f, x, 1)
 
 
 class _TransformTarget(_PlainTarget):
@@ -169,7 +166,7 @@ class _TransformTarget(_PlainTarget):
 
     def pair(self, x):
         self.jet_evals += 1
-        v, d1, d2 = _jet(self.f.root, x)
+        v, d1, d2 = _eval(self.f, x, 2)
         if d1 == 0:
             if v == 0:
                 raise DomainError("transform is 0/0 at a root of both f and f'")
@@ -245,13 +242,15 @@ def apply_method(m: MethodId, f: Expression, x, precision: int) -> BigReal:
         return BigReal(_method_map(m, f, precision)(as_mpf(x)), precision)
 
 
-def _stop_rules(precision, x0, step_tol, residual_tol, divergence_bound):
+def _stop_rules(precision, x0, max_iter, step_tol, residual_tol, divergence_bound):
     """The outer loop's step and residual tolerances and divergence bound.
 
-    ``x0`` holds the start point's coordinates.  Unset values default to
-    10^(10 - precision) for both tolerances and 10^6 (1 + max |x0_i|) for the
-    bound.  Call under the working precision.
+    ``x0`` holds the start point's coordinates; ``max_iter`` must be at least
+    1.  Unset values default to 10^(10 - precision) for both tolerances and
+    10^6 (1 + max |x0_i|) for the bound.  Call under the working precision.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     check_digits(precision)
     if not all(mp.isfinite(v) for v in x0):
         raise ValueError("x0 must be finite")
@@ -319,7 +318,7 @@ def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
     with mp.workdps(working_dps(precision)):
         points, steps, termination = _outer_loop(
             as_mpf(problem.x0),
-            lambda x: _value(problem.f.root, x),
+            lambda x: _eval(problem.f, x, 0),
             _method_map(m, problem.f, precision),
             abs,
             problem.max_iter,

@@ -117,11 +117,11 @@ def test_solve_rejects_nonfinite_start(capsys, x0):
 
 
 @pytest.mark.parametrize("text", ["(" * 1500 + "x" + ")" * 1500, "+".join(["x"] * 3000)])
-def test_solve_deep_expression_fails_cleanly(capsys, text):
-    # 1500 nested parentheses, or a flat sum of 3000 terms
-    code, _, err = run_cli(capsys, "solve", "-f", text, "--x0", "1")
-    assert code == 1
-    assert err == "error: expression nested too deeply\n"
+def test_solve_deep_expression_converges(capsys, text):
+    # 1500 nested parentheses, or a flat sum of 3000 terms: no nesting limit
+    code, out, _ = run_cli(capsys, "solve", "-f", text, "--x0", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["termination"]["kind"] == "converged"
 
 
 def test_table_row_reproducible_via_solve(capsys):
@@ -275,6 +275,12 @@ def test_ndsolve_rejects_tiny_digits(capsys):
     code, _, err = run_cli(capsys, "ndsolve", "--system", "circle-line", "--digits", "3")
     assert code == 1
     assert "digits" in err
+
+
+def test_ndsolve_rejects_empty_budget(capsys):
+    code, _, err = run_cli(capsys, "ndsolve", "--system", "circle-line", "--max-iter", "0")
+    assert code == 1
+    assert "max_iter" in err
 
 
 @pytest.mark.parametrize("argv", [["solve", "-f", "x^2-2", "--x0", "1.5"],

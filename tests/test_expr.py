@@ -2,9 +2,23 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cotesroot import DomainError, ParseError, UnknownIdentifier, bigreal, eval_jet, eval_value, parse
-from cotesroot.expr import Binary, Call, Negate, Number, Variable
+from cotesroot import (
+    DomainError,
+    MethodId,
+    ParseError,
+    ScalarProblem,
+    UnknownIdentifier,
+    bigreal,
+    eval_jet,
+    eval_value,
+    iterate,
+    parse,
+)
+from cotesroot.bigreal import working_dps
+from cotesroot.expr import _eval
 
 
 def jet_floats(text, x, precision=30):
@@ -16,11 +30,7 @@ def jet_floats(text, x, precision=30):
 
 def test_parse_tanh_shape():
     e = parse("tanh(x-1)")
-    assert isinstance(e.root, Call) and e.root.func == "tanh"
-    arg = e.root.arg
-    assert isinstance(arg, Binary) and arg.op == "-"
-    assert isinstance(arg.left, Variable)
-    assert isinstance(arg.right, Number) and arg.right.literal == "1"
+    assert e.tape == (("x", None), ("num", "1"), ("-", None), ("tanh", None))
 
 
 def test_parse_polynomial():
@@ -72,8 +82,9 @@ def test_power_right_associative():
 
 
 def test_negation_parse():
-    e = parse("-x")
-    assert isinstance(e.root, Negate)
+    assert parse("-x").tape == (("x", None), ("neg", None))
+    # the ^ instruction records whether its exponent depends on x
+    assert parse("-x^2").tape == (("x", None), ("neg", None), ("num", "2"), ("^", False))
     assert jet_floats("-x^2", 3.0)[0] == 9.0  # unary binds before ^ in this grammar
 
 
@@ -122,6 +133,8 @@ def test_fractional_power_not_rewritten_to_cbrt():
 def test_jet_domain_errors(text, x):
     with pytest.raises(DomainError):
         eval_jet(parse(text), bigreal(x, 30), 30)
+    with pytest.raises(DomainError), mp.workdps(working_dps(30)):
+        _eval(parse(text), mp.mpf(x), 1)  # order 1 keeps the derivative-level rules
 
 
 def test_value_allows_kinks_where_jet_does_not():
@@ -139,6 +152,26 @@ def test_variable_exponent():
     v, d1, _ = jet_floats("x^x", 2.0)
     assert v == pytest.approx(4.0)
     assert d1 == pytest.approx(4.0 * (mp.log(2) + 1))
+
+
+# ------------------------------------------------------- deep nesting
+
+DEEP = {
+    "nested-parentheses": ("(" * 1500 + "x" + ")" * 1500, 0),
+    "leading-minuses": ("-" * 1500 + "x", 0),
+    "flat-sum": ("+".join(["x"] * 3000), 0),
+    "power-chain": ("^".join(["x"] * 600) + "-1", 1),
+}
+
+
+@pytest.mark.parametrize("text,root", DEEP.values(), ids=DEEP.keys())
+def test_deep_expressions_evaluate_without_recursion(text, root):
+    expr = parse(text)
+    x = bigreal("1.2", 30)
+    assert float(eval_value(expr, x, 30)) == pytest.approx(float(eval_jet(expr, x, 30).f))
+    traj = iterate(ScalarProblem(expr, x, precision=30), MethodId(0))
+    assert traj.termination.kind == "converged"
+    assert abs(float(traj.final.x) - root) < 1e-20
 
 
 # ------------------------------------------------- randomized properties
@@ -219,3 +252,21 @@ def test_number_literals_reparse_at_full_precision():
     v = eval_value(parse("1.1"), bigreal(0, 100), 100)
     with mp.workdps(110):
         assert abs(v.value - mp.mpf("1.1")) < mp.mpf(10) ** -105
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), x=st.floats(-2, 2))
+def test_order_one_is_the_head_of_order_two(seed, x):
+    """Order 1 gives eval_jet's (f, f') bit for bit and fails exactly where it fails."""
+    rng = random.Random(seed)
+    expr = parse(_random_expr(rng, rng.randint(1, 3)))
+    point = bigreal(x, PRECISION)
+    try:
+        jet = eval_jet(expr, point, PRECISION)
+    except DomainError:
+        with pytest.raises(DomainError), mp.workdps(working_dps(PRECISION)):
+            _eval(expr, point.value, 1)
+        return
+    with mp.workdps(working_dps(PRECISION)):
+        f, d1 = _eval(expr, point.value, 1)
+    assert (f._mpf_, d1._mpf_) == (jet.f.value._mpf_, jet.d1.value._mpf_)

@@ -205,6 +205,14 @@ def test_nd_iterate_rejects_low_precision():
         nd_iterate(demo.function, demo.x0, precision=8)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_nd_iterate_rejects_empty_budget(max_iter):
+    # the same budget rule as ScalarProblem: no run ends without a step
+    demo = demo_system("circle-line")
+    with pytest.raises(ValueError, match="max_iter"):
+        nd_iterate(demo.function, demo.x0, precision=40, max_iter=max_iter)
+
+
 @pytest.mark.parametrize("x0", [["nan", "0.5"], ["0.5", "nan"], ["inf", "0.5"], ["0.5", "-inf"]])
 def test_nd_iterate_rejects_nonfinite_start(x0):
     demo = demo_system("circle-line")
