@@ -21,7 +21,7 @@ from .bigreal import BigReal, as_mpf, working_dps
 from .errors import InsufficientData, RoundoffFloor
 from .expr import Expression, _eval
 from .quadrature import _solve_fraction_free
-from .solver import MethodId, Trajectory, apply_method
+from .solver import MethodId, Trajectory, _method_map
 
 STABLE_GAP = 0.15  # adjacent ratio gap below which the estimate counts as settled
 FLOOR_MARGIN = 15  # digits above the working precision reserved for roundoff noise
@@ -147,15 +147,11 @@ def map_derivatives_at(
     with mp.workdps(working_dps(precision)):
         center = as_mpf(z)
         h0 = mp.mpf(10) ** (mp.mpf(-precision) / (max_order + 2))
+        t = _method_map(m, f, precision)
         samples = []
         for level in range(3):
             h = h0 / 2**level
-            samples.append(
-                [
-                    as_mpf(apply_method(m, f, BigReal(center + k * h, precision), precision))
-                    for k in range(-half, half + 1)
-                ]
-            )
+            samples.append([t(center + k * h) for k in range(-half, half + 1)])
         results = []
         for order in range(1, max_order + 1):
             weights = [as_mpf(w) for w in _stencil_weights(half, order)]

@@ -1,10 +1,10 @@
-"""Arbitrary-precision real scalars with an explicit decimal working precision.
+"""Arbitrary-precision real values with an explicit decimal precision.
 
-The heavy lifting is done by mpmath (mpf values, unbounded exponents); this
-module pins down the precision bookkeeping the rest of the package relies on:
-every value knows the decimal precision it was computed at, arithmetic runs
-with ``GUARD_DIGITS`` extra digits, and identical inputs yield bit-identical
-results across runs.
+Every number the package computes is an mpmath ``mpf``.  Each entry point
+sets one working precision, ``mp.workdps(working_dps(p))`` (``GUARD_DIGITS``
+above the target ``p``), computes on plain mpf inside it, and returns its
+results as ``BigReal`` records of the value and ``p``.  There is no second
+arithmetic layer, so identical inputs yield bit-identical results across runs.
 """
 
 from __future__ import annotations
@@ -45,101 +45,23 @@ def as_mpf(value) -> mp.mpf:
     return mp.mpf(value)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BigReal:
-    """Immutable arbitrary-precision real plus its decimal working precision."""
+    """Immutable record of an mpf value and the decimal precision it was computed at.
+
+    It has no arithmetic or ordering: compute on ``x.value`` inside
+    ``mp.workdps(working_dps(p))``.  Two BigReals are equal exactly when both
+    value and precision match.
+    """
 
     value: mp.mpf
     precision: int
-
-    @classmethod
-    def of(cls, value, precision: int) -> "BigReal":
-        if precision < 1:
-            raise ValueError(f"precision must be positive, got {precision}")
-        with mp.workdps(working_dps(precision)):
-            return cls(as_mpf(value), precision)
 
     def decimal(self, digits: int | None = None) -> str:
         """Decimal string with ``digits`` significant digits (default: full)."""
         n = digits if digits is not None else self.precision
         with mp.workdps(working_dps(self.precision)):
             return mp.nstr(self.value, n)
-
-    def _coerce(self, other) -> tuple[mp.mpf, int]:
-        if isinstance(other, BigReal):
-            return other.value, max(self.precision, other.precision)
-        if isinstance(other, (int, float, str, Fraction)):
-            with mp.workdps(working_dps(self.precision)):
-                return as_mpf(other), self.precision
-        return NotImplemented, 0
-
-    def _binop(self, other, op):
-        ov, prec = self._coerce(other)
-        if ov is NotImplemented:
-            return NotImplemented
-        with mp.workdps(working_dps(prec)):
-            return BigReal(op(self.value, ov), prec)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
-    def __pow__(self, other):
-        return self._binop(other, lambda a, b: a ** b)
-
-    def __neg__(self):
-        return BigReal(-self.value, self.precision)
-
-    def __abs__(self):
-        return BigReal(abs(self.value), self.precision)
-
-    def _cmp_value(self, other):
-        if isinstance(other, BigReal):
-            return other.value
-        if isinstance(other, (int, float)):
-            return other
-        return NotImplemented
-
-    def __eq__(self, other):
-        ov = self._cmp_value(other)
-        return NotImplemented if ov is NotImplemented else self.value == ov
-
-    def __lt__(self, other):
-        ov = self._cmp_value(other)
-        return NotImplemented if ov is NotImplemented else self.value < ov
-
-    def __le__(self, other):
-        ov = self._cmp_value(other)
-        return NotImplemented if ov is NotImplemented else self.value <= ov
-
-    def __gt__(self, other):
-        ov = self._cmp_value(other)
-        return NotImplemented if ov is NotImplemented else self.value > ov
-
-    def __ge__(self, other):
-        ov = self._cmp_value(other)
-        return NotImplemented if ov is NotImplemented else self.value >= ov
-
-    def __hash__(self):
-        return hash(self.value)
 
     def __float__(self):
         return float(self.value)
@@ -149,5 +71,8 @@ class BigReal:
 
 
 def bigreal(value, precision: int) -> BigReal:
-    """Shorthand constructor."""
-    return BigReal.of(value, precision)
+    """A BigReal of ``value`` converted at the working precision of ``precision``."""
+    if precision < 1:
+        raise ValueError(f"precision must be positive, got {precision}")
+    with mp.workdps(working_dps(precision)):
+        return BigReal(as_mpf(value), precision)

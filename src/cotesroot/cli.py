@@ -19,9 +19,11 @@ import json
 import os
 import sys
 
+import mpmath as mp
+
 from . import __version__
 from .analysis import estimate_order, estimate_order_from_steps
-from .bigreal import MIN_DIGITS, BigReal
+from .bigreal import MIN_DIGITS, bigreal, working_dps
 from .errors import CotesrootError, InsufficientData, RoundoffFloor
 from .expr import parse
 from .multivariate import demo_system, nd_iterate
@@ -145,14 +147,14 @@ def _solve(args):
     f = parse(args.function)
     kwargs = {}
     if args.step_tol is not None:
-        kwargs["step_tol"] = BigReal.of(args.step_tol, digits)
+        kwargs["step_tol"] = bigreal(args.step_tol, digits)
     if args.residual_tol is not None:
-        kwargs["residual_tol"] = BigReal.of(args.residual_tol, digits)
+        kwargs["residual_tol"] = bigreal(args.residual_tol, digits)
     if args.root is not None:
-        kwargs["known_root"] = BigReal.of(args.root, digits)
+        kwargs["known_root"] = bigreal(args.root, digits)
     problem = ScalarProblem(
         f,
-        BigReal.of(args.x0, digits),
+        bigreal(args.x0, digits),
         precision=digits,
         max_iter=args.max_iter,
         **kwargs,
@@ -292,15 +294,17 @@ def _cmd_plotdata(args) -> int:
         print("metric 'sdigits' needs --root", file=sys.stderr)
         return 1
     problem, traj = _solve(args)
-    if args.metric == "sdigits":
-        rows = [[rec.k, rec.s.decimal(8)] for rec in traj.iterates[1:] if rec.s is not None]
-    elif problem.known_root is not None:
-        root = problem.known_root
-        rows = [[rec.k, abs(rec.x - root).decimal(8)] for rec in traj.iterates[1:]]
-    else:
-        # without a root the step to the next iterate estimates the error
-        rows = [[rec.k, abs(rec.step).decimal(8)] for rec in traj.iterates
-                if rec.step is not None]
+    with mp.workdps(working_dps(problem.precision)):
+        if args.metric == "sdigits":
+            values = [(rec.k, rec.s.value) for rec in traj.iterates[1:] if rec.s is not None]
+        elif problem.known_root is not None:
+            root = problem.known_root.value
+            values = [(rec.k, abs(rec.x.value - root)) for rec in traj.iterates[1:]]
+        else:
+            # without a root the step to the next iterate estimates the error
+            values = [(rec.k, abs(rec.step.value)) for rec in traj.iterates
+                      if rec.step is not None]
+        rows = [[k, mp.nstr(v, 8)] for k, v in values]
     _print_csv([["iteration", args.metric]] + rows)
     return _EXIT_BY_KIND.get(traj.termination.kind, 2)
 

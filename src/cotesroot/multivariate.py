@@ -81,7 +81,11 @@ def _as_matrix(rows, d) -> list[list[mp.mpf]]:
 
 
 def _max_norm(vec) -> mp.mpf:
-    return max(abs(v) for v in vec) if vec else mp.mpf(0)
+    """max |v_i|, and NaN when any v_i is NaN (``max`` would skip a later NaN)."""
+    norms = [abs(v) for v in vec]
+    if any(mp.isnan(a) for a in norms):
+        return mp.nan
+    return max(norms, default=mp.mpf(0))
 
 
 def _lu_solve(matrix, rhs, precision):

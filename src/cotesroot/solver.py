@@ -39,6 +39,7 @@ CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 BREAKDOWN = "breakdown"
 DIVERGED = "diverged"
+NONFINITE = "nonfinite"  # breakdown detail: an iterate or residual became NaN or inf
 
 _RULES = [builtin_rule(n) for n in range(MAX_RULE + 1)]
 
@@ -126,7 +127,7 @@ class IterateRecord:
 @dataclass(frozen=True)
 class Termination:
     kind: str  # converged | max_iterations | breakdown | diverged
-    detail: Optional[str] = None  # step/residual for converged, breakdown kind
+    detail: Optional[str] = None  # step/residual for converged, breakdown kind or nonfinite
 
 
 @dataclass(frozen=True)
@@ -270,18 +271,22 @@ def _stop_rules(precision, x0, max_iter, step_tol, residual_tol, divergence_boun
 def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound):
     """Iterate x <- step(x) until a stop rule fires; scalars and vectors alike.
 
-    ``norm`` is abs or the max norm.  Returns the iterates paired with their
-    residuals (None where the residual left its domain), the steps between
-    consecutive iterates, and the termination.  Breakdowns (vanishing
-    denominator, singular matrix, domain exit) end the run; they are never
-    raised to the caller.
+    ``norm`` is abs or the max norm; a NaN anywhere must make it NaN.  Returns
+    the iterates paired with their residuals (None where the residual left its
+    domain or was not evaluated), the steps between consecutive iterates, and
+    the termination.  Breakdowns (vanishing denominator, singular matrix,
+    domain exit, a NaN or infinite iterate or residual) end the run; they are
+    never raised to the caller.  No residual is evaluated at a non-finite point.
     """
     try:
         fx = residual(x)
     except DomainError:
         return [(x, None)], [], Termination(BREAKDOWN, "domain")
     points, steps = [(x, fx)], []
-    if norm(fx) < residual_tol:
+    fx_norm = norm(fx)
+    if not mp.isfinite(fx_norm):
+        return points, steps, Termination(BREAKDOWN, NONFINITE)
+    if fx_norm < residual_tol:
         return points, steps, Termination(CONVERGED, "residual")
     for _ in range(max_iter):
         try:
@@ -291,6 +296,10 @@ def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound
         except DomainError:
             return points, steps, Termination(BREAKDOWN, "domain")
         steps.append(xn - x)
+        x_norm = norm(xn)
+        if not mp.isfinite(x_norm):
+            points.append((xn, None))
+            return points, steps, Termination(BREAKDOWN, NONFINITE)
         try:
             fx = residual(xn)
         except DomainError:
@@ -298,11 +307,14 @@ def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound
             return points, steps, Termination(BREAKDOWN, "domain")
         points.append((xn, fx))
         x = xn
-        if norm(x) > bound:
+        fx_norm = norm(fx)
+        if not mp.isfinite(fx_norm):
+            return points, steps, Termination(BREAKDOWN, NONFINITE)
+        if x_norm > bound:
             return points, steps, Termination(DIVERGED)
         if norm(steps[-1]) < step_tol:
             return points, steps, Termination(CONVERGED, "step")
-        if norm(fx) < residual_tol:
+        if fx_norm < residual_tol:
             return points, steps, Termination(CONVERGED, "residual")
     return points, steps, Termination(MAX_ITERATIONS)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .analysis import bisect_root, map_derivatives_at, significant_digits
-from .bigreal import BigReal, check_digits
+from .bigreal import BigReal, bigreal, check_digits
 from .expr import Expression, parse
 from .solver import (
     SEED_NEWTON,
@@ -60,7 +60,6 @@ class _SDigitsTable:
     iterations: int
     methods: tuple[str, ...]
     s_reference: tuple[float, ...]
-    q_reference: Optional[tuple[int, ...]]
     root: Optional[str]  # exact root text; None means bisect the bracket below
     bracket: Optional[tuple[str, str]] = None
 
@@ -74,7 +73,6 @@ _TABLES: dict[str, _SDigitsTable] = {
         iterations=1,
         methods=tuple(f"t{n}" for n in range(8)),
         s_reference=(3.2, 3.8, 5.6, 7.8, 10.2, 11.1, 13.5, 14.5),
-        q_reference=(3, 3, 5, 5, 7, 7, 9, 9),
         root="1",
     ),
     "tab1nnA": _SDigitsTable(
@@ -85,7 +83,6 @@ _TABLES: dict[str, _SDigitsTable] = {
         iterations=1,
         methods=("t2_1", "t3_2", "t4_3", "t5_4", "t6_5", "t7_6"),
         s_reference=(19.5, 30.8, 57.5, 75.2, 104.7, 127.3),
-        q_reference=(15, 25, 35, 49, 63, 81),
         root="1",
     ),
     "tab1nnB": _SDigitsTable(
@@ -96,7 +93,6 @@ _TABLES: dict[str, _SDigitsTable] = {
         iterations=1,
         methods=("t1_2", "t2_3", "t3_4", "t4_5", "t5_6", "t6_7"),
         s_reference=(17.7, 39.5, 53.4, 80.9, 98.8, 135.4),
-        q_reference=(15, 25, 35, 49, 63, 81),
         root="1",
     ),
     "tabnova1": _SDigitsTable(
@@ -107,7 +103,6 @@ _TABLES: dict[str, _SDigitsTable] = {
         iterations=1,
         methods=tuple(f"t{n}" for n in range(8)),
         s_reference=(1.18, 1.27, 1.28, 1.35, 1.41, 1.45, 1.49, 1.52),
-        q_reference=None,
         root="0",
     ),
     "tabnova2": _SDigitsTable(
@@ -118,7 +113,6 @@ _TABLES: dict[str, _SDigitsTable] = {
         iterations=1,
         methods=tuple(f"t{n}+F" for n in range(8)),
         s_reference=(4.2, 4.8, 7.6, 9.6, 13.1, 14.2, 17.7, 18.7),
-        q_reference=(3, 3, 5, 5, 7, 7, 9, 9),
         root="0",
     ),
     "tabpol1": _SDigitsTable(
@@ -129,7 +123,6 @@ _TABLES: dict[str, _SDigitsTable] = {
         iterations=3,
         methods=("t0", "t6", "t7", "t7_6"),
         s_reference=(0.5, 5.3, 7.6, 2410.6),
-        q_reference=None,
         root=None,
         bracket=("1", "2"),
     ),
@@ -146,7 +139,7 @@ _DERIVATIVE_DIGITS = 250
 
 def _reference_root(spec: _SDigitsTable, f: Expression, digits: int) -> BigReal:
     if spec.root is not None:
-        return BigReal.of(spec.root, digits)
+        return bigreal(spec.root, digits)
     lo, hi = spec.bracket
     return bisect_root(f, lo, hi, digits + 40)
 
@@ -154,7 +147,7 @@ def _reference_root(spec: _SDigitsTable, f: Expression, digits: int) -> BigReal:
 def _run_sdigits(table_id: str, spec: _SDigitsTable, digits: int) -> TableReport:
     f = parse(spec.function)
     root = _reference_root(spec, f, digits)
-    x0 = BigReal.of(spec.x0, digits)
+    x0 = bigreal(spec.x0, digits)
     rows = []
     for idx, method_text in enumerate(spec.methods):
         start = time.perf_counter()
@@ -184,7 +177,7 @@ def _run_sdigits(table_id: str, spec: _SDigitsTable, digits: int) -> TableReport
 
 def _run_derivatives(digits: int) -> TableReport:
     f = parse("tanh(x-1)")
-    z = BigReal.of(1, digits)
+    z = bigreal(1, digits)
     rows = []
     for method_text, reference in _DERIVATIVE_REFERENCE.items():
         start = time.perf_counter()

@@ -34,5 +34,18 @@ def cubic(x):
 @pytest.fixture(scope="session")
 def cubic_root_10000():
     """Root of x^3 + 2x - 5 to ~10400 digits (4x the largest working precision
-    used in the order measurements), by bisection."""
-    return bisect_mpf(cubic, 1, 2, 10400)
+    used in the order measurements).
+
+    Bisection to about 40 digits seeds ``mp.findroot`` at 10400 digits; the
+    result is then certified as bisection's would be: f changes sign across
+    an interval of the width of bisection's final bracket, 10^(10 - dps),
+    centred on it.
+    """
+    dps = 10400
+    seed = bisect_mpf(cubic, 1, 2, 50)
+    with mp.workdps(dps):
+        root = mp.findroot(cubic, seed)
+        half_width = mp.mpf(10) ** (10 - dps) / 2
+        if mp.sign(cubic(root - half_width)) == mp.sign(cubic(root + half_width)):
+            pytest.fail("polished root is not bracketed by a sign change of f")
+    return root

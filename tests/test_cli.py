@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cotesroot
 from cotesroot import run_table
 from cotesroot.cli import main
 
@@ -247,6 +250,22 @@ def test_plotdata_error_metric_without_root_uses_steps(capsys):
     assert len(rows) > 2
 
 
+def test_plotdata_error_metric_with_root(capsys):
+    # |x_k - z| for k >= 1 at 8 significant digits; the iterates of Newton on
+    # x^2 - 2 from 1.5 lose their error quadratically
+    code, out, _ = run_cli(capsys, "plotdata", "-f", "x^2-2", "-m", "t0",
+                           "--x0", "1.5", "--digits", "40", "--max-iter", "4", "--root",
+                           "1.4142135623730950488016887242096980785696718753769")
+    assert code == 3  # four steps do not reach the 10^-30 stop tolerances
+    assert out.splitlines() == [
+        "iteration,error",
+        "1,0.0024531043",
+        "2,2.1239014e-6",
+        "3,1.5948618e-12",
+        "4,8.9929283e-25",
+    ]
+
+
 def test_plotdata_sdigits_requires_root(capsys):
     code, _, err = run_cli(capsys, "plotdata", "-f", "x^2-2", "-m", "t0",
                            "--x0", "1.5", "--metric", "sdigits")
@@ -295,9 +314,13 @@ def test_zero_digits_is_not_the_default(capsys, argv):
 # ------------------------------------------------------------- entry point
 
 def test_console_script_runs():
+    # the child imports the same cotesroot as this suite, whichever way the
+    # suite found it (PYTHONPATH, the pytest pythonpath setting or an install)
+    src = str(Path(cotesroot.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "cotesroot.cli", "weights", "--n", "0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "c = 1" in proc.stdout

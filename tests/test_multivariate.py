@@ -17,7 +17,8 @@ from cotesroot import (
     solve_linear,
 )
 from cotesroot.expr import eval_jet
-from cotesroot.solver import BREAKDOWN, CONVERGED, MethodId, apply_method
+from cotesroot.multivariate import _max_norm
+from cotesroot.solver import BREAKDOWN, CONVERGED, NONFINITE, MethodId, apply_method
 
 KIND_LEVELS = [("newton", 0), ("trapezoidal", 1), ("simpson", 2)]
 
@@ -218,6 +219,58 @@ def test_nd_iterate_rejects_nonfinite_start(x0):
     demo = demo_system("circle-line")
     with pytest.raises(ValueError, match="x0"):
         nd_iterate(demo.function, x0, precision=40)
+
+
+def test_max_norm_propagates_nan():
+    assert mp.isnan(_max_norm([mp.mpf(1), mp.nan]))
+    assert mp.isnan(_max_norm([mp.nan, mp.mpf(1)]))
+    assert _max_norm([mp.mpf(1), mp.ninf]) == mp.inf
+    assert _max_norm([mp.mpf(-3), mp.mpf(2)]) == 3
+
+
+def _identity_jacobian(p):
+    return [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("bad", [mp.inf, mp.nan])
+def test_nd_iterate_nonfinite_start_residual(bad):
+    # the bad component comes second, where max() alone would hide a NaN
+    f = VectorFunction(2, lambda p: [p[0] - 1, bad], _identity_jacobian)
+    traj = nd_iterate(f, ["0", "0.5"], precision=30, max_iter=5)
+    assert (traj.termination.kind, traj.termination.detail) == (BREAKDOWN, NONFINITE)
+    assert len(traj.iterates) == 1
+
+
+def test_nd_iterate_residual_becomes_infinite():
+    # affine system with root (1, 2), reached by one Newton step from (0, 0);
+    # the residual is infinite once x >= 0.5
+    def residual(p):
+        if p[0] >= mp.mpf("0.5"):
+            return [mp.inf, mp.mpf(0)]
+        return [3 * p[0] + p[1] - 5, p[0] + 2 * p[1] - 5]
+
+    f = VectorFunction(2, residual, lambda p: [[3, 1], [1, 2]])
+    traj = nd_iterate(f, ["0", "0"], precision=30, max_iter=5)
+    assert (traj.termination.kind, traj.termination.detail) == (BREAKDOWN, NONFINITE)
+    assert len(traj.iterates) == 2
+    assert [float(v) for v in traj.final.x] == [1.0, 2.0]
+    assert traj.final.residual_norm.value == mp.inf
+
+
+def test_nd_iterate_nan_iterate_is_kept_without_a_residual():
+    calls = []
+
+    def residual(p):
+        calls.append(list(p))
+        return [p[0] - 1, p[1] - 1]
+
+    f = VectorFunction(2, residual, lambda p: [[1, 0], [0, mp.nan]])
+    traj = nd_iterate(f, ["0", "0.5"], precision=30, max_iter=5)
+    assert (traj.termination.kind, traj.termination.detail) == (BREAKDOWN, NONFINITE)
+    assert len(traj.iterates) == 2
+    assert mp.isnan(traj.final.x[1].value)
+    assert traj.final.residual_norm is None
+    assert all(mp.isfinite(v) for point in calls for v in point)  # never at the NaN iterate
 
 
 def test_unknown_demo_system():
