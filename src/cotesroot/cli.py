@@ -29,6 +29,7 @@ from .expr import parse
 from .multivariate import demo_system, nd_iterate
 from .quadrature import builtin_rule, derive_rule
 from .solver import (
+    BREAKDOWN,
     CONVERGED,
     DIVERGED,
     MAX_ITERATIONS,
@@ -42,7 +43,7 @@ from .solver import (
 from .tables import TABLE_IDS, run_table
 
 DEFAULT_DIGITS = 50
-_EXIT_BY_KIND = {CONVERGED: 0, DIVERGED: 2, "breakdown": 2, MAX_ITERATIONS: 3}
+_EXIT_BY_KIND = {CONVERGED: 0, DIVERGED: 2, BREAKDOWN: 2, MAX_ITERATIONS: 3}
 
 
 def _default_digits() -> int:
@@ -58,11 +59,10 @@ def _default_digits() -> int:
     return DEFAULT_DIGITS
 
 
-def _add_solve_flags(sub, with_method=True):
+def _add_solve_flags(sub):
     sub.add_argument("-f", "--function", required=True, help="function text, e.g. 'tanh(x-1)'")
-    if with_method:
-        sub.add_argument("-m", "--method", default="t0",
-                         help="method spec: tN, tI_J (composition), optional +F suffix")
+    sub.add_argument("-m", "--method", default="t0",
+                     help="method spec: tN, tI_J (composition), optional +F suffix")
     sub.add_argument("--x0", required=True, help="starting point (decimal text)")
     sub.add_argument("--digits", type=int, default=None, help="working precision in digits")
     sub.add_argument("--max-iter", type=int, default=30)
@@ -192,7 +192,7 @@ def _trajectory_json(traj: Trajectory, args, problem) -> dict:
         "method": str(traj.method),
         "config": _config_json(args, problem, traj.method),
         "iterates": iterates,
-        "termination": {"kind": traj.termination.kind, "detail": traj.termination.detail},
+        "termination": vars(traj.termination),
     }
 
 
@@ -227,7 +227,7 @@ def _print_trajectory(traj: Trajectory, args, problem) -> None:
 def _cmd_solve(args) -> int:
     problem, traj = _solve(args)
     _print_trajectory(traj, args, problem)
-    return _EXIT_BY_KIND.get(traj.termination.kind, 2)
+    return _EXIT_BY_KIND[traj.termination.kind]
 
 
 def _cmd_order(args) -> int:
@@ -306,7 +306,7 @@ def _cmd_plotdata(args) -> int:
                       if rec.step is not None]
         rows = [[k, mp.nstr(v, 8)] for k, v in values]
     _print_csv([["iteration", args.metric]] + rows)
-    return _EXIT_BY_KIND.get(traj.termination.kind, 2)
+    return _EXIT_BY_KIND[traj.termination.kind]
 
 
 def _cmd_ndsolve(args) -> int:
@@ -329,8 +329,7 @@ def _cmd_ndsolve(args) -> int:
                 }
                 for rec in traj.iterates
             ],
-            "termination": {"kind": traj.termination.kind,
-                            "detail": traj.termination.detail},
+            "termination": vars(traj.termination),
         }, indent=2))
     else:
         shown = min(digits, 30)
@@ -341,7 +340,7 @@ def _cmd_ndsolve(args) -> int:
             print(f"k={rec.k:<3d} x=({point}){norm}")
         detail = f" ({traj.termination.detail})" if traj.termination.detail else ""
         print(f"termination: {traj.termination.kind}{detail}")
-    return _EXIT_BY_KIND.get(traj.termination.kind, 2)
+    return _EXIT_BY_KIND[traj.termination.kind]
 
 
 _COMMANDS = {

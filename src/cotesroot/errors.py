@@ -21,17 +21,14 @@ class UnknownIdentifier(ParseError):
     """Identifier in the function text is not a known function or constant."""
 
 
-class DomainError(CotesrootError, ArithmeticError):
-    """Evaluation left the domain of a node (log of nonpositive, division by
-    zero, derivative of cbrt/abs at zero, 0/0 in the multiple-root transform)."""
-
-
 class Breakdown(CotesrootError, ArithmeticError):
-    """A map denominator vanished numerically; carries the breakdown kind."""
+    """A map application or evaluation broke down; carries the breakdown kind."""
 
     ZERO_DERIVATIVE = "zero_derivative"
     ZERO_DENOMINATOR = "zero_denominator"
     SINGULAR_MATRIX = "singular_matrix"
+    DOMAIN = "domain"
+    NONFINITE = "nonfinite"  # a value became NaN or infinite
 
     def __init__(self, kind: str, message: str = ""):
         super().__init__(message or kind)
@@ -43,6 +40,14 @@ class SingularMatrix(Breakdown):
 
     def __init__(self, message: str = ""):
         super().__init__(Breakdown.SINGULAR_MATRIX, message)
+
+
+class DomainError(Breakdown):
+    """Evaluation left the domain of a node (log of nonpositive, division by
+    zero, derivative of cbrt/abs at zero, 0/0 in the multiple-root transform)."""
+
+    def __init__(self, message: str = ""):
+        super().__init__(Breakdown.DOMAIN, message)
 
 
 class InsufficientData(CotesrootError, ValueError):

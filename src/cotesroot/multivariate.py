@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 from .bigreal import BigReal, as_mpf, working_dps
 from .errors import SingularMatrix
-from .solver import SEED_TRAPEZOID, Termination, _ladder_full, _outer_loop, _stop_rules
+from .solver import (SEED_TRAPEZOID, Termination, _check_finite, _finite, _ladder_full,
+                     _outer_loop, _stop_rules)
 
 _LEVELS = {"newton": 0, "trapezoidal": 1, "simpson": 2}  # step kind -> ladder level
 
@@ -120,12 +121,11 @@ def _lu_solve(matrix, rhs, precision):
 
 
 def solve_linear(matrix, rhs, precision: int) -> list[BigReal]:
-    """Solve a dense square system at the given working precision."""
+    """Solve a dense square system; raises Breakdown if singular or not finite."""
     with mp.workdps(working_dps(precision)):
         d = len(rhs)
-        a = _as_matrix(matrix, d)
-        b = _as_vector(rhs, d)
-        x = _lu_solve(a, b, precision)
+        x = _lu_solve(_as_matrix(matrix, d), _as_vector(rhs, d), precision)
+        _finite(_max_norm(x))
         return [BigReal(v, precision) for v in x]
 
 
@@ -159,11 +159,14 @@ def _vector_map(n, func, x, precision):
 
 
 def nd_step(kind: str, func: VectorFunction, x, precision: int) -> list[BigReal]:
-    """One step of the chosen kind from x."""
+    """One step of the chosen kind from a finite x; a NaN or inf result raises Breakdown."""
     level = _level(kind)
     with mp.workdps(working_dps(precision)):
         point = _Point(_as_vector(x, func.dimension))
-        return [BigReal(v, precision) for v in _vector_map(level, func, point, precision)]
+        _check_finite("x", point)
+        y = _vector_map(level, func, point, precision)
+        _finite(_max_norm(y))
+        return [BigReal(v, precision) for v in y]
 
 
 def nd_iterate(

@@ -39,7 +39,6 @@ CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 BREAKDOWN = "breakdown"
 DIVERGED = "diverged"
-NONFINITE = "nonfinite"  # breakdown detail: an iterate or residual became NaN or inf
 
 _RULES = [builtin_rule(n) for n in range(MAX_RULE + 1)]
 
@@ -127,7 +126,7 @@ class IterateRecord:
 @dataclass(frozen=True)
 class Termination:
     kind: str  # converged | max_iterations | breakdown | diverged
-    detail: Optional[str] = None  # step/residual for converged, breakdown kind or nonfinite
+    detail: Optional[str] = None  # step/residual for converged, the Breakdown kind
 
 
 @dataclass(frozen=True)
@@ -238,9 +237,24 @@ def _method_map(m: MethodId, f: Expression, precision: int):
 
 
 def apply_method(m: MethodId, f: Expression, x, precision: int) -> BigReal:
-    """One application of a basic or composed map (inner map first)."""
+    """One application of a basic or composed map (inner map first) from a finite x."""
     with mp.workdps(working_dps(precision)):
-        return BigReal(_method_map(m, f, precision)(as_mpf(x)), precision)
+        x = as_mpf(x)
+        _check_finite("x", [x])
+        return BigReal(_method_map(m, f, precision)(x), precision)
+
+
+def _check_finite(name, coordinates):
+    """ValueError naming the point when a coordinate is NaN or infinite."""
+    if not all(mp.isfinite(v) for v in coordinates):
+        raise ValueError(f"{name} must be finite")
+
+
+def _finite(size):
+    """The norm ``size``, or the nonfinite Breakdown when it is NaN or infinite."""
+    if not mp.isfinite(size):
+        raise Breakdown(Breakdown.NONFINITE, "a value became NaN or infinite")
+    return size
 
 
 def _stop_rules(precision, x0, max_iter, step_tol, residual_tol, divergence_bound):
@@ -253,8 +267,7 @@ def _stop_rules(precision, x0, max_iter, step_tol, residual_tol, divergence_boun
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     check_digits(precision)
-    if not all(mp.isfinite(v) for v in x0):
-        raise ValueError("x0 must be finite")
+    _check_finite("x0", x0)
     size = max(abs(v) for v in x0)
     default_tol = mp.mpf(10) ** (10 - precision)
     step_tol = default_tol if step_tol is None else as_mpf(step_tol)
@@ -271,61 +284,38 @@ def _stop_rules(precision, x0, max_iter, step_tol, residual_tol, divergence_boun
 def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound):
     """Iterate x <- step(x) until a stop rule fires; scalars and vectors alike.
 
-    ``norm`` is abs or the max norm; a NaN anywhere must make it NaN.  Returns
-    the iterates paired with their residuals (None where the residual left its
-    domain or was not evaluated), the steps between consecutive iterates, and
-    the termination.  Breakdowns (vanishing denominator, singular matrix,
-    domain exit, a NaN or infinite iterate or residual) end the run; they are
-    never raised to the caller.  No residual is evaluated at a non-finite point.
+    ``norm`` is abs or the max norm; a NaN anywhere must make it NaN.  Pass 0
+    takes x0, which ``_stop_rules`` checked, each later pass one step.  Returns
+    the (iterate, residual or None) pairs, the steps and the termination.  Any
+    Breakdown ends the run, keeping its iterate; it is never raised, and no
+    residual is evaluated at a non-finite point.
     """
+    points, steps = [], []
     try:
-        fx = residual(x)
-    except DomainError:
-        return [(x, None)], [], Termination(BREAKDOWN, "domain")
-    points, steps = [(x, fx)], []
-    fx_norm = norm(fx)
-    if not mp.isfinite(fx_norm):
-        return points, steps, Termination(BREAKDOWN, NONFINITE)
-    if fx_norm < residual_tol:
-        return points, steps, Termination(CONVERGED, "residual")
-    for _ in range(max_iter):
-        try:
-            xn = step(x)
-        except Breakdown as exc:
-            return points, steps, Termination(BREAKDOWN, exc.kind)
-        except DomainError:
-            return points, steps, Termination(BREAKDOWN, "domain")
-        steps.append(xn - x)
-        x_norm = norm(xn)
-        if not mp.isfinite(x_norm):
-            points.append((xn, None))
-            return points, steps, Termination(BREAKDOWN, NONFINITE)
-        try:
-            fx = residual(xn)
-        except DomainError:
-            points.append((xn, None))
-            return points, steps, Termination(BREAKDOWN, "domain")
-        points.append((xn, fx))
-        x = xn
-        fx_norm = norm(fx)
-        if not mp.isfinite(fx_norm):
-            return points, steps, Termination(BREAKDOWN, NONFINITE)
-        if x_norm > bound:
-            return points, steps, Termination(DIVERGED)
-        if norm(steps[-1]) < step_tol:
-            return points, steps, Termination(CONVERGED, "step")
-        if fx_norm < residual_tol:
-            return points, steps, Termination(CONVERGED, "residual")
+        for _ in range(max_iter + 1):
+            if points:
+                xn = step(x)
+                steps.append(xn - x)
+                x = xn
+            points.append((x, None))
+            x_norm = _finite(norm(x))
+            fx = residual(x)
+            points[-1] = (x, fx)
+            fx_norm = _finite(norm(fx))
+            if x_norm > bound:
+                return points, steps, Termination(DIVERGED)
+            if steps and norm(steps[-1]) < step_tol:
+                return points, steps, Termination(CONVERGED, "step")
+            if fx_norm < residual_tol:
+                return points, steps, Termination(CONVERGED, "residual")
+    except Breakdown as exc:
+        return points, steps, Termination(BREAKDOWN, exc.kind)
     return points, steps, Termination(MAX_ITERATIONS)
 
 
 def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
-    """Run the outer iteration until a stop rule fires.
-
-    Stops on small step, small residual, iteration budget, the divergence
-    bound, or a recorded breakdown (vanishing denominator / domain exit).
-    Breakdowns terminate the trajectory; they are never raised to the caller.
-    """
+    """Run the outer iteration until a stop rule fires: small step, small
+    residual, iteration budget, the divergence bound, or a recorded breakdown."""
     precision = problem.precision
     with mp.workdps(working_dps(precision)):
         points, steps, termination = _outer_loop(

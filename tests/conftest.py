@@ -27,6 +27,23 @@ def bisect_mpf(fn, lo, hi, dps):
         return (a + b) / 2
 
 
+def certified_root(fn, lo, hi, dps):
+    """The root of ``fn`` in [lo, hi] at ``dps`` digits, as bisection would give it.
+
+    Bisection to about 40 digits seeds ``mp.findroot`` at ``dps`` digits; the
+    result is then certified as bisection's would be: fn changes sign across
+    an interval of the width of bisection's final bracket, 10^(10 - dps),
+    centred on it.
+    """
+    seed = bisect_mpf(fn, lo, hi, 50)
+    with mp.workdps(dps):
+        root = mp.findroot(fn, seed)
+        half_width = mp.mpf(10) ** (10 - dps) / 2
+        if mp.sign(fn(root - half_width)) == mp.sign(fn(root + half_width)):
+            pytest.fail("polished root is not bracketed by a sign change of f")
+    return root
+
+
 def cubic(x):
     return x**3 + 2 * x - 5
 
@@ -34,18 +51,5 @@ def cubic(x):
 @pytest.fixture(scope="session")
 def cubic_root_10000():
     """Root of x^3 + 2x - 5 to ~10400 digits (4x the largest working precision
-    used in the order measurements).
-
-    Bisection to about 40 digits seeds ``mp.findroot`` at 10400 digits; the
-    result is then certified as bisection's would be: f changes sign across
-    an interval of the width of bisection's final bracket, 10^(10 - dps),
-    centred on it.
-    """
-    dps = 10400
-    seed = bisect_mpf(cubic, 1, 2, 50)
-    with mp.workdps(dps):
-        root = mp.findroot(cubic, seed)
-        half_width = mp.mpf(10) ** (10 - dps) / 2
-        if mp.sign(cubic(root - half_width)) == mp.sign(cubic(root + half_width)):
-            pytest.fail("polished root is not bracketed by a sign change of f")
-    return root
+    used in the order measurements)."""
+    return certified_root(cubic, 1, 2, 10400)

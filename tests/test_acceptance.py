@@ -11,7 +11,7 @@ import time
 import mpmath as mp
 import pytest
 
-from conftest import bisect_mpf, cubic
+from conftest import certified_root, cubic
 
 from cotesroot import (
     MethodId,
@@ -100,8 +100,8 @@ def test_criterion_4_multiple_root_rows():
 def test_criterion_5_polynomial_composed_run():
     start = time.perf_counter()
     digits = 2600
-    # independent root oracle: bisection on the plain polynomial callable
-    root = bisect_mpf(lambda x: x**11 + 4 * x * x - 10, 1, 2, digits + 100)
+    # independent root oracle: a certified root of the plain polynomial callable
+    root = certified_root(lambda x: x**11 + 4 * x * x - 10, 1, 2, digits + 100)
     f = parse("x^11+4*x^2-10")
     method = MethodId(7, inner=6, simpson_seed=SEED_NEWTON)
     problem = ScalarProblem(

@@ -1,6 +1,11 @@
-"""The public API: the names ``cotesroot`` exports, pinned."""
+"""The public API: the names ``cotesroot`` exports, pinned, and the kinds a
+run can end with, each documented and mapped to a CLI exit code."""
+
+import re
+from pathlib import Path
 
 import cotesroot
+from cotesroot import Breakdown, cli, multivariate, solver
 
 PUBLIC = [
     "BigReal", "Breakdown", "CotesrootError", "DemoSystem", "DomainError", "Expression",
@@ -35,3 +40,23 @@ def test_all_names_resolve():
 def test_benchmark_names_are_public():
     missing = [name for name in BENCHMARK_NAMES if name not in cotesroot.__all__]
     assert missing == []
+
+
+BREAKDOWN_KINDS = {"zero_derivative", "zero_denominator", "singular_matrix", "domain",
+                   "nonfinite"}
+
+
+def test_breakdown_kinds_are_pinned_and_documented():
+    kinds = {v for name, v in vars(Breakdown).items() if name.isupper()}
+    assert kinds == BREAKDOWN_KINDS
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert [k for k in sorted(kinds) if f"`{k}`" not in readme] == []
+
+
+def test_every_termination_kind_has_an_exit_code():
+    # every kind the outer loop and its callers can record, read from their source
+    sources = (Path(m.__file__).read_text() for m in (solver, multivariate))
+    names = {n for src in sources for n in re.findall(r"Termination\((\w+)", src)}
+    kinds = {getattr(solver, n) for n in names}
+    assert kinds == {"converged", "max_iterations", "breakdown", "diverged"}
+    assert set(cli._EXIT_BY_KIND) == kinds

@@ -18,7 +18,7 @@ from cotesroot import (
 )
 from cotesroot.expr import eval_jet
 from cotesroot.multivariate import _max_norm
-from cotesroot.solver import BREAKDOWN, CONVERGED, NONFINITE, MethodId, apply_method
+from cotesroot.solver import BREAKDOWN, CONVERGED, MethodId, apply_method
 
 KIND_LEVELS = [("newton", 0), ("trapezoidal", 1), ("simpson", 2)]
 
@@ -71,6 +71,13 @@ def test_solve_singular():
         solve_linear([[1, 1], [1, 1]], [1, 2], 40)
     assert isinstance(err.value, Breakdown)
     assert err.value.kind == "singular_matrix"
+
+
+def test_solve_nonfinite_solution_is_a_breakdown():
+    # a NaN pivot passes the singularity test, since abs(nan) <= t is false
+    with pytest.raises(Breakdown) as err:
+        solve_linear([[1, 0], [0, mp.nan]], [1, 1], 30)
+    assert err.value.kind == Breakdown.NONFINITE
 
 
 def test_solve_needs_pivoting():
@@ -237,7 +244,7 @@ def test_nd_iterate_nonfinite_start_residual(bad):
     # the bad component comes second, where max() alone would hide a NaN
     f = VectorFunction(2, lambda p: [p[0] - 1, bad], _identity_jacobian)
     traj = nd_iterate(f, ["0", "0.5"], precision=30, max_iter=5)
-    assert (traj.termination.kind, traj.termination.detail) == (BREAKDOWN, NONFINITE)
+    assert (traj.termination.kind, traj.termination.detail) == (BREAKDOWN, Breakdown.NONFINITE)
     assert len(traj.iterates) == 1
 
 
@@ -251,7 +258,7 @@ def test_nd_iterate_residual_becomes_infinite():
 
     f = VectorFunction(2, residual, lambda p: [[3, 1], [1, 2]])
     traj = nd_iterate(f, ["0", "0"], precision=30, max_iter=5)
-    assert (traj.termination.kind, traj.termination.detail) == (BREAKDOWN, NONFINITE)
+    assert (traj.termination.kind, traj.termination.detail) == (BREAKDOWN, Breakdown.NONFINITE)
     assert len(traj.iterates) == 2
     assert [float(v) for v in traj.final.x] == [1.0, 2.0]
     assert traj.final.residual_norm.value == mp.inf
@@ -266,11 +273,25 @@ def test_nd_iterate_nan_iterate_is_kept_without_a_residual():
 
     f = VectorFunction(2, residual, lambda p: [[1, 0], [0, mp.nan]])
     traj = nd_iterate(f, ["0", "0.5"], precision=30, max_iter=5)
-    assert (traj.termination.kind, traj.termination.detail) == (BREAKDOWN, NONFINITE)
+    assert (traj.termination.kind, traj.termination.detail) == (BREAKDOWN, Breakdown.NONFINITE)
     assert len(traj.iterates) == 2
     assert mp.isnan(traj.final.x[1].value)
     assert traj.final.residual_norm is None
     assert all(mp.isfinite(v) for point in calls for v in point)  # never at the NaN iterate
+
+
+def test_nd_step_nonfinite_result_is_a_breakdown():
+    f = VectorFunction(2, lambda p: [p[0] - 1, p[1] - 1], lambda p: [[1, 0], [0, mp.nan]])
+    with pytest.raises(Breakdown) as err:
+        nd_step("newton", f, ["0", "0.5"], 30)
+    assert err.value.kind == Breakdown.NONFINITE
+
+
+@pytest.mark.parametrize("x", [["nan", "0"], ["0", "inf"]])
+def test_nd_step_rejects_nonfinite_x(x):
+    f = demo_system("circle-line").function
+    with pytest.raises(ValueError, match="x must be finite"):
+        nd_step("newton", f, x, 30)
 
 
 def test_unknown_demo_system():

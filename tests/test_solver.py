@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotesroot import (
     Breakdown,
+    CotesrootError,
     DomainError,
     MethodId,
     ScalarProblem,
@@ -19,6 +22,8 @@ from cotesroot.solver import (
     DIVERGED,
     MAX_ITERATIONS,
     SEED_NEWTON,
+    SEED_TRAPEZOID,
+    Termination,
     _PlainTarget,
     _scalar_ladder,
     _TransformTarget,
@@ -92,6 +97,21 @@ def test_newton_step_zero_derivative():
     with pytest.raises(Breakdown) as err:
         apply_method(MethodId(0), f, x, 50)
     assert err.value.kind == Breakdown.ZERO_DERIVATIVE
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_apply_method_rejects_nonfinite_x(x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        apply_method(MethodId(0), parse("x^2-2"), bigreal(x, 40), 40)
+
+
+def test_domain_error_is_the_domain_breakdown():
+    err = DomainError("log of nonpositive value -1.0")
+    assert isinstance(err, Breakdown)
+    assert isinstance(err, CotesrootError)
+    assert isinstance(err, ArithmeticError)
+    assert err.kind == Breakdown.DOMAIN == "domain"
+    assert str(err) == "log of nonpositive value -1.0"
 
 
 def test_two_node_map_on_square():
@@ -266,8 +286,7 @@ def test_iterate_converged_at_start():
 def test_iterate_domain_exit_records_breakdown():
     problem = ScalarProblem(parse("log(x)"), bigreal(3, 40), precision=40)
     traj = iterate(problem, MethodId(0))
-    assert traj.termination.kind == BREAKDOWN
-    assert traj.termination.detail == "domain"
+    assert traj.termination == Termination(BREAKDOWN, Breakdown.DOMAIN)
 
 
 def test_iterate_zero_derivative_breakdown():
@@ -325,6 +344,30 @@ def test_one_application_is_superlinear(text, root, n, d):
         x = bigreal(z + mp.mpf(10) ** -d, precision)
         got = apply_method(MethodId(n), f, x, precision)
         assert abs(got.value - z) < mp.mpf(10) ** (-(2 * d - 2))
+
+
+AFFINE_MAPS = [MethodId(n, transform=plus, simpson_seed=seed)
+               for n in range(8) for plus in (False, True)
+               for seed in (SEED_TRAPEZOID, SEED_NEWTON)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    a=st.integers(-10**4, 10**4).filter(lambda v: v != 0),
+    b=st.integers(-10**4, 10**4),
+    start=st.integers(-10**4, 10**4),
+    precision=st.sampled_from([30, 60]),
+)
+def test_every_map_is_exact_on_affine_functions(a, b, start, precision):
+    # f' is constant, so every level of every ladder, on f or on F = -f/f',
+    # lands on the root up to rounding
+    f = parse(f"({a})*x+({b})")
+    x0 = bigreal(f"{start}e-2", precision)
+    for m in AFFINE_MAPS:
+        got = apply_method(m, f, x0, precision)
+        with mp.workdps(precision + 10):
+            z = -mp.mpf(b) / a
+            assert abs(got.value - z) <= mp.mpf(10) ** -precision * max(1, abs(z)), str(m)
 
 
 def test_scaling_function_leaves_iterates_bit_identical():
