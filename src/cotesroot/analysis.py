@@ -3,25 +3,20 @@
 The order estimator uses the known-root error definition
 q_k = ln|e_{k+1}| / ln|e_k| with e_k = z - x_k and reports the last stable
 ratio; a step-based three-point variant is provided for problems without a
-known root.  Map derivatives at a fixed point are probed by symmetric finite
-differences with Richardson extrapolation; exact stencil weights are solved
-once in rational arithmetic.
+known root.  Map derivatives at a fixed point come from ``mp.diffs``, whose
+differences are exact to working precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import factorial
 
 import mpmath as mp
 
-from .bigreal import BigReal, as_mpf, working_dps
+from .bigreal import BigReal, as_mpf, check_digits, working_dps
 from .errors import InsufficientData, RoundoffFloor
 from .expr import Expression, _eval
-from .quadrature import _solve_fraction_free
-from .solver import MethodId, Trajectory, _method_map
+from .solver import MethodId, Trajectory, _check_finite, _method_map
 
 STABLE_GAP = 0.15  # adjacent ratio gap below which the estimate counts as settled
 FLOOR_MARGIN = 15  # digits above the working precision reserved for roundoff noise
@@ -116,14 +111,6 @@ def estimate_order_from_steps(traj: Trajectory) -> OrderEstimate:
         return _order_estimate(q, usable, ratios, precision)
 
 
-@lru_cache(maxsize=None)
-def _stencil_weights(half_width: int, order: int) -> tuple[Fraction, ...]:
-    """Exact weights w with sum_k w_k k^i = [i == order] for i = 0..2*half_width."""
-    offsets = range(-half_width, half_width + 1)
-    rows = [[k**i for k in offsets] for i in range(len(offsets))]
-    return tuple(_solve_fraction_free(rows, [int(i == order) for i in range(len(offsets))]))
-
-
 def map_derivatives_at(
     m: MethodId,
     f: Expression,
@@ -133,54 +120,33 @@ def map_derivatives_at(
 ) -> list[BigReal]:
     """Derivatives 1..max_order of the map x -> t(x) at a fixed point z.
 
-    Symmetric finite differences on a stencil of width 2*max_order+1 with
-    step 10^(-precision/(max_order+2)), extrapolated over two Richardson
-    levels.  Raises RoundoffFloor when the two extrapolation levels disagree
-    by more than 1e-5 relative.
+    ``mp.diffs`` takes central differences with a step below the working
+    precision and evaluates the map at (max_order + 1) times that precision,
+    so truncation and roundoff stay below the working precision.  A
+    Breakdown of the map at a sample point (z itself included) propagates.
     """
-    if not 1 <= max_order <= 5:
-        raise ValueError("max_order must be in 1..5")
-    if precision < 50 * max_order:
-        raise ValueError(f"need precision >= {50 * max_order} for max_order={max_order}")
-
-    half = max_order
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
+    check_digits(precision)
     with mp.workdps(working_dps(precision)):
-        center = as_mpf(z)
-        h0 = mp.mpf(10) ** (mp.mpf(-precision) / (max_order + 2))
         t = _method_map(m, f, precision)
-        samples = []
-        for level in range(3):
-            h = h0 / 2**level
-            samples.append([t(center + k * h) for k in range(-half, half + 1)])
-        results = []
-        for order in range(1, max_order + 1):
-            weights = [as_mpf(w) for w in _stencil_weights(half, order)]
-            fact = factorial(order)
-            diffs = []
-            for level in range(3):
-                h = h0 / 2**level
-                acc = mp.fsum(w * s for w, s in zip(weights, samples[level]))
-                diffs.append(fact * acc / h**order)
-            first = (4 * diffs[1] - diffs[0]) / 3
-            second = (4 * diffs[2] - diffs[1]) / 3
-            extrapolated = (16 * second - first) / 15
-            disagreement = abs(extrapolated - second)
-            if disagreement > mp.mpf("1e-5") * max(abs(extrapolated), mp.mpf(1)):
-                raise RoundoffFloor(
-                    f"extrapolation levels disagree at derivative order {order}"
-                )
-            results.append(BigReal(extrapolated, precision))
-        return results
+        derivs = mp.diffs(t, as_mpf(z), max_order)
+        next(derivs)  # t(z) itself
+        return [BigReal(d, precision) for d in derivs]
 
 
 def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
     """Reference root by plain bisection; independent of the iterative maps.
 
-    The bracket must change sign.  The result is accurate to roughly
-    10^(-precision); intended for reference values, not speed.
+    The bracket [lo, hi] must be finite, ordered and change sign.  The result
+    is accurate to roughly 10^(-precision); intended for reference values, not
+    speed.
     """
     with mp.workdps(working_dps(precision)):
         a, b = as_mpf(lo), as_mpf(hi)
+        _check_finite("lo and hi", [a, b])
+        if a > b:
+            raise ValueError("bisection bracket needs lo <= hi")
         fa = _eval(f, a, 0)
         fb = _eval(f, b, 0)
         if fa == 0:

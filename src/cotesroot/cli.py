@@ -74,7 +74,8 @@ def _add_solve_flags(sub):
         choices=(SEED_TRAPEZOID, SEED_NEWTON),
         default=SEED_TRAPEZOID,
         help="step seeding for the three-node level; 'newton' matches the "
-        "published reference tables, 'trapezoid' is the fully recursive ladder",
+        "published reference tables and drops every tN with N >= 2 to order N+1, "
+        "'trapezoid' is the fully recursive ladder of order N+2",
     )
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
 

@@ -14,9 +14,10 @@ division by B_k is an LU solve.
 
 ``simpson_seed`` switches how the three-node level obtains its step: the
 default "trapezoid" wiring (h_2 from y_1) is the properly recursive ladder
-and carries the full order n+2; the "newton" wiring (h_2 from y_0) drops the
-three-node level to third order but is the variant that generated the
-published reference tables, so the table-reproduction layer selects it.
+and carries the full order n+2; the "newton" wiring (h_2 from y_0) drops
+every level n >= 2 to order n+1 (the three-node level to third order) but is
+the variant that generated the published reference tables, so the
+table-reproduction layer selects it.
 """
 
 from __future__ import annotations
@@ -273,10 +274,11 @@ def _stop_rules(precision, x0, max_iter, step_tol, residual_tol, divergence_boun
     step_tol = default_tol if step_tol is None else as_mpf(step_tol)
     residual_tol = default_tol if residual_tol is None else as_mpf(residual_tol)
     bound = mp.mpf(10) ** 6 * (1 + size) if divergence_bound is None else as_mpf(divergence_bound)
+    # "not >" rather than "<=", so that NaN fails too
     for name, value in (("step_tol", step_tol), ("residual_tol", residual_tol)):
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"{name} must be positive")
-    if bound <= size:
+    if not bound > size:
         raise ValueError("divergence_bound must exceed |x0|")
     return step_tol, residual_tol, bound
 

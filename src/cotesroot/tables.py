@@ -5,7 +5,8 @@ count, and working precision, together with the published values being
 reproduced.  All reference runs use the "newton" Simpson seeding: the
 reference implementation that generated the published values seeded the
 three-node level from the Newton step, and matching its output requires the
-same wiring (see the solver module notes).
+same wiring, which drops every level n >= 2 to order n+1 (see the solver
+module notes).
 """
 
 from __future__ import annotations

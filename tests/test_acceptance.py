@@ -2,8 +2,9 @@
 
 Table-reproduction criteria (2-6) run the maps with the "newton" Simpson
 seeding, the wiring that generated the published reference values; the
-order-law criteria (7, 10) run the default recursive wiring.  See the solver
-module notes for the distinction.
+order-law criteria (7, 10) run the default recursive wiring, and criterion 11
+checks the order theorem under both.  See the solver module notes for the
+distinction.
 """
 
 import time
@@ -32,7 +33,13 @@ from cotesroot import (
 )
 from cotesroot.expr import eval_jet, eval_value
 from cotesroot.multivariate import VectorFunction
-from cotesroot.solver import CONVERGED, DIVERGED, SEED_NEWTON, apply_method
+from cotesroot.solver import (
+    CONVERGED,
+    DIVERGED,
+    SEED_NEWTON,
+    SEED_TRAPEZOID,
+    apply_method,
+)
 from cotesroot.tables import run_table
 
 
@@ -286,3 +293,55 @@ def test_criterion_10_simpson_seeding_matters(cubic_root_10000):
     ]
     finish(10, "step seeding decides the three-node order", checks,
            time.perf_counter() - start)
+
+
+THEOREM_PRECISION = 60
+
+
+def _theorem_order(m):
+    """The order the theorem gives: n+2 per level, n+1 for Newton-seeded n >= 2."""
+    def level(n):
+        return n + 1 if m.simpson_seed == SEED_NEWTON and n >= 2 else n + 2
+    return level(m.outer) * (1 if m.inner is None else level(m.inner))
+
+
+def _theorem_checks(text, z, m):
+    """Derivatives 1..q-1 of the map vanish at the root z and derivative q does not."""
+    p = THEOREM_PRECISION
+    q = _theorem_order(m)
+    derivs = map_derivatives_at(m, parse(text), bigreal(z, p), q, p)
+    label = f"{m} ({m.simpson_seed}) on {text}"
+    with mp.workdps(p + 10):
+        vanishing = [abs(d.value) / mp.factorial(k) for k, d in enumerate(derivs[:-1], 1)]
+        worst = max(vanishing, default=mp.mpf(0))
+        leading = abs(derivs[-1].value) / mp.factorial(q)
+        return [
+            (f"{label}: d_1..d_{q - 1} vanish", worst < mp.mpf(10) ** (10 - p),
+             f"max |d_k|/k! = {mp.nstr(worst, 3)}"),
+            (f"{label}: d_{q} does not", leading > mp.mpf("1e-6"),
+             f"|d_{q}|/{q}! = {mp.nstr(leading, 3)}"),
+        ]
+
+
+def test_criterion_11_order_theorem():
+    start = time.perf_counter()
+    with mp.workdps(THEOREM_PRECISION + 20):
+        simple = {
+            "x^3+2*x-5": mp.findroot(cubic, 1.5),
+            "x*exp(x)-1": mp.lambertw(1).real,
+            "exp(x)-2": mp.log(2),
+        }
+        double = {"(x^2-2)^2": mp.sqrt(2)}
+    checks = []
+    for seed in (SEED_TRAPEZOID, SEED_NEWTON):
+        for n in range(8):
+            for text, z in simple.items():
+                checks += _theorem_checks(text, z, MethodId(n, simpson_seed=seed))
+            for text, z in double.items():
+                checks += _theorem_checks(text, z, MethodId(n, transform=True,
+                                                             simpson_seed=seed))
+    for outer, inner in ((1, 0), (0, 1), (2, 1), (1, 2), (3, 2)):
+        checks += _theorem_checks("x^3+2*x-5", simple["x^3+2*x-5"],
+                                  MethodId(outer, inner=inner))
+    finish(11, "derivatives 1..q-1 of every map vanish at the root, derivative q not",
+           checks, time.perf_counter() - start, budget=15.0)

@@ -157,9 +157,9 @@ def test_map_derivatives_newton_on_tanh():
 def test_map_derivatives_validation():
     f = parse("x^2-4")
     with pytest.raises(ValueError):
-        map_derivatives_at(MethodId(0), f, bigreal(2, 100), 6, 400)
+        map_derivatives_at(MethodId(0), f, bigreal(2, 100), 0, 100)
     with pytest.raises(ValueError):
-        map_derivatives_at(MethodId(0), f, bigreal(2, 100), 5, 100)
+        map_derivatives_at(MethodId(0), f, bigreal(2, 100), 1, 14)
 
 
 # ------------------------------------------------------- reference roots
@@ -173,3 +173,14 @@ def test_bisect_root_sqrt2():
 def test_bisect_root_needs_sign_change():
     with pytest.raises(ValueError):
         bisect_root(parse("x^2+1"), -1, 1, 30)
+
+
+def test_bisect_root_rejects_reversed_bracket():
+    with pytest.raises(ValueError, match="lo <= hi"):
+        bisect_root(parse("x^2-2"), 2, 1, 60)
+
+
+@pytest.mark.parametrize("lo, hi", [("nan", 2), (1, "inf"), ("-inf", 2)])
+def test_bisect_root_rejects_nonfinite_bracket(lo, hi):
+    with pytest.raises(ValueError, match="finite"):
+        bisect_root(parse("x^2-2"), lo, hi, 30)

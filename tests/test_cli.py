@@ -112,6 +112,13 @@ def test_solve_rejects_tiny_digits(capsys):
     assert "digits" in err
 
 
+def test_solve_rejects_nan_tolerances(capsys):
+    code, _, err = run_cli(capsys, "solve", "-f", "x^2-2", "--x0", "1",
+                           "--step-tol", "nan", "--residual-tol", "nan")
+    assert code == 1
+    assert "step_tol" in err
+
+
 @pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
 def test_solve_rejects_nonfinite_start(capsys, x0):
     code, _, err = run_cli(capsys, "solve", "-f", "x^2-2", f"--x0={x0}", "--digits", "30")

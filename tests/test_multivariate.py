@@ -221,6 +221,13 @@ def test_nd_iterate_rejects_empty_budget(max_iter):
         nd_iterate(demo.function, demo.x0, precision=40, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("name", ["step_tol", "residual_tol", "divergence_bound"])
+def test_nd_iterate_rejects_nan_stop_rule(name):
+    demo = demo_system("circle-line")
+    with pytest.raises(ValueError, match=name):
+        nd_iterate(demo.function, demo.x0, precision=40, **{name: "nan"})
+
+
 @pytest.mark.parametrize("x0", [["nan", "0.5"], ["0.5", "nan"], ["inf", "0.5"], ["0.5", "-inf"]])
 def test_nd_iterate_rejects_nonfinite_start(x0):
     demo = demo_system("circle-line")

@@ -322,6 +322,13 @@ def test_problem_rejects_low_precision():
     ScalarProblem(parse("x^2-2"), bigreal(3, 15), precision=15)
 
 
+@pytest.mark.parametrize("name", ["step_tol", "residual_tol", "divergence_bound"])
+def test_problem_rejects_nan_stop_rule(name):
+    with pytest.raises(ValueError, match=name):
+        ScalarProblem(parse("1/x"), bigreal(1, 40), precision=40, max_iter=40,
+                      **{name: bigreal("nan", 40)})
+
+
 @pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
 def test_problem_rejects_nonfinite_start(x0):
     with pytest.raises(ValueError, match="x0"):
