@@ -16,7 +16,7 @@ import mpmath as mp
 from .bigreal import BigReal, as_mpf, check_digits, working_dps
 from .errors import InsufficientData, RoundoffFloor
 from .expr import Expression, _eval
-from .solver import MethodId, Trajectory, _check_finite, _method_map
+from .solver import MethodId, Trajectory, _check_finite, _method_map, _significant_digits
 
 STABLE_GAP = 0.15  # adjacent ratio gap below which the estimate counts as settled
 FLOOR_MARGIN = 15  # digits above the working precision reserved for roundoff noise
@@ -33,10 +33,7 @@ def significant_digits(x: BigReal, z: BigReal) -> BigReal:
     """-log10 of the absolute error; capped at the precision on an exact hit."""
     precision = max(x.precision, z.precision)
     with mp.workdps(working_dps(precision)):
-        err = abs(z.value - x.value)
-        if err == 0:
-            return BigReal(mp.mpf(precision), precision)
-        return BigReal(-mp.log10(err), precision)
+        return BigReal(_significant_digits(x.value, z.value, precision), precision)
 
 
 def _decreasing_run(values, floor):

@@ -15,6 +15,8 @@ from fractions import Fraction
 import mpmath as mp
 
 GUARD_DIGITS = 10
+# the precision of a solve that names none (CLI --digits, ScalarProblem, nd_iterate)
+DEFAULT_DIGITS = 50
 # below this the default stop tolerance 10^(10 - precision) is no longer small
 # enough to mean anything: at 10 digits or fewer it is >= 1 and a run
 # "converges" at its start point

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``weights`` (rule inspection), ``solve`` (run one method),
-``order`` (convergence-order measurement), ``table`` (recompute a published
-reference table), ``plotdata`` (per-iterate series for external plotting),
-and ``ndsolve`` (built-in multivariate demo systems).
+Subcommands: ``weights`` (rule inspection), ``solve`` (run one method and
+report every iterate), ``order`` (convergence-order measurement), ``table``
+(recompute a published reference table) and ``ndsolve`` (built-in
+multivariate demo systems).  ``solve --format csv`` is the per-iterate series
+for plotting: its ``s`` column is the significant digits against ``--root``
+and its ``step`` column the error estimate without one.
 
 Exit codes for solve-like commands: 0 converged, 2 breakdown or divergence,
 3 iteration budget exhausted (or not enough data for an order estimate),
@@ -16,14 +18,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-
-import mpmath as mp
 
 from . import __version__
 from .analysis import estimate_order, estimate_order_from_steps
-from .bigreal import MIN_DIGITS, bigreal, working_dps
+from .bigreal import DEFAULT_DIGITS, bigreal
 from .errors import CotesrootError, InsufficientData, RoundoffFloor
 from .expr import parse
 from .multivariate import demo_system, nd_iterate
@@ -42,21 +41,7 @@ from .solver import (
 )
 from .tables import TABLE_IDS, run_table
 
-DEFAULT_DIGITS = 50
 _EXIT_BY_KIND = {CONVERGED: 0, DIVERGED: 2, BREAKDOWN: 2, MAX_ITERATIONS: 3}
-
-
-def _default_digits() -> int:
-    env = os.environ.get("COTES_DEFAULT_DIGITS")
-    if env:
-        try:
-            value = int(env)
-            if value >= MIN_DIGITS:
-                return value
-        except ValueError:
-            pass
-        print(f"ignoring invalid COTES_DEFAULT_DIGITS={env!r}", file=sys.stderr)
-    return DEFAULT_DIGITS
 
 
 def _add_solve_flags(sub):
@@ -64,11 +49,14 @@ def _add_solve_flags(sub):
     sub.add_argument("-m", "--method", default="t0",
                      help="method spec: tN, tI_J (composition), optional +F suffix")
     sub.add_argument("--x0", required=True, help="starting point (decimal text)")
-    sub.add_argument("--digits", type=int, default=None, help="working precision in digits")
+    sub.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
+                     help="working precision in digits (default %(default)s)")
     sub.add_argument("--max-iter", type=int, default=30)
     sub.add_argument("--step-tol", default=None, help="stop when |step| is below this")
     sub.add_argument("--residual-tol", default=None, help="stop when |f(x)| is below this")
-    sub.add_argument("--root", default=None, help="known root, enables the s column")
+    sub.add_argument("--root", default=None,
+                     help="known root: enables the s column, and order uses it "
+                     "instead of the step-based estimate")
     sub.add_argument(
         "--simpson-seed",
         choices=(SEED_TRAPEZOID, SEED_NEWTON),
@@ -99,22 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = subs.add_parser("order", help="measure the convergence order")
     _add_solve_flags(o)
-    o.add_argument("--three-point", action="store_true",
-                   help="step-based estimate; no known root required")
 
     t = subs.add_parser("table", help="recompute a published reference table")
     t.add_argument("id", choices=TABLE_IDS)
     t.add_argument("--digits", type=int, default=None, help="override the precision preset")
     t.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    p = subs.add_parser("plotdata", help="emit per-iterate series as CSV")
-    _add_solve_flags(p)
-    p.add_argument("--metric", choices=("error", "sdigits"), default="error")
-
     n = subs.add_parser("ndsolve", help="run a built-in multivariate demo system")
     n.add_argument("--system", choices=("affine", "circle-line"), required=True)
     n.add_argument("--kind", choices=("newton", "trap", "simpson"), default="newton")
-    n.add_argument("--digits", type=int, default=None)
+    n.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     n.add_argument("--max-iter", type=int, default=30)
     n.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -143,20 +125,19 @@ def _cmd_weights(args) -> int:
 
 def _solve(args):
     """The problem the solve flags describe, and its trajectory."""
-    digits = _default_digits() if args.digits is None else args.digits
     method = MethodId.parse(args.method, simpson_seed=args.simpson_seed)
     f = parse(args.function)
     kwargs = {}
     if args.step_tol is not None:
-        kwargs["step_tol"] = bigreal(args.step_tol, digits)
+        kwargs["step_tol"] = bigreal(args.step_tol, args.digits)
     if args.residual_tol is not None:
-        kwargs["residual_tol"] = bigreal(args.residual_tol, digits)
+        kwargs["residual_tol"] = bigreal(args.residual_tol, args.digits)
     if args.root is not None:
-        kwargs["known_root"] = bigreal(args.root, digits)
+        kwargs["known_root"] = bigreal(args.root, args.digits)
     problem = ScalarProblem(
         f,
-        bigreal(args.x0, digits),
-        precision=digits,
+        bigreal(args.x0, args.digits),
+        precision=args.digits,
         max_iter=args.max_iter,
         **kwargs,
     )
@@ -232,12 +213,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    if args.root is None and not args.three_point:
-        print("order needs --root or --three-point", file=sys.stderr)
-        return 1
     problem, traj = _solve(args)
     try:
-        if args.three_point:
+        if problem.known_root is None:
             estimate = estimate_order_from_steps(traj)
         else:
             estimate = estimate_order(traj, problem.known_root)
@@ -290,37 +268,16 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _cmd_plotdata(args) -> int:
-    if args.metric == "sdigits" and args.root is None:
-        print("metric 'sdigits' needs --root", file=sys.stderr)
-        return 1
-    problem, traj = _solve(args)
-    with mp.workdps(working_dps(problem.precision)):
-        if args.metric == "sdigits":
-            values = [(rec.k, rec.s.value) for rec in traj.iterates[1:] if rec.s is not None]
-        elif problem.known_root is not None:
-            root = problem.known_root.value
-            values = [(rec.k, abs(rec.x.value - root)) for rec in traj.iterates[1:]]
-        else:
-            # without a root the step to the next iterate estimates the error
-            values = [(rec.k, abs(rec.step.value)) for rec in traj.iterates
-                      if rec.step is not None]
-        rows = [[k, mp.nstr(v, 8)] for k, v in values]
-    _print_csv([["iteration", args.metric]] + rows)
-    return _EXIT_BY_KIND[traj.termination.kind]
-
-
 def _cmd_ndsolve(args) -> int:
-    digits = _default_digits() if args.digits is None else args.digits
     kind = {"newton": "newton", "trap": "trapezoidal", "simpson": "simpson"}[args.kind]
     demo = demo_system(args.system)
-    traj = nd_iterate(demo.function, demo.x0, kind=kind, precision=digits,
+    traj = nd_iterate(demo.function, demo.x0, kind=kind, precision=args.digits,
                       max_iter=args.max_iter)
     if args.format == "json":
         print(json.dumps({
             "system": args.system,
             "kind": kind,
-            "digits": digits,
+            "digits": args.digits,
             "iterates": [
                 {
                     "k": rec.k,
@@ -333,7 +290,7 @@ def _cmd_ndsolve(args) -> int:
             "termination": vars(traj.termination),
         }, indent=2))
     else:
-        shown = min(digits, 30)
+        shown = min(args.digits, 30)
         for rec in traj.iterates:
             point = ", ".join(v.decimal(shown) for v in rec.x)
             norm = "" if rec.residual_norm is None else \
@@ -349,7 +306,6 @@ _COMMANDS = {
     "solve": _cmd_solve,
     "order": _cmd_order,
     "table": _cmd_table,
-    "plotdata": _cmd_plotdata,
     "ndsolve": _cmd_ndsolve,
 }
 

@@ -15,7 +15,7 @@ import mpmath as mp
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bigreal import BigReal, as_mpf, working_dps
+from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, working_dps
 from .errors import SingularMatrix
 from .solver import (SEED_TRAPEZOID, Termination, _check_finite, _finite, _ladder_full,
                      _outer_loop, _stop_rules)
@@ -142,8 +142,8 @@ def _level(kind: str) -> int:
     return _LEVELS[kind]
 
 
-def _vector_map(n, func, x, precision):
-    """Level n of the ladder at the point x (a _Point)."""
+def _vector_map(n, func, x, fx, precision):
+    """Level n of the ladder at the point x (a _Point) with residual fx there."""
     d = func.dimension
 
     def jacobian(p):
@@ -152,7 +152,6 @@ def _vector_map(n, func, x, precision):
     def solve(b, c, f):
         return _lu_solve(b, [c * v for v in f], precision)
 
-    fx = _as_vector(func.residual(x), d)
     ys, _ = _ladder_full(n, x, fx, jacobian(x), jacobian, _jacobian_sum, solve,
                          SEED_TRAPEZOID)
     return ys[n]
@@ -161,10 +160,11 @@ def _vector_map(n, func, x, precision):
 def nd_step(kind: str, func: VectorFunction, x, precision: int) -> list[BigReal]:
     """One step of the chosen kind from a finite x; a NaN or inf result raises Breakdown."""
     level = _level(kind)
+    d = func.dimension
     with mp.workdps(working_dps(precision)):
-        point = _Point(_as_vector(x, func.dimension))
+        point = _Point(_as_vector(x, d))
         _check_finite("x", point)
-        y = _vector_map(level, func, point, precision)
+        y = _vector_map(level, func, point, _as_vector(func.residual(point), d), precision)
         _finite(_max_norm(y))
         return [BigReal(v, precision) for v in y]
 
@@ -173,7 +173,7 @@ def nd_iterate(
     func: VectorFunction,
     x0,
     kind: str = "newton",
-    precision: int = 50,
+    precision: int = DEFAULT_DIGITS,
     max_iter: int = 30,
     step_tol=None,
     residual_tol=None,
@@ -187,7 +187,7 @@ def nd_iterate(
         points, steps, termination = _outer_loop(
             x,
             lambda p: _as_vector(func.residual(p), d),
-            lambda p: _vector_map(level, func, p, precision),
+            lambda p, fp: _vector_map(level, func, p, fp, precision),
             _max_norm,
             max_iter,
             *_stop_rules(precision, x, max_iter, step_tol, residual_tol, divergence_bound),

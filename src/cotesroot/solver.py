@@ -27,7 +27,7 @@ from typing import Optional
 
 import mpmath as mp
 
-from .bigreal import BigReal, as_mpf, check_digits, working_dps
+from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, check_digits, working_dps
 from .errors import Breakdown, DomainError
 from .expr import Expression, _eval
 from .quadrature import MAX_RULE, builtin_rule
@@ -97,7 +97,7 @@ class ScalarProblem:
 
     f: Expression
     x0: BigReal
-    precision: int = 50
+    precision: int = DEFAULT_DIGITS
     max_iter: int = 30
     step_tol: Optional[BigReal] = None
     residual_tol: Optional[BigReal] = None
@@ -284,28 +284,29 @@ def _stop_rules(precision, x0, max_iter, step_tol, residual_tol, divergence_boun
 
 
 def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound):
-    """Iterate x <- step(x) until a stop rule fires; scalars and vectors alike.
+    """Iterate x <- step(x, f(x)) until a stop rule fires; scalars and vectors alike.
 
     ``norm`` is abs or the max norm; a NaN anywhere must make it NaN.  Pass 0
-    takes x0, which ``_stop_rules`` checked, each later pass one step.  Returns
-    the (iterate, residual or None) pairs, the steps and the termination.  Any
-    Breakdown ends the run, keeping its iterate; it is never raised, and no
-    residual is evaluated at a non-finite point.
+    takes x0, which ``_stop_rules`` checked, each later pass one step from the
+    residual the previous pass took.  Returns the (iterate, residual or None)
+    pairs, the steps and the termination.  Any Breakdown ends the run, keeping
+    its iterate; it is never raised.  A non-finite iterate is a breakdown and
+    one outside the bound ends the run diverged, both before (and without) the
+    residual there.
     """
-    points, steps = [], []
+    points, steps, fx = [], [], None
     try:
         for _ in range(max_iter + 1):
             if points:
-                xn = step(x)
+                xn = step(x, fx)
                 steps.append(xn - x)
                 x = xn
             points.append((x, None))
-            x_norm = _finite(norm(x))
+            if _finite(norm(x)) > bound:
+                return points, steps, Termination(DIVERGED)
             fx = residual(x)
             points[-1] = (x, fx)
             fx_norm = _finite(norm(fx))
-            if x_norm > bound:
-                return points, steps, Termination(DIVERGED)
             if steps and norm(steps[-1]) < step_tol:
                 return points, steps, Termination(CONVERGED, "step")
             if fx_norm < residual_tol:
@@ -315,15 +316,22 @@ def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound
     return points, steps, Termination(MAX_ITERATIONS)
 
 
+def _significant_digits(x, z, precision):
+    """s = -log10|z - x| on mpf, or ``precision`` on an exact hit."""
+    err = abs(z - x)
+    return mp.mpf(precision) if err == 0 else -mp.log10(err)
+
+
 def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
     """Run the outer iteration until a stop rule fires: small step, small
     residual, iteration budget, the divergence bound, or a recorded breakdown."""
     precision = problem.precision
     with mp.workdps(working_dps(precision)):
+        method_map = _method_map(m, problem.f, precision)
         points, steps, termination = _outer_loop(
             as_mpf(problem.x0),
             lambda x: _eval(problem.f, x, 0),
-            _method_map(m, problem.f, precision),
+            lambda x, fx: method_map(x),  # the ladder takes f(x) from its own jet
             abs,
             problem.max_iter,
             as_mpf(problem.step_tol),
@@ -335,11 +343,8 @@ def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
         def wrap(value):
             return None if value is None else BigReal(value, precision)
 
-        def sdigits(value):
-            if root is None:
-                return None
-            err = abs(root - value)
-            return wrap(mp.mpf(precision) if err == 0 else -mp.log10(err))
+        def sdigits(x):
+            return None if root is None else wrap(_significant_digits(x, root, precision))
 
         records = tuple(
             IterateRecord(k, wrap(x), wrap(fx), wrap(steps[k] if k < len(steps) else None),

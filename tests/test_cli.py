@@ -6,10 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import cotesroot
-from cotesroot import run_table
+from cotesroot import (MethodId, ScalarProblem, bigreal, estimate_order_from_steps, iterate,
+                       parse, run_table)
+from cotesroot.bigreal import DEFAULT_DIGITS
 from cotesroot.cli import main
 
 
@@ -147,12 +150,11 @@ def test_table_row_reproducible_via_solve(capsys):
     assert s == pytest.approx(row.computed, abs=1e-4)
 
 
-def test_solve_env_default_digits(capsys, monkeypatch):
-    monkeypatch.setenv("COTES_DEFAULT_DIGITS", "72")
+def test_solve_default_digits(capsys):
     code, out, _ = run_cli(capsys, "solve", "-f", "x^2-2", "-m", "t0",
                            "--x0", "1.5", "--format", "json")
     assert code == 0
-    assert json.loads(out)["config"]["digits"] == 72
+    assert json.loads(out)["config"]["digits"] == DEFAULT_DIGITS == 50
 
 
 # ------------------------------------------------------------- order
@@ -167,16 +169,25 @@ def test_order_newton_on_tanh(capsys):
 
 def test_order_three_point(capsys):
     code, out, _ = run_cli(capsys, "order", "-f", "x^2-2", "-m", "t0",
-                           "--x0", "1.5", "--digits", "300", "--three-point",
+                           "--x0", "1.5", "--digits", "300",
                            "--max-iter", "12", "--format", "json")
     assert code == 0
     assert float(json.loads(out)["q"]) == pytest.approx(2.0, abs=0.2)
 
 
-def test_order_requires_root_or_mode(capsys):
-    code, _, err = run_cli(capsys, "order", "-f", "x^2-2", "--x0", "1.5")
-    assert code == 1
-    assert "three-point" in err
+def test_order_without_root_uses_steps(capsys):
+    # no --root: the three-point estimate from consecutive steps
+    argv = ("order", "-f", "x^2-2", "-m", "t0", "--x0", "1.5", "--digits", "300",
+            "--max-iter", "12", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    traj = iterate(ScalarProblem(parse("x^2-2"), bigreal("1.5", 300), precision=300,
+                                 max_iter=12), MethodId.parse("t0"))
+    expected = estimate_order_from_steps(traj)
+    data = json.loads(out)
+    assert data["q"] == expected.q.decimal(6)
+    assert data["samples_used"] == expected.samples_used
+    assert float(data["q"]) == pytest.approx(2.0, abs=0.2)
 
 
 def test_order_insufficient_data_exit_code(capsys):
@@ -216,67 +227,69 @@ def test_table_unknown_id(capsys):
         main(["table", "tab9"])
 
 
-# ------------------------------------------------------------- plotdata
+# ------------------------------------------------------- per-iterate series
+# `solve --format csv` is the per-iterate report: the s column against --root,
+# and the step column as the error estimate without one.
 
-def _sdigits_rows(capsys, method):
-    code, out, _ = run_cli(capsys, "plotdata", "-f", "tanh(x-1)", "-m", method,
-                           "--x0", "2.0", "--digits", "60", "--root", "1",
-                           "--metric", "sdigits", "--max-iter", "2",
-                           "--residual-tol", "1e-55", "--step-tol", "1e-55")
+SQRT2 = "1.4142135623730950488016887242096980785696718753769"
+
+
+def _solve_csv(capsys, *argv):
+    code, out, _ = run_cli(capsys, "solve", *argv, "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    return code, rows
+
+
+def _s_column(capsys, method):
+    code, rows = _solve_csv(capsys, "-f", "tanh(x-1)", "-m", method,
+                            "--x0", "2.0", "--digits", "60", "--root", "1",
+                            "--max-iter", "2", "--residual-tol", "1e-55",
+                            "--step-tol", "1e-55")
     assert code in (0, 3)
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["iteration", "sdigits"]
-    return {int(k): float(v) for k, v in rows[1:]}
+    return {int(row["k"]): float(row["s"]) for row in rows}
 
 
-def test_plotdata_simpson_beats_lower_orders(capsys):
-    s = {m: _sdigits_rows(capsys, m) for m in ("t0", "t1", "t2")}
+def test_solve_csv_simpson_beats_lower_orders(capsys):
+    s = {m: _s_column(capsys, m) for m in ("t0", "t1", "t2")}
     for k in (1, 2):
         assert s["t2"][k] > s["t1"][k] > s["t0"][k]
 
 
-def test_plotdata_t4_second_iterate(capsys):
-    rows = _sdigits_rows(capsys, "t4")
-    assert rows[2] > 17
+def test_solve_csv_t4_second_iterate(capsys):
+    assert _s_column(capsys, "t4")[2] > 17
 
 
-def test_plotdata_zero_iterations_header_only(capsys):
-    code, out, _ = run_cli(capsys, "plotdata", "-f", "x^2-4", "-m", "t0",
-                           "--x0", "2", "--digits", "40", "--root", "2",
-                           "--metric", "sdigits")
+def test_solve_csv_start_at_root_is_one_row(capsys):
+    code, rows = _solve_csv(capsys, "-f", "x^2-4", "-m", "t0", "--x0", "2",
+                            "--digits", "40", "--root", "2")
     assert code == 0
-    assert out.strip() == "iteration,sdigits"
+    assert [(row["k"], row["step"], row["s"]) for row in rows] == [("0", "", "40.0")]
 
 
-def test_plotdata_error_metric_without_root_uses_steps(capsys):
-    code, out, _ = run_cli(capsys, "plotdata", "-f", "x^2-2", "-m", "t0",
-                           "--x0", "1.5", "--digits", "40")
+def test_solve_csv_step_column_without_root(capsys):
+    code, rows = _solve_csv(capsys, "-f", "x^2-2", "-m", "t0", "--x0", "1.5",
+                            "--digits", "40")
     assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["iteration", "error"]
-    assert len(rows) > 2
+    assert {row["s"] for row in rows} == {""}
+    steps = [abs(mp.mpf(row["step"])) for row in rows[:-1]]
+    assert rows[-1]["step"] == ""
+    assert [mp.nstr(v, 8) for v in steps[:5]] == [
+        "0.083333333", "0.0024509804", "2.1238998e-6", "1.5948618e-12", "8.9929283e-25"]
+    assert steps == sorted(steps, reverse=True)
 
 
-def test_plotdata_error_metric_with_root(capsys):
-    # |x_k - z| for k >= 1 at 8 significant digits; the iterates of Newton on
-    # x^2 - 2 from 1.5 lose their error quadratically
-    code, out, _ = run_cli(capsys, "plotdata", "-f", "x^2-2", "-m", "t0",
-                           "--x0", "1.5", "--digits", "40", "--max-iter", "4", "--root",
-                           "1.4142135623730950488016887242096980785696718753769")
-    assert code == 3  # four steps do not reach the 10^-30 stop tolerances
-    assert out.splitlines() == [
-        "iteration,error",
-        "1,0.0024531043",
-        "2,2.1239014e-6",
-        "3,1.5948618e-12",
-        "4,8.9929283e-25",
-    ]
-
-
-def test_plotdata_sdigits_requires_root(capsys):
-    code, _, err = run_cli(capsys, "plotdata", "-f", "x^2-2", "-m", "t0",
-                           "--x0", "1.5", "--metric", "sdigits")
-    assert code == 1
+def test_solve_csv_s_column_with_root(capsys):
+    # Newton on x^2 - 2 from 1.5 roughly doubles s per step; four steps do not
+    # reach the 10^-30 stop tolerances
+    code, rows = _solve_csv(capsys, "-f", "x^2-2", "-m", "t0", "--x0", "1.5",
+                            "--digits", "40", "--max-iter", "4", "--root", SQRT2)
+    assert code == 3
+    assert [row["s"] for row in rows] == [
+        "1.0665814", "2.610284", "5.6728656", "11.797277", "24.046099"]
+    # |x_k - z| for k >= 1 from the x column, at 8 significant digits
+    with mp.workdps(50):
+        errors = [mp.nstr(abs(mp.mpf(row["x"]) - mp.mpf(SQRT2)), 8) for row in rows[1:]]
+    assert errors == ["0.0024531043", "2.1239014e-6", "1.5948618e-12", "8.9929283e-25"]
 
 
 # ------------------------------------------------------------- ndsolve

@@ -18,7 +18,7 @@ from cotesroot import (
 )
 from cotesroot.expr import eval_jet
 from cotesroot.multivariate import _max_norm
-from cotesroot.solver import BREAKDOWN, CONVERGED, MethodId, apply_method
+from cotesroot.solver import BREAKDOWN, CONVERGED, DIVERGED, MethodId, Termination, apply_method
 
 KIND_LEVELS = [("newton", 0), ("trapezoidal", 1), ("simpson", 2)]
 
@@ -285,6 +285,38 @@ def test_nd_iterate_nan_iterate_is_kept_without_a_residual():
     assert mp.isnan(traj.final.x[1].value)
     assert traj.final.residual_norm is None
     assert all(mp.isfinite(v) for point in calls for v in point)  # never at the NaN iterate
+
+
+def test_nd_iterate_evaluates_each_residual_once():
+    # circle-line Newton at 60 digits records 8 iterates; each step reuses the
+    # residual the loop took at its start point
+    demo = demo_system("circle-line")
+    calls = []
+
+    def residual(p):
+        calls.append(list(p))
+        return demo.function.residual(p)
+
+    f = VectorFunction(2, residual, demo.function.jacobian)
+    traj = nd_iterate(f, demo.x0, kind="newton", precision=60)
+    assert traj.termination == Termination(CONVERGED, "residual")
+    assert len(traj.iterates) == len(calls) == 8
+    # the same bits as a chain of single steps, each taking its own residual
+    x = [bigreal(v, 60) for v in demo.x0]
+    for rec in traj.iterates[1:]:
+        x = nd_step("newton", demo.function, x, 60)
+        assert rec.x == tuple(x)
+    assert [v.decimal() for v in traj.final.x] == [
+        "0.70710678118654752440084436210484903928483593768847403658834"] * 2
+
+
+def test_nd_iterate_diverged_iterate_has_no_residual():
+    # t0 on tanh(x-1) from -5 goes to 4.1e4 and then to -8.7e35335, outside
+    # the default bound 6e6
+    traj = nd_iterate(scalar_as_vector("tanh(x-1)", 30), ["-5"], precision=30)
+    assert traj.termination == Termination(DIVERGED)
+    assert len(traj.iterates) == 3
+    assert traj.final.residual_norm is None
 
 
 def test_nd_step_nonfinite_result_is_a_breakdown():

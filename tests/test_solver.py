@@ -16,6 +16,7 @@ from cotesroot import (
     eval_jet,
     parse,
 )
+from cotesroot import solver
 from cotesroot.solver import (
     BREAKDOWN,
     CONVERGED,
@@ -256,6 +257,28 @@ def test_iterate_flat_tail_diverges():
         problem = ScalarProblem(parse("tanh(x-1)"), bigreal(x0, 30), precision=30)
         traj = iterate(problem, MethodId(0))
         assert traj.termination.kind == DIVERGED
+
+
+def test_iterate_diverged_iterate_has_no_residual(monkeypatch):
+    # t0 on x*exp(x)-1 from -3 jumps to about -6.7e66363, far outside the
+    # bound: the run ends there without the residual at that point
+    bound = mp.mpf(10) ** 6 * 4
+    residual_points = []
+    real_eval = solver._eval
+
+    def recording_eval(f, x, order):
+        if order == 0:
+            residual_points.append(x)
+        return real_eval(f, x, order)
+
+    monkeypatch.setattr(solver, "_eval", recording_eval)
+    problem = ScalarProblem(parse("x*exp(x)-1"), bigreal(-3, 30), precision=30)
+    traj = iterate(problem, MethodId(0))
+    assert traj.termination == Termination(DIVERGED)
+    assert traj.final.fx is None
+    assert traj.final.x.decimal(5) == "-6.6852e+66363"
+    assert len(residual_points) == len(traj.iterates) - 1
+    assert all(abs(x) <= bound for x in residual_points)
 
 
 def test_iterate_repelling_fixed_point_diverges():
