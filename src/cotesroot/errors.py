@@ -22,7 +22,10 @@ class UnknownIdentifier(ParseError):
 
 
 class Breakdown(CotesrootError, ArithmeticError):
-    """A map application or evaluation broke down; carries the breakdown kind."""
+    """A map application or evaluation broke down; carries the breakdown kind.
+
+    ``level`` is the ladder level it happened at, or None outside a ladder.
+    """
 
     ZERO_DERIVATIVE = "zero_derivative"
     ZERO_DENOMINATOR = "zero_denominator"
@@ -33,6 +36,7 @@ class Breakdown(CotesrootError, ArithmeticError):
     def __init__(self, kind: str, message: str = ""):
         super().__init__(message or kind)
         self.kind = kind
+        self.level = None
 
 
 class SingularMatrix(Breakdown):

@@ -142,8 +142,9 @@ def _level(kind: str) -> int:
     return _LEVELS[kind]
 
 
-def _vector_map(n, func, x, fx, precision):
-    """Level n of the ladder at the point x (a _Point) with residual fx there."""
+def _vector_map(n, func, x, fx, precision, bound=None):
+    """Level n of the ladder at the point x (a _Point) with residual fx there;
+    every node must stay inside ``bound`` in the max norm."""
     d = func.dimension
 
     def jacobian(p):
@@ -153,7 +154,7 @@ def _vector_map(n, func, x, fx, precision):
         return _lu_solve(b, [c * v for v in f], precision)
 
     ys, _ = _ladder_full(n, x, fx, jacobian(x), jacobian, _jacobian_sum, solve,
-                         SEED_TRAPEZOID)
+                         SEED_TRAPEZOID, _max_norm, bound)
     return ys[n]
 
 
@@ -184,13 +185,17 @@ def nd_iterate(
     d = func.dimension
     with mp.workdps(working_dps(precision)):
         x = _Point(_as_vector(x0, d))
+        step_tol, residual_tol, bound = _stop_rules(precision, x, max_iter, step_tol,
+                                                    residual_tol, divergence_bound)
         points, steps, termination = _outer_loop(
             x,
             lambda p: _as_vector(func.residual(p), d),
-            lambda p, fp: _vector_map(level, func, p, fp, precision),
+            lambda p, fp: _vector_map(level, func, p, fp, precision, bound),
             _max_norm,
             max_iter,
-            *_stop_rules(precision, x, max_iter, step_tol, residual_tol, divergence_bound),
+            step_tol,
+            residual_tol,
+            bound,
         )
 
         def norm(vec):

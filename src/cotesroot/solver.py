@@ -22,7 +22,9 @@ table-reproduction layer selects it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 import mpmath as mp
@@ -42,6 +44,9 @@ BREAKDOWN = "breakdown"
 DIVERGED = "diverged"
 
 _RULES = [builtin_rule(n) for n in range(MAX_RULE + 1)]
+
+# guard digits of a reduced pass of iterate's precision schedule
+_SCHEDULE_GUARD = 20
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,8 @@ class IterateRecord:
 class Termination:
     kind: str  # converged | max_iterations | breakdown | diverged
     detail: Optional[str] = None  # step/residual for converged, the Breakdown kind
+    message: Optional[str] = None  # why a breakdown or a ladder-node divergence happened
+    level: Optional[int] = None  # the ladder level it happened at, when inside a ladder
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,16 @@ class _TransformTarget(_PlainTarget):
         return -v / d1, v * d2 / (d1 * d1) - 1
 
 
-def _ladder_full(n, x, fx, slope0, slope_at, weighted_sum, solve, simpson_seed):
+class _OutsideBound(Exception):
+    """A ladder node left the divergence bound; the outer loop ends the run diverged."""
+
+    def __init__(self, level: int):
+        super().__init__("a ladder node left the divergence bound")
+        self.level = level
+
+
+def _ladder_full(n, x, fx, slope0, slope_at, weighted_sum, solve, simpson_seed,
+                 norm=abs, bound=None):
     """Map values y_0..y_n at x plus the weighted slope sums B_0..B_n.
 
     One ladder serves scalars and vectors.  ``fx`` and ``slope0`` are the
@@ -183,18 +199,30 @@ def _ladder_full(n, x, fx, slope0, slope_at, weighted_sum, solve, simpson_seed):
     supplies ``slope_at(p)``, ``weighted_sum(weights, slopes)`` and
     ``solve(B, c, F)``, the u with B u = c F, which raises Breakdown when B
     is numerically singular.  Points need only ``+``, ``-`` and ``*``, ``/``
-    by an integer.
+    by an integer.  With a ``bound`` that x is inside, a level whose last node
+    x + k h has a ``norm`` above it raises ``_OutsideBound`` before any slope
+    of the level is taken: a norm is convex, so the nodes between x and the
+    last one are inside whenever both ends are.  A Breakdown leaves with
+    ``level`` set to the level being built.
     """
-    ys = [x - solve(slope0, 1, fx)]
-    sums = [slope0]
-    for k in range(1, n + 1):
-        rule = _RULES[k]
-        base = ys[0] if (k == 2 and simpson_seed == SEED_NEWTON) else ys[k - 1]
-        h = (base - x) / k
-        slopes = [slope0] + [slope_at(x + i * h) for i in range(1, k + 1)]
-        b = weighted_sum(rule.weights, slopes)
-        ys.append(x - solve(b, rule.c, fx))
-        sums.append(b)
+    k = 0
+    try:
+        ys = [x - solve(slope0, 1, fx)]
+        sums = [slope0]
+        for k in range(1, n + 1):
+            rule = _RULES[k]
+            base = ys[0] if (k == 2 and simpson_seed == SEED_NEWTON) else ys[k - 1]
+            h = (base - x) / k
+            nodes = [x + i * h for i in range(1, k + 1)]
+            if bound is not None and norm(nodes[-1]) > bound:
+                raise _OutsideBound(k)
+            slopes = [slope0] + [slope_at(p) for p in nodes]
+            b = weighted_sum(rule.weights, slopes)
+            ys.append(x - solve(b, rule.c, fx))
+            sums.append(b)
+    except Breakdown as exc:
+        exc.level = k
+        raise
     return ys, sums
 
 
@@ -202,15 +230,19 @@ def _weighted_sum(weights, slopes):
     return sum(w * s for w, s in zip(weights, slopes))
 
 
-def _scalar_ladder(n, target, x, simpson_seed, precision):
+def _scalar_ladder(n, target, x, simpson_seed, precision, bound=None):
     """The ladder on a scalar target: slopes are f', the solve is a division.
 
     Raises Breakdown when a denominator vanishes: exactly-zero slope at the
-    base point, or a slope sum more than ~precision digits below it.
+    base point (level 0), or a slope sum more than ~precision digits below it.
     """
-    fx, slope0 = target.pair(x)
-    if slope0 == 0:
-        raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
+    try:
+        fx, slope0 = target.pair(x)
+        if slope0 == 0:
+            raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
+    except Breakdown as exc:
+        exc.level = 0
+        raise
     # cancellation trap for the weighted slope sums, relative to the slope
     # at this step's base point
     tiny = mp.mpf(10) ** (5 - precision) * abs(slope0)
@@ -221,20 +253,40 @@ def _scalar_ladder(n, target, x, simpson_seed, precision):
         return c * f / b
 
     return _ladder_full(n, x, fx, slope0, lambda p: target.pair(p)[1], _weighted_sum,
-                        solve, simpson_seed)
+                        solve, simpson_seed, bound=bound)
 
 
-def _method_map(m: MethodId, f: Expression, precision: int):
-    """x -> t(x) on working-precision values; a composition applies inner first."""
+def _levels(m: MethodId) -> tuple[int, ...]:
+    """The ladders a map runs, in the order it runs them: inner first."""
+    return (m.outer,) if m.inner is None else (m.inner, m.outer)
+
+
+def _method_map(m: MethodId, f: Expression, precision: int, bound=None):
+    """x -> t(x) on working-precision values; a composition applies inner first.
+
+    ``bound`` is the divergence bound every ladder node must stay inside; x
+    must be inside it, and so must a composition's inner result, the outer
+    ladder's base point (else ``_OutsideBound`` at level 0).
+    """
     target = _TransformTarget(f) if m.transform else _PlainTarget(f)
-    levels = (m.outer,) if m.inner is None else (m.inner, m.outer)
+    levels = _levels(m)
 
     def apply(x):
-        for n in levels:
-            x = _scalar_ladder(n, target, x, m.simpson_seed, precision)[0][n]
+        for i, n in enumerate(levels):
+            if i and bound is not None and abs(x) > bound:
+                raise _OutsideBound(0)
+            x = _scalar_ladder(n, target, x, m.simpson_seed, precision, bound)[0][n]
         return x
 
     return apply
+
+
+def _nominal_order(m: MethodId) -> int:
+    """The theorem's order: n+2 per level, n+1 for n >= 2 under the Newton
+    seeding, and the product for a composition.  A lower bound on a simple
+    root: a vanishing f'' there (tanh(x-1) at 1) raises the true order."""
+    return math.prod(n + 1 if n >= 2 and m.simpson_seed == SEED_NEWTON else n + 2
+                     for n in _levels(m))
 
 
 def apply_method(m: MethodId, f: Expression, x, precision: int) -> BigReal:
@@ -290,9 +342,11 @@ def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound
     takes x0, which ``_stop_rules`` checked, each later pass one step from the
     residual the previous pass took.  Returns the (iterate, residual or None)
     pairs, the steps and the termination.  Any Breakdown ends the run, keeping
-    its iterate; it is never raised.  A non-finite iterate is a breakdown and
-    one outside the bound ends the run diverged, both before (and without) the
-    residual there.
+    its iterate; it is never raised, and the termination carries its message
+    and ladder level.  A non-finite iterate is a breakdown and one outside the
+    bound ends the run diverged, both before (and without) the residual there;
+    a step whose ladder left the bound (``_OutsideBound``) ends it diverged at
+    the last iterate.
     """
     points, steps, fx = [], [], None
     try:
@@ -312,7 +366,9 @@ def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound
             if fx_norm < residual_tol:
                 return points, steps, Termination(CONVERGED, "residual")
     except Breakdown as exc:
-        return points, steps, Termination(BREAKDOWN, exc.kind)
+        return points, steps, Termination(BREAKDOWN, exc.kind, str(exc), exc.level)
+    except _OutsideBound as exc:
+        return points, steps, Termination(DIVERGED, None, str(exc), exc.level)
     return points, steps, Termination(MAX_ITERATIONS)
 
 
@@ -322,21 +378,99 @@ def _significant_digits(x, z, precision):
     return mp.mpf(precision) if err == 0 else -mp.log10(err)
 
 
+def _correct_digits(correction) -> float:
+    """-log10 of a positive Newton correction |f/f'|: about the correct digits
+    of the point it was taken at.  The log is taken on a float, or from the
+    binary exponent below 1e-300, never at the working precision."""
+    if correction > 1e-300:
+        return -math.log10(float(correction))
+    return -mp.mag(correction) * math.log10(2)
+
+
+def _scheduled_step(m: MethodId, f: Expression, precision: int, max_iter: int, bound):
+    """``iterate``'s step: each pass at the precision its iterate can use.
+
+    Pass k maps x_k, with about s correct digits, to x_{k+1} with about q·s,
+    q the nominal order.  So it runs at P = q·s + _SCHEDULE_GUARD digits when
+    4·P is at most the precision p (Brent & Zimmermann, Modern Computer
+    Arithmetic, 2010, section 4.2: Newton with increasing working precision).
+    s is -log10|f/f'|: at x_0 from the full-precision residual and a 30-digit
+    f', which does not cancel near a simple root; at a later x_k from the
+    check below.  Always at p: every pass below 4·_SCHEDULE_GUARD digits,
+    every pass of a "+F" map (F = -f/f' cancels near a multiple root), the pass
+    that reaches ``max_iter`` and every pass after one run at p.  A reduced pass
+    is redone at p when it breaks down, leaves the bound, moves x by no more
+    than its own rounding, or returns an x_{k+1} whose Newton correction (at
+    P + _SCHEDULE_GUARD digits) shows it as accurate as P digits allow: the
+    nominal order is a lower bound, and a pass that gains more is cut short by
+    P, not by the map.  Residuals, stop rules and reported iterates stay at p.
+    """
+    full = _method_map(m, f, precision, bound)
+    if precision < 4 * _SCHEDULE_GUARD or m.transform:
+        return lambda x, fx: full(x)  # the ladder takes f(x) from its own jet
+    q = _nominal_order(m)
+    passes = count(1)
+    digits = None  # estimated correct digits of the current iterate; False once at p
+
+    def initial_digits(x, fx):
+        with mp.workdps(30):
+            slope = _eval(f, x, 1)[1]
+            return None if slope == 0 else _correct_digits(abs(fx / slope))
+
+    def reduced(x, s):
+        """(x_{k+1}, its digits) from a pass at P digits, or None where that
+        does not pay or cannot be trusted."""
+        work = math.ceil(q * max(s, 0.0)) + _SCHEDULE_GUARD
+        if 4 * work > precision:
+            return None
+        with mp.workdps(working_dps(work)):
+            xn = _method_map(m, f, work, bound)(+x)
+            if abs(xn - x) <= mp.mpf(10) ** (3 - work) * max(1, abs(x)):
+                return None
+        with mp.workdps(working_dps(work + _SCHEDULE_GUARD)):
+            value, slope = _eval(f, xn, 1)
+            if slope == 0:
+                return None
+            correction = abs(value / slope)
+            if correction <= mp.mpf(10) ** (10 - work) * max(1, abs(xn)):
+                return None
+        return xn, _correct_digits(correction)
+
+    def step(x, fx):
+        nonlocal digits
+        if digits is not False and next(passes) < max_iter:
+            try:
+                if digits is None:
+                    digits = initial_digits(x, fx)
+                result = None if digits is None else reduced(x, digits)
+            except (Breakdown, _OutsideBound):
+                result = None
+            if result is not None:
+                xn, digits = result
+                return xn
+        digits = False
+        return full(x)
+
+    return step
+
+
 def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
     """Run the outer iteration until a stop rule fires: small step, small
-    residual, iteration budget, the divergence bound, or a recorded breakdown."""
+    residual, iteration budget, the divergence bound, or a recorded breakdown.
+
+    Early passes may run at a reduced precision (``_scheduled_step``)."""
     precision = problem.precision
     with mp.workdps(working_dps(precision)):
-        method_map = _method_map(m, problem.f, precision)
+        bound = as_mpf(problem.divergence_bound)
         points, steps, termination = _outer_loop(
             as_mpf(problem.x0),
             lambda x: _eval(problem.f, x, 0),
-            lambda x, fx: method_map(x),  # the ladder takes f(x) from its own jet
+            _scheduled_step(m, problem.f, precision, problem.max_iter, bound),
             abs,
             problem.max_iter,
             as_mpf(problem.step_tol),
             as_mpf(problem.residual_tol),
-            as_mpf(problem.divergence_bound),
+            bound,
         )
         root = as_mpf(problem.known_root) if problem.known_root is not None else None
 

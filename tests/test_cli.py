@@ -79,6 +79,20 @@ def test_solve_json_schema(capsys):
     assert data["termination"]["kind"] == "converged"
 
 
+@pytest.mark.parametrize("text,x0,kind,message", [
+    # the trapezoid node is the Newton value -0.296, outside the domain of log
+    ("log(x)", "3", "domain", "log of nonpositive value -0.29583687"),
+    # from 1 the Newton value of x^2+3 is -1, so f'(1) + f'(-1) = 0
+    ("x^2+3", "1", "zero_denominator", "weighted slope sum vanished"),
+])
+def test_solve_json_breakdown_says_why(capsys, text, x0, kind, message):
+    code, out, _ = run_cli(capsys, "solve", "-f", text, "-m", "t1", "--x0", x0,
+                           "--digits", "30", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["termination"] == {
+        "kind": "breakdown", "detail": kind, "message": message, "level": 1}
+
+
 def test_solve_csv(capsys):
     code, out, _ = run_cli(capsys, "solve", "-f", "x^2-2", "-m", "t1",
                            "--x0", "1.5", "--digits", "40", "--format", "csv")

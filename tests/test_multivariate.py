@@ -319,6 +319,23 @@ def test_nd_iterate_diverged_iterate_has_no_residual():
     assert traj.final.residual_norm is None
 
 
+def test_nd_iterate_ladder_node_outside_bound_diverges():
+    # the scalar run of test_iterate_ladder_node_outside_bound_diverges as a
+    # d = 1 system: the vector ladder applies the same bound to its nodes
+    bound = mp.mpf(10) ** 6 * (1 + mp.mpf("2.477085"))
+    f = scalar_as_vector("tanh(x-1)", 30)
+
+    def jacobian(p):
+        assert _max_norm(p) <= bound, "Jacobian taken outside the divergence bound"
+        return f.jacobian(p)
+
+    traj = nd_iterate(VectorFunction(1, f.residual, jacobian), ["2.477085"],
+                      kind="trapezoidal", precision=30, max_iter=5)
+    assert traj.termination == Termination(
+        DIVERGED, None, "a ladder node left the divergence bound", 1)
+    assert len(traj.iterates) == 3
+
+
 def test_nd_step_nonfinite_result_is_a_breakdown():
     f = VectorFunction(2, lambda p: [p[0] - 1, p[1] - 1], lambda p: [[1, 0], [0, mp.nan]])
     with pytest.raises(Breakdown) as err:

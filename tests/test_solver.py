@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -281,6 +282,34 @@ def test_iterate_diverged_iterate_has_no_residual(monkeypatch):
     assert all(abs(x) <= bound for x in residual_points)
 
 
+@pytest.mark.parametrize("method,x0,level,iterates", [
+    # the second iterate, 3.1e6, is inside the default bound 3.5e6, but the
+    # next Newton value, and so the trapezoid node, is near -10^(2.7e6), where
+    # sech^2 has a 2.7-million-digit argument
+    (MethodId(1), "2.477085", 1, 3),
+    # the inner Newton step goes to -1.6e7, beyond the bound 1.1e7: the outer
+    # ladder takes no slope at its base point
+    (MethodId(0, inner=0), "10", 0, 1),
+], ids=["t1-node", "t0_0-base-point"])
+def test_iterate_ladder_node_outside_bound_diverges(monkeypatch, method, x0, level, iterates):
+    bound = mp.mpf(10) ** 6 * (1 + mp.mpf(x0))
+    real_eval = solver._eval
+
+    def bounded_eval(f, x, order):
+        assert abs(x) <= bound, "f evaluated outside the divergence bound"
+        return real_eval(f, x, order)
+
+    monkeypatch.setattr(solver, "_eval", bounded_eval)
+    problem = ScalarProblem(parse("tanh(x-1)"), bigreal(x0, 30), precision=30, max_iter=5)
+    start = time.perf_counter()
+    traj = iterate(problem, method)
+    assert time.perf_counter() - start < 10  # a backstop; about 1 ms
+    assert traj.termination == Termination(
+        DIVERGED, None, "a ladder node left the divergence bound", level)
+    assert len(traj.iterates) == iterates
+    assert traj.final.fx is not None
+
+
 def test_iterate_repelling_fixed_point_diverges():
     problem = ScalarProblem(parse("cbrt(x)"), bigreal("0.5", 40), precision=40)
     traj = iterate(problem, MethodId(0))
@@ -309,7 +338,9 @@ def test_iterate_converged_at_start():
 def test_iterate_domain_exit_records_breakdown():
     problem = ScalarProblem(parse("log(x)"), bigreal(3, 40), precision=40)
     traj = iterate(problem, MethodId(0))
-    assert traj.termination == Termination(BREAKDOWN, Breakdown.DOMAIN)
+    # the residual at the new iterate leaves the domain: no ladder level
+    assert traj.termination == Termination(BREAKDOWN, Breakdown.DOMAIN,
+                                           "log of nonpositive value -0.29583687")
 
 
 def test_iterate_zero_derivative_breakdown():
@@ -317,6 +348,19 @@ def test_iterate_zero_derivative_breakdown():
     traj = iterate(problem, MethodId(0))
     assert traj.termination.kind == BREAKDOWN
     assert traj.termination.detail == Breakdown.ZERO_DERIVATIVE
+    assert traj.termination.level == 0
+
+
+def test_iterate_breakdown_records_its_ladder_level():
+    # t1 on log(x) from 3: the trapezoid node is the Newton value -0.296
+    problem = ScalarProblem(parse("log(x)"), bigreal(3, 40), precision=40)
+    traj = iterate(problem, MethodId(1))
+    assert traj.termination == Termination(BREAKDOWN, Breakdown.DOMAIN,
+                                           "log of nonpositive value -0.29583687", 1)
+    # t1 after t0: the inner Newton step lands on -0.296, where the outer
+    # ladder's base-point jet breaks down, at level 0
+    traj = iterate(problem, MethodId(1, inner=0))
+    assert traj.termination.level == 0
 
 
 def test_iterate_max_iterations():
