@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, working_dps
-from .errors import SingularMatrix
+from .errors import Breakdown, SingularMatrix
 from .solver import (SEED_TRAPEZOID, Termination, _check_finite, _finite, _ladder_full,
                      _outer_loop, _stop_rules)
 
@@ -153,7 +153,12 @@ def _vector_map(n, func, x, fx, precision, bound=None):
     def solve(b, c, f):
         return _lu_solve(b, [c * v for v in f], precision)
 
-    ys, _ = _ladder_full(n, x, fx, jacobian(x), jacobian, _jacobian_sum, solve,
+    try:
+        slope0 = jacobian(x)
+    except Breakdown as exc:
+        exc.level = 0
+        raise
+    ys, _ = _ladder_full(n, x, fx, slope0, jacobian, _jacobian_sum, solve,
                          SEED_TRAPEZOID, _max_norm, bound)
     return ys[n]
 

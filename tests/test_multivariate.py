@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cotesroot import (
     Breakdown,
+    DomainError,
     SingularMatrix,
     VectorFunction,
     bigreal,
@@ -334,6 +335,18 @@ def test_nd_iterate_ladder_node_outside_bound_diverges():
     assert traj.termination == Termination(
         DIVERGED, None, "a ladder node left the divergence bound", 1)
     assert len(traj.iterates) == 3
+
+
+def test_nd_iterate_base_point_jacobian_breakdown_is_level_0():
+    # as for a scalar jet at the base point, a Jacobian that breaks down at
+    # x itself is ladder level 0
+    def jacobian(p):
+        raise DomainError("no Jacobian here")
+
+    f = VectorFunction(2, lambda p: [p[0] - 1, p[1] - 1], jacobian)
+    traj = nd_iterate(f, ["0", "0.5"], precision=30)
+    assert traj.termination == Termination(BREAKDOWN, Breakdown.DOMAIN, "no Jacobian here", 0)
+    assert len(traj.iterates) == 1
 
 
 def test_nd_step_nonfinite_result_is_a_breakdown():

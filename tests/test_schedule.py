@@ -1,6 +1,6 @@
 """iterate's precision schedule against fixed-precision reference trajectories.
 
-Below 80 digits and for "+F" maps every pass runs at the full precision, so
+Below 600 digits and for "+F" maps every pass runs at the full precision, so
 there iterate equals a chain of apply_method calls bit for bit.  Above it the
 early passes run at a reduced precision; the trajectory must still stop the
 same way after the same number of iterations, and each iterate must agree
@@ -26,7 +26,7 @@ ROOTS = {
 
 # the benchmark's highprec op types from their base starts, then cases that
 # break looser schedule rules: two reduced passes stopping on their own
-# rounding (the t7_6 run), reduced passes of a "+F" map breaking down, and
+# rounding under a cruder digit estimate (the t7_6 run), reduced passes of a "+F" map breaking down, and
 # passes that gain more digits than the nominal order plans for (tanh(x-1),
 # where f''(1) = 0 makes t0 cubic and t2 quintic)
 CASES = [
@@ -104,3 +104,17 @@ def test_last_pass_of_a_budget_runs_at_full_precision(text, method, precision, x
     problem = ScalarProblem(f, bigreal(x0, precision), precision=precision, max_iter=1)
     traj = iterate(problem, m)
     assert traj.final.x == apply_method(m, f, problem.x0, precision)
+
+
+@pytest.mark.parametrize("method", ["t0", "t2", "t7_6"])
+def test_below_schedule_precision_iterate_is_a_full_precision_chain(method):
+    # at 500 digits no pass is reduced: every iterate equals the reference bit for bit
+    precision = 500
+    f = parse("x^3+2*x-5")
+    m = MethodId.parse(method)
+    problem = ScalarProblem(f, bigreal("2", precision), precision=precision)
+    traj = iterate(problem, m)
+    with mp.workdps(precision + 10):
+        xs, stop = reference_trajectory(f, m, mp.mpf(2), precision, problem.max_iter)
+    assert (traj.termination.kind, traj.termination.detail) == (CONVERGED, stop)
+    assert [rec.x.value for rec in traj.iterates] == xs
