@@ -1,10 +1,14 @@
-"""Diagnostics: significant digits, convergence-order estimates, map derivatives.
+"""Diagnostics: significant digits, convergence-order estimates, map
+derivatives and reference roots.
 
 The order estimator uses the known-root error definition
 q_k = ln|e_{k+1}| / ln|e_k| with e_k = z - x_k and reports the last stable
 ratio; a step-based three-point variant is provided for problems without a
 known root.  Map derivatives at a fixed point come from ``mp.diffs``, whose
-differences are exact to working precision.
+differences are exact to working precision.  Reference roots come from a
+bracket, independently of the iterative maps: bisection seeds them,
+``mp.findroot`` polishes them, and a sign change of f certifies them to the
+bound bisection itself would give.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .bigreal import BigReal, as_mpf, check_digits, working_dps
-from .errors import InsufficientData, RoundoffFloor
+from .errors import Breakdown, InsufficientData, RoundoffFloor
 from .expr import Expression, _eval
 from .solver import MethodId, Trajectory, _check_finite, _method_map, _significant_digits
 
@@ -132,13 +136,40 @@ def map_derivatives_at(
         return [BigReal(d, precision) for d in derivs]
 
 
-def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
-    """Reference root by plain bisection; independent of the iterative maps.
+def _bisect(f: Expression, a, fa, b, target):
+    """Halve [a, b], where f(a) = fa and f changes sign, until it is at most
+    ``target`` wide or cannot be split at the working precision.
 
-    The bracket [lo, hi] must be finite, ordered and change sign.  The result
-    is accurate to roughly 10^(-precision); intended for reference values, not
-    speed.
+    Returns the final bracket as (a, fa, b); an exact zero of f at a midpoint
+    m ends the loop with the empty bracket (m, 0, m).
     """
+    while b - a > target:
+        mid = (a + b) / 2
+        if mid == a or mid == b:
+            break
+        fm = _eval(f, mid, 0)
+        if fm == 0:
+            return mid, fm, mid
+        if mp.sign(fm) == mp.sign(fa):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return a, fa, b
+
+
+def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
+    """A root of f in [lo, hi], within 10^(-precision)/2 of a sign change of f.
+
+    The bracket must be finite, ordered and change sign.  Bisection seeds a
+    bracket 10^-30 wide (10^(-precision) if that is wider); ``mp.findroot``
+    polishes its midpoint at the working precision.  The polished r is kept
+    only when it lies in the seed bracket and f changes sign over
+    [r - h, r + h] with h = 10^(-precision)/2: the bound bisection's own
+    midpoint has.  Otherwise, as when the polish fails (a multiple root, a
+    point outside the domain), bisection goes on from the seed bracket down
+    to 10^(-precision).
+    """
+    check_digits(precision)
     with mp.workdps(working_dps(precision)):
         a, b = as_mpf(lo), as_mpf(hi)
         _check_finite("lo and hi", [a, b])
@@ -153,15 +184,16 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
         if mp.sign(fa) == mp.sign(fb):
             raise ValueError("bisection bracket does not change sign")
         target = mp.mpf(10) ** (-precision)
-        while b - a > target:
-            mid = (a + b) / 2
-            if mid == a or mid == b:
-                break
-            fm = _eval(f, mid, 0)
-            if fm == 0:
-                return BigReal(mid, precision)
-            if mp.sign(fm) == mp.sign(fa):
-                a, fa = mid, fm
-            else:
-                b = mid
+        a, fa, b = _bisect(f, a, fa, b, max(target, mp.mpf(10) ** -30))
+        if b - a > target:
+            half_width = target / 2
+            try:  # findroot computes 20 bits finer; unary + rounds to the working precision
+                r = +mp.findroot(lambda x: _eval(f, x, 0), (a + b) / 2)
+                certified = (a <= r <= b and mp.sign(_eval(f, r - half_width, 0))
+                             != mp.sign(_eval(f, r + half_width, 0)))
+            except (ValueError, ZeroDivisionError, Breakdown):
+                certified = False
+            if certified:
+                return BigReal(r, precision)
+            a, fa, b = _bisect(f, a, fa, b, target)
         return BigReal((a + b) / 2, precision)

@@ -1,6 +1,7 @@
 import mpmath as mp
 import pytest
 
+from conftest import bisect_mpf, cubic
 from cotesroot import (
     InsufficientData,
     MethodId,
@@ -15,6 +16,7 @@ from cotesroot import (
     parse,
     significant_digits,
 )
+from cotesroot import analysis
 from cotesroot.solver import SEED_NEWTON, apply_method
 
 
@@ -184,3 +186,84 @@ def test_bisect_root_rejects_reversed_bracket():
 def test_bisect_root_rejects_nonfinite_bracket(lo, hi):
     with pytest.raises(ValueError, match="finite"):
         bisect_root(parse("x^2-2"), lo, hi, 30)
+
+
+@pytest.mark.parametrize("precision", [0, -5, 14])
+def test_bisect_root_rejects_precision_below_minimum(precision):
+    with pytest.raises(ValueError, match="at least 15"):
+        bisect_root(parse("x^2-2"), 1, 2, precision)
+
+
+@pytest.mark.parametrize("precision", [60, 1000])
+@pytest.mark.parametrize("text, fn", [
+    pytest.param("x^2-2", lambda x: x**2 - 2, id="x^2-2"),
+    pytest.param("x^3+2*x-5", cubic, id="x^3+2*x-5"),
+    pytest.param("x^11+4*x^2-10", lambda x: x**11 + 4 * x**2 - 10, id="x^11+4*x^2-10"),
+])
+def test_bisect_root_agrees_with_plain_bisection(text, fn, precision):
+    root = bisect_root(parse(text), 1, 2, precision)
+    # bisect_mpf stops at 10^(10 - dps): ask it for 10 more digits
+    reference = bisect_mpf(fn, 1, 2, precision + 10)
+    with mp.workdps(precision + 20):
+        assert abs(root.value - reference) <= mp.mpf(10) ** -precision
+
+
+@pytest.mark.parametrize("precision, polish_raises", [(60, False), (300, True)])
+def test_bisect_root_falls_back_on_a_triple_root(monkeypatch, precision, polish_raises):
+    # secant converges only linearly at a triple root: at 60 digits it stops
+    # about 1e-32 short, which the certificate rejects; from 300 digits on
+    # (2640 included) findroot raises
+    outcomes = []
+    real_findroot = mp.findroot
+
+    def recording_findroot(*args):
+        try:
+            outcomes.append(real_findroot(*args))
+        except ValueError as exc:
+            outcomes.append(exc)
+            raise
+        return outcomes[-1]
+
+    monkeypatch.setattr(analysis.mp, "findroot", recording_findroot)
+    root = bisect_root(parse("(x-1)^3*exp(x)"), "0.5", 2, precision)
+    (outcome,) = outcomes
+    assert isinstance(outcome, ValueError) == polish_raises
+    with mp.workdps(precision + 10):
+        if not polish_raises:
+            assert abs(outcome - 1) > mp.mpf(10) ** -precision
+        assert abs(root.value - 1) <= mp.mpf(10) ** -precision / 2
+
+
+def _no_root(f, x0):
+    raise ValueError("no root")
+
+
+@pytest.mark.parametrize("polish", [
+    pytest.param(_no_root, id="raises"),
+    # a root with a sign change, but not the bracket's: only the bracket
+    # test rejects it
+    pytest.param(lambda f, x0: -mp.sqrt(2), id="outside-bracket"),
+    # inside the seed bracket, which is 2^-100 wide, but no root is near it
+    pytest.param(lambda f, x0: x0 + mp.mpf(10) ** -31, id="uncertified"),
+])
+def test_bisect_root_falls_back_when_the_polish_fails(monkeypatch, polish):
+    monkeypatch.setattr(analysis.mp, "findroot", polish)
+    root = bisect_root(parse("x^2-2"), 1, 2, 60)
+    with mp.workdps(70):
+        assert abs(root.value - mp.sqrt(2)) <= mp.mpf(10) ** -60 / 2
+        assert root.value == bisect_mpf(lambda x: x**2 - 2, 1, 2, 70)
+
+
+def test_bisect_root_tabpol1_oracle_evaluation_count(monkeypatch):
+    # plain bisection to 10^-2640 takes about 8770 evaluations of f
+    calls = []
+    real_eval = analysis._eval
+
+    def counting_eval(f, x, order):
+        calls.append(order)
+        return real_eval(f, x, order)
+
+    monkeypatch.setattr(analysis, "_eval", counting_eval)
+    bisect_root(parse("x^11+4*x^2-10"), 1, 2, 2640)
+    assert 0 < len(calls) <= 300
+    assert set(calls) == {0}

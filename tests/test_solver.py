@@ -1,3 +1,4 @@
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -6,6 +7,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from test_expr import _random_expr
 
 from cotesroot import (
     Breakdown,
@@ -308,6 +311,35 @@ def test_iterate_ladder_node_outside_bound_diverges(monkeypatch, method, x0, lev
         DIVERGED, None, "a ladder node left the divergence bound", level)
     assert len(traj.iterates) == iterates
     assert traj.final.fx is not None
+
+
+@settings(deadline=10_000, max_examples=150, derandomize=True)  # deadline: a backstop
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    method=st.builds(MethodId, st.integers(0, 7), st.none() | st.integers(0, 7),
+                     st.booleans(), st.sampled_from([SEED_TRAPEZOID, SEED_NEWTON])),
+    x0=st.floats(-10, 10),
+)
+def test_iterate_ends_without_leaving_the_bound(seed, method, x0):
+    # random functions and every map: the run ends with a Termination, and f
+    # is never evaluated (value, slope or residual) outside the divergence
+    # bound; the derandomized examples include ladder-node divergences
+    rng = random.Random(seed)
+    f = parse(_random_expr(rng, rng.randint(1, 3)))
+    problem = ScalarProblem(f, bigreal(x0, 30), precision=30, max_iter=8)
+    points = []
+    real_eval = solver._eval
+
+    def recording_eval(f, x, order):
+        points.append(x)
+        return real_eval(f, x, order)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_eval", recording_eval)
+        traj = iterate(problem, method)
+    assert isinstance(traj.termination, Termination)
+    bound = problem.divergence_bound.value
+    assert points and all(abs(x) <= bound for x in points)
 
 
 def test_iterate_repelling_fixed_point_diverges():
