@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .bigreal import BigReal, as_mpf, check_digits, working_dps
+from .bigreal import BigReal, as_mpf, check_digits, working_dps, working_prec
 from .errors import Breakdown, InsufficientData, RoundoffFloor
 from .expr import Expression, _eval
 from .solver import MethodId, Trajectory, _check_finite, _method_map, _significant_digits
@@ -130,15 +130,16 @@ def map_derivatives_at(
         raise ValueError("max_order must be at least 1")
     check_digits(precision)
     with mp.workdps(working_dps(precision)):
-        t = _method_map(m, f, precision)
-        derivs = mp.diffs(t, as_mpf(z), max_order)
+        # f at the precision mp.diffs sets for each sample, not at the working one
+        derivs = mp.diffs(lambda x: _method_map(m, f, precision, mp.mp.prec)(x), as_mpf(z),
+                          max_order)
         next(derivs)  # t(z) itself
         return [BigReal(d, precision) for d in derivs]
 
 
-def _bisect(f: Expression, a, fa, b, target):
+def _bisect(f: Expression, a, fa, b, target, prec):
     """Halve [a, b], where f(a) = fa and f changes sign, until it is at most
-    ``target`` wide or cannot be split at the working precision.
+    ``target`` wide or cannot be split at the working precision, ``prec`` bits.
 
     Returns the final bracket as (a, fa, b); an exact zero of f at a midpoint
     m ends the loop with the empty bracket (m, 0, m).
@@ -147,7 +148,7 @@ def _bisect(f: Expression, a, fa, b, target):
         mid = (a + b) / 2
         if mid == a or mid == b:
             break
-        fm = _eval(f, mid, 0)
+        fm = _eval(f, mid, 0, prec)
         if fm == 0:
             return mid, fm, mid
         if mp.sign(fm) == mp.sign(fa):
@@ -170,13 +171,14 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
     to 10^(-precision).
     """
     check_digits(precision)
+    prec = working_prec(precision)
     with mp.workdps(working_dps(precision)):
         a, b = as_mpf(lo), as_mpf(hi)
         _check_finite("lo and hi", [a, b])
         if a > b:
             raise ValueError("bisection bracket needs lo <= hi")
-        fa = _eval(f, a, 0)
-        fb = _eval(f, b, 0)
+        fa = _eval(f, a, 0, prec)
+        fb = _eval(f, b, 0, prec)
         if fa == 0:
             return BigReal(a, precision)
         if fb == 0:
@@ -184,16 +186,16 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
         if mp.sign(fa) == mp.sign(fb):
             raise ValueError("bisection bracket does not change sign")
         target = mp.mpf(10) ** (-precision)
-        a, fa, b = _bisect(f, a, fa, b, max(target, mp.mpf(10) ** -30))
+        a, fa, b = _bisect(f, a, fa, b, max(target, mp.mpf(10) ** -30), prec)
         if b - a > target:
             half_width = target / 2
             try:  # findroot computes 20 bits finer; unary + rounds to the working precision
-                r = +mp.findroot(lambda x: _eval(f, x, 0), (a + b) / 2)
-                certified = (a <= r <= b and mp.sign(_eval(f, r - half_width, 0))
-                             != mp.sign(_eval(f, r + half_width, 0)))
+                r = +mp.findroot(lambda x: _eval(f, x, 0, mp.mp.prec), (a + b) / 2)
+                certified = (a <= r <= b and mp.sign(_eval(f, r - half_width, 0, prec))
+                             != mp.sign(_eval(f, r + half_width, 0, prec)))
             except (ValueError, ZeroDivisionError, Breakdown):
                 certified = False
             if certified:
                 return BigReal(r, precision)
-            a, fa, b = _bisect(f, a, fa, b, target)
+            a, fa, b = _bisect(f, a, fa, b, target, prec)
         return BigReal((a + b) / 2, precision)

@@ -1,10 +1,13 @@
 """Arbitrary-precision real values with an explicit decimal precision.
 
 Every number the package computes is an mpmath ``mpf``.  Each entry point
-sets one working precision, ``mp.workdps(working_dps(p))`` (``GUARD_DIGITS``
-above the target ``p``), computes on plain mpf inside it, and returns its
-results as ``BigReal`` records of the value and ``p``.  There is no second
-arithmetic layer, so identical inputs yield bit-identical results across runs.
+works at one precision, ``working_dps(p)`` digits (``GUARD_DIGITS`` above the
+target ``p``) or ``working_prec(p)`` bits, and returns its results as
+``BigReal`` records of the value and ``p``.  Expression evaluation passes
+those bits to every ``mpmath.libmp`` call it makes; the other layers compute
+on plain mpf inside ``mp.workdps(working_dps(p))``.  Both round each
+operation the same way, so identical inputs yield bit-identical results
+across runs.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, mpf_div, round_nearest
 
 GUARD_DIGITS = 10
 # the precision of a solve that names none (CLI --digits, ScalarProblem, nd_iterate)
@@ -28,23 +32,31 @@ def working_dps(precision: int) -> int:
     return precision + GUARD_DIGITS
 
 
+def working_prec(precision: int) -> int:
+    """Bits used internally for a target precision: those of ``working_dps``."""
+    return dps_to_prec(working_dps(precision))
+
+
 def check_digits(precision: int) -> None:
     """Reject a solve precision below ``MIN_DIGITS``."""
     if precision < MIN_DIGITS:
         raise ValueError(f"digits must be at least {MIN_DIGITS}, got {precision}")
 
 
-def as_mpf(value) -> mp.mpf:
-    """Convert to mpf under the current mpmath context.
+def as_mpf(value, prec: int | None = None) -> mp.mpf:
+    """Convert to mpf at ``prec`` bits, by default the current mpmath context's.
 
-    Strings are rounded at the active context precision, so conversion of
-    decimal text like "1.1" stays faithful at any requested precision.
+    Strings are rounded at that precision, so conversion of decimal text like
+    "1.1" stays faithful at any requested precision.  A BigReal keeps its value.
     """
     if isinstance(value, BigReal):
         return value.value
+    if prec is None:
+        prec = mp.mp.prec
     if isinstance(value, Fraction):
-        return mp.mpf(value.numerator) / mp.mpf(value.denominator)
-    return mp.mpf(value)
+        num, den = (mp.mpf(v, prec=prec)._mpf_ for v in (value.numerator, value.denominator))
+        return mp.make_mpf(mpf_div(num, den, prec, round_nearest))
+    return mp.mpf(value, prec=prec)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,14 @@ The maps consume f and f', and the multiple-root transform additionally
 needs f'' for its own slope.  Neither parsing nor evaluation recurses, so
 the nesting depth of a function is limited only by memory.
 
+The loop computes on raw ``mpmath.libmp`` tuples at a precision in bits that
+its caller passes, rounding to nearest, and never touches the mpmath
+context: ``eval_jet`` and ``eval_value`` may run in several threads at once.
+Each step makes the libmp call that the same formula on mpf operators would
+make, so results are bit for bit those of plain mpf arithmetic at that
+precision.  Literals are converted once per precision and kept beside the
+tape.
+
 Grammar (whitespace-insensitive, ``^`` right-associative):
 
     expr   := term (("+"|"-") term)*
@@ -25,11 +33,17 @@ bases are undefined, so the odd root must be spelled ``cbrt(x)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath as mp
+from mpmath.libmp import (
+    fnan, fone, fnone, from_str, ftwo, fzero, mpf_abs, mpf_add, mpf_cbrt, mpf_cos, mpf_cosh,
+    mpf_div, mpf_e, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
+    mpf_pi, mpf_pos, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sin, mpf_sqrt, mpf_sub, mpf_tan,
+    mpf_tanh, round_nearest, to_int, to_str,
+)
 
-from .bigreal import BigReal, as_mpf, working_dps
+from .bigreal import BigReal, as_mpf, check_digits, working_prec
 from .errors import DomainError, ParseError, UnknownIdentifier
 
 FUNCTIONS = ("sin", "cos", "tan", "tanh", "exp", "log", "sqrt", "cbrt", "abs")
@@ -48,6 +62,8 @@ class Expression:
 
     tape: tuple
     text: str
+    # the tape at each working precision in bits, its literals converted there
+    _tapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return self.text
@@ -159,31 +175,66 @@ def parse(text: str) -> Expression:
     return Expression(tuple(tape), text)
 
 
-_ZERO = mp.mpf(0)
-_ONE = mp.mpf(1)
+_RND = round_nearest
+# the functions the tape calls as mpmath does: one libmp call at the working precision
+_LIBMP = {"sin": mpf_sin, "cos": mpf_cos, "tan": mpf_tan, "tanh": mpf_tanh,
+          "exp": mpf_exp, "log": mpf_log, "sqrt": mpf_sqrt}
+_CONSTANT = {"pi": mpf_pi, "e": mpf_e}
 
 
-def _eval(expr: Expression, x, order: int):
-    """Run the tape at ``x``; call under the working precision.
+def _tape_at(expr: Expression, prec: int) -> tuple:
+    """The tape with each literal converted at ``prec`` bits, once per precision.
 
+    Threads that race here build equal tuples, so either may stay cached.
+    """
+    tape = expr._tapes.get(prec)
+    if tape is None:
+        tape = expr._tapes[prec] = tuple(
+            ("lit", from_str(arg, prec, _RND) if op == "num" else _CONSTANT[arg](prec, _RND))
+            if op == "num" or op == "const" else (op, arg)
+            for op, arg in expr.tape)
+    return tape
+
+
+def _sign(v):
+    """``mp.sign`` of a raw mpf: v itself when it is 0 or NaN, else +-1."""
+    if v == fzero or v == fnan:
+        return v
+    return fone if mpf_gt(v, fzero) else fnone
+
+
+def _sech(v, prec):
+    """``mp.sech`` of a raw mpf: 1/cosh at 10 more bits, rounded to ``prec``."""
+    return mpf_pos(mpf_div(fone, mpf_cosh(v, prec + 10, _RND), prec + 10, _RND), prec, _RND)
+
+
+def _eval(expr: Expression, x, order: int, prec: int):
+    """Run the tape at the mpf ``x`` with every operation rounded to ``prec`` bits.
+
+    The loop computes on raw ``mpmath.libmp`` tuples and never reads or sets
+    the mpmath context, so concurrent calls do not interfere.  Each step is
+    the libmp call mpf's operator or function would make under
+    ``mp.workprec(prec)``, so the bits are those of plain mpf arithmetic.
     Order 0 returns f(x) and applies only the value-level domain rules.
     Order 1 returns (f, f') and order 2 (f, f', f''); both add the
     derivative-level rules: no sqrt, cbrt or abs at 0, no real or variable
     power of a nonpositive base.  The value of a power may differ between
     order 0 and the jets in the last bits (``v**c`` against ``v**(c-2)*v*v``).
     """
+    rnd = _RND
     second = order == 2
     vals = []  # f of each operand
     ders = []  # (f', f'') of each operand at orders 1 and 2; order 1 skips f''
-    for op, arg in expr.tape:
+    x = x._mpf_
+    for op, arg in _tape_at(expr, prec):
         if op == "x":
             vals.append(x)
             if order:
-                ders.append((_ONE, _ZERO))
-        elif op == "num" or op == "const":
-            vals.append(mp.mpf(arg) if op == "num" else getattr(mp, arg) + 0)
+                ders.append((fone, fzero))
+        elif op == "lit":
+            vals.append(arg)
             if order:
-                ders.append((_ZERO, _ZERO))
+                ders.append((fzero, fzero))
         elif op in _BINARY:
             b = vals.pop()
             a = vals[-1]
@@ -191,122 +242,177 @@ def _eval(expr: Expression, x, order: int):
                 b1, b2 = ders.pop()
                 a1, a2 = ders[-1]
             if op == "+":
-                vals[-1] = a + b
+                vals[-1] = mpf_add(a, b, prec, rnd)
                 if order:
-                    ders[-1] = (a1 + b1, a2 + b2 if second else None)
+                    ders[-1] = (mpf_add(a1, b1, prec, rnd),
+                                mpf_add(a2, b2, prec, rnd) if second else None)
             elif op == "-":
-                vals[-1] = a - b
+                vals[-1] = mpf_sub(a, b, prec, rnd)
                 if order:
-                    ders[-1] = (a1 - b1, a2 - b2 if second else None)
+                    ders[-1] = (mpf_sub(a1, b1, prec, rnd),
+                                mpf_sub(a2, b2, prec, rnd) if second else None)
             elif op == "*":
-                vals[-1] = a * b
+                vals[-1] = mpf_mul(a, b, prec, rnd)
                 if order:
-                    ders[-1] = (a1 * b + a * b1,
-                                a2 * b + 2 * a1 * b1 + a * b2 if second else None)
+                    ders[-1] = (
+                        mpf_add(mpf_mul(a1, b, prec, rnd), mpf_mul(a, b1, prec, rnd), prec, rnd),
+                        mpf_add(mpf_add(mpf_mul(a2, b, prec, rnd),
+                                        mpf_mul(mpf_mul_int(a1, 2, prec, rnd), b1, prec, rnd),
+                                        prec, rnd),
+                                mpf_mul(a, b2, prec, rnd), prec, rnd) if second else None)
             elif op == "/":
-                if b == 0:
+                if b == fzero:
                     raise DomainError("division by zero")
-                v = vals[-1] = a / b
+                v = vals[-1] = mpf_div(a, b, prec, rnd)
                 if order:
-                    d1 = (a1 - v * b1) / b
-                    ders[-1] = (d1, (a2 - 2 * d1 * b1 - v * b2) / b if second else None)
-            elif not arg and mp.isint(b):  # power with a constant integer exponent
-                c = int(b)
-                if a == 0 and c < 0:
+                    d1 = mpf_div(mpf_sub(a1, mpf_mul(v, b1, prec, rnd), prec, rnd), b, prec, rnd)
+                    ders[-1] = (d1, mpf_div(
+                        mpf_sub(mpf_sub(a2, mpf_mul(mpf_mul_int(d1, 2, prec, rnd), b1, prec, rnd),
+                                        prec, rnd),
+                                mpf_mul(v, b2, prec, rnd), prec, rnd),
+                        b, prec, rnd) if second else None)
+            elif not arg and (b[1] and b[2] >= 0 or b == fzero):  # constant integer exponent
+                c = int(to_int(b))
+                if a == fzero and c < 0:
                     raise DomainError("zero raised to a negative power")
                 if not order:
-                    vals[-1] = a**c
+                    vals[-1] = mpf_pow_int(a, c, prec, rnd)
                 elif c == 0:
-                    vals[-1], ders[-1] = _ONE, (_ZERO, _ZERO)
+                    vals[-1], ders[-1] = fone, (fzero, fzero)
                 elif c != 1:  # a first power leaves its operand as it is
-                    pm2 = a ** (c - 2)  # 0^0 == 1 covers the c == 2 corner
-                    pm1 = pm2 * a
-                    vals[-1] = pm1 * a
-                    ders[-1] = (c * pm1 * a1,
-                                c * (c - 1) * pm2 * a1 * a1 + c * pm1 * a2 if second else None)
+                    pm2 = mpf_pow_int(a, c - 2, prec, rnd)  # 0^0 == 1 covers the c == 2 corner
+                    pm1 = mpf_mul(pm2, a, prec, rnd)
+                    vals[-1] = mpf_mul(pm1, a, prec, rnd)
+                    cpm1 = mpf_mul_int(pm1, c, prec, rnd)
+                    ders[-1] = (mpf_mul(cpm1, a1, prec, rnd), mpf_add(
+                        mpf_mul(mpf_mul(mpf_mul_int(pm2, c * (c - 1), prec, rnd), a1, prec, rnd),
+                                a1, prec, rnd),
+                        mpf_mul(cpm1, a2, prec, rnd), prec, rnd) if second else None)
             elif not order:
-                if a < 0 or (a == 0 and b < 0):
+                if mpf_lt(a, fzero) or (a == fzero and mpf_lt(b, fzero)):
                     raise DomainError("real power of a negative base; use cbrt() for odd roots")
-                vals[-1] = a**b
-            elif a <= 0:
+                vals[-1] = mpf_pow(a, b, prec, rnd)
+            elif mpf_le(a, fzero):
                 raise DomainError("variable power of a nonpositive base" if arg else
                                   "real power of a nonpositive base; use cbrt() for odd roots")
             elif not arg:
-                vals[-1] = a**b
-                pm1 = a ** (b - 1)
-                ders[-1] = (b * pm1 * a1,
-                            b * (b - 1) * a ** (b - 2) * a1 * a1 + b * pm1 * a2 if second else None)
+                vals[-1] = mpf_pow(a, b, prec, rnd)
+                bm1 = mpf_sub(b, fone, prec, rnd)
+                bpm1 = mpf_mul(b, mpf_pow(a, bm1, prec, rnd), prec, rnd)
+                ders[-1] = (mpf_mul(bpm1, a1, prec, rnd), mpf_add(
+                    mpf_mul(mpf_mul(mpf_mul(mpf_mul(b, bm1, prec, rnd),
+                                            mpf_pow(a, mpf_sub(b, ftwo, prec, rnd), prec, rnd),
+                                            prec, rnd),
+                                    a1, prec, rnd),
+                            a1, prec, rnd),
+                    mpf_mul(bpm1, a2, prec, rnd), prec, rnd) if second else None)
             else:  # variable exponent: a^b = exp(b * log a), through the jets of log and *
-                lv, l1 = mp.log(a), a1 / a
-                p, p1 = b * lv, b1 * lv + b * l1
-                e = vals[-1] = mp.exp(p)
+                lv, l1 = mpf_log(a, prec, rnd), mpf_div(a1, a, prec, rnd)
+                p = mpf_mul(b, lv, prec, rnd)
+                p1 = mpf_add(mpf_mul(b1, lv, prec, rnd), mpf_mul(b, l1, prec, rnd), prec, rnd)
+                e = vals[-1] = mpf_exp(p, prec, rnd)
+                ep1 = mpf_mul(e, p1, prec, rnd)
                 if second:
-                    p2 = b2 * lv + 2 * b1 * l1 + b * (-a1 * a1 / (a * a) + a2 / a)
-                ders[-1] = (e * p1, e * p1 * p1 + e * p2 if second else None)
+                    p2 = mpf_add(
+                        mpf_add(mpf_mul(b2, lv, prec, rnd),
+                                mpf_mul(mpf_mul_int(b1, 2, prec, rnd), l1, prec, rnd), prec, rnd),
+                        mpf_mul(b, mpf_add(
+                            mpf_div(mpf_mul(mpf_neg(a1, prec, rnd), a1, prec, rnd),
+                                    mpf_mul(a, a, prec, rnd), prec, rnd),
+                            mpf_div(a2, a, prec, rnd), prec, rnd), prec, rnd),
+                        prec, rnd)
+                ders[-1] = (ep1, mpf_add(mpf_mul(ep1, p1, prec, rnd), mpf_mul(e, p2, prec, rnd),
+                                         prec, rnd) if second else None)
         elif op == "neg":
-            vals[-1] = -vals[-1]
+            vals[-1] = mpf_neg(vals[-1], prec, rnd)
             if order:
                 d1, d2 = ders[-1]
-                ders[-1] = (-d1, -d2 if second else None)
+                ders[-1] = (mpf_neg(d1, prec, rnd), mpf_neg(d2, prec, rnd) if second else None)
         else:  # function call
             v = vals[-1]
-            if op == "log" and v <= 0:
-                raise DomainError(f"log of nonpositive value {mp.nstr(v, 8)}")
-            if op == "sqrt" and v < 0:
-                raise DomainError(f"sqrt of negative value {mp.nstr(v, 8)}")
-            if order and v == 0 and op in ("sqrt", "cbrt", "abs"):
+            if op == "log" and mpf_le(v, fzero):
+                raise DomainError(f"log of nonpositive value {to_str(v, 8)}")
+            if op == "sqrt" and mpf_lt(v, fzero):
+                raise DomainError(f"sqrt of negative value {to_str(v, 8)}")
+            if order and v == fzero and op in ("sqrt", "cbrt", "abs"):
                 raise DomainError(f"derivative of {op} at 0")
-            if op == "cbrt":
-                r = mp.sign(v) * mp.cbrt(abs(v))  # real odd root
+            if op == "cbrt":  # real odd root
+                r = mpf_mul(_sign(v), mpf_cbrt(mpf_abs(v, prec, rnd), prec, rnd), prec, rnd)
             elif op == "abs":
-                r = abs(v)
+                r = mpf_abs(v, prec, rnd)
             else:
-                r = getattr(mp, op)(v)
+                r = _LIBMP[op](v, prec, rnd)
             vals[-1] = r
             if not order:
                 continue
             u1, u2 = ders[-1]
             if op == "log":
-                ders[-1] = (u1 / v, -u1 * u1 / (v * v) + u2 / v if second else None)
+                ders[-1] = (mpf_div(u1, v, prec, rnd), mpf_add(
+                    mpf_div(mpf_mul(mpf_neg(u1, prec, rnd), u1, prec, rnd),
+                            mpf_mul(v, v, prec, rnd), prec, rnd),
+                    mpf_div(u2, v, prec, rnd), prec, rnd) if second else None)
                 continue
             if op == "abs":
-                sgn = mp.sign(v)
-                ders[-1] = (sgn * u1, sgn * u2 if second else None)
+                sgn = _sign(v)
+                ders[-1] = (mpf_mul(sgn, u1, prec, rnd),
+                            mpf_mul(sgn, u2, prec, rnd) if second else None)
                 continue
             # g(u)' = g'(v) u', g(u)'' = g''(v) u'^2 + g'(v) u''
+            gpp = None
             if op == "sin":
-                gp, gpp = mp.cos(v), -r
+                gp = mpf_cos(v, prec, rnd)
+                if second:
+                    gpp = mpf_neg(r, prec, rnd)
             elif op == "cos":
-                gp, gpp = -mp.sin(v), -r
+                gp = mpf_neg(mpf_sin(v, prec, rnd), prec, rnd)
+                if second:
+                    gpp = mpf_neg(r, prec, rnd)
             elif op == "exp":
                 gp = gpp = r
             elif op == "tan":
-                gp = 1 + r * r
-                gpp = 2 * r * gp if second else None
+                gp = mpf_add(mpf_mul(r, r, prec, rnd), fone, prec, rnd)
+                if second:
+                    gpp = mpf_mul(mpf_mul_int(r, 2, prec, rnd), gp, prec, rnd)
             elif op == "tanh":
-                gp = mp.sech(v) ** 2  # 1 - r*r underflows to 0 for large |v|
-                gpp = -2 * r * gp if second else None
+                gp = mpf_pow_int(_sech(v, prec), 2, prec, rnd)  # 1 - r*r underflows for large |v|
+                if second:
+                    gpp = mpf_mul(mpf_mul_int(r, -2, prec, rnd), gp, prec, rnd)
             elif op == "sqrt":
-                gp = 1 / (2 * r)
-                gpp = -gp / (2 * v) if second else None
+                gp = mpf_rdiv_int(1, mpf_mul_int(r, 2, prec, rnd), prec, rnd)
+                if second:
+                    gpp = mpf_div(mpf_neg(gp, prec, rnd), mpf_mul_int(v, 2, prec, rnd), prec, rnd)
             else:  # cbrt
-                r2 = r * r
-                gp = 1 / (3 * r2)
-                gpp = -2 / (9 * r2 * r2 * r) if second else None
-            ders[-1] = (gp * u1, gpp * u1 * u1 + gp * u2 if second else None)
-    return (vals[0], *ders[0][:order]) if order else vals[0]
+                r2 = mpf_mul(r, r, prec, rnd)
+                gp = mpf_rdiv_int(1, mpf_mul_int(r2, 3, prec, rnd), prec, rnd)
+                if second:
+                    gpp = mpf_rdiv_int(-2, mpf_mul(mpf_mul(mpf_mul_int(r2, 9, prec, rnd), r2,
+                                                           prec, rnd), r, prec, rnd), prec, rnd)
+            ders[-1] = (mpf_mul(gp, u1, prec, rnd), mpf_add(
+                mpf_mul(mpf_mul(gpp, u1, prec, rnd), u1, prec, rnd),
+                mpf_mul(gp, u2, prec, rnd), prec, rnd) if second else None)
+    make = mp.make_mpf
+    if not order:
+        return make(vals[0])
+    d1, d2 = ders[0]
+    return (make(vals[0]), make(d1), make(d2)) if second else (make(vals[0]), make(d1))
 
 
 def eval_jet(expr: Expression, x, precision: int) -> Jet2:
-    """Evaluate (f, f', f'') at ``x`` with ``precision`` working digits."""
-    with mp.workdps(working_dps(precision)):
-        v, d1, d2 = _eval(expr, as_mpf(x), 2)
+    """Evaluate (f, f', f'') at ``x`` with ``precision`` (at least ``MIN_DIGITS``) digits."""
+    check_digits(precision)
+    prec = working_prec(precision)
+    v, d1, d2 = _eval(expr, as_mpf(x, prec), 2, prec)
     return Jet2(
         BigReal(v, precision), BigReal(d1, precision), BigReal(d2, precision)
     )
 
 
 def eval_value(expr: Expression, x, precision: int) -> BigReal:
-    """Evaluate f(x) only; no derivative-level domain restrictions."""
-    with mp.workdps(working_dps(precision)):
-        return BigReal(_eval(expr, as_mpf(x), 0), precision)
+    """Evaluate f(x) only; no derivative-level domain restrictions.
+
+    ``precision`` must be at least ``MIN_DIGITS``; a point that is not a
+    BigReal is converted at its working precision, as in ``eval_jet``.
+    """
+    check_digits(precision)
+    prec = working_prec(precision)
+    return BigReal(_eval(expr, as_mpf(x, prec), 0, prec), precision)

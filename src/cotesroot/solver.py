@@ -29,7 +29,7 @@ from typing import Optional
 
 import mpmath as mp
 
-from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, check_digits, working_dps
+from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, check_digits, working_dps, working_prec
 from .errors import Breakdown, DomainError
 from .expr import Expression, _eval
 from .quadrature import MAX_RULE, builtin_rule
@@ -156,15 +156,16 @@ class Trajectory:
 
 
 class _PlainTarget:
-    """(f, f') pairs from order-1 jets; the plain maps never read f''."""
+    """(f, f') pairs from order-1 jets at ``prec`` bits; the plain maps never read f''."""
 
-    def __init__(self, f: Expression):
+    def __init__(self, f: Expression, prec: int):
         self.f = f
+        self.prec = prec
         self.jet_evals = 0
 
     def pair(self, x):
         self.jet_evals += 1
-        return _eval(self.f, x, 1)
+        return _eval(self.f, x, 1, self.prec)
 
 
 class _TransformTarget(_PlainTarget):
@@ -178,7 +179,7 @@ class _TransformTarget(_PlainTarget):
 
     def pair(self, x):
         self.jet_evals += 1
-        v, d1, d2 = _eval(self.f, x, 2)
+        v, d1, d2 = _eval(self.f, x, 2, self.prec)
         if d1 == 0:
             if v == 0:
                 raise DomainError("transform is 0/0 at a root of both f and f'")
@@ -265,14 +266,16 @@ def _levels(m: MethodId) -> tuple[int, ...]:
     return (m.outer,) if m.inner is None else (m.inner, m.outer)
 
 
-def _method_map(m: MethodId, f: Expression, precision: int, bound=None):
+def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=None):
     """x -> t(x) on working-precision values; a composition applies inner first.
 
+    f is evaluated at ``prec`` bits, the working precision of ``precision``
+    (``working_prec``) unless a caller such as ``mp.diffs`` works finer.
     ``bound`` is the divergence bound every ladder node must stay inside; x
     must be inside it, and so must a composition's inner result, the outer
     ladder's base point (else ``_OutsideBound`` at level 0).
     """
-    target = _TransformTarget(f) if m.transform else _PlainTarget(f)
+    target = (_TransformTarget if m.transform else _PlainTarget)(f, prec)
     levels = _levels(m)
 
     def apply(x):
@@ -295,10 +298,11 @@ def _nominal_order(m: MethodId) -> int:
 
 def apply_method(m: MethodId, f: Expression, x, precision: int) -> BigReal:
     """One application of a basic or composed map (inner map first) from a finite x."""
+    check_digits(precision)
     with mp.workdps(working_dps(precision)):
         x = as_mpf(x)
         _check_finite("x", [x])
-        return BigReal(_method_map(m, f, precision)(x), precision)
+        return BigReal(_method_map(m, f, precision, working_prec(precision))(x), precision)
 
 
 def _check_finite(name, coordinates):
@@ -410,7 +414,7 @@ def _scheduled_step(m: MethodId, f: Expression, precision: int, max_iter: int, b
     a pass that stalls at its own rounding.  Residuals, stop rules and reported
     iterates stay at p.
     """
-    full = _method_map(m, f, precision, bound)
+    full = _method_map(m, f, precision, working_prec(precision), bound)
     if precision < _SCHEDULE_FROM or m.transform:
         return lambda x, fx: full(x)  # the ladder takes f(x) from its own jet
     q = _nominal_order(m)
@@ -419,7 +423,7 @@ def _scheduled_step(m: MethodId, f: Expression, precision: int, max_iter: int, b
 
     def initial_digits(x, fx):
         with mp.workdps(30):
-            slope = _eval(f, x, 1)[1]
+            slope = _eval(f, x, 1, mp.mp.prec)[1]
             return None if slope == 0 else _correct_digits(abs(fx / slope))
 
     def reduced(x, s):
@@ -429,9 +433,9 @@ def _scheduled_step(m: MethodId, f: Expression, precision: int, max_iter: int, b
         if 4 * work > precision:
             return None
         with mp.workdps(working_dps(work)):
-            xn = _method_map(m, f, work, bound)(+x)
+            xn = _method_map(m, f, work, working_prec(work), bound)(+x)
         with mp.workdps(working_dps(work + _SCHEDULE_GUARD)):
-            value, slope = _eval(f, xn, 1)
+            value, slope = _eval(f, xn, 1, working_prec(work + _SCHEDULE_GUARD))
             if slope == 0:
                 return None
             correction = abs(value / slope)
@@ -463,11 +467,12 @@ def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
 
     Early passes may run at a reduced precision (``_scheduled_step``)."""
     precision = problem.precision
+    prec = working_prec(precision)
     with mp.workdps(working_dps(precision)):
         bound = as_mpf(problem.divergence_bound)
         points, steps, termination = _outer_loop(
             as_mpf(problem.x0),
-            lambda x: _eval(problem.f, x, 0),
+            lambda x: _eval(problem.f, x, 0, prec),
             _scheduled_step(m, problem.f, precision, problem.max_iter, bound),
             abs,
             problem.max_iter,

@@ -259,9 +259,9 @@ def test_bisect_root_tabpol1_oracle_evaluation_count(monkeypatch):
     calls = []
     real_eval = analysis._eval
 
-    def counting_eval(f, x, order):
+    def counting_eval(f, x, order, prec):
         calls.append(order)
-        return real_eval(f, x, order)
+        return real_eval(f, x, order, prec)
 
     monkeypatch.setattr(analysis, "_eval", counting_eval)
     bisect_root(parse("x^11+4*x^2-10"), 1, 2, 2640)

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import mpmath as mp
 import pytest
@@ -17,8 +19,9 @@ from cotesroot import (
     iterate,
     parse,
 )
-from cotesroot.bigreal import working_dps
+from cotesroot.bigreal import working_dps, working_prec
 from cotesroot.expr import _eval
+from reference_tape import reference_eval
 
 
 def jet_floats(text, x, precision=30):
@@ -134,7 +137,17 @@ def test_jet_domain_errors(text, x):
     with pytest.raises(DomainError):
         eval_jet(parse(text), bigreal(x, 30), 30)
     with pytest.raises(DomainError), mp.workdps(working_dps(30)):
-        _eval(parse(text), mp.mpf(x), 1)  # order 1 keeps the derivative-level rules
+        # order 1 keeps the derivative-level rules
+        _eval(parse(text), mp.mpf(x), 1, working_prec(30))
+
+
+@pytest.mark.parametrize("precision", [3, 0, -5, 14])
+def test_evaluation_rejects_precision_below_minimum(precision):
+    # the 15-digit minimum of every solve holds for single evaluations too
+    for evaluate in (eval_value, eval_jet):
+        with pytest.raises(ValueError, match="at least 15"):
+            evaluate(parse("x^2-2"), bigreal("1.5", 20), precision)
+    assert eval_value(parse("x^2-2"), bigreal("1.5", 15), 15).value == mp.mpf("0.25")
 
 
 def test_value_allows_kinks_where_jet_does_not():
@@ -265,8 +278,99 @@ def test_order_one_is_the_head_of_order_two(seed, x):
         jet = eval_jet(expr, point, PRECISION)
     except DomainError:
         with pytest.raises(DomainError), mp.workdps(working_dps(PRECISION)):
-            _eval(expr, point.value, 1)
+            _eval(expr, point.value, 1, working_prec(PRECISION))
         return
     with mp.workdps(working_dps(PRECISION)):
-        f, d1 = _eval(expr, point.value, 1)
+        f, d1 = _eval(expr, point.value, 1, working_prec(PRECISION))
     assert (f._mpf_, d1._mpf_) == (jet.f.value._mpf_, jet.d1.value._mpf_)
+
+
+# Forms _random_expr never makes: unary minus (of x itself too, where a
+# point with extra bits shows whether it rounds), tan, cbrt, abs, the
+# constants, real, negative, zeroth, first and variable powers, and unguarded
+# log, sqrt and division, so the domain rules fire too.
+_MORE_FORMS = [
+    "-({a})", "-x*({a})", "tan({a})", "cbrt({a})", "abs({a})", "pi*({a})-e", "({a})^1.5",
+    "({a})^(-2)", "({a})^0", "({a})^(3-2)", "({a})^({b})", "log({a})",
+    "sqrt({a})", "({a})/({b})",
+]
+
+
+def _any_op_expr(rng, depth):
+    """A _random_expr function, or one of _MORE_FORMS over smaller ones."""
+    if depth == 0 or rng.random() < 0.3:
+        return _random_expr(rng, depth)
+    a, b = _any_op_expr(rng, depth - 1), _any_op_expr(rng, depth - 1)
+    return rng.choice(_MORE_FORMS).format(a=a, b=b)
+
+
+def _outcome(evaluate):
+    """The raw bits of an evaluation, or the type and text of its error."""
+    try:
+        result = evaluate()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return tuple(v._mpf_ for v in result) if isinstance(result, tuple) else result._mpf_
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    x=st.floats(-3, 3),
+    order=st.sampled_from([0, 1, 2]),
+    precision=st.sampled_from([30, 60, 700]),
+    extra_bits=st.booleans(),
+)
+def test_raw_tape_matches_mpf_operators_bitwise(seed, x, order, precision, extra_bits):
+    """The libmp tape gives the bits and errors of the same formulas on mpf operators.
+
+    The reference runs under mp.workdps; the tape runs outside it, at its own
+    precision argument.  With ``extra_bits`` x carries twice the working bits,
+    so an operation that forgets to round (unary minus, say) shows.
+    """
+    rng = random.Random(seed)
+    expr = parse(_any_op_expr(rng, rng.randint(1, 3)))
+    prec = working_prec(precision)
+    with mp.workprec(2 * prec if extra_bits else prec):
+        point = mp.mpf(x) + (mp.mpf(rng.getrandbits(prec)) / 2 ** (prec + 8) if extra_bits else 0)
+    with mp.workdps(working_dps(precision)):
+        expected = _outcome(lambda: reference_eval(expr, point, order))
+    assert _outcome(lambda: _eval(expr, point, order, prec)) == expected
+
+
+def test_concurrent_evaluation_is_bit_identical_to_serial():
+    """Evaluation takes its precision as an argument, so threads at different
+    precisions do not change each other's results."""
+    cases = [(parse(text), bigreal(x, precision), precision)
+             for text, x in (("tanh(x-1)", "1.1"), ("x^11+4*x^2-10", "1.3"))
+             for precision in (60, 1000)]
+
+    def evaluate(case):
+        expr, x, precision = case
+        jet = eval_jet(expr, x, precision)
+        return eval_value(expr, x, precision).value._mpf_, jet.f.value._mpf_, \
+            jet.d1.value._mpf_, jet.d2.value._mpf_
+
+    serial = [evaluate(case) for case in cases]
+    mismatches, finished = [], []
+
+    def worker(precision):
+        for _ in range(2000 if precision == 60 else 100):  # about as long at each precision
+            for case, expected in zip(cases, serial):
+                if case[2] == precision and evaluate(case) != expected:
+                    mismatches.append(case)
+        finished.append(precision)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(p,)) for p in (60, 1000)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == [60, 1000]
+    assert not mismatches

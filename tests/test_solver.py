@@ -21,6 +21,7 @@ from cotesroot import (
     parse,
 )
 from cotesroot import solver
+from cotesroot.bigreal import working_prec
 from cotesroot.solver import (
     BREAKDOWN,
     CONVERGED,
@@ -143,7 +144,7 @@ def test_two_node_map_exact_on_affine():
 def test_slope_evaluation_count(n):
     # node 0 of every level is the base point, whose slope is evaluated once
     for target_type in (_PlainTarget, _TransformTarget):
-        target = target_type(parse("x^3+2*x-5"))
+        target = target_type(parse("x^3+2*x-5"), working_prec(50))
         with mp.workdps(60):
             _scalar_ladder(n, target, mp.mpf("1.4"), "trapezoid", 50)
         assert target.jet_evals == 1 + n * (n + 1) // 2
@@ -169,7 +170,7 @@ def test_composition_applies_inner_first():
 def transform_pair(text, x, precision):
     """(F, F') of the +F maps at x, at the working precision of ``precision``."""
     with mp.workdps(precision + 10):
-        return _TransformTarget(parse(text)).pair(mp.mpf(x))
+        return _TransformTarget(parse(text), working_prec(precision)).pair(mp.mpf(x))
 
 
 def test_transform_of_square():
@@ -270,10 +271,10 @@ def test_iterate_diverged_iterate_has_no_residual(monkeypatch):
     residual_points = []
     real_eval = solver._eval
 
-    def recording_eval(f, x, order):
+    def recording_eval(f, x, order, prec):
         if order == 0:
             residual_points.append(x)
-        return real_eval(f, x, order)
+        return real_eval(f, x, order, prec)
 
     monkeypatch.setattr(solver, "_eval", recording_eval)
     problem = ScalarProblem(parse("x*exp(x)-1"), bigreal(-3, 30), precision=30)
@@ -298,9 +299,9 @@ def test_iterate_ladder_node_outside_bound_diverges(monkeypatch, method, x0, lev
     bound = mp.mpf(10) ** 6 * (1 + mp.mpf(x0))
     real_eval = solver._eval
 
-    def bounded_eval(f, x, order):
+    def bounded_eval(f, x, order, prec):
         assert abs(x) <= bound, "f evaluated outside the divergence bound"
-        return real_eval(f, x, order)
+        return real_eval(f, x, order, prec)
 
     monkeypatch.setattr(solver, "_eval", bounded_eval)
     problem = ScalarProblem(parse("tanh(x-1)"), bigreal(x0, 30), precision=30, max_iter=5)
@@ -330,9 +331,9 @@ def test_iterate_ends_without_leaving_the_bound(seed, method, x0):
     points = []
     real_eval = solver._eval
 
-    def recording_eval(f, x, order):
+    def recording_eval(f, x, order, prec):
         points.append(x)
-        return real_eval(f, x, order)
+        return real_eval(f, x, order, prec)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_eval", recording_eval)
@@ -421,6 +422,13 @@ def test_problem_rejects_low_precision():
     ScalarProblem(parse("x^2-2"), bigreal(3, 15), precision=15)
 
 
+@pytest.mark.parametrize("precision", [3, 0, -5, 14])
+def test_apply_method_rejects_precision_below_minimum(precision):
+    # at 3 digits the cancellation trap 10^(5-p)|f'| fires on every slope sum
+    with pytest.raises(ValueError, match="at least 15"):
+        apply_method(MethodId(1), parse("x^2-2"), bigreal("1.5", 20), precision)
+
+
 @pytest.mark.parametrize("name", ["step_tol", "residual_tol", "divergence_bound"])
 def test_problem_rejects_nan_stop_rule(name):
     with pytest.raises(ValueError, match=name):
@@ -503,7 +511,7 @@ def test_slope_sum_near_root_approximates_scaled_derivative(n):
     # at the root the weighted slope sum collapses to c_n * f'(z)
     precision = 60
     f = parse("x^2-2")
-    target = _PlainTarget(f)
+    target = _PlainTarget(f, working_prec(precision))
     with mp.workdps(precision + 10):
         z = mp.sqrt(2)
         _, sums = _scalar_ladder(n, target, z, "trapezoid", precision)
