@@ -4,11 +4,15 @@ derivatives and reference roots.
 The order estimator uses the known-root error definition
 q_k = ln|e_{k+1}| / ln|e_k| with e_k = z - x_k and reports the last stable
 ratio; a step-based three-point variant is provided for problems without a
-known root.  Map derivatives at a fixed point come from ``mp.diffs``, whose
-differences are exact to working precision.  Reference roots come from a
-bracket, independently of the iterative maps: bisection seeds them,
-``mp.findroot`` polishes them, and a sign change of f certifies them to the
-bound bisection itself would give.
+known root.  Errors are subtracted at the working precision, but every log
+(the significant digits s = -log10|e| and the logs in the order ratios) is a
+float log of the binary mantissa and exponent (``solver._log10_abs``), at the
+precision it is shown at, never at the working precision; none of these
+functions reads or sets mpmath's context.  Map derivatives at a fixed point
+come from ``mp.diffs``, whose differences are exact to working precision.
+Reference roots come from a bracket, independently of the iterative maps:
+bisection seeds them, ``mp.findroot`` polishes them, and a sign change of f
+certifies them to the bound bisection itself would give.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import mpmath as mp
 from .bigreal import BigReal, as_mpf, check_digits, working_dps, working_prec
 from .errors import Breakdown, InsufficientData, RoundoffFloor
 from .expr import Expression, _eval
-from .solver import MethodId, Trajectory, _check_finite, _method_map, _significant_digits
+from .solver import (MethodId, Trajectory, _check_finite, _log10_abs, _method_map,
+                     _significant_digits)
 
 STABLE_GAP = 0.15  # adjacent ratio gap below which the estimate counts as settled
 FLOOR_MARGIN = 15  # digits above the working precision reserved for roundoff noise
@@ -34,14 +39,21 @@ class OrderEstimate:
 
 
 def significant_digits(x: BigReal, z: BigReal) -> BigReal:
-    """-log10 of the absolute error; capped at the precision on an exact hit."""
+    """-log10 of the absolute error; capped at the precision on an exact hit.
+
+    The error is subtracted at the working precision; its log is a float
+    (``solver._significant_digits``), so the result holds about 16 significant
+    digits and does not depend on mpmath's context.
+    """
     precision = max(x.precision, z.precision)
-    with mp.workdps(working_dps(precision)):
-        return BigReal(_significant_digits(x.value, z.value, precision), precision)
+    return BigReal(as_mpf(_significant_digits(x.value, z.value, precision), 53), precision)
 
 
 def _decreasing_run(values, floor):
-    """Leading strictly decreasing values above ``floor``; whether the floor cut them short."""
+    """Leading strictly decreasing values above ``floor``; whether the floor cut them short.
+
+    The values are float logs, so the differences of usable ones, which the
+    order ratios divide by, are never zero."""
     usable = []
     for value in values:
         if value <= floor:
@@ -56,13 +68,13 @@ def _order_estimate(q, usable, ratios, precision) -> OrderEstimate:
     if q <= 0:
         raise InsufficientData("estimated order is not positive")
     return OrderEstimate(
-        BigReal(q, precision),
+        BigReal(as_mpf(q, 53), precision),
         len(usable),
-        tuple(BigReal(r, precision) for r in ratios),
+        tuple(BigReal(as_mpf(r, 53), precision) for r in ratios),
     )
 
 
-def _stable_tail(ratios) -> mp.mpf:
+def _stable_tail(ratios) -> float:
     for i in range(len(ratios) - 1, 0, -1):
         if abs(ratios[i] - ratios[i - 1]) < STABLE_GAP:
             return ratios[i]
@@ -74,42 +86,48 @@ def estimate_order(traj: Trajectory, reference_root: BigReal) -> OrderEstimate:
 
     Uses the iterates whose errors are below 1 (inside the contraction
     regime), strictly decreasing, and above the roundoff floor
-    10^(-precision+15).  Needs at least four of them.
+    10^(-precision+15), all three judged on the float logs of the errors: two
+    errors whose logs agree to float precision do not decrease.  Needs at
+    least four of them.
     """
     precision = traj.iterates[0].x.precision
-    with mp.workdps(working_dps(precision)):
-        root = as_mpf(reference_root)
-        floor = mp.mpf(10) ** (FLOOR_MARGIN - precision)
-        errors = [abs(root - rec.x.value) for rec in traj.iterates]
-        while errors and errors[0] >= 1:
-            errors.pop(0)
-        usable, hit_floor = _decreasing_run(errors, floor)
-        if len(usable) < 4:
-            if hit_floor:
-                raise RoundoffFloor(
-                    f"errors reached the roundoff floor after {len(usable)} usable iterates"
-                )
-            raise InsufficientData(
-                f"need 4 strictly decreasing errors, have {len(usable)}"
+    root = as_mpf(reference_root)
+    # log10|e_k|; an exact hit reads as -precision, below the floor.  The
+    # first usable log is negative, so the later ones, which the ratios divide
+    # by, are too.
+    logs = [-_significant_digits(rec.x.value, root, precision) for rec in traj.iterates]
+    while logs and logs[0] >= 0:
+        logs.pop(0)
+    usable, hit_floor = _decreasing_run(logs, FLOOR_MARGIN - precision)
+    if len(usable) < 4:
+        if hit_floor:
+            raise RoundoffFloor(
+                f"errors reached the roundoff floor after {len(usable)} usable iterates"
             )
-        ratios = [mp.log(usable[k + 1]) / mp.log(usable[k]) for k in range(len(usable) - 1)]
-        return _order_estimate(_stable_tail(ratios), usable, ratios, precision)
+        raise InsufficientData(
+            f"need 4 strictly decreasing errors, have {len(usable)}"
+        )
+    ratios = [usable[k + 1] / usable[k] for k in range(len(usable) - 1)]
+    return _order_estimate(_stable_tail(ratios), usable, ratios, precision)
 
 
 def estimate_order_from_steps(traj: Trajectory) -> OrderEstimate:
-    """Three-point order estimate from consecutive steps (no root needed)."""
+    """Three-point order estimate from consecutive steps (no root needed).
+
+    Uses the leading strictly decreasing steps above the roundoff floor,
+    judged on their float logs as ``estimate_order`` judges errors.
+    """
     precision = traj.iterates[0].x.precision
-    with mp.workdps(working_dps(precision)):
-        floor = mp.mpf(10) ** (FLOOR_MARGIN - precision)
-        usable, _ = _decreasing_run([abs(step.value) for step in traj.steps()], floor)
-        if len(usable) < 3:
-            raise InsufficientData(f"need 3 strictly decreasing steps, have {len(usable)}")
-        ratios = [
-            mp.log(usable[k + 1] / usable[k]) / mp.log(usable[k] / usable[k - 1])
-            for k in range(1, len(usable) - 1)
-        ]
-        q = _stable_tail(ratios) if len(ratios) > 1 else ratios[-1]
-        return _order_estimate(q, usable, ratios, precision)
+    logs = [_log10_abs(step.value) for step in traj.steps()]
+    usable, _ = _decreasing_run(logs, FLOOR_MARGIN - precision)
+    if len(usable) < 3:
+        raise InsufficientData(f"need 3 strictly decreasing steps, have {len(usable)}")
+    ratios = [
+        (usable[k + 1] - usable[k]) / (usable[k] - usable[k - 1])
+        for k in range(1, len(usable) - 1)
+    ]
+    q = _stable_tail(ratios) if len(ratios) > 1 else ratios[-1]
+    return _order_estimate(q, usable, ratios, precision)
 
 
 def map_derivatives_at(
@@ -166,9 +184,12 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
     polishes its midpoint at the working precision.  The polished r is kept
     only when it lies in the seed bracket and f changes sign over
     [r - h, r + h] with h = 10^(-precision)/2: the bound bisection's own
-    midpoint has.  Otherwise, as when the polish fails (a multiple root, a
-    point outside the domain), bisection goes on from the seed bracket down
-    to 10^(-precision).
+    midpoint has.  When the polish of f fails, as secant does at a multiple
+    root, ``mp.findroot`` polishes f/f' from the same midpoint under the same
+    certificate: its root is simple where f has a multiple one, and an exact
+    zero of f there is a root.  When that fails too (a point outside the
+    domain, a vanishing f'), bisection goes on from the seed bracket down to
+    10^(-precision).
     """
     check_digits(precision)
     prec = working_prec(precision)
@@ -189,13 +210,22 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
         a, fa, b = _bisect(f, a, fa, b, max(target, mp.mpf(10) ** -30), prec)
         if b - a > target:
             half_width = target / 2
-            try:  # findroot computes 20 bits finer; unary + rounds to the working precision
-                r = +mp.findroot(lambda x: _eval(f, x, 0, mp.mp.prec), (a + b) / 2)
-                certified = (a <= r <= b and mp.sign(_eval(f, r - half_width, 0, prec))
-                             != mp.sign(_eval(f, r + half_width, 0, prec)))
-            except (ValueError, ZeroDivisionError, Breakdown):
-                certified = False
-            if certified:
-                return BigReal(r, precision)
+
+            def value(x):
+                return _eval(f, x, 0, mp.mp.prec)
+
+            def newton_correction(x):
+                v, d1 = _eval(f, x, 1, mp.mp.prec)
+                return v if v == 0 else v / d1
+
+            # findroot computes 20 bits finer; unary + rounds to the working precision
+            for g in (value, newton_correction):
+                try:
+                    r = +mp.findroot(g, (a + b) / 2)
+                    if a <= r <= b and (mp.sign(_eval(f, r - half_width, 0, prec))
+                                        != mp.sign(_eval(f, r + half_width, 0, prec))):
+                        return BigReal(r, precision)
+                except (ValueError, ZeroDivisionError, Breakdown):
+                    pass
             a, fa, b = _bisect(f, a, fa, b, target, prec)
         return BigReal((a + b) / 2, precision)

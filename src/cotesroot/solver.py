@@ -28,6 +28,7 @@ from itertools import count
 from typing import Optional
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_sub, round_nearest, to_float
 
 from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, check_digits, working_dps, working_prec
 from .errors import Breakdown, DomainError
@@ -380,19 +381,35 @@ def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound
     return points, steps, Termination(MAX_ITERATIONS)
 
 
-def _significant_digits(x, z, precision):
-    """s = -log10|z - x| on mpf, or ``precision`` on an exact hit."""
-    err = abs(z - x)
-    return mp.mpf(precision) if err == 0 else -mp.log10(err)
+_LOG10_2 = math.log10(2)
 
 
-def _correct_digits(correction) -> float:
-    """-log10 of a positive Newton correction |f/f'|: about the correct digits
-    of the point it was taken at.  The log is taken on a float, or from the
-    binary exponent below 1e-300, never at the working precision."""
-    if correction > 1e-300:
-        return -math.log10(float(correction))
-    return -mp.mag(correction) * math.log10(2)
+def _log10_abs(v) -> float:
+    """log10|v| of an mpf as a float, from its binary mantissa and exponent.
+
+    The mantissa is cut to its leading 53 bits first, so that near 1 the two
+    terms do not cancel a long mantissa's rounding: the error is within a few
+    1e-16·max(1, |log10 v|), below 1e-300 and above 1e300 alike.  Zero gives
+    -inf, an infinity inf and NaN NaN.  It never reads or sets mpmath's
+    context and costs the same at any precision.
+    """
+    value = v._mpf_
+    _, man, exp, bc = value
+    if not man:  # zero, an infinity or NaN
+        return -math.inf if value == fzero else abs(to_float(value))
+    shift = max(bc - 53, 0)
+    return math.log10(man >> shift) + (exp + shift) * _LOG10_2
+
+
+def _significant_digits(x, z, precision) -> float:
+    """s = -log10|z - x| as a float, or ``precision`` on an exact hit.
+
+    z - x is subtracted at ``working_prec(precision)`` bits, rounded as the mpf
+    operator rounds it there; the log is a float (``_log10_abs``), since s is
+    shown with at most 8 digits.  Neither step reads mpmath's context.
+    """
+    err = mpf_sub(z._mpf_, x._mpf_, working_prec(precision), round_nearest)
+    return float(precision) if err == fzero else -_log10_abs(mp.make_mpf(err))
 
 
 def _scheduled_step(m: MethodId, f: Expression, precision: int, max_iter: int, bound):
@@ -402,7 +419,8 @@ def _scheduled_step(m: MethodId, f: Expression, precision: int, max_iter: int, b
     q the nominal order.  So it runs at P = q·s + _SCHEDULE_GUARD digits when
     4·P is at most the precision p (Brent & Zimmermann, Modern Computer
     Arithmetic, 2010, section 4.2: Newton with increasing working precision).
-    s is -log10|f/f'|: at x_0 from the full-precision residual and a 30-digit
+    s is -log10|f/f'|, a float log of the mantissa and exponent at any size
+    (``_log10_abs``): at x_0 from the full-precision residual and a 30-digit
     f', which does not cancel near a simple root; at a later x_k from the
     check below.  Always at p: every pass below _SCHEDULE_FROM digits, every
     pass of a "+F" map (F = -f/f' cancels near a multiple root), the pass that
@@ -424,7 +442,7 @@ def _scheduled_step(m: MethodId, f: Expression, precision: int, max_iter: int, b
     def initial_digits(x, fx):
         with mp.workdps(30):
             slope = _eval(f, x, 1, mp.mp.prec)[1]
-            return None if slope == 0 else _correct_digits(abs(fx / slope))
+            return None if slope == 0 else -_log10_abs(fx / slope)
 
     def reduced(x, s):
         """(x_{k+1}, its digits) from a pass at P digits, or None where that
@@ -441,7 +459,7 @@ def _scheduled_step(m: MethodId, f: Expression, precision: int, max_iter: int, b
             correction = abs(value / slope)
             if correction <= mp.mpf(10) ** (10 - work) * max(1, abs(xn)):
                 return None
-        return xn, _correct_digits(correction)
+        return xn, -_log10_abs(correction)
 
     def step(x, fx):
         nonlocal digits
@@ -486,7 +504,9 @@ def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
             return None if value is None else BigReal(value, precision)
 
         def sdigits(x):
-            return None if root is None else wrap(_significant_digits(x, root, precision))
+            if root is None:
+                return None
+            return wrap(as_mpf(_significant_digits(x, root, precision), 53))
 
         records = tuple(
             IterateRecord(k, wrap(x), wrap(fx), wrap(steps[k] if k < len(steps) else None),

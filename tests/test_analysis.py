@@ -210,9 +210,10 @@ def test_bisect_root_agrees_with_plain_bisection(text, fn, precision):
 
 @pytest.mark.parametrize("precision, polish_raises", [(60, False), (300, True)])
 def test_bisect_root_falls_back_on_a_triple_root(monkeypatch, precision, polish_raises):
-    # secant converges only linearly at a triple root: at 60 digits it stops
-    # about 1e-32 short, which the certificate rejects; from 300 digits on
-    # (2640 included) findroot raises
+    # secant on f converges only linearly at a triple root: at 60 digits it
+    # stops about 1e-32 short, which the certificate rejects; from 300 digits
+    # on (2640 included) findroot raises.  The second polish, of f/f', whose
+    # root there is simple, is certified.
     outcomes = []
     real_findroot = mp.findroot
 
@@ -226,11 +227,32 @@ def test_bisect_root_falls_back_on_a_triple_root(monkeypatch, precision, polish_
 
     monkeypatch.setattr(analysis.mp, "findroot", recording_findroot)
     root = bisect_root(parse("(x-1)^3*exp(x)"), "0.5", 2, precision)
-    (outcome,) = outcomes
-    assert isinstance(outcome, ValueError) == polish_raises
+    polish_f, polish_ratio = outcomes
+    assert isinstance(polish_f, ValueError) == polish_raises
     with mp.workdps(precision + 10):
         if not polish_raises:
-            assert abs(outcome - 1) > mp.mpf(10) ** -precision
+            assert abs(polish_f - 1) > mp.mpf(10) ** -precision
+        assert abs(polish_ratio - 1) <= mp.mpf(10) ** -precision / 2
+        assert abs(root.value - 1) <= mp.mpf(10) ** -precision / 2
+
+
+@pytest.mark.parametrize("precision", [60, 300, 1000])
+@pytest.mark.parametrize("text", ["(x-1)^3*exp(x)", "(x-1)^5"])
+def test_bisect_root_multiple_root_evaluation_count(monkeypatch, text, precision):
+    # bisection alone takes about 3.3 evaluations of f per digit (1034 at 300
+    # digits); the polish of f/f' lands on x = 1, where f and f' both vanish
+    calls = []
+    real_eval = analysis._eval
+
+    def counting_eval(f, x, order, prec):
+        calls.append(order)
+        return real_eval(f, x, order, prec)
+
+    monkeypatch.setattr(analysis, "_eval", counting_eval)
+    root = bisect_root(parse(text), "0.5", 2, precision)
+    assert len(calls) <= 200
+    assert 1 in calls
+    with mp.workdps(precision + 10):
         assert abs(root.value - 1) <= mp.mpf(10) ** -precision / 2
 
 

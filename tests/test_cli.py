@@ -14,6 +14,7 @@ from cotesroot import (MethodId, ScalarProblem, bigreal, estimate_order_from_ste
                        parse, run_table)
 from cotesroot.bigreal import DEFAULT_DIGITS
 from cotesroot.cli import main
+from cotesroot.tables import TABLE_IDS
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +229,21 @@ def test_table_json(capsys):
     assert data["table"] == "tabnova1"
     assert len(data["rows"]) == 8
     assert all(row["diff"] < 0.05 for row in data["rows"])
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("table_id", TABLE_IDS)
+def test_table_csv_matches_golden(capsys, table_id):
+    # every printed figure but the run time, as recorded from a reference run
+    code, out, _ = run_cli(capsys, "table", table_id, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    for row in rows:
+        del row["runtime_s"]
+    with open(GOLDEN / f"table_{table_id}.csv", newline="") as fh:
+        assert rows == list(csv.DictReader(fh))
 
 
 def test_table_rejects_tiny_digits(capsys):

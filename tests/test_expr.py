@@ -14,10 +14,12 @@ from cotesroot import (
     ScalarProblem,
     UnknownIdentifier,
     bigreal,
+    estimate_order,
     eval_jet,
     eval_value,
     iterate,
     parse,
+    significant_digits,
 )
 from cotesroot.bigreal import working_dps, working_prec
 from cotesroot.expr import _eval
@@ -338,6 +340,35 @@ def test_raw_tape_matches_mpf_operators_bitwise(seed, x, order, precision, extra
     assert _outcome(lambda: _eval(expr, point, order, prec)) == expected
 
 
+def _assert_threads_match_serial(cases, evaluate, repeats):
+    """Run ``evaluate`` over ``cases`` (precision last) in one thread per
+    precision, ``repeats[p]`` times each, with frequent thread switches; every
+    result must equal the serial one bit for bit."""
+    serial = [evaluate(case) for case in cases]
+    mismatches, finished = [], []
+
+    def worker(precision):
+        for _ in range(repeats[precision]):
+            for case, expected in zip(cases, serial):
+                if case[-1] == precision and evaluate(case) != expected:
+                    mismatches.append(case)
+        finished.append(precision)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(p,)) for p in repeats]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == sorted(repeats)
+    assert not mismatches
+
+
 def test_concurrent_evaluation_is_bit_identical_to_serial():
     """Evaluation takes its precision as an argument, so threads at different
     precisions do not change each other's results."""
@@ -351,26 +382,27 @@ def test_concurrent_evaluation_is_bit_identical_to_serial():
         return eval_value(expr, x, precision).value._mpf_, jet.f.value._mpf_, \
             jet.d1.value._mpf_, jet.d2.value._mpf_
 
-    serial = [evaluate(case) for case in cases]
-    mismatches, finished = [], []
+    # about as long at each precision
+    _assert_threads_match_serial(cases, evaluate, {60: 2000, 1000: 100})
 
-    def worker(precision):
-        for _ in range(2000 if precision == 60 else 100):  # about as long at each precision
-            for case, expected in zip(cases, serial):
-                if case[2] == precision and evaluate(case) != expected:
-                    mismatches.append(case)
-        finished.append(precision)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(p,)) for p in (60, 1000)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(finished) == [60, 1000]
-    assert not mismatches
+def test_concurrent_diagnostics_are_bit_identical_to_serial():
+    """significant_digits and estimate_order subtract at their own precision
+    and take float logs, so threads at different precisions do not change
+    each other's results."""
+    cases = []
+    for precision in (60, 2600):
+        root = bigreal(1, precision)
+        traj = iterate(ScalarProblem(parse("tanh(x-1)"), bigreal("1.5", precision),
+                                     precision=precision, max_iter=8, known_root=root),
+                       MethodId(0))
+        cases += [(bigreal(f"1.{'0' * digits}123456789", precision), root, traj, precision)
+                  for digits in (precision // 2, precision - 15)]
+
+    def evaluate(case):
+        x, root, traj, _ = case
+        estimate = estimate_order(traj, root)
+        return (significant_digits(x, root).value._mpf_, estimate.q.value._mpf_,
+                tuple(r.value._mpf_ for r in estimate.per_pair))
+
+    _assert_threads_match_serial(cases, evaluate, {60: 1000, 2600: 1000})

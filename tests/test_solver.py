@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from dataclasses import replace
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_expr import _random_expr
@@ -22,6 +23,7 @@ from cotesroot import (
 )
 from cotesroot import solver
 from cotesroot.bigreal import working_prec
+from mpmath.libmp import from_man_exp
 from cotesroot.solver import (
     BREAKDOWN,
     CONVERGED,
@@ -33,6 +35,7 @@ from cotesroot.solver import (
     _PlainTarget,
     _scalar_ladder,
     _TransformTarget,
+    _log10_abs,
     apply_method,
     iterate,
 )
@@ -536,3 +539,30 @@ def test_newton_seeded_simpson_matches_alternate_wiring():
         b = fp(u) + 4 * fp(u + h) + fp(u + 2 * h)
         expected = u - 6 * fx / b
         assert abs(got.value - expected) < mp.mpf(10) ** -55
+
+
+@st.composite
+def _mantissas(draw):
+    bits = draw(st.integers(1, 12000))
+    return draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(man=_mantissas(), exp=st.integers(-10**6, 10**6), negative=st.booleans())
+@example(man=2**12000 - 1, exp=-12000, negative=False)  # just below 1, where the terms cancel
+@example(man=1, exp=-1100, negative=True)  # about 7.4e-332: below the float range
+@example(man=3, exp=1100, negative=False)  # about 4e331: above it
+def test_log10_abs_matches_mpmath(man, exp, negative):
+    # the float log of mantissa and exponent against mpmath's log at 60 digits,
+    # within a few float roundings of max(1, |log10 v|), which the log of a
+    # long mantissa not cut to 53 bits first misses near 1
+    v = mp.make_mpf(from_man_exp(-man if negative else man, exp))
+    with mp.workdps(60):
+        expected = mp.log10(abs(v))
+    assert abs(_log10_abs(v) - float(expected)) <= 1e-14 * max(1, abs(float(expected)))
+
+
+def test_log10_abs_special_values():
+    assert _log10_abs(mp.mpf(0)) == -math.inf
+    assert _log10_abs(mp.mpf("-inf")) == math.inf
+    assert math.isnan(_log10_abs(mp.mpf("nan")))
