@@ -8,18 +8,8 @@ from .analysis import (
     map_derivatives_at,
     significant_digits,
 )
-from .bigreal import GUARD_DIGITS, BigReal, bigreal
-from .errors import (
-    Breakdown,
-    CotesrootError,
-    DomainError,
-    InsufficientData,
-    ParseError,
-    RoundoffFloor,
-    SingularMatrix,
-    UnknownIdentifier,
-    UnsupportedRule,
-)
+from .bigreal import BigReal, bigreal
+from .errors import Breakdown, CotesrootError, InsufficientData, ParseError
 from .expr import Expression, Jet2, eval_jet, eval_value, parse
 from .multivariate import (
     DemoSystem,
@@ -50,26 +40,20 @@ __all__ = [
     "Breakdown",
     "CotesrootError",
     "DemoSystem",
-    "DomainError",
     "Expression",
-    "GUARD_DIGITS",
     "InsufficientData",
     "Jet2",
     "MethodId",
     "OrderEstimate",
     "ParseError",
-    "RoundoffFloor",
     "RuleSpec",
     "ScalarProblem",
     "SEED_NEWTON",
     "SEED_TRAPEZOID",
-    "SingularMatrix",
     "TableReport",
     "TableRow",
     "Termination",
     "Trajectory",
-    "UnknownIdentifier",
-    "UnsupportedRule",
     "VectorFunction",
     "VectorTrajectory",
     "apply_method",

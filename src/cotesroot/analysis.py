@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .bigreal import BigReal, as_mpf, check_digits, working_dps, working_prec
-from .errors import Breakdown, InsufficientData, RoundoffFloor
+from .errors import Breakdown, InsufficientData
 from .expr import Expression, _eval
 from .solver import (MethodId, Trajectory, _check_finite, _log10_abs, _method_map,
                      _significant_digits)
@@ -88,7 +88,8 @@ def estimate_order(traj: Trajectory, reference_root: BigReal) -> OrderEstimate:
     regime), strictly decreasing, and above the roundoff floor
     10^(-precision+15), all three judged on the float logs of the errors: two
     errors whose logs agree to float precision do not decrease.  Needs at
-    least four of them.
+    least four of them, else raises InsufficientData, whose message names the
+    roundoff floor when the errors reached it before the fourth.
     """
     precision = traj.iterates[0].x.precision
     root = as_mpf(reference_root)
@@ -100,13 +101,9 @@ def estimate_order(traj: Trajectory, reference_root: BigReal) -> OrderEstimate:
         logs.pop(0)
     usable, hit_floor = _decreasing_run(logs, FLOOR_MARGIN - precision)
     if len(usable) < 4:
-        if hit_floor:
-            raise RoundoffFloor(
-                f"errors reached the roundoff floor after {len(usable)} usable iterates"
-            )
         raise InsufficientData(
-            f"need 4 strictly decreasing errors, have {len(usable)}"
-        )
+            f"errors reached the roundoff floor after {len(usable)} usable iterates"
+            if hit_floor else f"need 4 strictly decreasing errors, have {len(usable)}")
     ratios = [usable[k + 1] / usable[k] for k in range(len(usable) - 1)]
     return _order_estimate(_stable_tail(ratios), usable, ratios, precision)
 

@@ -7,7 +7,8 @@ target ``p``) or ``working_prec(p)`` bits, and returns its results as
 those bits to every ``mpmath.libmp`` call it makes; the other layers compute
 on plain mpf inside ``mp.workdps(working_dps(p))``.  Both round each
 operation the same way, so identical inputs yield bit-identical results
-across runs.
+across runs.  ``bigreal`` and ``BigReal.decimal`` take their precision from
+their arguments and never read or set mpmath's context.
 """
 
 from __future__ import annotations
@@ -73,9 +74,7 @@ class BigReal:
 
     def decimal(self, digits: int | None = None) -> str:
         """Decimal string with ``digits`` significant digits (default: full)."""
-        n = digits if digits is not None else self.precision
-        with mp.workdps(working_dps(self.precision)):
-            return mp.nstr(self.value, n)
+        return mp.nstr(self.value, digits if digits is not None else self.precision)
 
     def __float__(self):
         return float(self.value)
@@ -88,5 +87,4 @@ def bigreal(value, precision: int) -> BigReal:
     """A BigReal of ``value`` converted at the working precision of ``precision``."""
     if precision < 1:
         raise ValueError(f"precision must be positive, got {precision}")
-    with mp.workdps(working_dps(precision)):
-        return BigReal(as_mpf(value), precision)
+    return BigReal(as_mpf(value, working_prec(precision)), precision)

@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from .analysis import estimate_order, estimate_order_from_steps
 from .bigreal import DEFAULT_DIGITS, bigreal
-from .errors import CotesrootError, InsufficientData, RoundoffFloor
+from .errors import CotesrootError, InsufficientData
 from .expr import parse
 from .multivariate import demo_system, nd_iterate
 from .quadrature import builtin_rule, derive_rule
@@ -219,7 +219,7 @@ def _cmd_order(args) -> int:
             estimate = estimate_order_from_steps(traj)
         else:
             estimate = estimate_order(traj, problem.known_root)
-    except (InsufficientData, RoundoffFloor) as exc:
+    except InsufficientData as exc:
         print(f"cannot estimate order: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":

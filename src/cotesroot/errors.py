@@ -5,20 +5,12 @@ class CotesrootError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UnsupportedRule(CotesrootError, ValueError):
-    """Requested a closed rule outside the supported node counts (n = 0..7)."""
-
-
 class ParseError(CotesrootError, ValueError):
     """Function text could not be parsed; carries the offending offset."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class UnknownIdentifier(ParseError):
-    """Identifier in the function text is not a known function or constant."""
 
 
 class Breakdown(CotesrootError, ArithmeticError):
@@ -29,7 +21,9 @@ class Breakdown(CotesrootError, ArithmeticError):
 
     ZERO_DERIVATIVE = "zero_derivative"
     ZERO_DENOMINATOR = "zero_denominator"
-    SINGULAR_MATRIX = "singular_matrix"
+    SINGULAR_MATRIX = "singular_matrix"  # an LU pivot below the working-precision threshold
+    # evaluation left the domain of a node (log of nonpositive, division by zero,
+    # derivative of cbrt/abs at zero, 0/0 in the multiple-root transform)
     DOMAIN = "domain"
     NONFINITE = "nonfinite"  # a value became NaN or infinite
 
@@ -39,24 +33,6 @@ class Breakdown(CotesrootError, ArithmeticError):
         self.level = None
 
 
-class SingularMatrix(Breakdown):
-    """LU elimination met a pivot below the working-precision threshold."""
-
-    def __init__(self, message: str = ""):
-        super().__init__(Breakdown.SINGULAR_MATRIX, message)
-
-
-class DomainError(Breakdown):
-    """Evaluation left the domain of a node (log of nonpositive, division by
-    zero, derivative of cbrt/abs at zero, 0/0 in the multiple-root transform)."""
-
-    def __init__(self, message: str = ""):
-        super().__init__(Breakdown.DOMAIN, message)
-
-
 class InsufficientData(CotesrootError, ValueError):
-    """Not enough usable iterates to estimate a convergence order."""
-
-
-class RoundoffFloor(CotesrootError, ArithmeticError):
-    """Quantities sank below what the working precision can resolve."""
+    """Not enough usable iterates to estimate a convergence order, also when
+    the errors reached the roundoff floor first."""

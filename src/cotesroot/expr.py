@@ -44,7 +44,7 @@ from mpmath.libmp import (
 )
 
 from .bigreal import BigReal, as_mpf, check_digits, working_prec
-from .errors import DomainError, ParseError, UnknownIdentifier
+from .errors import Breakdown, ParseError
 
 FUNCTIONS = ("sin", "cos", "tan", "tanh", "exp", "log", "sqrt", "cbrt", "abs")
 CONSTANTS = ("pi", "e")
@@ -147,7 +147,7 @@ def parse(text: str) -> Expression:
                 uses_x.append(tok == "x")
                 want_operand = False
             elif kind == "ident":
-                raise UnknownIdentifier(f"unknown identifier {tok!r}", pos)
+                raise ParseError(f"unknown identifier {tok!r}", pos)
             elif kind == "end":
                 raise ParseError("unexpected end of input", pos)
             else:
@@ -262,7 +262,7 @@ def _eval(expr: Expression, x, order: int, prec: int):
                                 mpf_mul(a, b2, prec, rnd), prec, rnd) if second else None)
             elif op == "/":
                 if b == fzero:
-                    raise DomainError("division by zero")
+                    raise Breakdown(Breakdown.DOMAIN, "division by zero")
                 v = vals[-1] = mpf_div(a, b, prec, rnd)
                 if order:
                     d1 = mpf_div(mpf_sub(a1, mpf_mul(v, b1, prec, rnd), prec, rnd), b, prec, rnd)
@@ -274,7 +274,7 @@ def _eval(expr: Expression, x, order: int, prec: int):
             elif not arg and (b[1] and b[2] >= 0 or b == fzero):  # constant integer exponent
                 c = int(to_int(b))
                 if a == fzero and c < 0:
-                    raise DomainError("zero raised to a negative power")
+                    raise Breakdown(Breakdown.DOMAIN, "zero raised to a negative power")
                 if not order:
                     vals[-1] = mpf_pow_int(a, c, prec, rnd)
                 elif c == 0:
@@ -290,11 +290,12 @@ def _eval(expr: Expression, x, order: int, prec: int):
                         mpf_mul(cpm1, a2, prec, rnd), prec, rnd) if second else None)
             elif not order:
                 if mpf_lt(a, fzero) or (a == fzero and mpf_lt(b, fzero)):
-                    raise DomainError("real power of a negative base; use cbrt() for odd roots")
+                    raise Breakdown(Breakdown.DOMAIN,
+                                    "real power of a negative base; use cbrt() for odd roots")
                 vals[-1] = mpf_pow(a, b, prec, rnd)
             elif mpf_le(a, fzero):
-                raise DomainError("variable power of a nonpositive base" if arg else
-                                  "real power of a nonpositive base; use cbrt() for odd roots")
+                raise Breakdown(Breakdown.DOMAIN, "variable power of a nonpositive base" if arg else
+                                "real power of a nonpositive base; use cbrt() for odd roots")
             elif not arg:
                 vals[-1] = mpf_pow(a, b, prec, rnd)
                 bm1 = mpf_sub(b, fone, prec, rnd)
@@ -331,11 +332,11 @@ def _eval(expr: Expression, x, order: int, prec: int):
         else:  # function call
             v = vals[-1]
             if op == "log" and mpf_le(v, fzero):
-                raise DomainError(f"log of nonpositive value {to_str(v, 8)}")
+                raise Breakdown(Breakdown.DOMAIN, f"log of nonpositive value {to_str(v, 8)}")
             if op == "sqrt" and mpf_lt(v, fzero):
-                raise DomainError(f"sqrt of negative value {to_str(v, 8)}")
+                raise Breakdown(Breakdown.DOMAIN, f"sqrt of negative value {to_str(v, 8)}")
             if order and v == fzero and op in ("sqrt", "cbrt", "abs"):
-                raise DomainError(f"derivative of {op} at 0")
+                raise Breakdown(Breakdown.DOMAIN, f"derivative of {op} at 0")
             if op == "cbrt":  # real odd root
                 r = mpf_mul(_sign(v), mpf_cbrt(mpf_abs(v, prec, rnd), prec, rnd), prec, rnd)
             elif op == "abs":

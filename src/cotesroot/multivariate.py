@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, working_dps
-from .errors import Breakdown, SingularMatrix
+from .errors import Breakdown
 from .solver import (SEED_TRAPEZOID, Termination, _check_finite, _finite, _ladder_full,
                      _outer_loop, _stop_rules)
 
@@ -90,7 +90,7 @@ def _max_norm(vec) -> mp.mpf:
 
 
 def _lu_solve(matrix, rhs, precision):
-    """Ax = b by LU with partial pivoting; raises SingularMatrix on tiny pivots."""
+    """Ax = b by LU with partial pivoting; a ``singular_matrix`` Breakdown on tiny pivots."""
     d = len(rhs)
     a = [row[:] for row in matrix]
     b = rhs[:]
@@ -99,7 +99,7 @@ def _lu_solve(matrix, rhs, precision):
     for col in range(d):
         pivot_row = max(range(col, d), key=lambda r: abs(a[r][col]))
         if abs(a[pivot_row][col]) <= threshold:
-            raise SingularMatrix(f"pivot below threshold in column {col}")
+            raise Breakdown(Breakdown.SINGULAR_MATRIX, f"pivot below threshold in column {col}")
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             b[col], b[pivot_row] = b[pivot_row], b[col]

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import UnsupportedRule
-
 MAX_RULE = 7
 
 # weights A_0..A_n and scale c_n = sum(A) for the closed rules of n+1 nodes;
@@ -40,7 +38,7 @@ class RuleSpec:
 
     def __post_init__(self):
         if not 0 <= self.n <= MAX_RULE:
-            raise UnsupportedRule(f"rule index must be in 0..{MAX_RULE}, got {self.n}")
+            raise ValueError(f"rule index must be in 0..{MAX_RULE}, got {self.n}")
         if len(self.weights) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} weights, got {len(self.weights)}")
         if self.c != sum(self.weights):
@@ -54,7 +52,7 @@ class RuleSpec:
 def builtin_rule(n: int) -> RuleSpec:
     """Hard-coded weight row for the closed rule with ``n + 1`` nodes."""
     if not isinstance(n, int) or not 0 <= n <= MAX_RULE:
-        raise UnsupportedRule(f"no closed rule for n={n}; supported range is 0..{MAX_RULE}")
+        raise ValueError(f"no closed rule for n={n}; supported range is 0..{MAX_RULE}")
     weights, c = _BUILTIN[n]
     return RuleSpec(n, weights, c)
 
@@ -90,7 +88,7 @@ def derive_rule(n: int) -> RuleSpec:
     integers with the least possible integer sum.
     """
     if not isinstance(n, int) or not 0 <= n <= MAX_RULE:
-        raise UnsupportedRule(f"no closed rule for n={n}; supported range is 0..{MAX_RULE}")
+        raise ValueError(f"no closed rule for n={n}; supported range is 0..{MAX_RULE}")
     if n == 0:
         # single equation A_0 = c_0; least integer scale is 1
         return RuleSpec(0, (1,), 1)
@@ -110,12 +108,13 @@ def derive_rule(n: int) -> RuleSpec:
     return RuleSpec(n, weights, scale)
 
 
-def check_moments(rule: RuleSpec, mirrored: bool = False) -> list[bool]:
+def check_moments(rule: RuleSpec) -> list[bool]:
     """Exact rational check of the moment identities, one flag per order.
 
-    Entry j-1 reports whether sum_i A_i (i/n)^j equals c/(j+1) exactly; with
-    ``mirrored`` the node index runs from the far end (both forms must hold
-    by weight symmetry).  A single-node rule has no identities.
+    Entry j-1 reports whether sum_i A_i (i/n)^j equals c/(j+1) exactly.  The
+    weights are symmetric (``RuleSpec`` rejects others), so the sums with the
+    node index running from the far end are these same sums.  A single-node
+    rule has no identities.
     """
     if rule.n == 0:
         return []
@@ -123,7 +122,6 @@ def check_moments(rule: RuleSpec, mirrored: bool = False) -> list[bool]:
     for j in range(1, rule.n + 1):
         total = Fraction(0)
         for i, w in enumerate(rule.weights):
-            node = Fraction(rule.n - i if mirrored else i, rule.n)
-            total += w * node**j
+            total += w * Fraction(i, rule.n) ** j
         out.append(total == Fraction(rule.c, j + 1))
     return out

@@ -31,7 +31,7 @@ import mpmath as mp
 from mpmath.libmp import fzero, mpf_sub, round_nearest, to_float
 
 from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, check_digits, working_dps, working_prec
-from .errors import Breakdown, DomainError
+from .errors import Breakdown
 from .expr import Expression, _eval
 from .quadrature import MAX_RULE, builtin_rule
 
@@ -175,7 +175,7 @@ class _TransformTarget(_PlainTarget):
     F has a simple root wherever f has a multiple one (when f'' does not
     vanish there); its slope follows from the quotient rule:
     F' = f f''/(f')^2 - 1.  The removable 0/0 singularity at the multiple
-    root itself is not patched: evaluation there raises DomainError.
+    root itself is not patched: evaluation there is a ``domain`` Breakdown.
     """
 
     def pair(self, x):
@@ -183,7 +183,7 @@ class _TransformTarget(_PlainTarget):
         v, d1, d2 = _eval(self.f, x, 2, self.prec)
         if d1 == 0:
             if v == 0:
-                raise DomainError("transform is 0/0 at a root of both f and f'")
+                raise Breakdown(Breakdown.DOMAIN, "transform is 0/0 at a root of both f and f'")
             raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished under the transform")
         return -v / d1, v * d2 / (d1 * d1) - 1
 
@@ -349,7 +349,9 @@ def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound
 
     ``norm`` is abs or the max norm; a NaN anywhere must make it NaN.  Pass 0
     takes x0, which ``_stop_rules`` checked, each later pass one step from the
-    residual the previous pass took.  Returns the (iterate, residual or None)
+    residual the previous pass took.  A small step converges only where the
+    residual norm is at most its value at x0: a map on F = -f/f' also has
+    small steps near a pole of f.  Returns the (iterate, residual or None)
     pairs, the steps and the termination.  Any Breakdown ends the run, keeping
     its iterate; it is never raised, and the termination carries its message
     and ladder level.  A non-finite iterate is a breakdown and one outside the
@@ -370,7 +372,9 @@ def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound
             fx = residual(x)
             points[-1] = (x, fx)
             fx_norm = _finite(norm(fx))
-            if steps and norm(steps[-1]) < step_tol:
+            if not steps:
+                fx0_norm = fx_norm
+            elif norm(steps[-1]) < step_tol and fx_norm <= fx0_norm:
                 return points, steps, Termination(CONVERGED, "step")
             if fx_norm < residual_tol:
                 return points, steps, Termination(CONVERGED, "residual")

@@ -4,13 +4,13 @@ The same formulas in the same order as ``expr._eval``, written with mpf's
 operators and functions, so every operation rounds at the precision of the
 active ``mp.workdps`` context.  ``expr._eval`` runs them on raw
 ``mpmath.libmp`` tuples at a precision it is passed; it must return the same
-bits and raise the same ``DomainError`` messages, which ``test_expr.py``
+bits and raise the same ``domain`` Breakdown messages, which ``test_expr.py``
 checks against this copy.
 """
 
 import mpmath as mp
 
-from cotesroot.errors import DomainError
+from cotesroot.errors import Breakdown
 
 _BINARY = ("+", "-", "*", "/", "^")
 
@@ -60,7 +60,7 @@ def reference_eval(expr, x, order):
                                 a2 * b + 2 * a1 * b1 + a * b2 if second else None)
             elif op == "/":
                 if b == 0:
-                    raise DomainError("division by zero")
+                    raise Breakdown(Breakdown.DOMAIN, "division by zero")
                 v = vals[-1] = a / b
                 if order:
                     d1 = (a1 - v * b1) / b
@@ -68,7 +68,7 @@ def reference_eval(expr, x, order):
             elif not arg and mp.isint(b):  # power with a constant integer exponent
                 c = int(b)
                 if a == 0 and c < 0:
-                    raise DomainError("zero raised to a negative power")
+                    raise Breakdown(Breakdown.DOMAIN, "zero raised to a negative power")
                 if not order:
                     vals[-1] = a**c
                 elif c == 0:
@@ -81,11 +81,12 @@ def reference_eval(expr, x, order):
                                 c * (c - 1) * pm2 * a1 * a1 + c * pm1 * a2 if second else None)
             elif not order:
                 if a < 0 or (a == 0 and b < 0):
-                    raise DomainError("real power of a negative base; use cbrt() for odd roots")
+                    raise Breakdown(Breakdown.DOMAIN,
+                                    "real power of a negative base; use cbrt() for odd roots")
                 vals[-1] = a**b
             elif a <= 0:
-                raise DomainError("variable power of a nonpositive base" if arg else
-                                  "real power of a nonpositive base; use cbrt() for odd roots")
+                raise Breakdown(Breakdown.DOMAIN, "variable power of a nonpositive base" if arg else
+                                "real power of a nonpositive base; use cbrt() for odd roots")
             elif not arg:
                 vals[-1] = a**b
                 pm1 = a ** (b - 1)
@@ -106,11 +107,11 @@ def reference_eval(expr, x, order):
         else:  # function call
             v = vals[-1]
             if op == "log" and v <= 0:
-                raise DomainError(f"log of nonpositive value {mp.nstr(v, 8)}")
+                raise Breakdown(Breakdown.DOMAIN, f"log of nonpositive value {mp.nstr(v, 8)}")
             if op == "sqrt" and v < 0:
-                raise DomainError(f"sqrt of negative value {mp.nstr(v, 8)}")
+                raise Breakdown(Breakdown.DOMAIN, f"sqrt of negative value {mp.nstr(v, 8)}")
             if order and v == 0 and op in ("sqrt", "cbrt", "abs"):
-                raise DomainError(f"derivative of {op} at 0")
+                raise Breakdown(Breakdown.DOMAIN, f"derivative of {op} at 0")
             if op == "cbrt":
                 r = mp.sign(v) * mp.cbrt(abs(v))  # real odd root
             elif op == "abs":

@@ -5,7 +5,6 @@ from conftest import bisect_mpf, cubic
 from cotesroot import (
     InsufficientData,
     MethodId,
-    RoundoffFloor,
     ScalarProblem,
     bigreal,
     bisect_root,
@@ -89,7 +88,7 @@ def test_order_roundoff_floor():
     problem = ScalarProblem(parse("x^2-4"), bigreal(2 + mp.mpf(10) ** -30, 40),
                             precision=40, max_iter=6)
     traj = iterate(problem, MethodId(0))
-    with pytest.raises(RoundoffFloor):
+    with pytest.raises(InsufficientData, match="roundoff floor"):
         estimate_order(traj, bigreal(2, 40))
 
 

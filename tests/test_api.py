@@ -5,18 +5,16 @@ import re
 from pathlib import Path
 
 import cotesroot
-from cotesroot import Breakdown, cli, multivariate, solver
+from cotesroot import Breakdown, cli, errors, multivariate, solver
 
 PUBLIC = [
-    "BigReal", "Breakdown", "CotesrootError", "DemoSystem", "DomainError", "Expression",
-    "GUARD_DIGITS", "InsufficientData", "Jet2", "MethodId", "OrderEstimate", "ParseError",
-    "RoundoffFloor", "RuleSpec", "SEED_NEWTON", "SEED_TRAPEZOID", "ScalarProblem",
-    "SingularMatrix", "TableReport", "TableRow", "Termination", "Trajectory",
-    "UnknownIdentifier", "UnsupportedRule", "VectorFunction", "VectorTrajectory",
-    "apply_method", "bigreal", "bisect_root", "builtin_rule", "check_moments", "demo_system",
-    "derive_rule", "estimate_order", "estimate_order_from_steps", "eval_jet", "eval_value",
-    "iterate", "map_derivatives_at", "nd_iterate", "nd_step", "parse", "run_table",
-    "significant_digits", "solve_linear",
+    "BigReal", "Breakdown", "CotesrootError", "DemoSystem", "Expression", "InsufficientData",
+    "Jet2", "MethodId", "OrderEstimate", "ParseError", "RuleSpec", "SEED_NEWTON",
+    "SEED_TRAPEZOID", "ScalarProblem", "TableReport", "TableRow", "Termination", "Trajectory",
+    "VectorFunction", "VectorTrajectory", "apply_method", "bigreal", "bisect_root",
+    "builtin_rule", "check_moments", "demo_system", "derive_rule", "estimate_order",
+    "estimate_order_from_steps", "eval_jet", "eval_value", "iterate", "map_derivatives_at",
+    "nd_iterate", "nd_step", "parse", "run_table", "significant_digits", "solve_linear",
 ]
 
 # every name the benchmark (perfbench/workloads.py) calls
@@ -29,7 +27,13 @@ BENCHMARK_NAMES = (
 
 def test_all_is_pinned():
     assert sorted(cotesroot.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 39
+
+
+def test_errors_defines_exactly_four_exception_classes():
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    assert classes == {"CotesrootError", "ParseError", "Breakdown", "InsufficientData"}
 
 
 def test_all_names_resolve():

@@ -117,6 +117,15 @@ def test_solve_max_iterations_exit_code(capsys):
     assert "max_iterations" in out
 
 
+def test_solve_transform_at_a_pole_does_not_converge(capsys):
+    # F = -f/f' = x - 2x^2 vanishes at x = 0, a pole of f = 1/x - 2: the steps
+    # shrink towards it while |f| grows at every one
+    code, out, _ = run_cli(capsys, "solve", "-f", "1/x-2", "-m", "t0+F", "--x0", "-2",
+                           "--digits", "60", "--root", "0.5", "--format", "json")
+    assert code != 0
+    assert json.loads(out)["termination"]["kind"] != "converged"
+
+
 def test_solve_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "solve", "-f", "sin(", "--x0", "1")
     assert code == 1

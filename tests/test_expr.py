@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -8,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotesroot import (
-    DomainError,
+    Breakdown,
     MethodId,
     ParseError,
     ScalarProblem,
-    UnknownIdentifier,
     bigreal,
     estimate_order,
     eval_jet,
@@ -56,10 +56,14 @@ def test_parse_unbalanced_reports_offset():
 
 
 def test_parse_unknown_identifier():
-    with pytest.raises(UnknownIdentifier):
+    with pytest.raises(ParseError) as err:
         parse("sinh(x)")
-    with pytest.raises(UnknownIdentifier):
+    assert str(err.value) == "unknown identifier 'sinh' (at position 0)"
+    assert err.value.position == 0
+    with pytest.raises(ParseError) as err:
         parse("y + 1")
+    assert str(err.value) == "unknown identifier 'y' (at position 0)"
+    assert err.value.position == 0
 
 
 def test_parse_empty_and_trailing():
@@ -122,8 +126,9 @@ def test_cbrt_is_odd():
 
 def test_fractional_power_not_rewritten_to_cbrt():
     # x^(1/3) on a negative base must fail; the odd root is spelled cbrt(x)
-    with pytest.raises(DomainError):
+    with pytest.raises(Breakdown) as err:
         eval_value(parse("x^(1/3)"), bigreal(-8, 30), 30)
+    assert err.value.kind == Breakdown.DOMAIN
     assert float(eval_value(parse("x^(1/3)"), bigreal(8, 30), 30)) == pytest.approx(2.0)
 
 
@@ -136,11 +141,13 @@ def test_fractional_power_not_rewritten_to_cbrt():
     ],
 )
 def test_jet_domain_errors(text, x):
-    with pytest.raises(DomainError):
+    with pytest.raises(Breakdown) as err:
         eval_jet(parse(text), bigreal(x, 30), 30)
-    with pytest.raises(DomainError), mp.workdps(working_dps(30)):
+    assert err.value.kind == Breakdown.DOMAIN
+    with pytest.raises(Breakdown) as err, mp.workdps(working_dps(30)):
         # order 1 keeps the derivative-level rules
         _eval(parse(text), mp.mpf(x), 1, working_prec(30))
+    assert err.value.kind == Breakdown.DOMAIN
 
 
 @pytest.mark.parametrize("precision", [3, 0, -5, 14])
@@ -218,7 +225,8 @@ def test_jet_matches_finite_differences(seed):
     expr = parse(text)
     try:
         jet = eval_jet(expr, bigreal(x, PRECISION), PRECISION)
-    except DomainError:
+    except Breakdown as exc:
+        assert exc.kind == Breakdown.DOMAIN
         pytest.skip("sample point outside the domain")
     if abs(float(jet.f)) > 1e6 or abs(float(jet.d1)) > 1e6 or abs(float(jet.d2)) > 1e6:
         pytest.skip("values too large for a meaningful stencil")
@@ -245,7 +253,8 @@ def test_doubling_precision_agrees(seed):
     try:
         low = eval_jet(expr, bigreal(x, p), p)
         high = eval_jet(expr, bigreal(x, 2 * p), 2 * p)
-    except DomainError:
+    except Breakdown as exc:
+        assert exc.kind == Breakdown.DOMAIN
         pytest.skip("sample point outside the domain")
     with mp.workdps(2 * p + 10):
         tol = mp.mpf(10) ** (-(p - 5))
@@ -278,9 +287,11 @@ def test_order_one_is_the_head_of_order_two(seed, x):
     point = bigreal(x, PRECISION)
     try:
         jet = eval_jet(expr, point, PRECISION)
-    except DomainError:
-        with pytest.raises(DomainError), mp.workdps(working_dps(PRECISION)):
+    except Breakdown as exc:
+        assert exc.kind == Breakdown.DOMAIN
+        with pytest.raises(Breakdown) as err, mp.workdps(working_dps(PRECISION)):
             _eval(expr, point.value, 1, working_prec(PRECISION))
+        assert err.value.kind == Breakdown.DOMAIN
         return
     with mp.workdps(working_dps(PRECISION)):
         f, d1 = _eval(expr, point.value, 1, working_prec(PRECISION))
@@ -307,11 +318,11 @@ def _any_op_expr(rng, depth):
 
 
 def _outcome(evaluate):
-    """The raw bits of an evaluation, or the type and text of its error."""
+    """The raw bits of an evaluation, or the type, kind and text of its error."""
     try:
         result = evaluate()
     except (ArithmeticError, ValueError) as exc:
-        return type(exc), str(exc)
+        return type(exc), getattr(exc, "kind", None), str(exc)
     return tuple(v._mpf_ for v in result) if isinstance(result, tuple) else result._mpf_
 
 
@@ -406,3 +417,16 @@ def test_concurrent_diagnostics_are_bit_identical_to_serial():
                 tuple(r.value._mpf_ for r in estimate.per_pair))
 
     _assert_threads_match_serial(cases, evaluate, {60: 1000, 2600: 1000})
+
+
+def test_concurrent_bigreal_is_bit_identical_to_serial():
+    """bigreal and BigReal.decimal take their precision from their arguments,
+    so threads at different precisions do not change each other's results."""
+    values = ("1.1", 7, 0.1, Fraction(1, 3), mp.pi)
+    cases = [(value, precision) for value in values for precision in (60, 1000)]
+
+    def evaluate(case):
+        x = bigreal(*case)
+        return x.value._mpf_, x.decimal(), x.decimal(20)
+
+    _assert_threads_match_serial(cases, evaluate, {60: 2000, 1000: 2000})

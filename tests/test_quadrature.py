@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cotesroot import UnsupportedRule, builtin_rule, check_moments, derive_rule
+from cotesroot import builtin_rule, check_moments, derive_rule
 from cotesroot.quadrature import MAX_RULE, RuleSpec
 
 TABLE = {
@@ -27,9 +27,10 @@ def test_builtin_matches_reference_table(n):
 
 @pytest.mark.parametrize("n", [-1, 8, 9, 100])
 def test_out_of_range_rules_rejected(n):
-    with pytest.raises(UnsupportedRule):
+    message = rf"^no closed rule for n={n}; supported range is 0\.\.7$"
+    with pytest.raises(ValueError, match=message):
         builtin_rule(n)
-    with pytest.raises(UnsupportedRule):
+    with pytest.raises(ValueError, match=message):
         derive_rule(n)
 
 
@@ -50,7 +51,7 @@ def test_moment_identities_hold_exactly(n):
     flags = check_moments(rule)
     assert len(flags) == n
     assert all(flags)
-    assert all(check_moments(rule, mirrored=True))
+    assert rule.weights == rule.weights[::-1]  # so the mirrored identities hold too
 
 
 def test_moments_single_node_rule_empty():
@@ -85,7 +86,7 @@ def test_rulespec_validates_invariants():
         RuleSpec(1, (2, 1), 3)  # symmetry
     with pytest.raises(ValueError):
         RuleSpec(2, (1, 4), 5)  # length
-    with pytest.raises(UnsupportedRule):
+    with pytest.raises(ValueError, match=r"^rule index must be in 0\.\.7, got 8$"):
         RuleSpec(8, (1,) * 9, 9)
 
 
