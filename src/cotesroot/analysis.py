@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .bigreal import BigReal, as_mpf, check_digits, working_dps, working_prec
+from .bigreal import BigReal, as_mpf, working_dps, working_prec
 from .errors import Breakdown, InsufficientData
 from .expr import Expression, _eval
 from .solver import (MethodId, Trajectory, _check_finite, _log10_abs, _method_map,
@@ -33,20 +33,19 @@ FLOOR_MARGIN = 15  # digits above the working precision reserved for roundoff no
 
 @dataclass(frozen=True)
 class OrderEstimate:
-    q: BigReal
+    q: float
     samples_used: int
-    per_pair: tuple[BigReal, ...]
+    per_pair: tuple[float, ...]
 
 
-def significant_digits(x: BigReal, z: BigReal) -> BigReal:
-    """-log10 of the absolute error; capped at the precision on an exact hit.
+def significant_digits(x: BigReal, z: BigReal) -> float:
+    """-log10 of the absolute error as a float; the precision on an exact hit.
 
-    The error is subtracted at the working precision; its log is a float
-    (``solver._significant_digits``), so the result holds about 16 significant
-    digits and does not depend on mpmath's context.
+    The error is subtracted at the working precision of the finer of the two
+    precisions; its log is a float (``solver._significant_digits``), good to
+    about 16 significant digits, and does not depend on mpmath's context.
     """
-    precision = max(x.precision, z.precision)
-    return BigReal(as_mpf(_significant_digits(x.value, z.value, precision), 53), precision)
+    return _significant_digits(x.value, z.value, max(x.precision, z.precision))
 
 
 def _decreasing_run(values, floor):
@@ -62,16 +61,6 @@ def _decreasing_run(values, floor):
             break
         usable.append(value)
     return usable, False
-
-
-def _order_estimate(q, usable, ratios, precision) -> OrderEstimate:
-    if q <= 0:
-        raise InsufficientData("estimated order is not positive")
-    return OrderEstimate(
-        BigReal(as_mpf(q, 53), precision),
-        len(usable),
-        tuple(BigReal(as_mpf(r, 53), precision) for r in ratios),
-    )
 
 
 def _stable_tail(ratios) -> float:
@@ -105,7 +94,7 @@ def estimate_order(traj: Trajectory, reference_root: BigReal) -> OrderEstimate:
             f"errors reached the roundoff floor after {len(usable)} usable iterates"
             if hit_floor else f"need 4 strictly decreasing errors, have {len(usable)}")
     ratios = [usable[k + 1] / usable[k] for k in range(len(usable) - 1)]
-    return _order_estimate(_stable_tail(ratios), usable, ratios, precision)
+    return OrderEstimate(_stable_tail(ratios), len(usable), tuple(ratios))
 
 
 def estimate_order_from_steps(traj: Trajectory) -> OrderEstimate:
@@ -124,7 +113,7 @@ def estimate_order_from_steps(traj: Trajectory) -> OrderEstimate:
         for k in range(1, len(usable) - 1)
     ]
     q = _stable_tail(ratios) if len(ratios) > 1 else ratios[-1]
-    return _order_estimate(q, usable, ratios, precision)
+    return OrderEstimate(q, len(usable), tuple(ratios))
 
 
 def map_derivatives_at(
@@ -143,7 +132,6 @@ def map_derivatives_at(
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    check_digits(precision)
     with mp.workdps(working_dps(precision)):
         # f at the precision mp.diffs sets for each sample, not at the working one
         derivs = mp.diffs(lambda x: _method_map(m, f, precision, mp.mp.prec)(x), as_mpf(z),
@@ -188,7 +176,6 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
     domain, a vanishing f'), bisection goes on from the seed bracket down to
     10^(-precision).
     """
-    check_digits(precision)
     prec = working_prec(precision)
     with mp.workdps(working_dps(precision)):
         a, b = as_mpf(lo), as_mpf(hi)

@@ -1,9 +1,10 @@
 """Arbitrary-precision real values with an explicit decimal precision.
 
-Every number the package computes is an mpmath ``mpf``.  Each entry point
-works at one precision, ``working_dps(p)`` digits (``GUARD_DIGITS`` above the
-target ``p``) or ``working_prec(p)`` bits, and returns its results as
-``BigReal`` records of the value and ``p``.  Expression evaluation passes
+Every number the package computes is an mpmath ``mpf``, apart from the float
+diagnostics (significant digits and order estimates).  Each entry point works
+at one precision, ``working_dps(p)`` digits (``GUARD_DIGITS`` above the target
+``p``, which must be at least ``MIN_DIGITS``) or ``working_prec(p)`` bits, and
+returns its results as ``BigReal`` records of the value and ``p``.  Expression evaluation passes
 those bits to every ``mpmath.libmp`` call it makes; the other layers compute
 on plain mpf inside ``mp.workdps(working_dps(p))``.  Both round each
 operation the same way, so identical inputs yield bit-identical results
@@ -29,19 +30,17 @@ MIN_DIGITS = 15
 
 
 def working_dps(precision: int) -> int:
-    """Decimal digits used internally for a target precision."""
+    """Decimal digits used internally for a target precision; every entry
+    point converts its precision here or in ``working_prec`` before it
+    computes, so this is the one check that it is at least ``MIN_DIGITS``."""
+    if precision < MIN_DIGITS:
+        raise ValueError(f"digits must be at least {MIN_DIGITS}, got {precision}")
     return precision + GUARD_DIGITS
 
 
 def working_prec(precision: int) -> int:
     """Bits used internally for a target precision: those of ``working_dps``."""
     return dps_to_prec(working_dps(precision))
-
-
-def check_digits(precision: int) -> None:
-    """Reject a solve precision below ``MIN_DIGITS``."""
-    if precision < MIN_DIGITS:
-        raise ValueError(f"digits must be at least {MIN_DIGITS}, got {precision}")
 
 
 def as_mpf(value, prec: int | None = None) -> mp.mpf:
@@ -84,7 +83,6 @@ class BigReal:
 
 
 def bigreal(value, precision: int) -> BigReal:
-    """A BigReal of ``value`` converted at the working precision of ``precision``."""
-    if precision < 1:
-        raise ValueError(f"precision must be positive, got {precision}")
+    """A BigReal of ``value`` converted at the working precision of ``precision``
+    (at least ``MIN_DIGITS``)."""
     return BigReal(as_mpf(value, working_prec(precision)), precision)

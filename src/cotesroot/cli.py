@@ -20,6 +20,8 @@ import io
 import json
 import sys
 
+import mpmath as mp
+
 from . import __version__
 from .analysis import estimate_order, estimate_order_from_steps
 from .bigreal import DEFAULT_DIGITS, bigreal
@@ -103,6 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _nstr(value: float, digits: int) -> str:
+    """A float diagnostic (``s``, an order estimate) printed as mpmath prints it."""
+    return mp.nstr(mp.mpf(value), digits)
+
+
 def _print_csv(rows) -> None:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
@@ -168,7 +175,7 @@ def _trajectory_json(traj: Trajectory, args, problem) -> dict:
         if rec.step is not None:
             entry["step"] = rec.step.decimal()
         if rec.s is not None:
-            entry["s"] = rec.s.decimal(8)
+            entry["s"] = _nstr(rec.s, 8)
         iterates.append(entry)
     return {
         "method": str(traj.method),
@@ -189,7 +196,7 @@ def _print_trajectory(traj: Trajectory, args, problem) -> None:
                 rec.x.decimal(),
                 "" if rec.fx is None else rec.fx.decimal(),
                 "" if rec.step is None else rec.step.decimal(),
-                "" if rec.s is None else rec.s.decimal(8),
+                "" if rec.s is None else _nstr(rec.s, 8),
             ]
             for rec in traj.iterates
         ])
@@ -200,7 +207,7 @@ def _print_trajectory(traj: Trajectory, args, problem) -> None:
         if rec.fx is not None:
             line += f"  f(x)={rec.fx.decimal(8)}"
         if rec.s is not None:
-            line += f"  s={rec.s.decimal(6)}"
+            line += f"  s={_nstr(rec.s, 6)}"
         print(line)
     detail = f" ({traj.termination.detail})" if traj.termination.detail else ""
     print(f"termination: {traj.termination.kind}{detail}")
@@ -225,17 +232,17 @@ def _cmd_order(args) -> int:
     if args.format == "json":
         print(json.dumps({
             "method": str(traj.method),
-            "q": estimate.q.decimal(6),
+            "q": _nstr(estimate.q, 6),
             "samples_used": estimate.samples_used,
-            "per_pair": [r.decimal(6) for r in estimate.per_pair],
+            "per_pair": [_nstr(r, 6) for r in estimate.per_pair],
         }))
     elif args.format == "csv":
         _print_csv([["pair", "q"]]
-                   + [[i, r.decimal(6)] for i, r in enumerate(estimate.per_pair)]
-                   + [["final", estimate.q.decimal(6)]])
+                   + [[i, _nstr(r, 6)] for i, r in enumerate(estimate.per_pair)]
+                   + [["final", _nstr(estimate.q, 6)]])
     else:
-        pairs = ", ".join(r.decimal(4) for r in estimate.per_pair)
-        print(f"estimated order q = {estimate.q.decimal(4)} "
+        pairs = ", ".join(_nstr(r, 4) for r in estimate.per_pair)
+        print(f"estimated order q = {_nstr(estimate.q, 4)} "
               f"from {estimate.samples_used} iterates")
         print(f"per-pair estimates: {pairs}")
     return 0

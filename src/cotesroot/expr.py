@@ -43,7 +43,7 @@ from mpmath.libmp import (
     mpf_tanh, round_nearest, to_int, to_str,
 )
 
-from .bigreal import BigReal, as_mpf, check_digits, working_prec
+from .bigreal import BigReal, as_mpf, working_prec
 from .errors import Breakdown, ParseError
 
 FUNCTIONS = ("sin", "cos", "tan", "tanh", "exp", "log", "sqrt", "cbrt", "abs")
@@ -400,7 +400,6 @@ def _eval(expr: Expression, x, order: int, prec: int):
 
 def eval_jet(expr: Expression, x, precision: int) -> Jet2:
     """Evaluate (f, f', f'') at ``x`` with ``precision`` (at least ``MIN_DIGITS``) digits."""
-    check_digits(precision)
     prec = working_prec(precision)
     v, d1, d2 = _eval(expr, as_mpf(x, prec), 2, prec)
     return Jet2(
@@ -414,6 +413,5 @@ def eval_value(expr: Expression, x, precision: int) -> BigReal:
     ``precision`` must be at least ``MIN_DIGITS``; a point that is not a
     BigReal is converted at its working precision, as in ``eval_jet``.
     """
-    check_digits(precision)
     prec = working_prec(precision)
     return BigReal(_eval(expr, as_mpf(x, prec), 0, prec), precision)

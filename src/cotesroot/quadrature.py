@@ -93,10 +93,9 @@ def derive_rule(n: int) -> RuleSpec:
         # single equation A_0 = c_0; least integer scale is 1
         return RuleSpec(0, (1,), 1)
 
-    # row j demands sum_i i^j * A_i = n^(j+1)/(j+1); scale row by (j+1)
-    # so the system is purely integer
-    matrix = [[(j + 1) * i**j if (i or j) else (j + 1) for i in range(n + 1)]
-              for j in range(n + 1)]
+    # row j demands sum_i i^j * A_i = n^(j+1)/(j+1) (0**0 is 1); scale row
+    # by (j+1) so the system is purely integer
+    matrix = [[(j + 1) * i**j for i in range(n + 1)] for j in range(n + 1)]
     rhs = [n ** (j + 1) for j in range(n + 1)]
     raw = _solve_fraction_free(matrix, rhs)
 

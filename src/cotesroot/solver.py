@@ -30,7 +30,7 @@ from typing import Optional
 import mpmath as mp
 from mpmath.libmp import fzero, mpf_sub, round_nearest, to_float
 
-from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, check_digits, working_dps, working_prec
+from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, working_dps, working_prec
 from .errors import Breakdown
 from .expr import Expression, _eval
 from .quadrature import MAX_RULE, builtin_rule
@@ -131,7 +131,7 @@ class IterateRecord:
     x: BigReal
     fx: Optional[BigReal]
     step: Optional[BigReal] = None  # x_{k+1} - x_k once the next iterate exists
-    s: Optional[BigReal] = None  # significant digits against known_root
+    s: Optional[float] = None  # significant digits against known_root
 
 
 @dataclass(frozen=True)
@@ -299,7 +299,6 @@ def _nominal_order(m: MethodId) -> int:
 
 def apply_method(m: MethodId, f: Expression, x, precision: int) -> BigReal:
     """One application of a basic or composed map (inner map first) from a finite x."""
-    check_digits(precision)
     with mp.workdps(working_dps(precision)):
         x = as_mpf(x)
         _check_finite("x", [x])
@@ -328,7 +327,6 @@ def _stop_rules(precision, x0, max_iter, step_tol, residual_tol, divergence_boun
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    check_digits(precision)
     _check_finite("x0", x0)
     size = max(abs(v) for v in x0)
     default_tol = mp.mpf(10) ** (10 - precision)
@@ -410,7 +408,8 @@ def _significant_digits(x, z, precision) -> float:
 
     z - x is subtracted at ``working_prec(precision)`` bits, rounded as the mpf
     operator rounds it there; the log is a float (``_log10_abs``), since s is
-    shown with at most 8 digits.  Neither step reads mpmath's context.
+    shown with at most 8 digits, and ``iterate`` and ``significant_digits``
+    return it as that float.  Neither step reads mpmath's context.
     """
     err = mpf_sub(z._mpf_, x._mpf_, working_prec(precision), round_nearest)
     return float(precision) if err == fzero else -_log10_abs(mp.make_mpf(err))
@@ -507,14 +506,9 @@ def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
         def wrap(value):
             return None if value is None else BigReal(value, precision)
 
-        def sdigits(x):
-            if root is None:
-                return None
-            return wrap(as_mpf(_significant_digits(x, root, precision), 53))
-
         records = tuple(
             IterateRecord(k, wrap(x), wrap(fx), wrap(steps[k] if k < len(steps) else None),
-                          sdigits(x))
+                          None if root is None else _significant_digits(x, root, precision))
             for k, (x, fx) in enumerate(points)
         )
     return Trajectory(m, records, termination)

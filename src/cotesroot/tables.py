@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .analysis import bisect_root, map_derivatives_at, significant_digits
-from .bigreal import BigReal, bigreal, check_digits
+from .bigreal import BigReal, bigreal
 from .expr import Expression, parse
 from .solver import (
     SEED_NEWTON,
@@ -156,11 +156,9 @@ def _run_sdigits(table_id: str, spec: _SDigitsTable, digits: int) -> TableReport
         if spec.iterations == 1:
             final = apply_method(method, f, x0, digits)
         else:
-            problem = ScalarProblem(
-                f, x0, precision=digits, max_iter=spec.iterations, known_root=root
-            )
+            problem = ScalarProblem(f, x0, precision=digits, max_iter=spec.iterations)
             final = iterate(problem, method).final.x
-        s = float(significant_digits(final, root))
+        s = significant_digits(final, root)
         elapsed = time.perf_counter() - start
         rows.append(
             TableRow(
@@ -208,11 +206,9 @@ def _run_derivatives(digits: int) -> TableReport:
 
 def run_table(table_id: str, digits: int | None = None) -> TableReport:
     """Recompute one reference table; ``digits`` overrides the preset."""
-    if digits is not None:
-        check_digits(digits)
     if table_id == "tab1":
-        return _run_derivatives(digits or _DERIVATIVE_DIGITS)
+        return _run_derivatives(_DERIVATIVE_DIGITS if digits is None else digits)
     spec = _TABLES.get(table_id)
     if spec is None:
         raise ValueError(f"unknown table id {table_id!r}; choose from {', '.join(TABLE_IDS)}")
-    return _run_sdigits(table_id, spec, digits or spec.digits)
+    return _run_sdigits(table_id, spec, spec.digits if digits is None else digits)

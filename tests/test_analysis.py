@@ -36,6 +36,18 @@ def test_sdigits_monotone():
     assert values == sorted(values)
 
 
+def test_diagnostics_are_floats():
+    # the float log, not a BigReal dressed at the operands' precision
+    s = significant_digits(bigreal("1.000000001", 60), bigreal(1, 60))
+    assert type(s) is float and s == 9.000000000000002
+    root = bigreal(1, 60)
+    traj = iterate(ScalarProblem(parse("tanh(x-1)"), bigreal("1.5", 60), precision=60,
+                                 known_root=root), MethodId(0))
+    est = estimate_order(traj, root)
+    values = [rec.s for rec in traj.iterates] + [est.q, *est.per_pair]
+    assert {type(v) for v in values} == {float}
+
+
 def test_sdigits_one_simpson_application_on_tanh():
     # published-tables wiring; reference row value 5.6
     f = parse("tanh(x-1)")
@@ -102,8 +114,8 @@ def test_order_scale_invariant():
         with mp.workdps(410):
             reference = bigreal(mp.sqrt(2), 400)
         results.append(estimate_order(traj, reference))
-    assert results[0].q.value == results[1].q.value
-    assert [r.value for r in results[0].per_pair] == [r.value for r in results[1].per_pair]
+    assert results[0].q == results[1].q
+    assert results[0].per_pair == results[1].per_pair
 
 
 def test_order_from_steps_three_point():

@@ -33,5 +33,6 @@ def test_bigreal_has_no_arithmetic_or_ordering():
 
 
 def test_bigreal_rejects_nonpositive_precision():
-    with pytest.raises(ValueError, match="precision"):
-        bigreal(1, 0)
+    for precision in (0, 14):
+        with pytest.raises(ValueError, match="digits must be at least 15"):
+            bigreal(1, precision)

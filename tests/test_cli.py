@@ -209,7 +209,7 @@ def test_order_without_root_uses_steps(capsys):
                                  max_iter=12), MethodId.parse("t0"))
     expected = estimate_order_from_steps(traj)
     data = json.loads(out)
-    assert data["q"] == expected.q.decimal(6)
+    assert data["q"] == mp.nstr(mp.mpf(expected.q), 6)
     assert data["samples_used"] == expected.samples_used
     assert float(data["q"]) == pytest.approx(2.0, abs=0.2)
 
@@ -363,6 +363,7 @@ def test_ndsolve_rejects_empty_budget(capsys):
 
 @pytest.mark.parametrize("argv", [["solve", "-f", "x^2-2", "--x0", "1.5"],
                                   ["ndsolve", "--system", "affine"],
+                                  ["table", "tab1"],
                                   ["table", "tab1nn"]])
 def test_zero_digits_is_not_the_default(capsys, argv):
     code, _, err = run_cli(capsys, *argv, "--digits", "0")

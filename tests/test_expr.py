@@ -413,8 +413,7 @@ def test_concurrent_diagnostics_are_bit_identical_to_serial():
     def evaluate(case):
         x, root, traj, _ = case
         estimate = estimate_order(traj, root)
-        return (significant_digits(x, root).value._mpf_, estimate.q.value._mpf_,
-                tuple(r.value._mpf_ for r in estimate.per_pair))
+        return significant_digits(x, root), estimate.q, estimate.per_pair
 
     _assert_threads_match_serial(cases, evaluate, {60: 1000, 2600: 1000})
 
