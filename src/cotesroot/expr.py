@@ -218,8 +218,8 @@ def _eval(expr: Expression, x, order: int, prec: int):
     Order 0 returns f(x) and applies only the value-level domain rules.
     Order 1 returns (f, f') and order 2 (f, f', f''); both add the
     derivative-level rules: no sqrt, cbrt or abs at 0, no real or variable
-    power of a nonpositive base.  The value of a power may differ between
-    order 0 and the jets in the last bits (``v**c`` against ``v**(c-2)*v*v``).
+    power of a nonpositive base.  Every order computes a value by the same
+    formula, so where order 0 and the jets both evaluate, f has the same bits.
     """
     rnd = _RND
     second = order == 2
@@ -275,29 +275,30 @@ def _eval(expr: Expression, x, order: int, prec: int):
                 c = int(to_int(b))
                 if a == fzero and c < 0:
                     raise Breakdown(Breakdown.DOMAIN, "zero raised to a negative power")
-                if not order:
-                    vals[-1] = mpf_pow_int(a, c, prec, rnd)
-                elif c == 0:
-                    vals[-1], ders[-1] = fone, (fzero, fzero)
+                if c == 0:
+                    vals[-1] = fone
+                    if order:
+                        ders[-1] = (fzero, fzero)
                 elif c != 1:  # a first power leaves its operand as it is
                     pm2 = mpf_pow_int(a, c - 2, prec, rnd)  # 0^0 == 1 covers the c == 2 corner
                     pm1 = mpf_mul(pm2, a, prec, rnd)
                     vals[-1] = mpf_mul(pm1, a, prec, rnd)
-                    cpm1 = mpf_mul_int(pm1, c, prec, rnd)
-                    ders[-1] = (mpf_mul(cpm1, a1, prec, rnd), mpf_add(
-                        mpf_mul(mpf_mul(mpf_mul_int(pm2, c * (c - 1), prec, rnd), a1, prec, rnd),
-                                a1, prec, rnd),
-                        mpf_mul(cpm1, a2, prec, rnd), prec, rnd) if second else None)
-            elif not order:
-                if mpf_lt(a, fzero) or (a == fzero and mpf_lt(b, fzero)):
-                    raise Breakdown(Breakdown.DOMAIN,
-                                    "real power of a negative base; use cbrt() for odd roots")
-                vals[-1] = mpf_pow(a, b, prec, rnd)
-            elif mpf_le(a, fzero):
+                    if order:
+                        cpm1 = mpf_mul_int(pm1, c, prec, rnd)
+                        ders[-1] = (mpf_mul(cpm1, a1, prec, rnd), mpf_add(
+                            mpf_mul(mpf_mul(mpf_mul_int(pm2, c * (c - 1), prec, rnd), a1,
+                                            prec, rnd), a1, prec, rnd),
+                            mpf_mul(cpm1, a2, prec, rnd), prec, rnd) if second else None)
+            elif order and mpf_le(a, fzero):
                 raise Breakdown(Breakdown.DOMAIN, "variable power of a nonpositive base" if arg else
                                 "real power of a nonpositive base; use cbrt() for odd roots")
-            elif not arg:
+            elif mpf_lt(a, fzero) or (a == fzero and mpf_lt(b, fzero)):  # order 0 only
+                raise Breakdown(Breakdown.DOMAIN,
+                                "real power of a negative base; use cbrt() for odd roots")
+            elif not arg or a == fzero:  # a real power, or 0^b, which only order 0 reaches
                 vals[-1] = mpf_pow(a, b, prec, rnd)
+                if not order:
+                    continue
                 bm1 = mpf_sub(b, fone, prec, rnd)
                 bpm1 = mpf_mul(b, mpf_pow(a, bm1, prec, rnd), prec, rnd)
                 ders[-1] = (mpf_mul(bpm1, a1, prec, rnd), mpf_add(
@@ -308,10 +309,12 @@ def _eval(expr: Expression, x, order: int, prec: int):
                             a1, prec, rnd),
                     mpf_mul(bpm1, a2, prec, rnd), prec, rnd) if second else None)
             else:  # variable exponent: a^b = exp(b * log a), through the jets of log and *
-                lv, l1 = mpf_log(a, prec, rnd), mpf_div(a1, a, prec, rnd)
-                p = mpf_mul(b, lv, prec, rnd)
+                lv = mpf_log(a, prec, rnd)
+                e = vals[-1] = mpf_exp(mpf_mul(b, lv, prec, rnd), prec, rnd)
+                if not order:
+                    continue
+                l1 = mpf_div(a1, a, prec, rnd)
                 p1 = mpf_add(mpf_mul(b1, lv, prec, rnd), mpf_mul(b, l1, prec, rnd), prec, rnd)
-                e = vals[-1] = mpf_exp(p, prec, rnd)
                 ep1 = mpf_mul(e, p1, prec, rnd)
                 if second:
                     p2 = mpf_add(

@@ -37,7 +37,6 @@ class VectorIterateRecord:
     k: int
     x: tuple[BigReal, ...]
     residual_norm: Optional[BigReal]
-    step_norm: Optional[BigReal] = None
 
 
 @dataclass(frozen=True)
@@ -158,9 +157,8 @@ def _vector_map(n, func, x, fx, precision, bound=None):
     except Breakdown as exc:
         exc.level = 0
         raise
-    ys, _ = _ladder_full(n, x, fx, slope0, jacobian, _jacobian_sum, solve,
-                         SEED_TRAPEZOID, _max_norm, bound)
-    return ys[n]
+    return _ladder_full(n, x, fx, slope0, jacobian, _jacobian_sum, solve, SEED_TRAPEZOID,
+                        _max_norm, bound)
 
 
 def nd_step(kind: str, func: VectorFunction, x, precision: int) -> list[BigReal]:
@@ -192,7 +190,7 @@ def nd_iterate(
         x = _Point(_as_vector(x0, d))
         step_tol, residual_tol, bound = _stop_rules(precision, x, max_iter, step_tol,
                                                     residual_tol, divergence_bound)
-        points, steps, termination = _outer_loop(
+        points, _, termination = _outer_loop(
             x,
             lambda p: _as_vector(func.residual(p), d),
             lambda p, fp: _vector_map(level, func, p, fp, precision, bound),
@@ -207,8 +205,7 @@ def nd_iterate(
             return None if vec is None else BigReal(_max_norm(vec), precision)
 
         records = tuple(
-            VectorIterateRecord(k, tuple(BigReal(v, precision) for v in point), norm(fx),
-                                norm(steps[k - 1]) if k else None)
+            VectorIterateRecord(k, tuple(BigReal(v, precision) for v in point), norm(fx))
             for k, (point, fx) in enumerate(points)
         )
     return VectorTrajectory(kind, records, termination)

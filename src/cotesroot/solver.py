@@ -90,11 +90,12 @@ class MethodId:
         try:
             if "_" in body:
                 i, j = body.split("_")
-                return cls(int(i), inner=int(j), transform=transform,
-                           simpson_seed=simpson_seed)
-            return cls(int(body), transform=transform, simpson_seed=simpson_seed)
+                outer, inner = int(i), int(j)
+            else:
+                outer, inner = int(body), None
         except ValueError as exc:
             raise ValueError(f"bad method spec {spec!r}") from exc
+        return cls(outer, inner=inner, transform=transform, simpson_seed=simpson_seed)
 
     def __str__(self) -> str:
         body = f"t{self.outer}" if self.inner is None else f"t{self.outer}_{self.inner}"
@@ -156,36 +157,20 @@ class Trajectory:
         return [r.step for r in self.iterates if r.step is not None]
 
 
-class _PlainTarget:
-    """(f, f') pairs from order-1 jets at ``prec`` bits; the plain maps never read f''."""
-
-    def __init__(self, f: Expression, prec: int):
-        self.f = f
-        self.prec = prec
-        self.jet_evals = 0
-
-    def pair(self, x):
-        self.jet_evals += 1
-        return _eval(self.f, x, 1, self.prec)
-
-
-class _TransformTarget(_PlainTarget):
-    """(F, F') pairs for the multiple-root transform F = -f/f' (the "+F" maps).
+def _transform_pair(f: Expression, x, prec: int):
+    """(F, F') for the multiple-root transform F = -f/f' (the "+F" maps).
 
     F has a simple root wherever f has a multiple one (when f'' does not
     vanish there); its slope follows from the quotient rule:
     F' = f f''/(f')^2 - 1.  The removable 0/0 singularity at the multiple
     root itself is not patched: evaluation there is a ``domain`` Breakdown.
     """
-
-    def pair(self, x):
-        self.jet_evals += 1
-        v, d1, d2 = _eval(self.f, x, 2, self.prec)
-        if d1 == 0:
-            if v == 0:
-                raise Breakdown(Breakdown.DOMAIN, "transform is 0/0 at a root of both f and f'")
-            raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished under the transform")
-        return -v / d1, v * d2 / (d1 * d1) - 1
+    v, d1, d2 = _eval(f, x, 2, prec)
+    if d1 == 0:
+        if v == 0:
+            raise Breakdown(Breakdown.DOMAIN, "transform is 0/0 at a root of both f and f'")
+        raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished under the transform")
+    return -v / d1, v * d2 / (d1 * d1) - 1
 
 
 class _OutsideBound(Exception):
@@ -198,7 +183,7 @@ class _OutsideBound(Exception):
 
 def _ladder_full(n, x, fx, slope0, slope_at, weighted_sum, solve, simpson_seed,
                  norm=abs, bound=None):
-    """Map values y_0..y_n at x plus the weighted slope sums B_0..B_n.
+    """The map value y_n at x, built up from the Newton value y_0.
 
     One ladder serves scalars and vectors.  ``fx`` and ``slope0`` are the
     value and slope at x; ``slope0`` is node 0 of every level.  The caller
@@ -213,53 +198,24 @@ def _ladder_full(n, x, fx, slope0, slope_at, weighted_sum, solve, simpson_seed,
     """
     k = 0
     try:
-        ys = [x - solve(slope0, 1, fx)]
-        sums = [slope0]
+        y = newton = x - solve(slope0, 1, fx)
         for k in range(1, n + 1):
             rule = _RULES[k]
-            base = ys[0] if (k == 2 and simpson_seed == SEED_NEWTON) else ys[k - 1]
+            base = newton if (k == 2 and simpson_seed == SEED_NEWTON) else y
             h = (base - x) / k
             nodes = [x + i * h for i in range(1, k + 1)]
             if bound is not None and norm(nodes[-1]) > bound:
                 raise _OutsideBound(k)
             slopes = [slope0] + [slope_at(p) for p in nodes]
-            b = weighted_sum(rule.weights, slopes)
-            ys.append(x - solve(b, rule.c, fx))
-            sums.append(b)
+            y = x - solve(weighted_sum(rule.weights, slopes), rule.c, fx)
     except Breakdown as exc:
         exc.level = k
         raise
-    return ys, sums
+    return y
 
 
 def _weighted_sum(weights, slopes):
     return sum(w * s for w, s in zip(weights, slopes))
-
-
-def _scalar_ladder(n, target, x, simpson_seed, precision, bound=None):
-    """The ladder on a scalar target: slopes are f', the solve is a division.
-
-    Raises Breakdown when a denominator vanishes: exactly-zero slope at the
-    base point (level 0), or a slope sum more than ~precision digits below it.
-    """
-    try:
-        fx, slope0 = target.pair(x)
-        if slope0 == 0:
-            raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
-    except Breakdown as exc:
-        exc.level = 0
-        raise
-    # cancellation trap for the weighted slope sums, relative to the slope
-    # at this step's base point
-    tiny = mp.mpf(10) ** (5 - precision) * abs(slope0)
-
-    def solve(b, c, f):
-        if b == 0 or abs(b) < tiny:
-            raise Breakdown(Breakdown.ZERO_DENOMINATOR, "weighted slope sum vanished")
-        return c * f / b
-
-    return _ladder_full(n, x, fx, slope0, lambda p: target.pair(p)[1], _weighted_sum,
-                        solve, simpson_seed, bound=bound)
 
 
 def _levels(m: MethodId) -> tuple[int, ...]:
@@ -274,16 +230,36 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
     (``working_prec``) unless a caller such as ``mp.diffs`` works finer.
     ``bound`` is the divergence bound every ladder node must stay inside; x
     must be inside it, and so must a composition's inner result, the outer
-    ladder's base point (else ``_OutsideBound`` at level 0).
+    ladder's base point (else ``_OutsideBound`` at level 0).  A ladder breaks
+    down at level 0 where the slope at its base point is exactly zero, and at
+    the level whose weighted slope sum is more than about ``precision``
+    digits below that slope.
     """
-    target = (_TransformTarget if m.transform else _PlainTarget)(f, prec)
     levels = _levels(m)
+    trap = mp.mpf(10) ** (5 - precision)  # the cancellation trap, relative to the base slope
+
+    def pair(p):
+        return _transform_pair(f, p, prec) if m.transform else _eval(f, p, 1, prec)
 
     def apply(x):
+        def solve(b, c, fx):
+            if b == 0 or abs(b) < tiny:
+                raise Breakdown(Breakdown.ZERO_DENOMINATOR, "weighted slope sum vanished")
+            return c * fx / b
+
         for i, n in enumerate(levels):
             if i and bound is not None and abs(x) > bound:
                 raise _OutsideBound(0)
-            x = _scalar_ladder(n, target, x, m.simpson_seed, precision, bound)[0][n]
+            try:
+                fx, slope0 = pair(x)
+                if slope0 == 0:
+                    raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
+            except Breakdown as exc:
+                exc.level = 0
+                raise
+            tiny = trap * abs(slope0)
+            x = _ladder_full(n, x, fx, slope0, lambda p: pair(p)[1], _weighted_sum, solve,
+                             m.simpson_seed, bound=bound)
         return x
 
     return apply

@@ -24,8 +24,8 @@ def reference_eval(expr, x, order):
     Order 0 returns f(x) and applies only the value-level domain rules.
     Order 1 returns (f, f') and order 2 (f, f', f''); both add the
     derivative-level rules: no sqrt, cbrt or abs at 0, no real or variable
-    power of a nonpositive base.  The value of a power may differ between
-    order 0 and the jets in the last bits (``v**c`` against ``v**(c-2)*v*v``).
+    power of a nonpositive base.  Every order computes a value by the same
+    formula, so where order 0 and the jets both evaluate, f has the same bits.
     """
     second = order == 2
     vals = []  # f of each operand
@@ -69,33 +69,37 @@ def reference_eval(expr, x, order):
                 c = int(b)
                 if a == 0 and c < 0:
                     raise Breakdown(Breakdown.DOMAIN, "zero raised to a negative power")
-                if not order:
-                    vals[-1] = a**c
-                elif c == 0:
-                    vals[-1], ders[-1] = _ONE, (_ZERO, _ZERO)
+                if c == 0:
+                    vals[-1] = _ONE
+                    if order:
+                        ders[-1] = (_ZERO, _ZERO)
                 elif c != 1:  # a first power leaves its operand as it is
                     pm2 = a ** (c - 2)  # 0^0 == 1 covers the c == 2 corner
                     pm1 = pm2 * a
                     vals[-1] = pm1 * a
-                    ders[-1] = (c * pm1 * a1,
-                                c * (c - 1) * pm2 * a1 * a1 + c * pm1 * a2 if second else None)
-            elif not order:
-                if a < 0 or (a == 0 and b < 0):
-                    raise Breakdown(Breakdown.DOMAIN,
-                                    "real power of a negative base; use cbrt() for odd roots")
-                vals[-1] = a**b
-            elif a <= 0:
+                    if order:
+                        ders[-1] = (c * pm1 * a1,
+                                    c * (c - 1) * pm2 * a1 * a1 + c * pm1 * a2 if second else None)
+            elif order and a <= 0:
                 raise Breakdown(Breakdown.DOMAIN, "variable power of a nonpositive base" if arg else
                                 "real power of a nonpositive base; use cbrt() for odd roots")
-            elif not arg:
+            elif a < 0 or (a == 0 and b < 0):  # order 0 only
+                raise Breakdown(Breakdown.DOMAIN,
+                                "real power of a negative base; use cbrt() for odd roots")
+            elif not arg or a == 0:  # a real power, or 0^b, which only order 0 reaches
                 vals[-1] = a**b
+                if not order:
+                    continue
                 pm1 = a ** (b - 1)
                 ders[-1] = (b * pm1 * a1,
                             b * (b - 1) * a ** (b - 2) * a1 * a1 + b * pm1 * a2 if second else None)
             else:  # variable exponent: a^b = exp(b * log a), through the jets of log and *
-                lv, l1 = mp.log(a), a1 / a
-                p, p1 = b * lv, b1 * lv + b * l1
-                e = vals[-1] = mp.exp(p)
+                lv = mp.log(a)
+                e = vals[-1] = mp.exp(b * lv)
+                if not order:
+                    continue
+                l1 = a1 / a
+                p1 = b1 * lv + b * l1
                 if second:
                     p2 = b2 * lv + 2 * b1 * l1 + b * (-a1 * a1 / (a * a) + a2 / a)
                 ders[-1] = (e * p1, e * p1 * p1 + e * p2 if second else None)

@@ -279,23 +279,26 @@ def test_number_literals_reparse_at_full_precision():
 
 
 @settings(deadline=None, max_examples=200)
-@given(seed=st.integers(0, 2**32 - 1), x=st.floats(-2, 2))
-def test_order_one_is_the_head_of_order_two(seed, x):
-    """Order 1 gives eval_jet's (f, f') bit for bit and fails exactly where it fails."""
+@given(seed=st.integers(0, 2**32 - 1), x=st.floats(-3, 3),
+       precision=st.sampled_from([30, 60, 700]))
+def test_order_one_is_the_head_of_order_two(seed, x, precision):
+    """Order 1 gives eval_jet's (f, f') bit for bit and fails exactly where it
+    fails; order 0 gives its f bit for bit wherever the jets evaluate."""
     rng = random.Random(seed)
-    expr = parse(_random_expr(rng, rng.randint(1, 3)))
-    point = bigreal(x, PRECISION)
+    expr = parse(_any_op_expr(rng, rng.randint(1, 3)))
+    point = bigreal(x, precision)
+    prec = working_prec(precision)
     try:
-        jet = eval_jet(expr, point, PRECISION)
+        jet = eval_jet(expr, point, precision)
     except Breakdown as exc:
         assert exc.kind == Breakdown.DOMAIN
-        with pytest.raises(Breakdown) as err, mp.workdps(working_dps(PRECISION)):
-            _eval(expr, point.value, 1, working_prec(PRECISION))
+        with pytest.raises(Breakdown) as err:
+            _eval(expr, point.value, 1, prec)
         assert err.value.kind == Breakdown.DOMAIN
         return
-    with mp.workdps(working_dps(PRECISION)):
-        f, d1 = _eval(expr, point.value, 1, working_prec(PRECISION))
+    f, d1 = _eval(expr, point.value, 1, prec)
     assert (f._mpf_, d1._mpf_) == (jet.f.value._mpf_, jet.d1.value._mpf_)
+    assert _eval(expr, point.value, 0, prec)._mpf_ == jet.f.value._mpf_
 
 
 # Forms _random_expr never makes: unary minus (of x itself too, where a
