@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .bigreal import BigReal, as_mpf, working_dps, working_prec
+from .bigreal import BigReal, as_mpf, working_dps
 from .errors import Breakdown, InsufficientData
 from .expr import Expression, _eval
 from .solver import (MethodId, Trajectory, _check_finite, _log10_abs, _method_map,
@@ -140,9 +140,10 @@ def map_derivatives_at(
         return [BigReal(d, precision) for d in derivs]
 
 
-def _bisect(f: Expression, a, fa, b, target, prec):
+def _bisect(value, a, fa, b, target):
     """Halve [a, b], where f(a) = fa and f changes sign, until it is at most
-    ``target`` wide or cannot be split at the working precision, ``prec`` bits.
+    ``target`` wide or cannot be split at the working precision; ``value(x)``
+    is f(x).
 
     Returns the final bracket as (a, fa, b); an exact zero of f at a midpoint
     m ends the loop with the empty bracket (m, 0, m).
@@ -151,7 +152,7 @@ def _bisect(f: Expression, a, fa, b, target, prec):
         mid = (a + b) / 2
         if mid == a or mid == b:
             break
-        fm = _eval(f, mid, 0, prec)
+        fm = value(mid)
         if fm == 0:
             return mid, fm, mid
         if mp.sign(fm) == mp.sign(fa):
@@ -176,14 +177,20 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
     domain, a vanishing f'), bisection goes on from the seed bracket down to
     10^(-precision).
     """
-    prec = working_prec(precision)
     with mp.workdps(working_dps(precision)):
+        # f at the working precision, or at findroot's finer one inside it
+        def value(x):
+            return mp.make_mpf(_eval(f, x._mpf_, 0, mp.mp.prec))
+
+        def newton_correction(x):
+            v, d1 = map(mp.make_mpf, _eval(f, x._mpf_, 1, mp.mp.prec))
+            return v if v == 0 else v / d1
+
         a, b = as_mpf(lo), as_mpf(hi)
         _check_finite("lo and hi", [a, b])
         if a > b:
             raise ValueError("bisection bracket needs lo <= hi")
-        fa = _eval(f, a, 0, prec)
-        fb = _eval(f, b, 0, prec)
+        fa, fb = value(a), value(b)
         if fa == 0:
             return BigReal(a, precision)
         if fb == 0:
@@ -191,25 +198,17 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
         if mp.sign(fa) == mp.sign(fb):
             raise ValueError("bisection bracket does not change sign")
         target = mp.mpf(10) ** (-precision)
-        a, fa, b = _bisect(f, a, fa, b, max(target, mp.mpf(10) ** -30), prec)
+        a, fa, b = _bisect(value, a, fa, b, max(target, mp.mpf(10) ** -30))
         if b - a > target:
             half_width = target / 2
-
-            def value(x):
-                return _eval(f, x, 0, mp.mp.prec)
-
-            def newton_correction(x):
-                v, d1 = _eval(f, x, 1, mp.mp.prec)
-                return v if v == 0 else v / d1
-
             # findroot computes 20 bits finer; unary + rounds to the working precision
             for g in (value, newton_correction):
                 try:
                     r = +mp.findroot(g, (a + b) / 2)
-                    if a <= r <= b and (mp.sign(_eval(f, r - half_width, 0, prec))
-                                        != mp.sign(_eval(f, r + half_width, 0, prec))):
+                    if a <= r <= b and (mp.sign(value(r - half_width))
+                                        != mp.sign(value(r + half_width))):
                         return BigReal(r, precision)
                 except (ValueError, ZeroDivisionError, Breakdown):
                     pass
-            a, fa, b = _bisect(f, a, fa, b, target, prec)
+            a, fa, b = _bisect(value, a, fa, b, target)
         return BigReal((a + b) / 2, precision)

@@ -4,12 +4,14 @@ Every number the package computes is an mpmath ``mpf``, apart from the float
 diagnostics (significant digits and order estimates).  Each entry point works
 at one precision, ``working_dps(p)`` digits (``GUARD_DIGITS`` above the target
 ``p``, which must be at least ``MIN_DIGITS``) or ``working_prec(p)`` bits, and
-returns its results as ``BigReal`` records of the value and ``p``.  Expression evaluation passes
-those bits to every ``mpmath.libmp`` call it makes; the other layers compute
-on plain mpf inside ``mp.workdps(working_dps(p))``.  Both round each
-operation the same way, so identical inputs yield bit-identical results
-across runs.  ``bigreal`` and ``BigReal.decimal`` take their precision from
-their arguments and never read or set mpmath's context.
+returns its results as ``BigReal`` records of the value and ``p``.
+Expression evaluation and the scalar maps (``apply_method`` and the ladders
+of ``iterate``) pass those bits to every ``mpmath.libmp`` call they make; the
+outer loop, the schedule, ``analysis`` and ``multivariate`` compute on plain
+mpf inside ``mp.workdps(working_dps(p))``.  Both round each operation the
+same way, so identical inputs yield bit-identical results across runs.
+``bigreal`` and ``BigReal.decimal`` take their precision from their arguments
+and never read or set mpmath's context.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import mpmath as mp
 
 from . import __version__
 from .analysis import estimate_order, estimate_order_from_steps
-from .bigreal import DEFAULT_DIGITS, bigreal
+from .bigreal import DEFAULT_DIGITS, bigreal, working_dps
 from .errors import CotesrootError, InsufficientData
 from .expr import parse
 from .multivariate import demo_system, nd_iterate
@@ -134,20 +134,16 @@ def _solve(args):
     """The problem the solve flags describe, and its trajectory."""
     method = MethodId.parse(args.method, simpson_seed=args.simpson_seed)
     f = parse(args.function)
-    kwargs = {}
-    if args.step_tol is not None:
-        kwargs["step_tol"] = bigreal(args.step_tol, args.digits)
-    if args.residual_tol is not None:
-        kwargs["residual_tol"] = bigreal(args.residual_tol, args.digits)
-    if args.root is not None:
-        kwargs["known_root"] = bigreal(args.root, args.digits)
-    problem = ScalarProblem(
-        f,
-        bigreal(args.x0, args.digits),
-        precision=args.digits,
-        max_iter=args.max_iter,
-        **kwargs,
-    )
+    working_dps(args.digits)  # a precision below the minimum is no number flag's fault
+    numbers = {}
+    for flag, name in (("x0", "x0"), ("step_tol", "step_tol"),
+                       ("residual_tol", "residual_tol"), ("root", "known_root")):
+        try:
+            if getattr(args, flag) is not None:
+                numbers[name] = bigreal(getattr(args, flag), args.digits)
+        except ValueError as exc:  # text that is not a number names its flag
+            raise ValueError(f"--{flag.replace('_', '-')}: {exc}") from None
+    problem = ScalarProblem(f, precision=args.digits, max_iter=args.max_iter, **numbers)
     return problem, iterate(problem, method)
 
 

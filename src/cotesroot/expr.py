@@ -209,11 +209,12 @@ def _sech(v, prec):
 
 
 def _eval(expr: Expression, x, order: int, prec: int):
-    """Run the tape at the mpf ``x`` with every operation rounded to ``prec`` bits.
+    """Run the tape at the raw mpf ``x`` with every operation rounded to ``prec`` bits.
 
-    The loop computes on raw ``mpmath.libmp`` tuples and never reads or sets
-    the mpmath context, so concurrent calls do not interfere.  Each step is
-    the libmp call mpf's operator or function would make under
+    The loop takes and returns raw ``mpmath.libmp`` tuples and never reads or
+    sets the mpmath context, so concurrent calls do not interfere; callers
+    that want mpf values wrap them with ``mp.make_mpf``.  Each step is the
+    libmp call mpf's operator or function would make under
     ``mp.workprec(prec)``, so the bits are those of plain mpf arithmetic.
     Order 0 returns f(x) and applies only the value-level domain rules.
     Order 1 returns (f, f') and order 2 (f, f', f''); both add the
@@ -225,7 +226,6 @@ def _eval(expr: Expression, x, order: int, prec: int):
     second = order == 2
     vals = []  # f of each operand
     ders = []  # (f', f'') of each operand at orders 1 and 2; order 1 skips f''
-    x = x._mpf_
     for op, arg in _tape_at(expr, prec):
         if op == "x":
             vals.append(x)
@@ -394,20 +394,17 @@ def _eval(expr: Expression, x, order: int, prec: int):
             ders[-1] = (mpf_mul(gp, u1, prec, rnd), mpf_add(
                 mpf_mul(mpf_mul(gpp, u1, prec, rnd), u1, prec, rnd),
                 mpf_mul(gp, u2, prec, rnd), prec, rnd) if second else None)
-    make = mp.make_mpf
     if not order:
-        return make(vals[0])
+        return vals[0]
     d1, d2 = ders[0]
-    return (make(vals[0]), make(d1), make(d2)) if second else (make(vals[0]), make(d1))
+    return (vals[0], d1, d2) if second else (vals[0], d1)
 
 
 def eval_jet(expr: Expression, x, precision: int) -> Jet2:
     """Evaluate (f, f', f'') at ``x`` with ``precision`` (at least ``MIN_DIGITS``) digits."""
     prec = working_prec(precision)
-    v, d1, d2 = _eval(expr, as_mpf(x, prec), 2, prec)
-    return Jet2(
-        BigReal(v, precision), BigReal(d1, precision), BigReal(d2, precision)
-    )
+    return Jet2(*(BigReal(mp.make_mpf(v), precision)
+                  for v in _eval(expr, as_mpf(x, prec)._mpf_, 2, prec)))
 
 
 def eval_value(expr: Expression, x, precision: int) -> BigReal:
@@ -417,4 +414,4 @@ def eval_value(expr: Expression, x, precision: int) -> BigReal:
     BigReal is converted at its working precision, as in ``eval_jet``.
     """
     prec = working_prec(precision)
-    return BigReal(_eval(expr, as_mpf(x, prec), 0, prec), precision)
+    return BigReal(mp.make_mpf(_eval(expr, as_mpf(x, prec)._mpf_, 0, prec)), precision)

@@ -10,6 +10,8 @@ the division; the trapezoidal step is the variant of Weerakoon & Fernando
 
 from __future__ import annotations
 
+import operator
+
 import mpmath as mp
 
 from dataclasses import dataclass
@@ -21,6 +23,8 @@ from .solver import (SEED_TRAPEZOID, Termination, _check_finite, _finite, _ladde
                      _outer_loop, _stop_rules)
 
 _LEVELS = {"newton": 0, "trapezoidal": 1, "simpson": 2}  # step kind -> ladder level
+# the ladder's point arithmetic, on _Point's operators: p - q, p + q, k·p, p/k
+_POINTS = (operator.sub, operator.add, operator.mul, operator.truediv)
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,8 @@ def _vector_map(n, func, x, fx, precision, bound=None):
     except Breakdown as exc:
         exc.level = 0
         raise
-    return _ladder_full(n, x, fx, slope0, jacobian, _jacobian_sum, solve, SEED_TRAPEZOID,
-                        _max_norm, bound)
+    return _ladder_full(n, x, fx, slope0, jacobian, _jacobian_sum, solve, _POINTS,
+                        SEED_TRAPEZOID, None if bound is None else lambda p: _max_norm(p) > bound)
 
 
 def nd_step(kind: str, func: VectorFunction, x, precision: int) -> list[BigReal]:

@@ -28,11 +28,12 @@ from itertools import count
 from typing import Optional
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_sub, round_nearest, to_float
+from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_sub, to_float)
 
 from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, working_dps, working_prec
 from .errors import Breakdown
-from .expr import Expression, _eval
+from .expr import _RND, Expression, _eval
 from .quadrature import MAX_RULE, builtin_rule
 
 SEED_TRAPEZOID = "trapezoid"
@@ -157,20 +158,23 @@ class Trajectory:
         return [r.step for r in self.iterates if r.step is not None]
 
 
-def _transform_pair(f: Expression, x, prec: int):
+def _transform_pair(jet, prec: int):
     """(F, F') for the multiple-root transform F = -f/f' (the "+F" maps).
 
-    F has a simple root wherever f has a multiple one (when f'' does not
-    vanish there); its slope follows from the quotient rule:
-    F' = f f''/(f')^2 - 1.  The removable 0/0 singularity at the multiple
-    root itself is not patched: evaluation there is a ``domain`` Breakdown.
+    From the raw jet (f, f', f'') at a point, raw at ``prec`` bits.  F has a
+    simple root wherever f has a multiple one (when f'' does not vanish
+    there); its slope follows from the quotient rule: F' = f f''/(f')^2 - 1.
+    The removable 0/0 singularity at the multiple root itself is not patched:
+    evaluation there is a ``domain`` Breakdown.
     """
-    v, d1, d2 = _eval(f, x, 2, prec)
-    if d1 == 0:
-        if v == 0:
+    v, d1, d2 = jet
+    if d1 == fzero:
+        if v == fzero:
             raise Breakdown(Breakdown.DOMAIN, "transform is 0/0 at a root of both f and f'")
         raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished under the transform")
-    return -v / d1, v * d2 / (d1 * d1) - 1
+    return (mpf_div(mpf_neg(v, prec, _RND), d1, prec, _RND),
+            mpf_sub(mpf_div(mpf_mul(v, d2, prec, _RND), mpf_mul(d1, d1, prec, _RND), prec, _RND),
+                    fone, prec, _RND))
 
 
 class _OutsideBound(Exception):
@@ -181,41 +185,39 @@ class _OutsideBound(Exception):
         self.level = level
 
 
-def _ladder_full(n, x, fx, slope0, slope_at, weighted_sum, solve, simpson_seed,
-                 norm=abs, bound=None):
+def _ladder_full(n, x, fx, slope0, slope_at, weighted_sum, solve, points, simpson_seed,
+                 outside=None):
     """The map value y_n at x, built up from the Newton value y_0.
 
     One ladder serves scalars and vectors.  ``fx`` and ``slope0`` are the
     value and slope at x; ``slope0`` is node 0 of every level.  The caller
     supplies ``slope_at(p)``, ``weighted_sum(weights, slopes)`` and
     ``solve(B, c, F)``, the u with B u = c F, which raises Breakdown when B
-    is numerically singular.  Points need only ``+``, ``-`` and ``*``, ``/``
-    by an integer.  With a ``bound`` that x is inside, a level whose last node
-    x + k h has a ``norm`` above it raises ``_OutsideBound`` before any slope
-    of the level is taken: a norm is convex, so the nodes between x and the
-    last one are inside whenever both ends are.  A Breakdown leaves with
-    ``level`` set to the level being built.
+    is numerically singular.  Points need only the four operations in
+    ``points``: p - q, p + q, k·p and p/k for an integer k.  With
+    ``outside(p)``, true for a p outside the divergence bound that x is
+    inside, a level whose last node x + k h is outside raises
+    ``_OutsideBound`` before any slope of the level is taken: a norm is
+    convex, so the nodes between x and the last one are inside whenever both
+    ends are.  A Breakdown leaves with ``level`` set to the level being built.
     """
+    sub, add, scale, divide = points
     k = 0
     try:
-        y = newton = x - solve(slope0, 1, fx)
+        y = newton = sub(x, solve(slope0, 1, fx))
         for k in range(1, n + 1):
             rule = _RULES[k]
             base = newton if (k == 2 and simpson_seed == SEED_NEWTON) else y
-            h = (base - x) / k
-            nodes = [x + i * h for i in range(1, k + 1)]
-            if bound is not None and norm(nodes[-1]) > bound:
+            h = divide(sub(base, x), k)
+            nodes = [add(x, scale(i, h)) for i in range(1, k + 1)]
+            if outside is not None and outside(nodes[-1]):
                 raise _OutsideBound(k)
             slopes = [slope0] + [slope_at(p) for p in nodes]
-            y = x - solve(weighted_sum(rule.weights, slopes), rule.c, fx)
+            y = sub(x, solve(weighted_sum(rule.weights, slopes), rule.c, fx))
     except Breakdown as exc:
         exc.level = k
         raise
     return y
-
-
-def _weighted_sum(weights, slopes):
-    return sum(w * s for w, s in zip(weights, slopes))
 
 
 def _levels(m: MethodId) -> tuple[int, ...]:
@@ -224,43 +226,60 @@ def _levels(m: MethodId) -> tuple[int, ...]:
 
 
 def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=None):
-    """x -> t(x) on working-precision values; a composition applies inner first.
+    """x -> t(x) on mpf values; a composition applies inner first.
 
-    f is evaluated at ``prec`` bits, the working precision of ``precision``
-    (``working_prec``) unless a caller such as ``mp.diffs`` works finer.
-    ``bound`` is the divergence bound every ladder node must stay inside; x
-    must be inside it, and so must a composition's inner result, the outer
-    ladder's base point (else ``_OutsideBound`` at level 0).  A ladder breaks
-    down at level 0 where the slope at its base point is exactly zero, and at
-    the level whose weighted slope sum is more than about ``precision``
-    digits below that slope.
+    It computes on raw libmp tuples at ``prec`` bits, the working precision
+    of ``precision`` unless a caller such as ``mp.diffs`` works finer, each
+    step the call the mpf operator makes there, and never reads mpmath's
+    context.  ``bound`` is the divergence bound every ladder node must stay
+    inside; x must be inside it, and so must a composition's inner result,
+    the outer ladder's base point (else ``_OutsideBound`` at level 0).  A
+    ladder breaks down at level 0 where the slope at its base point is exactly
+    zero, and at the level whose weighted slope sum is more than about
+    ``precision`` digits below that slope.  ``apply(x, jet)`` reuses the raw
+    base jet at x, (f, f') or for "+F" (f, f', f''), that the caller has.
     """
     levels = _levels(m)
-    trap = mp.mpf(10) ** (5 - precision)  # the cancellation trap, relative to the base slope
+    order = 2 if m.transform else 1  # of the jets: F' needs f''
+    # the cancellation trap 10^(5 - precision), relative to the base slope
+    trap = mpf_pow_int(from_int(10), 5 - precision, prec, _RND)
+    outside = None if bound is None else (
+        lambda p, b=bound._mpf_: mpf_gt(mpf_abs(p, prec, _RND), b))
+    points = (lambda p, q: mpf_sub(p, q, prec, _RND), lambda p, q: mpf_add(p, q, prec, _RND),
+              lambda k, p: mpf_mul_int(p, k, prec, _RND),
+              lambda p, k: mpf_div(p, from_int(k), prec, _RND))
 
-    def pair(p):
-        return _transform_pair(f, p, prec) if m.transform else _eval(f, p, 1, prec)
+    def pair(jet):
+        return _transform_pair(jet, prec) if m.transform else jet
 
-    def apply(x):
+    def weighted_sum(weights, slopes):
+        total = fzero
+        for w, s in zip(weights, slopes):
+            total = mpf_add(total, mpf_mul_int(s, w, prec, _RND), prec, _RND)
+        return total
+
+    def apply(x, jet=None):
         def solve(b, c, fx):
-            if b == 0 or abs(b) < tiny:
+            if b == fzero or mpf_lt(mpf_abs(b, prec, _RND), tiny):
                 raise Breakdown(Breakdown.ZERO_DENOMINATOR, "weighted slope sum vanished")
-            return c * fx / b
+            return mpf_div(mpf_mul_int(fx, c, prec, _RND), b, prec, _RND)
 
+        x = x._mpf_
         for i, n in enumerate(levels):
-            if i and bound is not None and abs(x) > bound:
+            if i and outside and outside(x):
                 raise _OutsideBound(0)
             try:
-                fx, slope0 = pair(x)
-                if slope0 == 0:
+                fx, slope0 = pair(jet or _eval(f, x, order, prec))[:2]
+                if slope0 == fzero:
                     raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
             except Breakdown as exc:
                 exc.level = 0
                 raise
-            tiny = trap * abs(slope0)
-            x = _ladder_full(n, x, fx, slope0, lambda p: pair(p)[1], _weighted_sum, solve,
-                             m.simpson_seed, bound=bound)
-        return x
+            jet = None
+            tiny = mpf_mul(trap, mpf_abs(slope0, prec, _RND), prec, _RND)
+            x = _ladder_full(n, x, fx, slope0, lambda p: pair(_eval(f, p, order, prec))[1],
+                             weighted_sum, solve, points, m.simpson_seed, outside)
+        return mp.make_mpf(x)
 
     return apply
 
@@ -274,11 +293,12 @@ def _nominal_order(m: MethodId) -> int:
 
 
 def apply_method(m: MethodId, f: Expression, x, precision: int) -> BigReal:
-    """One application of a basic or composed map (inner map first) from a finite x."""
-    with mp.workdps(working_dps(precision)):
-        x = as_mpf(x)
-        _check_finite("x", [x])
-        return BigReal(_method_map(m, f, precision, working_prec(precision))(x), precision)
+    """One application of a basic or composed map (inner map first) from a finite x;
+    it never reads or sets mpmath's context, so threads may call it at once."""
+    prec = working_prec(precision)
+    x = as_mpf(x, prec)
+    _check_finite("x", [x])
+    return BigReal(_method_map(m, f, precision, prec)(x), precision)
 
 
 def _check_finite(name, coordinates):
@@ -387,12 +407,12 @@ def _significant_digits(x, z, precision) -> float:
     shown with at most 8 digits, and ``iterate`` and ``significant_digits``
     return it as that float.  Neither step reads mpmath's context.
     """
-    err = mpf_sub(z._mpf_, x._mpf_, working_prec(precision), round_nearest)
+    err = mpf_sub(z._mpf_, x._mpf_, working_prec(precision), _RND)
     return float(precision) if err == fzero else -_log10_abs(mp.make_mpf(err))
 
 
-def _scheduled_step(m: MethodId, f: Expression, precision: int, max_iter: int, bound):
-    """``iterate``'s step: each pass at the precision its iterate can use.
+def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int, bound):
+    """``iterate``'s residual and step: each pass at the precision its iterate can use.
 
     Pass k maps x_k, with about s correct digits, to x_{k+1} with about q·s,
     q the nominal order.  So it runs at P = q·s + _SCHEDULE_GUARD digits when
@@ -410,17 +430,38 @@ def _scheduled_step(m: MethodId, f: Expression, precision: int, max_iter: int, b
     that gains more is cut short by P, not by the map.  This check also catches
     a pass that stalls at its own rounding.  Residuals, stop rules and reported
     iterates stay at p.
+
+    Where every pass runs at p, the residual is the f of the base jet that
+    the next step reuses (order 0 has the same bits), or f alone where that
+    jet breaks down (abs at 0) and so will the step.  A schedule takes f
+    alone, so its reduced passes pay for no derivative.
     """
-    full = _method_map(m, f, precision, working_prec(precision), bound)
+    prec = working_prec(precision)
+    full = _method_map(m, f, precision, prec, bound)
+
+    def value(x):
+        return mp.make_mpf(_eval(f, x._mpf_, 0, prec))
+
     if precision < _SCHEDULE_FROM or m.transform:
-        return lambda x, fx: full(x)  # the ladder takes f(x) from its own jet
+        jet = None  # the base jet at the iterate whose residual was taken last
+
+        def residual(x):
+            nonlocal jet
+            try:
+                jet = _eval(f, x._mpf_, 2 if m.transform else 1, prec)
+            except Breakdown:
+                jet = None
+                return value(x)
+            return mp.make_mpf(jet[0])
+
+        return residual, lambda x, fx: full(x, jet)  # _outer_loop steps from the last residual
     q = _nominal_order(m)
     passes = count(1)
     digits = None  # estimated correct digits of the current iterate; False once at p
 
     def initial_digits(x, fx):
         with mp.workdps(30):
-            slope = _eval(f, x, 1, mp.mp.prec)[1]
+            slope = mp.make_mpf(_eval(f, x._mpf_, 1, mp.mp.prec)[1])
             return None if slope == 0 else -_log10_abs(fx / slope)
 
     def reduced(x, s):
@@ -432,10 +473,11 @@ def _scheduled_step(m: MethodId, f: Expression, precision: int, max_iter: int, b
         with mp.workdps(working_dps(work)):
             xn = _method_map(m, f, work, working_prec(work), bound)(+x)
         with mp.workdps(working_dps(work + _SCHEDULE_GUARD)):
-            value, slope = _eval(f, xn, 1, working_prec(work + _SCHEDULE_GUARD))
+            v, slope = map(mp.make_mpf,
+                           _eval(f, xn._mpf_, 1, working_prec(work + _SCHEDULE_GUARD)))
             if slope == 0:
                 return None
-            correction = abs(value / slope)
+            correction = abs(v / slope)
             if correction <= mp.mpf(10) ** (10 - work) * max(1, abs(xn)):
                 return None
         return xn, -_log10_abs(correction)
@@ -455,22 +497,20 @@ def _scheduled_step(m: MethodId, f: Expression, precision: int, max_iter: int, b
         digits = False
         return full(x)
 
-    return step
+    return value, step
 
 
 def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
     """Run the outer iteration until a stop rule fires: small step, small
     residual, iteration budget, the divergence bound, or a recorded breakdown.
 
-    Early passes may run at a reduced precision (``_scheduled_step``)."""
+    Early passes may run at a reduced precision (``_residual_and_step``)."""
     precision = problem.precision
-    prec = working_prec(precision)
     with mp.workdps(working_dps(precision)):
         bound = as_mpf(problem.divergence_bound)
         points, steps, termination = _outer_loop(
             as_mpf(problem.x0),
-            lambda x: _eval(problem.f, x, 0, prec),
-            _scheduled_step(m, problem.f, precision, problem.max_iter, bound),
+            *_residual_and_step(m, problem.f, precision, problem.max_iter, bound),
             abs,
             problem.max_iter,
             as_mpf(problem.step_tol),

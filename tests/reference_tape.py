@@ -1,16 +1,21 @@
-"""Reference evaluation of an expression tape on mpf operators.
+"""Reference evaluation of an expression tape and of the scalar maps on mpf operators.
 
 The same formulas in the same order as ``expr._eval``, written with mpf's
 operators and functions, so every operation rounds at the precision of the
 active ``mp.workdps`` context.  ``expr._eval`` runs them on raw
 ``mpmath.libmp`` tuples at a precision it is passed; it must return the same
 bits and raise the same ``domain`` Breakdown messages, which ``test_expr.py``
-checks against this copy.
+checks against this copy.  ``reference_map`` is the scalar map t(x) the same
+way: the ladder, the "+F" transform and the breakdown and bound checks of
+``solver._method_map`` on mpf operators, which ``test_solver.py`` checks the
+raw map against.
 """
 
 import mpmath as mp
 
 from cotesroot.errors import Breakdown
+from cotesroot.quadrature import builtin_rule
+from cotesroot.solver import SEED_NEWTON, _OutsideBound
 
 _BINARY = ("+", "-", "*", "/", "^")
 
@@ -155,3 +160,66 @@ def reference_eval(expr, x, order):
                 gpp = -2 / (9 * r2 * r2 * r) if second else None
             ders[-1] = (gp * u1, gpp * u1 * u1 + gp * u2 if second else None)
     return (vals[0], *ders[0][:order]) if order else vals[0]
+
+
+def _reference_transform_pair(f, x):
+    """(F, F') for F = -f/f' at x; call under the working precision."""
+    v, d1, d2 = reference_eval(f, x, 2)
+    if d1 == 0:
+        if v == 0:
+            raise Breakdown(Breakdown.DOMAIN, "transform is 0/0 at a root of both f and f'")
+        raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished under the transform")
+    return -v / d1, v * d2 / (d1 * d1) - 1
+
+
+def _reference_ladder(n, x, fx, slope0, slope_at, solve, simpson_seed, bound):
+    """y_n at x from the Newton value y_0, as ``solver._ladder_full`` builds it."""
+    k = 0
+    try:
+        y = newton = x - solve(slope0, 1, fx)
+        for k in range(1, n + 1):
+            rule = builtin_rule(k)
+            base = newton if (k == 2 and simpson_seed == SEED_NEWTON) else y
+            h = (base - x) / k
+            nodes = [x + i * h for i in range(1, k + 1)]
+            if bound is not None and abs(nodes[-1]) > bound:
+                raise _OutsideBound(k)
+            slopes = [slope0] + [slope_at(p) for p in nodes]
+            y = x - solve(sum(w * s for w, s in zip(rule.weights, slopes)), rule.c, fx)
+    except Breakdown as exc:
+        exc.level = k
+        raise
+    return y
+
+
+def reference_map(m, f, precision, bound=None):
+    """x -> t(x) for the MethodId ``m``, inner map first; call under the working
+    precision of ``precision``, which sets the cancellation trap 10^(5 - precision)."""
+    levels = (m.outer,) if m.inner is None else (m.inner, m.outer)
+    trap = mp.mpf(10) ** (5 - precision)
+
+    def pair(p):
+        return _reference_transform_pair(f, p) if m.transform else reference_eval(f, p, 1)
+
+    def apply(x):
+        def solve(b, c, fx):
+            if b == 0 or abs(b) < tiny:
+                raise Breakdown(Breakdown.ZERO_DENOMINATOR, "weighted slope sum vanished")
+            return c * fx / b
+
+        for i, n in enumerate(levels):
+            if i and bound is not None and abs(x) > bound:
+                raise _OutsideBound(0)
+            try:
+                fx, slope0 = pair(x)
+                if slope0 == 0:
+                    raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
+            except Breakdown as exc:
+                exc.level = 0
+                raise
+            tiny = trap * abs(slope0)
+            x = _reference_ladder(n, x, fx, slope0, lambda p: pair(p)[1], solve,
+                                  m.simpson_seed, bound)
+        return x
+
+    return apply

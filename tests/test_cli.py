@@ -103,6 +103,14 @@ def test_solve_csv(capsys):
     assert len(rows) > 2
 
 
+@pytest.mark.parametrize("flag", ["--x0", "--step-tol", "--residual-tol", "--root"])
+def test_solve_non_numeric_flag_names_itself(capsys, flag):
+    start = [] if flag == "--x0" else ["--x0", "1.5"]
+    code, out, err = run_cli(capsys, "solve", "-f", "x^2-2", *start, flag, "abc")
+    assert code == 1 and out == ""
+    assert err == f"error: {flag}: could not convert string to float: 'abc'\n"
+
+
 def test_solve_diverged_exit_code(capsys):
     code, out, _ = run_cli(capsys, "solve", "-f", "tanh(x-1)", "-m", "t0",
                            "--x0", "-5", "--digits", "30")

@@ -146,7 +146,7 @@ def test_jet_domain_errors(text, x):
     assert err.value.kind == Breakdown.DOMAIN
     with pytest.raises(Breakdown) as err, mp.workdps(working_dps(30)):
         # order 1 keeps the derivative-level rules
-        _eval(parse(text), mp.mpf(x), 1, working_prec(30))
+        _eval(parse(text), mp.mpf(x)._mpf_, 1, working_prec(30))
     assert err.value.kind == Breakdown.DOMAIN
 
 
@@ -293,12 +293,11 @@ def test_order_one_is_the_head_of_order_two(seed, x, precision):
     except Breakdown as exc:
         assert exc.kind == Breakdown.DOMAIN
         with pytest.raises(Breakdown) as err:
-            _eval(expr, point.value, 1, prec)
+            _eval(expr, point.value._mpf_, 1, prec)
         assert err.value.kind == Breakdown.DOMAIN
         return
-    f, d1 = _eval(expr, point.value, 1, prec)
-    assert (f._mpf_, d1._mpf_) == (jet.f.value._mpf_, jet.d1.value._mpf_)
-    assert _eval(expr, point.value, 0, prec)._mpf_ == jet.f.value._mpf_
+    assert _eval(expr, point.value._mpf_, 1, prec) == (jet.f.value._mpf_, jet.d1.value._mpf_)
+    assert _eval(expr, point.value._mpf_, 0, prec) == jet.f.value._mpf_
 
 
 # Forms _random_expr never makes: unary minus (of x itself too, where a
@@ -321,12 +320,17 @@ def _any_op_expr(rng, depth):
 
 
 def _outcome(evaluate):
-    """The raw bits of an evaluation, or the type, kind and text of its error."""
+    """The raw bits of an evaluation, or the type, kind and text of its error.
+
+    An mpf result, or a tuple of them, becomes its raw tuples; a raw result
+    stays as it is."""
     try:
         result = evaluate()
     except (ArithmeticError, ValueError) as exc:
         return type(exc), getattr(exc, "kind", None), str(exc)
-    return tuple(v._mpf_ for v in result) if isinstance(result, tuple) else result._mpf_
+    if isinstance(result, mp.mpf):
+        return result._mpf_
+    return tuple(getattr(v, "_mpf_", v) for v in result)
 
 
 @settings(deadline=None, max_examples=400, derandomize=True)
@@ -351,7 +355,7 @@ def test_raw_tape_matches_mpf_operators_bitwise(seed, x, order, precision, extra
         point = mp.mpf(x) + (mp.mpf(rng.getrandbits(prec)) / 2 ** (prec + 8) if extra_bits else 0)
     with mp.workdps(working_dps(precision)):
         expected = _outcome(lambda: reference_eval(expr, point, order))
-    assert _outcome(lambda: _eval(expr, point, order, prec)) == expected
+    assert _outcome(lambda: _eval(expr, point._mpf_, order, prec)) == expected
 
 
 def _assert_threads_match_serial(cases, evaluate, repeats):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_expr import _random_expr
+from reference_tape import reference_map
+from test_expr import _any_op_expr, _assert_threads_match_serial, _random_expr
 
 from cotesroot import (
     Breakdown,
@@ -22,8 +23,9 @@ from cotesroot import (
     parse,
 )
 from cotesroot import solver
-from cotesroot.bigreal import working_prec
-from mpmath.libmp import from_man_exp
+from cotesroot.bigreal import working_dps, working_prec
+from cotesroot.expr import _eval
+from mpmath.libmp import fnone, fone, from_man_exp
 from cotesroot.solver import (
     BREAKDOWN,
     CONVERGED,
@@ -32,7 +34,9 @@ from cotesroot.solver import (
     SEED_NEWTON,
     SEED_TRAPEZOID,
     Termination,
+    _OutsideBound,
     _log10_abs,
+    _method_map,
     _transform_pair,
     apply_method,
     iterate,
@@ -180,8 +184,9 @@ def test_composition_applies_inner_first():
 
 def transform_pair(text, x, precision):
     """(F, F') of the +F maps at x, at the working precision of ``precision``."""
-    with mp.workdps(precision + 10):
-        return _transform_pair(parse(text), mp.mpf(x), working_prec(precision))
+    prec = working_prec(precision)
+    jet = _eval(parse(text), mp.mpf(x, prec=prec)._mpf_, 2, prec)
+    return tuple(mp.make_mpf(v) for v in _transform_pair(jet, prec))
 
 
 def test_transform_of_square():
@@ -228,14 +233,114 @@ def test_zero_denominator_guard(monkeypatch):
     # the slope flips sign away from the base point, so the trapezoid's sum vanishes
     base = bigreal("0.3", 50)
     monkeypatch.setattr(solver, "_eval", lambda f, x, order, prec: (
-        mp.mpf(1), mp.mpf(1) if x == base.value else mp.mpf(-1)))
+        fone, fone if x == base.value._mpf_ else fnone))
     with pytest.raises(Breakdown) as err:
         apply_method(MethodId(1), parse("x"), base, 50)
     assert err.value.kind == Breakdown.ZERO_DENOMINATOR
     assert err.value.level == 1
 
 
+def _map_outcome(apply):
+    """The raw bits of a map value, or the type, kind, text and level of its error."""
+    try:
+        return apply()._mpf_
+    except (Breakdown, _OutsideBound) as exc:
+        return type(exc), getattr(exc, "kind", None), str(exc), exc.level
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    spec=st.sampled_from([f"t{n}" for n in range(8)] + ["t2_1", "t7_6"]),
+    transform=st.booleans(),
+    simpson_seed=st.sampled_from([SEED_TRAPEZOID, SEED_NEWTON]),
+    margin=st.none() | st.floats(0.01, 100),
+    precision=st.sampled_from([30, 60, 700]),
+)
+def test_raw_map_matches_mpf_operators_bitwise(seed, spec, transform, simpson_seed, margin,
+                                               precision):
+    """The libmp map gives the bits, the Breakdown kind, message and level, and
+    the _OutsideBound level of the same ladder on mpf operators, with or
+    without the base jet from its caller.  The reference runs under
+    mp.workdps; the map runs outside it, at its own precision argument.  x
+    comes from the seed, since hypothesis favours 0, where many of these
+    functions have a zero slope."""
+    rng = random.Random(seed)
+    f = parse(_any_op_expr(rng, rng.randint(1, 3)))
+    x = rng.uniform(-3, 3)
+    m = MethodId.parse(spec + "+F" * transform, simpson_seed=simpson_seed)
+    prec = working_prec(precision)
+    point = mp.mpf(x, prec=prec)
+    bound = None if margin is None else mp.mpf(abs(x) + margin, prec=prec)
+    with mp.workdps(working_dps(precision)):
+        expected = _map_outcome(lambda: reference_map(m, f, precision, bound)(point))
+    raw = _method_map(m, f, precision, prec, bound)
+    assert _map_outcome(lambda: raw(point)) == expected
+    try:
+        jet = _eval(f, point._mpf_, 2 if transform else 1, prec)
+    except Breakdown:
+        return
+    assert _map_outcome(lambda: raw(point, jet)) == expected
+
+
+def test_concurrent_applications_are_bit_identical_to_serial():
+    """apply_method takes its precision as an argument, so threads at
+    different precisions do not change each other's results."""
+    cases = [(MethodId.parse(spec), parse(text), bigreal(x, precision), precision)
+             for spec in ("t7", "t7_6")
+             for text, x in (("tanh(x-1)", "1.3"), ("x^11+4*x^2-10", "1.3"))
+             for precision in (60, 1000)]
+
+    def evaluate(case):
+        return apply_method(*case).value._mpf_
+
+    # the serial pass runs first, so libmp's cached constants (ln 2 and pi for
+    # tanh's exponentials), which grow without a lock, hold 1000 digits before
+    # the threads start; about as long at each precision
+    _assert_threads_match_serial(cases, evaluate, {60: 40, 1000: 3})
+
+
 # ------------------------------------------------------------- iterate
+
+@pytest.mark.parametrize("spec", [f"t{n}" for n in range(8)] + ["t2_1", "t7_6", "t3+F"])
+def test_iterate_jet_counts(spec, monkeypatch):
+    # below the schedule's precision each residual is the f of the base jet
+    # that the next step reuses: K steps take K + 1 base jets and the nodes
+    # of every ladder, plus each composition's outer base jet, and no order-0
+    # value; a "+F" map takes order-2 jets, a plain map order-1 jets
+    orders = []
+    evaluate = solver._eval
+
+    def counting_eval(f, x, order, prec):
+        orders.append(order)
+        return evaluate(f, x, order, prec)
+
+    monkeypatch.setattr(solver, "_eval", counting_eval)
+    m = MethodId.parse(spec)
+    problem = ScalarProblem(parse("x^3+2*x-5"), bigreal("1.4", 60), precision=60)
+    traj = iterate(problem, m)
+    assert traj.termination.kind == CONVERGED
+    k = len(traj.steps())
+    per_step = sum(n * (n + 1) // 2 for n in solver._levels(m)) + (m.inner is not None)
+    assert k >= 1
+    assert orders == [2 if m.transform else 1] * ((k + 1) + k * per_step)
+
+
+@pytest.mark.parametrize("spec", ["t0", "t2_1", "t1+F"])
+@pytest.mark.parametrize("text,message", [
+    ("abs(x)+1", "derivative of abs at 0"),
+    ("sqrt(x)+1", "derivative of sqrt at 0"),
+    ("sqrt(x)", None),  # f(0) = 0: the run converges before any step
+])
+def test_iterate_residual_where_only_the_jet_breaks_down(spec, text, message):
+    # the base jet at 0 breaks down, f there does not: the residual is f
+    # alone, and the step breaks down at level 0 as the ladder's own jet does
+    problem = ScalarProblem(parse(text), bigreal(0, 30), precision=30)
+    traj = iterate(problem, MethodId.parse(spec))
+    assert [(r.x.value, r.fx.value) for r in traj.iterates] == [(0, 0 if message is None else 1)]
+    assert traj.termination == (Termination(CONVERGED, "residual") if message is None else
+                                Termination(BREAKDOWN, Breakdown.DOMAIN, message, 0))
+
 
 def test_iterate_square_root_of_two():
     problem = ScalarProblem(parse("x^2-2"), bigreal("1.5", 60), precision=60)
@@ -271,14 +376,14 @@ def test_iterate_flat_tail_diverges():
 
 def test_iterate_diverged_iterate_has_no_residual(monkeypatch):
     # t0 on x*exp(x)-1 from -3 jumps to about -6.7e66363, far outside the
-    # bound: the run ends there without the residual at that point
+    # bound: the run ends there without the residual at that point.  At 30
+    # digits each residual is the f of t0's one jet, at the iterate itself.
     bound = mp.mpf(10) ** 6 * 4
     residual_points = []
     real_eval = solver._eval
 
     def recording_eval(f, x, order, prec):
-        if order == 0:
-            residual_points.append(x)
+        residual_points.append(mp.make_mpf(x))
         return real_eval(f, x, order, prec)
 
     monkeypatch.setattr(solver, "_eval", recording_eval)
@@ -305,7 +410,7 @@ def test_iterate_ladder_node_outside_bound_diverges(monkeypatch, method, x0, lev
     real_eval = solver._eval
 
     def bounded_eval(f, x, order, prec):
-        assert abs(x) <= bound, "f evaluated outside the divergence bound"
+        assert abs(mp.make_mpf(x)) <= bound, "f evaluated outside the divergence bound"
         return real_eval(f, x, order, prec)
 
     monkeypatch.setattr(solver, "_eval", bounded_eval)
@@ -337,7 +442,7 @@ def test_iterate_ends_without_leaving_the_bound(seed, method, x0):
     real_eval = solver._eval
 
     def recording_eval(f, x, order, prec):
-        points.append(x)
+        points.append(mp.make_mpf(x))
         return real_eval(f, x, order, prec)
 
     with pytest.MonkeyPatch.context() as patch:
