@@ -136,11 +136,11 @@ def _solve(args):
     f = parse(args.function)
     working_dps(args.digits)  # a precision below the minimum is no number flag's fault
     numbers = {}
-    for flag, name in (("x0", "x0"), ("step_tol", "step_tol"),
-                       ("residual_tol", "residual_tol"), ("root", "known_root")):
+    for flag in ("x0", "step_tol", "residual_tol", "root"):
+        text = getattr(args, flag)
         try:
-            if getattr(args, flag) is not None:
-                numbers[name] = bigreal(getattr(args, flag), args.digits)
+            if text is not None:
+                numbers["known_root" if flag == "root" else flag] = bigreal(text, args.digits)
         except ValueError as exc:  # text that is not a number names its flag
             raise ValueError(f"--{flag.replace('_', '-')}: {exc}") from None
     problem = ScalarProblem(f, precision=args.digits, max_iter=args.max_iter, **numbers)

@@ -269,7 +269,7 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
             if i and outside and outside(x):
                 raise _OutsideBound(0)
             try:
-                fx, slope0 = pair(jet or _eval(f, x, order, prec))[:2]
+                fx, slope0 = pair(jet or _eval(f, x, order, prec))
                 if slope0 == fzero:
                     raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
             except Breakdown as exc:
@@ -432,8 +432,9 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     iterates stay at p.
 
     Where every pass runs at p, the residual is the f of the base jet that
-    the next step reuses (order 0 has the same bits), or f alone where that
-    jet breaks down (abs at 0) and so will the step.  A schedule takes f
+    the next step reuses if it starts from the same iterate (order 0 has the
+    same bits), or f alone where that jet breaks down (abs at 0) and so will
+    the step.  A schedule takes f
     alone, so its reduced passes pay for no derivative.
     """
     prec = working_prec(precision)
@@ -443,18 +444,18 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
         return mp.make_mpf(_eval(f, x._mpf_, 0, prec))
 
     if precision < _SCHEDULE_FROM or m.transform:
-        jet = None  # the base jet at the iterate whose residual was taken last
+        last = (None, None)  # (raw iterate, base jet there) of the residual taken last
 
         def residual(x):
-            nonlocal jet
+            nonlocal last
             try:
-                jet = _eval(f, x._mpf_, 2 if m.transform else 1, prec)
+                last = x._mpf_, _eval(f, x._mpf_, 2 if m.transform else 1, prec)
             except Breakdown:
-                jet = None
+                last = (None, None)
                 return value(x)
-            return mp.make_mpf(jet[0])
+            return mp.make_mpf(last[1][0])
 
-        return residual, lambda x, fx: full(x, jet)  # _outer_loop steps from the last residual
+        return residual, lambda x, fx: full(x, last[1] if x._mpf_ == last[0] else None)
     q = _nominal_order(m)
     passes = count(1)
     digits = None  # estimated correct digits of the current iterate; False once at p

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/comparison_set.py [--every K]
+    PYTHONPATH=src python tests/comparison_set.py
 
 The set crosses 15 functions (the ten benchmark families, abs(x), log(x),
 sqrt(x), cbrt(x) and 1/x-2) with ten maps (t0..t7, t2_1, t7_6), each plain
@@ -14,14 +14,12 @@ run's inputs and, per iterate, x, f(x), the step and s, the numbers as exact
 binary values (mantissa in hex, binary exponent), then the termination.  The
 last line is the sha256 of all run lines, so two versions of cotesroot that
 print the same digest gave every run the same bits and the same ending.
-``--every K`` runs only every K-th run, and the digest covers that subset.
 pytest does not collect this file; the known roots come from
 ``conftest.certified_root``, which does not use cotesroot.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import random
@@ -110,16 +108,12 @@ def run_line(index, text, method, seeding, x0, digits, knows_root, roots):
     return json.dumps(line)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--every", type=int, default=1, help="run every K-th run only")
-    args = parser.parse_args(argv)
+def main() -> int:
     digest, roots = hashlib.sha256(), {}
     for run in runs():
-        if run[0] % args.every == 0:
-            line = run_line(*run, roots)
-            print(line, flush=True)
-            digest.update(line.encode() + b"\n")
+        line = run_line(*run, roots)
+        print(line, flush=True)
+        digest.update(line.encode() + b"\n")
     print(digest.hexdigest())
     return 0
 

@@ -342,6 +342,18 @@ def test_iterate_residual_where_only_the_jet_breaks_down(spec, text, message):
                                 Termination(BREAKDOWN, Breakdown.DOMAIN, message, 0))
 
 
+@pytest.mark.parametrize("spec", ["t3", "t2+F"])
+def test_iterate_step_reuses_a_jet_only_at_its_own_point(spec):
+    # the step passes on the residual's base jet only when it starts from
+    # the point that jet was taken at; from any other point it takes its own
+    m, f = MethodId.parse(spec), parse("x^3+2*x-5")
+    residual, step = solver._residual_and_step(m, f, 60, 12, None)
+    x, y = bigreal("1.4", 60).value, bigreal("1.3", 60).value
+    fx = residual(x)
+    assert step(x, fx) == apply_method(m, f, x, 60).value
+    assert step(y, fx) == apply_method(m, f, y, 60).value
+
+
 def test_iterate_square_root_of_two():
     problem = ScalarProblem(parse("x^2-2"), bigreal("1.5", 60), precision=60)
     traj = iterate(problem, MethodId(0))
