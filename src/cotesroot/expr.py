@@ -13,9 +13,12 @@ The loop computes on raw ``mpmath.libmp`` tuples at a precision in bits that
 its caller passes, rounding to nearest, and never touches the mpmath
 context: ``eval_jet`` and ``eval_value`` may run in several threads at once.
 Each step makes the libmp call that the same formula on mpf operators would
-make, so results are bit for bit those of plain mpf arithmetic at that
-precision.  Literals are converted once per precision and kept beside the
-tape.
+make, so results are bit for bit those of plain mpf arithmetic of the same
+formulas at that precision.  tanh is s/c from one ``mpf_cosh_sinh`` call at
+10 more bits, whose c also gives sech = 1/c for the derivatives; the jets
+take sin and cos from one ``mpf_cos_sin`` call, with the bits of ``mpf_sin``
+and ``mpf_cos``.  Literals are converted once per precision and kept beside
+the tape.
 
 Grammar (whitespace-insensitive, ``^`` right-associative):
 
@@ -37,10 +40,10 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 from mpmath.libmp import (
-    fnan, fone, fnone, from_str, ftwo, fzero, mpf_abs, mpf_add, mpf_cbrt, mpf_cos, mpf_cosh,
-    mpf_div, mpf_e, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
-    mpf_pi, mpf_pos, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sin, mpf_sqrt, mpf_sub, mpf_tan,
-    mpf_tanh, round_nearest, to_int, to_str,
+    finf, fnan, fone, fnone, from_str, ftwo, fzero, mpf_abs, mpf_add, mpf_cbrt, mpf_cos,
+    mpf_cos_sin, mpf_cosh_sinh, mpf_div, mpf_e, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul,
+    mpf_mul_int, mpf_neg, mpf_pi, mpf_pos, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sin, mpf_sqrt,
+    mpf_sub, mpf_tan, round_nearest, to_int, to_str,
 )
 
 from .bigreal import BigReal, as_mpf, working_prec
@@ -177,8 +180,8 @@ def parse(text: str) -> Expression:
 
 _RND = round_nearest
 # the functions the tape calls as mpmath does: one libmp call at the working precision
-_LIBMP = {"sin": mpf_sin, "cos": mpf_cos, "tan": mpf_tan, "tanh": mpf_tanh,
-          "exp": mpf_exp, "log": mpf_log, "sqrt": mpf_sqrt}
+_LIBMP = {"sin": mpf_sin, "cos": mpf_cos, "tan": mpf_tan, "exp": mpf_exp, "log": mpf_log,
+          "sqrt": mpf_sqrt}
 _CONSTANT = {"pi": mpf_pi, "e": mpf_e}
 
 
@@ -203,11 +206,6 @@ def _sign(v):
     return fone if mpf_gt(v, fzero) else fnone
 
 
-def _sech(v, prec):
-    """``mp.sech`` of a raw mpf: 1/cosh at 10 more bits, rounded to ``prec``."""
-    return mpf_pos(mpf_div(fone, mpf_cosh(v, prec + 10, _RND), prec + 10, _RND), prec, _RND)
-
-
 def _eval(expr: Expression, x, order: int, prec: int):
     """Run the tape at the raw mpf ``x`` with every operation rounded to ``prec`` bits.
 
@@ -215,7 +213,8 @@ def _eval(expr: Expression, x, order: int, prec: int):
     sets the mpmath context, so concurrent calls do not interfere; callers
     that want mpf values wrap them with ``mp.make_mpf``.  Each step is the
     libmp call mpf's operator or function would make under
-    ``mp.workprec(prec)``, so the bits are those of plain mpf arithmetic.
+    ``mp.workprec(prec)``, so the bits are those of plain mpf arithmetic of
+    the same formulas.
     Order 0 returns f(x) and applies only the value-level domain rules.
     Order 1 returns (f, f') and order 2 (f, f', f''); both add the
     derivative-level rules: no sqrt, cbrt or abs at 0, no real or variable
@@ -344,6 +343,12 @@ def _eval(expr: Expression, x, order: int, prec: int):
                 r = mpf_mul(_sign(v), mpf_cbrt(mpf_abs(v, prec, rnd), prec, rnd), prec, rnd)
             elif op == "abs":
                 r = mpf_abs(v, prec, rnd)
+            elif op == "tanh":  # s/c, and sech = 1/c below, from one cosh_sinh call
+                c, s = mpf_cosh_sinh(v, prec + 10, rnd)
+                r = _sign(s) if c == finf else mpf_div(s, c, prec, rnd)
+            elif order and (op == "sin" or op == "cos"):  # the bits of mpf_sin and mpf_cos
+                c, s = mpf_cos_sin(v, prec, rnd)
+                r = s if op == "sin" else c
             else:
                 r = _LIBMP[op](v, prec, rnd)
             vals[-1] = r
@@ -363,12 +368,8 @@ def _eval(expr: Expression, x, order: int, prec: int):
                 continue
             # g(u)' = g'(v) u', g(u)'' = g''(v) u'^2 + g'(v) u''
             gpp = None
-            if op == "sin":
-                gp = mpf_cos(v, prec, rnd)
-                if second:
-                    gpp = mpf_neg(r, prec, rnd)
-            elif op == "cos":
-                gp = mpf_neg(mpf_sin(v, prec, rnd), prec, rnd)
+            if op == "sin" or op == "cos":
+                gp = c if op == "sin" else mpf_neg(s, prec, rnd)
                 if second:
                     gpp = mpf_neg(r, prec, rnd)
             elif op == "exp":
@@ -378,7 +379,8 @@ def _eval(expr: Expression, x, order: int, prec: int):
                 if second:
                     gpp = mpf_mul(mpf_mul_int(r, 2, prec, rnd), gp, prec, rnd)
             elif op == "tanh":
-                gp = mpf_pow_int(_sech(v, prec), 2, prec, rnd)  # 1 - r*r underflows for large |v|
+                sech = mpf_pos(mpf_div(fone, c, prec + 10, rnd), prec, rnd)
+                gp = mpf_pow_int(sech, 2, prec, rnd)  # 1 - r*r underflows for large |v|
                 if second:
                     gpp = mpf_mul(mpf_mul_int(r, -2, prec, rnd), gp, prec, rnd)
             elif op == "sqrt":

@@ -431,31 +431,34 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     a pass that stalls at its own rounding.  Residuals, stop rules and reported
     iterates stay at p.
 
-    Where every pass runs at p, the residual is the f of the base jet that
-    the next step reuses if it starts from the same iterate (order 0 has the
-    same bits), or f alone where that jet breaks down (abs at 0) and so will
-    the step.  A schedule takes f
-    alone, so its reduced passes pay for no derivative.
+    Once every later pass runs at p (always, below _SCHEDULE_FROM digits or
+    for "+F"), the residual is the f of the base jet that the next step
+    reuses if it starts from the same iterate (order 0 has the same bits), or
+    f alone where that jet breaks down (abs at 0) and so will the step.  A
+    schedule takes f alone until then, so its reduced passes pay for no
+    derivative.
     """
     prec = working_prec(precision)
     full = _method_map(m, f, precision, prec, bound)
+    last = (None, None)  # (raw iterate, base jet there) of the residual taken last
 
     def value(x):
         return mp.make_mpf(_eval(f, x._mpf_, 0, prec))
 
+    def jet_residual(x):
+        nonlocal last
+        try:
+            last = x._mpf_, _eval(f, x._mpf_, 2 if m.transform else 1, prec)
+        except Breakdown:
+            last = (None, None)
+            return value(x)
+        return mp.make_mpf(last[1][0])
+
+    def full_step(x, fx):
+        return full(x, last[1] if x._mpf_ == last[0] else None)
+
     if precision < _SCHEDULE_FROM or m.transform:
-        last = (None, None)  # (raw iterate, base jet there) of the residual taken last
-
-        def residual(x):
-            nonlocal last
-            try:
-                last = x._mpf_, _eval(f, x._mpf_, 2 if m.transform else 1, prec)
-            except Breakdown:
-                last = (None, None)
-                return value(x)
-            return mp.make_mpf(last[1][0])
-
-        return residual, lambda x, fx: full(x, last[1] if x._mpf_ == last[0] else None)
+        return jet_residual, full_step
     q = _nominal_order(m)
     passes = count(1)
     digits = None  # estimated correct digits of the current iterate; False once at p
@@ -496,9 +499,9 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
                 xn, digits = result
                 return xn
         digits = False
-        return full(x)
+        return full_step(x, fx)
 
-    return value, step
+    return lambda x: jet_residual(x) if digits is False else value(x), step
 
 
 def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:

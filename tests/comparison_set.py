@@ -1,4 +1,4 @@
-"""The scalar comparison set: 1200 seeded ``iterate`` runs, one JSON line each, then a digest.
+"""The scalar comparison set: 1260 seeded ``iterate`` runs, one JSON line each, then a digest.
 
 Run from the repository root:
 
@@ -9,6 +9,9 @@ sqrt(x), cbrt(x) and 1/x-2) with ten maps (t0..t7, t2_1, t7_6), each plain
 and with "+F", and draws four runs for every pair from its own seeded
 generator: the Simpson seeding, a start (an integer in -2..3 or a six-place
 decimal in [-3, 3]), 30 or 60 digits, and whether the run knows its root.
+A 1000-digit slice follows, where ``iterate``'s precision schedule runs
+reduced passes: the 15 functions with the plain maps t0, t4, t7 and t7_6,
+one run each, drawn the same way.
 Every run has ``max_iter=12`` and the default stop rules.  Each line holds a
 run's inputs and, per iterate, x, f(x), the step and s, the numbers as exact
 binary values (mantissa in hex, binary exponent), then the termination.  The
@@ -50,6 +53,9 @@ FUNCTIONS = {
 }
 MAPS = [f"t{n}" for n in range(8)] + ["t2_1", "t7_6"]
 RUNS_PER_PAIR = 4
+# the scheduled slice: plain maps only, one run per pair at SCHEDULED_DIGITS
+SCHEDULED_MAPS = ["t0", "t4", "t7", "t7_6"]
+SCHEDULED_DIGITS = 1000
 MAX_ITER = 12
 
 
@@ -70,6 +76,13 @@ def _bits(big):
     return f"{'-' * sign}{man:x}p{exp}" if man else mp.nstr(big.value, 1)  # 0, inf or nan
 
 
+def _draw(rng, digits=None):
+    """(Simpson seeding, x0, digits, knows root) of one run, digits 30 or 60 unless given."""
+    seeding = rng.choice(["trapezoid", "newton"])
+    x0 = str(rng.randint(-2, 3)) if rng.random() < 0.5 else f"{rng.uniform(-3, 3):.6f}"
+    return seeding, x0, digits or rng.choice([30, 60]), rng.random() < 0.5
+
+
 def runs():
     """(index, function, method spec, Simpson seeding, x0, digits, knows root) of every run."""
     index = 0
@@ -78,13 +91,13 @@ def runs():
             for transform in (False, True):
                 rng = random.Random(f"{text}|{spec}|{transform}")
                 for _ in range(RUNS_PER_PAIR):
-                    seeding = rng.choice(["trapezoid", "newton"])
-                    x0 = (str(rng.randint(-2, 3)) if rng.random() < 0.5
-                          else f"{rng.uniform(-3, 3):.6f}")
-                    digits = rng.choice([30, 60])
-                    yield (index, text, spec + "+F" * transform, seeding, x0, digits,
-                           rng.random() < 0.5)
+                    yield (index, text, spec + "+F" * transform, *_draw(rng))
                     index += 1
+    for text in FUNCTIONS:
+        for spec in SCHEDULED_MAPS:
+            rng = random.Random(f"{text}|{spec}|{SCHEDULED_DIGITS}")
+            yield (index, text, spec, *_draw(rng, SCHEDULED_DIGITS))
+            index += 1
 
 
 def run_line(index, text, method, seeding, x0, digits, knows_root, roots):

@@ -125,6 +125,11 @@ def reference_eval(expr, x, order):
                 r = mp.sign(v) * mp.cbrt(abs(v))  # real odd root
             elif op == "abs":
                 r = abs(v)
+            elif op == "tanh":  # s/c, with sech = 1/c, all from cosh and sinh at 10 more bits
+                with mp.extraprec(10):
+                    c, s = mp.cosh(v), mp.sinh(v)
+                    sech = 1 / c
+                r = mp.sign(s) if mp.isinf(c) else s / c
             else:
                 r = getattr(mp, op)(v)
             vals[-1] = r
@@ -149,7 +154,7 @@ def reference_eval(expr, x, order):
                 gp = 1 + r * r
                 gpp = 2 * r * gp if second else None
             elif op == "tanh":
-                gp = mp.sech(v) ** 2  # 1 - r*r underflows to 0 for large |v|
+                gp = (+sech) ** 2  # 1 - r*r underflows to 0 for large |v|
                 gpp = -2 * r * gp if second else None
             elif op == "sqrt":
                 gp = 1 / (2 * r)

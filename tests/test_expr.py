@@ -1,11 +1,13 @@
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from mpmath.libmp import mpf_tanh, round_nearest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cotesroot import (
@@ -356,6 +358,84 @@ def test_raw_tape_matches_mpf_operators_bitwise(seed, x, order, precision, extra
     with mp.workdps(working_dps(precision)):
         expected = _outcome(lambda: reference_eval(expr, point, order))
     assert _outcome(lambda: _eval(expr, point._mpf_, order, prec)) == expected
+
+
+def test_tanh_is_sinh_over_cosh_where_it_differs_from_mpf_tanh():
+    """tanh is s/c from one cosh_sinh call at 10 more bits, which rounds
+    differently from mpf_tanh in the last bit at a few points in 10^4; at this
+    one the tape must still give the reference's bits at every order."""
+    expr, precision = parse("tanh(x)"), 30
+    prec = working_prec(precision)
+    x = bigreal("1.129", precision).value
+    with mp.workdps(working_dps(precision)):
+        expected = [_outcome(lambda: reference_eval(expr, x, order)) for order in (0, 1, 2)]
+    assert [_outcome(lambda: _eval(expr, x._mpf_, order, prec)) for order in (0, 1, 2)] == expected
+    assert expected[0] != mpf_tanh(x._mpf_, prec, round_nearest)
+
+
+def test_tanh_at_infinity_is_its_limit():
+    for sign in (1, -1):
+        for order in (0, 1, 2):
+            with mp.workdps(working_dps(30)):
+                expected = _outcome(lambda: reference_eval(parse("tanh(x)"), sign * mp.inf, order))
+            got = _outcome(lambda: _eval(parse("tanh(x)"), (sign * mp.inf)._mpf_, order,
+                                         working_prec(30)))
+            assert got == expected
+            assert mp.make_mpf(got if order == 0 else got[0]) == sign
+
+
+# the text's functions in plain mpmath; cbrt is the real odd root
+_PLAIN = {"pi": mp.pi, "e": mp.e, "sin": mp.sin, "cos": mp.cos, "tan": mp.tan, "tanh": mp.tanh,
+          "exp": mp.exp, "log": mp.log, "sqrt": mp.sqrt, "abs": abs, "mpf": mp.mpf,
+          "cbrt": lambda u: mp.cbrt(u) if u >= 0 else -mp.cbrt(-u)}
+
+
+def _plain_function(text):
+    """The function text as a Python function on mpf: ``^`` becomes ``**`` and
+    every literal an mpf of its decimal text.  Unary minus binds tighter than
+    ``^`` in the grammar and looser in Python, but _any_op_expr texts never
+    put one directly before a ``^``."""
+    source = re.sub(r"\d+\.\d*|\.\d+|\d+|\^",
+                    lambda m: "**" if m.group() == "^" else f"mpf('{m.group()}')", text)
+    return eval(f"lambda x: {source}", dict(_PLAIN))
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-3000, 3000),
+    order=st.sampled_from([0, 1, 2]),
+    precision=st.sampled_from([30, 60]),
+)
+def test_jets_match_plain_mpmath_and_numerical_derivatives(seed, k, order, precision):
+    """Orders 0, 1 and 2 of the tape agree with plain mpmath evaluating the
+    same text, and with mp.diff of it, 20 digits finer, to within 10^5 units
+    in the last working digit relative to max(1, |value|).
+
+    The reference shares no formula with the tape: mpmath's own tanh, sin,
+    cos and powers, and finite differences in place of the chain rule.  The
+    point is k/1000, so no kink or domain edge lies within mp.diff's step of
+    it unless the point is on it, where the tape breaks down.
+    """
+    rng = random.Random(seed)
+    text = _any_op_expr(rng, rng.randint(1, 3))
+    prec = working_prec(precision)
+    with mp.workprec(prec):
+        x = mp.mpf(k) / 1000
+    try:
+        got = _eval(parse(text), x._mpf_, order, prec)
+    except Breakdown as exc:
+        assert exc.kind == Breakdown.DOMAIN
+        return
+    got = [mp.make_mpf(v) for v in (got if order else (got,))]
+    plain = _plain_function(text)
+    with mp.workdps(working_dps(precision) + 20):
+        expected = [mp.diff(plain, x, n) for n in range(order + 1)]
+        # real wherever the tape is, unless the tape rounded onto a domain edge
+        assume(not any(isinstance(v, mp.mpc) for v in expected))
+        tol = mp.mpf(10) ** (5 - working_dps(precision))
+        for n, (a, b) in enumerate(zip(got, expected)):
+            assert abs(a - b) <= tol * max(1, abs(b)), f"order {n} of {text} at {x}"
 
 
 def _assert_threads_match_serial(cases, evaluate, repeats):

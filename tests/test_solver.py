@@ -326,6 +326,28 @@ def test_iterate_jet_counts(spec, monkeypatch):
     assert orders == [2 if m.transform else 1] * ((k + 1) + k * per_step)
 
 
+def test_scheduled_iterate_jet_counts(monkeypatch):
+    # at 1000 digits, t4 from 2 takes three reduced passes: the residuals at
+    # x_0..x_3 are f alone at p.  Then every pass runs at p, and each residual
+    # is the base jet that the next pass reuses: 1 + 10 jets for the pass from
+    # x_3, one at x_4, 10 more for the pass from there, and one at x_5
+    precision = 1000
+    orders = []
+    evaluate = solver._eval
+
+    def counting_eval(f, x, order, prec):
+        if prec == working_prec(precision):
+            orders.append(order)
+        return evaluate(f, x, order, prec)
+
+    monkeypatch.setattr(solver, "_eval", counting_eval)
+    problem = ScalarProblem(parse("x^3+2*x-5"), bigreal("2", precision), precision=precision)
+    traj = iterate(problem, MethodId(4))
+    assert traj.termination.kind == CONVERGED
+    assert len(traj.steps()) == 5
+    assert orders == [0] * 4 + [1] * 23
+
+
 @pytest.mark.parametrize("spec", ["t0", "t2_1", "t1+F"])
 @pytest.mark.parametrize("text,message", [
     ("abs(x)+1", "derivative of abs at 0"),
