@@ -15,10 +15,10 @@ context: ``eval_jet`` and ``eval_value`` may run in several threads at once.
 Each step makes the libmp call that the same formula on mpf operators would
 make, so results are bit for bit those of plain mpf arithmetic of the same
 formulas at that precision.  tanh is s/c from one ``mpf_cosh_sinh`` call at
-10 more bits, whose c also gives sech = 1/c for the derivatives; the jets
-take sin and cos from one ``mpf_cos_sin`` call, with the bits of ``mpf_sin``
-and ``mpf_cos``.  Literals are converted once per precision and kept beside
-the tape.
+10 more bits, whose c also gives sech = 1/c for the derivatives (order 0
+takes the sign instead where that call would give c = s); sin and cos come
+from one ``mpf_cos_sin`` call, with the bits of ``mpf_sin`` and ``mpf_cos``.
+Literals are converted once per precision and kept beside the tape.
 
 Grammar (whitespace-insensitive, ``^`` right-associative):
 
@@ -40,10 +40,10 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 from mpmath.libmp import (
-    finf, fnan, fone, fnone, from_str, ftwo, fzero, mpf_abs, mpf_add, mpf_cbrt, mpf_cos,
-    mpf_cos_sin, mpf_cosh_sinh, mpf_div, mpf_e, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_neg, mpf_pi, mpf_pos, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sin, mpf_sqrt,
-    mpf_sub, mpf_tan, round_nearest, to_int, to_str,
+    finf, fnan, fone, fnone, from_str, ftwo, fzero, mpf_abs, mpf_add, mpf_cbrt, mpf_cos_sin,
+    mpf_cosh_sinh, mpf_div, mpf_e, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int,
+    mpf_neg, mpf_pi, mpf_pos, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_tan,
+    round_nearest, to_int, to_str,
 )
 
 from .bigreal import BigReal, as_mpf, working_prec
@@ -180,8 +180,7 @@ def parse(text: str) -> Expression:
 
 _RND = round_nearest
 # the functions the tape calls as mpmath does: one libmp call at the working precision
-_LIBMP = {"sin": mpf_sin, "cos": mpf_cos, "tan": mpf_tan, "exp": mpf_exp, "log": mpf_log,
-          "sqrt": mpf_sqrt}
+_LIBMP = {"tan": mpf_tan, "exp": mpf_exp, "log": mpf_log, "sqrt": mpf_sqrt}
 _CONSTANT = {"pi": mpf_pi, "e": mpf_e}
 
 
@@ -204,6 +203,12 @@ def _sign(v):
     if v == fzero or v == fnan:
         return v
     return fone if mpf_gt(v, fzero) else fnone
+
+
+def _tanh_saturates(v, wp: int) -> bool:
+    """Whether ``mpf_cosh_sinh`` at working precision wp gives c = s = exp|v|/2, up to sign."""
+    mag = v[2] + v[3]
+    return bool(v[1]) and mag > 10 and 3 << min(mag - 1, wp.bit_length()) > wp
 
 
 def _eval(expr: Expression, x, order: int, prec: int):
@@ -344,9 +349,12 @@ def _eval(expr: Expression, x, order: int, prec: int):
             elif op == "abs":
                 r = mpf_abs(v, prec, rnd)
             elif op == "tanh":  # s/c, and sech = 1/c below, from one cosh_sinh call
-                c, s = mpf_cosh_sinh(v, prec + 10, rnd)
-                r = _sign(s) if c == finf else mpf_div(s, c, prec, rnd)
-            elif order and (op == "sin" or op == "cos"):  # the bits of mpf_sin and mpf_cos
+                if not order and _tanh_saturates(v, prec + 24):  # the call works at +14 bits
+                    r = _sign(v)  # = s/c there, without exp|v|, which takes ln 2 to mag bits
+                else:
+                    c, s = mpf_cosh_sinh(v, prec + 10, rnd)
+                    r = _sign(s) if c == finf else mpf_div(s, c, prec, rnd)
+            elif op == "sin" or op == "cos":  # the bits of mpf_sin and mpf_cos
                 c, s = mpf_cos_sin(v, prec, rnd)
                 r = s if op == "sin" else c
             else:

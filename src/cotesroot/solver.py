@@ -454,14 +454,10 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
             return value(x)
         return mp.make_mpf(last[1][0])
 
-    def full_step(x, fx):
-        return full(x, last[1] if x._mpf_ == last[0] else None)
-
-    if precision < _SCHEDULE_FROM or m.transform:
-        return jet_residual, full_step
     q = _nominal_order(m)
     passes = count(1)
-    digits = None  # estimated correct digits of the current iterate; False once at p
+    # estimated correct digits of the current iterate; False once at p for good
+    digits = False if precision < _SCHEDULE_FROM or m.transform else None
 
     def initial_digits(x, fx):
         with mp.workdps(30):
@@ -499,7 +495,7 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
                 xn, digits = result
                 return xn
         digits = False
-        return full_step(x, fx)
+        return full(x, last[1] if x._mpf_ == last[0] else None)
 
     return lambda x: jet_residual(x) if digits is False else value(x), step
 

@@ -384,6 +384,26 @@ def test_tanh_at_infinity_is_its_limit():
             assert mp.make_mpf(got if order == 0 else got[0]) == sign
 
 
+def test_tanh_of_a_huge_value_is_its_sign_without_computing_exp():
+    """exp(exp(20)) has a binary exponent near 7e8; cosh_sinh there takes
+    ln 2 to that many bits, so order 0 must return the sign before it."""
+    assert eval_value(parse("tanh(exp(exp(x)))"), 20, 30).value == 1
+    assert eval_value(parse("tanh(-exp(exp(x)))"), 20, 30).value == -1
+    for sign in (0, 1):
+        assert _eval(parse("tanh(x)"), (sign, 1, 10 ** 9, 1), 0, 100) == (sign, 1, 0, 1)
+
+
+def test_tanh_saturation_keeps_the_jets_value():
+    """Order 0 skips cosh_sinh exactly where that call would give c = s, so
+    its f has the bits of the jets' f on both sides of the threshold
+    3 * 2^(mag-1) > prec + 24 (mag 11 and 12 below)."""
+    expr = parse("tanh(x)")
+    for v in ("1024", "1100.5", "2047.75", "-1500.25", "2048", "-3000.5"):
+        for prec in range(3030, 3070, 3) if abs(float(v)) < 2048 else range(6100, 6160, 9):
+            x = mp.mpf(v)._mpf_
+            assert _eval(expr, x, 0, prec) == _eval(expr, x, 1, prec)[0], (v, prec)
+
+
 # the text's functions in plain mpmath; cbrt is the real odd root
 _PLAIN = {"pi": mp.pi, "e": mp.e, "sin": mp.sin, "cos": mp.cos, "tan": mp.tan, "tanh": mp.tanh,
           "exp": mp.exp, "log": mp.log, "sqrt": mp.sqrt, "abs": abs, "mpf": mp.mpf,
