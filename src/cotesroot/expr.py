@@ -2,23 +2,32 @@
 
 Functions are given as text over one variable ``x``.  Parsing turns the text
 into a tape: a tuple of instructions in post-order, so every instruction
-finds its operands on top of a stack.  One loop runs the tape.  Order 0
-computes f alone; orders 1 and 2 carry (f, f') and (f, f', f'') forward
-through every instruction, which is forward-mode automatic differentiation.
-The maps consume f and f', and the multiple-root transform additionally
-needs f'' for its own slope.  Neither parsing nor evaluation recurses, so
-the nesting depth of a function is limited only by memory.
+finds its operands on top of a stack.  Evaluation compiles the tape once per
+derivative order into one function of straight-line ``mpmath.libmp`` calls.
+Order 0 computes f alone; orders 1 and 2 carry (f, f') and (f, f', f'')
+forward through every instruction, which is forward-mode automatic
+differentiation.  The maps consume f and f', and the multiple-root transform
+additionally needs f'' for its own slope.  Neither parsing, compiling nor
+evaluation recurses, so the nesting depth of a function is limited only by
+memory.
 
-The loop computes on raw ``mpmath.libmp`` tuples at a precision in bits that
+The compiled code computes on raw libmp tuples at a precision in bits that
 its caller passes, rounding to nearest, and never touches the mpmath
 context: ``eval_jet`` and ``eval_value`` may run in several threads at once.
-Each step makes the libmp call that the same formula on mpf operators would
+Each call is the libmp call that the same formula on mpf operators would
 make, so results are bit for bit those of plain mpf arithmetic of the same
-formulas at that precision.  tanh is s/c from one ``mpf_cosh_sinh`` call at
-10 more bits, whose c also gives sech = 1/c for the derivatives (order 0
-takes the sign instead where that call would give c = s); sin and cos come
-from one ``mpf_cos_sin`` call, with the bits of ``mpf_sin`` and ``mpf_cos``.
-Literals are converted once per precision and kept beside the tape.
+formulas at that precision.  Compiling skips the calls whose result it
+knows, which is activity analysis (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed. 2008): a subtree without x is passive and computes its
+value only, and x's derivative 1 is folded, so ``k*x`` has the derivative k,
+``x^c`` has (c·x^(c-1), c(c-1)·x^(c-2)), ``g(x)`` has (g', g'') and
+``a + k`` passes a's derivatives through.  A folded call would only have
+returned its operand, already rounded, so the bits do not change.  tanh is
+s/c from one ``mpf_cosh_sinh`` call at 10 more bits, whose c also gives
+sech = 1/c for the derivatives (order 0 takes the sign instead where that
+call would give c = s); sin and cos come from one ``mpf_cos_sin`` call, with
+the bits of ``mpf_sin`` and ``mpf_cos``.  Literals are converted once per
+precision and kept beside the tape for the last few precisions.
 
 Grammar (whitespace-insensitive, ``^`` right-associative):
 
@@ -37,6 +46,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import count
 
 import mpmath as mp
 from mpmath.libmp import (
@@ -65,8 +76,10 @@ class Expression:
 
     tape: tuple
     text: str
-    # the tape at each working precision in bits, its literals converted there
-    _tapes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the literals converted at each of the last few working precisions in bits
+    _literals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the compiled tape per (derivative order, whether it folds); see _eval
+    _code: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return self.text
@@ -179,23 +192,27 @@ def parse(text: str) -> Expression:
 
 
 _RND = round_nearest
-# the functions the tape calls as mpmath does: one libmp call at the working precision
-_LIBMP = {"tan": mpf_tan, "exp": mpf_exp, "log": mpf_log, "sqrt": mpf_sqrt}
 _CONSTANT = {"pi": mpf_pi, "e": mpf_e}
+# the precisions whose literals an Expression keeps, oldest out first: the
+# schedule's reduced passes use a new precision on almost every run
+_PRECISIONS_KEPT = 8
 
 
-def _tape_at(expr: Expression, prec: int) -> tuple:
-    """The tape with each literal converted at ``prec`` bits, once per precision.
+def _literals_at(expr: Expression, prec: int) -> tuple:
+    """The tape's literals and constants converted at ``prec`` bits, in tape order.
 
-    Threads that race here build equal tuples, so either may stay cached.
+    Threads that race here build equal tuples, so either may stay cached, and
+    evict with ``pop(k, None)``, so neither fails on a key the other removed.
     """
-    tape = expr._tapes.get(prec)
-    if tape is None:
-        tape = expr._tapes[prec] = tuple(
-            ("lit", from_str(arg, prec, _RND) if op == "num" else _CONSTANT[arg](prec, _RND))
-            if op == "num" or op == "const" else (op, arg)
-            for op, arg in expr.tape)
-    return tape
+    literals = expr._literals.get(prec)
+    if literals is None:
+        literals = tuple(from_str(arg, prec, _RND) if op == "num" else _CONSTANT[arg](prec, _RND)
+                         for op, arg in expr.tape if op == "num" or op == "const")
+        kept = list(expr._literals)
+        for old in kept[:max(0, len(kept) + 1 - _PRECISIONS_KEPT)]:
+            expr._literals.pop(old, None)
+        expr._literals[prec] = literals
+    return literals
 
 
 def _sign(v):
@@ -211,203 +228,379 @@ def _tanh_saturates(v, wp: int) -> bool:
     return bool(v[1]) and mag > 10 and 3 << min(mag - 1, wp.bit_length()) > wp
 
 
-def _eval(expr: Expression, x, order: int, prec: int):
-    """Run the tape at the raw mpf ``x`` with every operation rounded to ``prec`` bits.
+# the derivative of a literal and of x, as names in the compiled source
+_ZERO, _ONE = "fzero", "fone"
 
-    The loop takes and returns raw ``mpmath.libmp`` tuples and never reads or
-    sets the mpmath context, so concurrent calls do not interfere; callers
-    that want mpf values wrap them with ``mp.make_mpf``.  Each step is the
-    libmp call mpf's operator or function would make under
-    ``mp.workprec(prec)``, so the bits are those of plain mpf arithmetic of
-    the same formulas.
+
+class _Source:
+    """The straight-line source of one run of a tape at one order; see ``_compile``.
+
+    A slot is the (f, f', f'') of one operand as names in the source; a
+    derivative that is not computed (all of them at order 0, f'' at order 1)
+    is ``fzero``.  With ``fold``, the names ``fzero`` and ``fone`` decide at
+    compile time what a derivative call on them returns: 0·u is 0, 1·u and
+    u ± 0 are u, 0 - u is -u, and an operation whose operands are all
+    passive (no x below them) gets no derivative code.  A folded call would
+    have returned u rounded to ``prec``, which is u itself, since every name
+    but x and those in ``raw`` holds a literal, a constant or a libmp result
+    at ``prec``.  0·u is 0 only for a finite u, and with a finite x every
+    value is finite.  A literal integer exponent is resolved here, and a
+    call the code has made already is not made again (libmp is pure).
+    """
+
+    def __init__(self, order: int, fold: bool):
+        self.order, self.fold = order, fold
+        self.lines, self.pad = [], "    "
+        self.names = count()
+        self.raw = {"x"}  # names that may hold x itself, which may carry more than prec bits
+        self.known = {}  # expression -> the name that holds it, where the code can read it
+        self.integers = {}  # literal name -> its value, an integer exact at 32 bits or more
+
+    def line(self, text):
+        self.lines.append(self.pad + text)
+
+    def name(self):
+        return f"t{next(self.names)}"
+
+    def let(self, expression):
+        """A name for the expression, which every call here may share: libmp is pure."""
+        if expression not in self.known:
+            self.known[expression] = self.name()
+            self.line(f"{self.known[expression]} = {expression}")
+        return self.known[expression]
+
+    def call(self, function, *args):
+        """One libmp call rounded to ``prec``."""
+        return self.let(f"{function}({', '.join(map(str, args))}, prec, rnd)")
+
+    def fail(self, condition, message):
+        self.line(f"if {condition}: raise Breakdown(DOMAIN, {message})")
+
+    def active(self, *slots) -> bool:
+        """Whether an operation on these slots needs derivative code."""
+        return self.order > 0 and not (self.fold and all(s[1] == s[2] == _ZERO for s in slots))
+
+    # derivative arithmetic, folded where ``fold`` allows
+    def add(self, p, q):
+        if self.fold and q == _ZERO and p not in self.raw:
+            return p
+        if self.fold and p == _ZERO and q not in self.raw:
+            return q
+        return self.call("mpf_add", p, q)
+
+    def sub(self, p, q):
+        if self.fold and q == _ZERO and p not in self.raw:
+            return p
+        if self.fold and p == _ZERO:
+            return self.neg(q)
+        return self.call("mpf_sub", p, q)
+
+    def neg(self, p):
+        if self.fold and p in (_ZERO, _ONE):
+            return _ZERO if p == _ZERO else "fnone"
+        return self.call("mpf_neg", p)
+
+    def mul(self, p, q):
+        if self.fold and _ZERO in (p, q):
+            return _ZERO
+        if self.fold and p == _ONE and q not in self.raw:
+            return q
+        if self.fold and q == _ONE and p not in self.raw:
+            return p
+        return self.call("mpf_mul", p, q)
+
+    def twice(self, p, q):
+        """2·p·q, as (2·p)·q."""
+        if self.fold and _ZERO in (p, q):
+            return _ZERO
+        return self.mul("ftwo" if self.fold and p == _ONE else self.call("mpf_mul_int", p, 2), q)
+
+    def div(self, p, q):
+        if self.fold and p == _ZERO:
+            return _ZERO
+        return self.call("mpf_div", p, q)
+
+    def branches(self, cases):
+        """if/elif/else over (condition, body) cases, the last condition None.
+
+        Each body emits its branch and returns its slot, or None where it
+        raises.  Where the slots differ, every branch assigns the one it
+        gives to a new name, which the merged slot holds.
+        """
+        pad, known, bodies = self.pad, self.known, []
+        self.pad += "    "
+        for condition, body in cases:
+            start, self.known = len(self.lines), dict(known)
+            slot = body()
+            bodies.append((condition, self.lines[start:], slot))
+            del self.lines[start:]
+        self.pad, self.known = pad, known
+        merged = []
+        for i in range(3):
+            names = {slot[i] for _, _, slot in bodies if slot}
+            if len(names) == 1:
+                merged.append(names.pop())
+                continue
+            merged.append(self.name())
+            for _, lines, slot in bodies:
+                if slot:
+                    lines.append(f"{pad}    {merged[-1]} = {slot[i]}")
+            if names & self.raw:
+                self.raw.add(merged[-1])
+        for k, (condition, lines, _) in enumerate(bodies):
+            self.line("else:" if condition is None else f"{'elif' if k else 'if'} {condition}:")
+            self.lines += lines or [f"{pad}    pass"]
+        return tuple(merged)
+
+    def chain(self, u, gp, gpp):
+        """g(u)' = g'(v) u', g(u)'' = g''(v) u'^2 + g'(v) u''."""
+        _, u1, u2 = u
+        return self.mul(gp, u1), (self.add(self.mul(self.mul(gpp, u1), u1), self.mul(gp, u2))
+                                  if self.order == 2 else _ZERO)
+
+    def binary(self, op, variable, a, b):
+        (v, a1, a2), (w, b1, b2) = a, b
+        second = self.order == 2
+        if op == "^":
+            return self.power(a, b, variable)
+        if op == "/":
+            self.fail(f"{w} == fzero", '"division by zero"')
+        f = self.call({"+": "mpf_add", "-": "mpf_sub", "*": "mpf_mul", "/": "mpf_div"}[op], v, w)
+        if not self.active(a, b):
+            return f, _ZERO, _ZERO
+        if op == "+" or op == "-":
+            combine = self.add if op == "+" else self.sub
+            return f, combine(a1, b1), combine(a2, b2) if second else _ZERO
+        if op == "*":
+            return f, self.add(self.mul(a1, w), self.mul(v, b1)), (self.add(self.add(
+                self.mul(a2, w), self.twice(a1, b1)), self.mul(v, b2)) if second else _ZERO)
+        d1 = self.div(self.sub(a1, self.mul(f, b1)), w)
+        return f, d1, (self.div(self.sub(self.sub(a2, self.twice(d1, b1)), self.mul(f, b2)), w)
+                       if second else _ZERO)
+
+    def power(self, a, b, variable):
+        v, w = a[0], b[0]
+        if w in self.integers:  # the same integer at every precision
+            return self.integer_power(a, self.integers[w])
+        cases = [] if variable else [(  # a constant integer exponent
+            f"{w}[1] and {w}[2] >= 0 or {w} == fzero", lambda: self.integer_power(a, w))]
+        if self.order:
+            message = ("variable power of a nonpositive base" if variable else
+                       "real power of a nonpositive base; use cbrt() for odd roots")
+            cases.append((f"mpf_le({v}, fzero)", lambda: self.line(
+                f"raise Breakdown(DOMAIN, {message!r})")))
+        else:
+            cases.append((f"mpf_lt({v}, fzero) or ({v} == fzero and mpf_lt({w}, fzero))",
+                          lambda: self.line("raise Breakdown(DOMAIN, 'real power of a negative"
+                                            " base; use cbrt() for odd roots')")))
+            if variable:  # 0^b, which only order 0 reaches
+                cases.append((f"{v} == fzero", lambda: self.real_power(a, w)))
+        cases.append((None, lambda: self.variable_power(a, b) if variable else
+                      self.real_power(a, w)))
+        return self.branches(cases)
+
+    def integer_power(self, a, c):
+        """a^c for the integer c, given as a nonnegative int or as the name of its mpf."""
+        if isinstance(c, int):  # a first power leaves its operand as it is
+            return ("fone", _ZERO, _ZERO) if c == 0 else a if c == 1 else self.higher_power(a, c)
+        c = self.let(f"int(to_int({c}))")
+        self.fail(f"{a[0]} == fzero and {c} < 0", '"zero raised to a negative power"')
+        return self.branches([(f"{c} == 0", lambda: self.integer_power(a, 0)),
+                              (f"{c} == 1", lambda: self.integer_power(a, 1)),
+                              (None, lambda: self.higher_power(a, c))])
+
+    def higher_power(self, a, c):
+        """a^c for an integer c other than 0 and 1, as a^(c-2)·a·a."""
+        (v, a1, a2), known = a, isinstance(c, int)
+        # a^0 == 1, also at a == 0, and a^1 is a rounded
+        if self.fold and known and (c == 2 or c == 3 and v not in self.raw):
+            pm2 = "fone" if c == 2 else v
+        else:
+            pm2 = self.call("mpf_pow_int", v, c - 2 if known else f"{c} - 2")
+        pm1 = self.mul(pm2, v)
+        f = self.call("mpf_mul", pm1, v)
+        if not self.active(a):
+            return f, _ZERO, _ZERO
+        cpm1 = self.call("mpf_mul_int", pm1, c)
+        return f, self.mul(cpm1, a1), (self.add(self.mul(self.mul(self.call(
+            "mpf_mul_int", pm2, c * (c - 1) if known else f"{c} * ({c} - 1)"), a1), a1),
+            self.mul(cpm1, a2)) if self.order == 2 else _ZERO)
+
+    def real_power(self, a, w):
+        v, a1, a2 = a
+        f = self.call("mpf_pow", v, w)
+        if not self.active(a):  # the exponent is passive here
+            return f, _ZERO, _ZERO
+        bm1 = self.call("mpf_sub", w, "fone")
+        bpm1 = self.call("mpf_mul", w, self.call("mpf_pow", v, bm1))
+        return f, self.mul(bpm1, a1), (self.add(self.mul(self.mul(self.call(
+            "mpf_mul", self.call("mpf_mul", w, bm1),
+            self.call("mpf_pow", v, self.call("mpf_sub", w, "ftwo"))), a1), a1),
+            self.mul(bpm1, a2)) if self.order == 2 else _ZERO)
+
+    def variable_power(self, a, b):
+        """a^b = exp(b * log a), through the jets of log and *."""
+        (v, a1, a2), (w, b1, b2) = a, b
+        lv = self.call("mpf_log", v)
+        e = self.call("mpf_exp", self.call("mpf_mul", w, lv))
+        if not self.active(a, b):
+            return e, _ZERO, _ZERO
+        l1 = self.div(a1, v)
+        p1 = self.add(self.mul(b1, lv), self.mul(w, l1))
+        ep1 = self.mul(e, p1)
+        if self.order == 1:
+            return e, ep1, _ZERO
+        square = _ZERO if self.fold and a1 == _ZERO else self.div(
+            self.mul(self.neg(a1), a1), self.call("mpf_mul", v, v))
+        p2 = self.add(self.add(self.mul(b2, lv), self.twice(b1, l1)),
+                      self.mul(w, self.add(square, self.div(a2, v))))
+        return e, ep1, self.add(self.mul(ep1, p1), self.mul(e, p2))
+
+    def negate(self, u):
+        f = self.call("mpf_neg", u[0])
+        if not self.active(u):
+            return f, _ZERO, _ZERO
+        return f, self.neg(u[1]), self.neg(u[2]) if self.order == 2 else _ZERO
+
+    def function(self, op, u):
+        v, u1, u2 = u
+        second = self.order == 2
+        if op == "log":
+            self.fail(f"mpf_le({v}, fzero)", f'f"log of nonpositive value {{to_str({v}, 8)}}"')
+        if op == "sqrt":
+            self.fail(f"mpf_lt({v}, fzero)", f'f"sqrt of negative value {{to_str({v}, 8)}}"')
+        if self.order and op in ("sqrt", "cbrt", "abs"):
+            self.fail(f"{v} == fzero", f'"derivative of {op} at 0"')
+        if op == "cbrt":  # real odd root
+            r = self.call("mpf_mul", f"_sign({v})", self.call("mpf_cbrt", self.call("mpf_abs", v)))
+        elif op == "tanh":  # s/c, and sech = 1/c below, from one cosh_sinh call
+            c, s, r = self.name(), self.name(), self.name()
+            fused = (f"{c}, {s} = mpf_cosh_sinh({v}, prec + 10, rnd)",
+                     f"{r} = _sign({s}) if {c} == finf else mpf_div({s}, {c}, prec, rnd)")
+            if self.order:
+                for text in fused:
+                    self.line(text)
+            else:  # the call works at +14 bits; where it gives c = s, take the sign
+                self.line(f"if _tanh_saturates({v}, prec + 24): {r} = _sign({v})")
+                self.line("else:")
+                for text in fused:
+                    self.line("    " + text)
+        elif op == "sin" or op == "cos":  # the bits of mpf_sin and mpf_cos
+            c, s = self.name(), self.name()
+            self.line(f"{c}, {s} = mpf_cos_sin({v}, prec, rnd)")
+            r = s if op == "sin" else c
+        else:  # abs, tan, exp, log, sqrt: one libmp call, as mpmath makes
+            r = self.call(f"mpf_{op}", v)
+        if not self.active(u):
+            return r, _ZERO, _ZERO
+        if op == "log":
+            return r, self.div(u1, v), (self.add(
+                self.div(self.mul(self.neg(u1), u1), self.call("mpf_mul", v, v)),
+                self.div(u2, v)) if second else _ZERO)
+        if op == "abs":
+            sign = self.let(f"_sign({v})")
+            return r, self.mul(sign, u1), self.mul(sign, u2) if second else _ZERO
+        gpp = None
+        if op == "sin" or op == "cos":
+            gp = c if op == "sin" else self.call("mpf_neg", s)
+            if second:
+                gpp = self.call("mpf_neg", r)
+        elif op == "exp":
+            gp = gpp = r
+        elif op == "tan":
+            gp = self.call("mpf_add", self.call("mpf_mul", r, r), "fone")
+            if second:
+                gpp = self.call("mpf_mul", self.call("mpf_mul_int", r, 2), gp)
+        elif op == "tanh":
+            sech = self.let(f"mpf_pos(mpf_div(fone, {c}, prec + 10, rnd), prec, rnd)")
+            gp = self.call("mpf_pow_int", sech, 2)  # 1 - r*r underflows for large |v|
+            if second:
+                gpp = self.call("mpf_mul", self.call("mpf_mul_int", r, -2), gp)
+        elif op == "sqrt":
+            gp = self.call("mpf_rdiv_int", 1, self.call("mpf_mul_int", r, 2))
+            if second:
+                gpp = self.call("mpf_div", self.call("mpf_neg", gp), self.call("mpf_mul_int", v, 2))
+        else:  # cbrt
+            r2 = self.call("mpf_mul", r, r)
+            gp = self.call("mpf_rdiv_int", 1, self.call("mpf_mul_int", r2, 3))
+            if second:
+                gpp = self.call("mpf_rdiv_int", -2, self.call(
+                    "mpf_mul", self.call("mpf_mul", self.call("mpf_mul_int", r2, 9), r2), r))
+        return (r, *self.chain(u, gp, gpp))
+
+
+# the names the compiled source uses besides its arguments
+_NAMESPACE = {name: globals()[name] for name in (
+    "Breakdown", "_sign", "_tanh_saturates", "finf", "fnone", "fone", "ftwo", "fzero", "mpf_abs",
+    "mpf_add", "mpf_cbrt", "mpf_cos_sin", "mpf_cosh_sinh", "mpf_div", "mpf_exp", "mpf_le",
+    "mpf_log", "mpf_lt", "mpf_mul", "mpf_mul_int", "mpf_neg", "mpf_pos", "mpf_pow",
+    "mpf_pow_int", "mpf_rdiv_int", "mpf_sqrt", "mpf_sub", "mpf_tan", "to_int", "to_str")}
+_NAMESPACE.update(rnd=_RND, DOMAIN=Breakdown.DOMAIN)
+
+
+# shared by every Expression with the same tape: run_table, for one, parses
+# its function afresh on every run
+@lru_cache(maxsize=256)
+def _compile(tape: tuple, order: int, fold: bool):
+    """The tape at ``order`` as one function ``run(x, prec, literals)`` of libmp calls.
+
+    The source holds names, integers and the fixed texts of ``_Source``:
+    no text of the function enters it, and an instruction outside the
+    grammar is refused, so a tape cannot inject code.
+    """
+    source = _Source(order, fold)
+    stack, literals = [], 0
+    for op, arg in tape:
+        if op == "x":
+            stack.append(("x", _ONE if order else _ZERO, _ZERO))
+        elif op == "num" or op == "const":
+            stack.append((f"L{literals}", _ZERO, _ZERO))
+            if op == "num" and re.fullmatch("[0-9]+", arg) and int(arg) < 2 ** 32:
+                source.integers[f"L{literals}"] = int(arg)
+            literals += 1
+        elif op in _BINARY:
+            b = stack.pop()
+            stack[-1] = source.binary(op, arg, stack[-1], b)
+        elif op == "neg":
+            stack[-1] = source.negate(stack[-1])
+        elif op in FUNCTIONS:
+            stack[-1] = source.function(op, stack[-1])
+        else:
+            raise ValueError(f"unknown tape instruction {op!r}")
+    unpack = "".join(f"L{i}, " for i in range(literals)) + "= literals"
+    scope = {}
+    exec("\n".join(["def run(x, prec, literals):", f"    {unpack}" if literals else "",
+                    *source.lines, f"    return {', '.join(stack[0][:order + 1])}"]),
+         _NAMESPACE, scope)
+    return scope["run"]
+
+
+def _eval(expr: Expression, x, order: int, prec: int):
+    """Evaluate the tape at the raw mpf ``x`` with every operation rounded to ``prec`` bits.
+
+    The tape is compiled once per (order, fold) pair, on first use, and the
+    Expression keeps the code, which takes ``prec`` and the literals at
+    ``prec`` as arguments, so a new precision compiles nothing.  The code
+    takes and returns raw ``mpmath.libmp`` tuples and never reads or sets
+    the mpmath context, so concurrent calls do not interfere; callers that
+    want mpf values wrap them with ``mp.make_mpf``.  Each call is the libmp
+    call mpf's operator or function would make under ``mp.workprec(prec)``,
+    so the bits are those of plain mpf arithmetic of the same formulas.  At
+    a finite x the code folds the calls whose result it knows (see
+    ``_Source``).  At inf or NaN it makes every call, since there 0·x is
+    NaN, not 0.  ``prec`` is at least 32 bits, so that an integer exponent
+    below 2^32 is exact.
     Order 0 returns f(x) and applies only the value-level domain rules.
     Order 1 returns (f, f') and order 2 (f, f', f''); both add the
     derivative-level rules: no sqrt, cbrt or abs at 0, no real or variable
     power of a nonpositive base.  Every order computes a value by the same
     formula, so where order 0 and the jets both evaluate, f has the same bits.
     """
-    rnd = _RND
-    second = order == 2
-    vals = []  # f of each operand
-    ders = []  # (f', f'') of each operand at orders 1 and 2; order 1 skips f''
-    for op, arg in _tape_at(expr, prec):
-        if op == "x":
-            vals.append(x)
-            if order:
-                ders.append((fone, fzero))
-        elif op == "lit":
-            vals.append(arg)
-            if order:
-                ders.append((fzero, fzero))
-        elif op in _BINARY:
-            b = vals.pop()
-            a = vals[-1]
-            if order:
-                b1, b2 = ders.pop()
-                a1, a2 = ders[-1]
-            if op == "+":
-                vals[-1] = mpf_add(a, b, prec, rnd)
-                if order:
-                    ders[-1] = (mpf_add(a1, b1, prec, rnd),
-                                mpf_add(a2, b2, prec, rnd) if second else None)
-            elif op == "-":
-                vals[-1] = mpf_sub(a, b, prec, rnd)
-                if order:
-                    ders[-1] = (mpf_sub(a1, b1, prec, rnd),
-                                mpf_sub(a2, b2, prec, rnd) if second else None)
-            elif op == "*":
-                vals[-1] = mpf_mul(a, b, prec, rnd)
-                if order:
-                    ders[-1] = (
-                        mpf_add(mpf_mul(a1, b, prec, rnd), mpf_mul(a, b1, prec, rnd), prec, rnd),
-                        mpf_add(mpf_add(mpf_mul(a2, b, prec, rnd),
-                                        mpf_mul(mpf_mul_int(a1, 2, prec, rnd), b1, prec, rnd),
-                                        prec, rnd),
-                                mpf_mul(a, b2, prec, rnd), prec, rnd) if second else None)
-            elif op == "/":
-                if b == fzero:
-                    raise Breakdown(Breakdown.DOMAIN, "division by zero")
-                v = vals[-1] = mpf_div(a, b, prec, rnd)
-                if order:
-                    d1 = mpf_div(mpf_sub(a1, mpf_mul(v, b1, prec, rnd), prec, rnd), b, prec, rnd)
-                    ders[-1] = (d1, mpf_div(
-                        mpf_sub(mpf_sub(a2, mpf_mul(mpf_mul_int(d1, 2, prec, rnd), b1, prec, rnd),
-                                        prec, rnd),
-                                mpf_mul(v, b2, prec, rnd), prec, rnd),
-                        b, prec, rnd) if second else None)
-            elif not arg and (b[1] and b[2] >= 0 or b == fzero):  # constant integer exponent
-                c = int(to_int(b))
-                if a == fzero and c < 0:
-                    raise Breakdown(Breakdown.DOMAIN, "zero raised to a negative power")
-                if c == 0:
-                    vals[-1] = fone
-                    if order:
-                        ders[-1] = (fzero, fzero)
-                elif c != 1:  # a first power leaves its operand as it is
-                    pm2 = mpf_pow_int(a, c - 2, prec, rnd)  # 0^0 == 1 covers the c == 2 corner
-                    pm1 = mpf_mul(pm2, a, prec, rnd)
-                    vals[-1] = mpf_mul(pm1, a, prec, rnd)
-                    if order:
-                        cpm1 = mpf_mul_int(pm1, c, prec, rnd)
-                        ders[-1] = (mpf_mul(cpm1, a1, prec, rnd), mpf_add(
-                            mpf_mul(mpf_mul(mpf_mul_int(pm2, c * (c - 1), prec, rnd), a1,
-                                            prec, rnd), a1, prec, rnd),
-                            mpf_mul(cpm1, a2, prec, rnd), prec, rnd) if second else None)
-            elif order and mpf_le(a, fzero):
-                raise Breakdown(Breakdown.DOMAIN, "variable power of a nonpositive base" if arg else
-                                "real power of a nonpositive base; use cbrt() for odd roots")
-            elif mpf_lt(a, fzero) or (a == fzero and mpf_lt(b, fzero)):  # order 0 only
-                raise Breakdown(Breakdown.DOMAIN,
-                                "real power of a negative base; use cbrt() for odd roots")
-            elif not arg or a == fzero:  # a real power, or 0^b, which only order 0 reaches
-                vals[-1] = mpf_pow(a, b, prec, rnd)
-                if not order:
-                    continue
-                bm1 = mpf_sub(b, fone, prec, rnd)
-                bpm1 = mpf_mul(b, mpf_pow(a, bm1, prec, rnd), prec, rnd)
-                ders[-1] = (mpf_mul(bpm1, a1, prec, rnd), mpf_add(
-                    mpf_mul(mpf_mul(mpf_mul(mpf_mul(b, bm1, prec, rnd),
-                                            mpf_pow(a, mpf_sub(b, ftwo, prec, rnd), prec, rnd),
-                                            prec, rnd),
-                                    a1, prec, rnd),
-                            a1, prec, rnd),
-                    mpf_mul(bpm1, a2, prec, rnd), prec, rnd) if second else None)
-            else:  # variable exponent: a^b = exp(b * log a), through the jets of log and *
-                lv = mpf_log(a, prec, rnd)
-                e = vals[-1] = mpf_exp(mpf_mul(b, lv, prec, rnd), prec, rnd)
-                if not order:
-                    continue
-                l1 = mpf_div(a1, a, prec, rnd)
-                p1 = mpf_add(mpf_mul(b1, lv, prec, rnd), mpf_mul(b, l1, prec, rnd), prec, rnd)
-                ep1 = mpf_mul(e, p1, prec, rnd)
-                if second:
-                    p2 = mpf_add(
-                        mpf_add(mpf_mul(b2, lv, prec, rnd),
-                                mpf_mul(mpf_mul_int(b1, 2, prec, rnd), l1, prec, rnd), prec, rnd),
-                        mpf_mul(b, mpf_add(
-                            mpf_div(mpf_mul(mpf_neg(a1, prec, rnd), a1, prec, rnd),
-                                    mpf_mul(a, a, prec, rnd), prec, rnd),
-                            mpf_div(a2, a, prec, rnd), prec, rnd), prec, rnd),
-                        prec, rnd)
-                ders[-1] = (ep1, mpf_add(mpf_mul(ep1, p1, prec, rnd), mpf_mul(e, p2, prec, rnd),
-                                         prec, rnd) if second else None)
-        elif op == "neg":
-            vals[-1] = mpf_neg(vals[-1], prec, rnd)
-            if order:
-                d1, d2 = ders[-1]
-                ders[-1] = (mpf_neg(d1, prec, rnd), mpf_neg(d2, prec, rnd) if second else None)
-        else:  # function call
-            v = vals[-1]
-            if op == "log" and mpf_le(v, fzero):
-                raise Breakdown(Breakdown.DOMAIN, f"log of nonpositive value {to_str(v, 8)}")
-            if op == "sqrt" and mpf_lt(v, fzero):
-                raise Breakdown(Breakdown.DOMAIN, f"sqrt of negative value {to_str(v, 8)}")
-            if order and v == fzero and op in ("sqrt", "cbrt", "abs"):
-                raise Breakdown(Breakdown.DOMAIN, f"derivative of {op} at 0")
-            if op == "cbrt":  # real odd root
-                r = mpf_mul(_sign(v), mpf_cbrt(mpf_abs(v, prec, rnd), prec, rnd), prec, rnd)
-            elif op == "abs":
-                r = mpf_abs(v, prec, rnd)
-            elif op == "tanh":  # s/c, and sech = 1/c below, from one cosh_sinh call
-                if not order and _tanh_saturates(v, prec + 24):  # the call works at +14 bits
-                    r = _sign(v)  # = s/c there, without exp|v|, which takes ln 2 to mag bits
-                else:
-                    c, s = mpf_cosh_sinh(v, prec + 10, rnd)
-                    r = _sign(s) if c == finf else mpf_div(s, c, prec, rnd)
-            elif op == "sin" or op == "cos":  # the bits of mpf_sin and mpf_cos
-                c, s = mpf_cos_sin(v, prec, rnd)
-                r = s if op == "sin" else c
-            else:
-                r = _LIBMP[op](v, prec, rnd)
-            vals[-1] = r
-            if not order:
-                continue
-            u1, u2 = ders[-1]
-            if op == "log":
-                ders[-1] = (mpf_div(u1, v, prec, rnd), mpf_add(
-                    mpf_div(mpf_mul(mpf_neg(u1, prec, rnd), u1, prec, rnd),
-                            mpf_mul(v, v, prec, rnd), prec, rnd),
-                    mpf_div(u2, v, prec, rnd), prec, rnd) if second else None)
-                continue
-            if op == "abs":
-                sgn = _sign(v)
-                ders[-1] = (mpf_mul(sgn, u1, prec, rnd),
-                            mpf_mul(sgn, u2, prec, rnd) if second else None)
-                continue
-            # g(u)' = g'(v) u', g(u)'' = g''(v) u'^2 + g'(v) u''
-            gpp = None
-            if op == "sin" or op == "cos":
-                gp = c if op == "sin" else mpf_neg(s, prec, rnd)
-                if second:
-                    gpp = mpf_neg(r, prec, rnd)
-            elif op == "exp":
-                gp = gpp = r
-            elif op == "tan":
-                gp = mpf_add(mpf_mul(r, r, prec, rnd), fone, prec, rnd)
-                if second:
-                    gpp = mpf_mul(mpf_mul_int(r, 2, prec, rnd), gp, prec, rnd)
-            elif op == "tanh":
-                sech = mpf_pos(mpf_div(fone, c, prec + 10, rnd), prec, rnd)
-                gp = mpf_pow_int(sech, 2, prec, rnd)  # 1 - r*r underflows for large |v|
-                if second:
-                    gpp = mpf_mul(mpf_mul_int(r, -2, prec, rnd), gp, prec, rnd)
-            elif op == "sqrt":
-                gp = mpf_rdiv_int(1, mpf_mul_int(r, 2, prec, rnd), prec, rnd)
-                if second:
-                    gpp = mpf_div(mpf_neg(gp, prec, rnd), mpf_mul_int(v, 2, prec, rnd), prec, rnd)
-            else:  # cbrt
-                r2 = mpf_mul(r, r, prec, rnd)
-                gp = mpf_rdiv_int(1, mpf_mul_int(r2, 3, prec, rnd), prec, rnd)
-                if second:
-                    gpp = mpf_rdiv_int(-2, mpf_mul(mpf_mul(mpf_mul_int(r2, 9, prec, rnd), r2,
-                                                           prec, rnd), r, prec, rnd), prec, rnd)
-            ders[-1] = (mpf_mul(gp, u1, prec, rnd), mpf_add(
-                mpf_mul(mpf_mul(gpp, u1, prec, rnd), u1, prec, rnd),
-                mpf_mul(gp, u2, prec, rnd), prec, rnd) if second else None)
-    if not order:
-        return vals[0]
-    d1, d2 = ders[0]
-    return (vals[0], d1, d2) if second else (vals[0], d1)
+    key = order, x[1] != 0 or x == fzero  # fold at a finite x only
+    run = expr._code.get(key)
+    if run is None:  # racing threads compile equal code; either may stay cached
+        run = expr._code[key] = _compile(expr.tape, order, key[1])
+    return run(x, prec, _literals_at(expr, prec))
 
 
 def eval_jet(expr: Expression, x, precision: int) -> Jet2:

@@ -24,7 +24,7 @@ from cotesroot import (
     significant_digits,
 )
 from cotesroot.bigreal import working_dps, working_prec
-from cotesroot.expr import _eval
+from cotesroot.expr import _PRECISIONS_KEPT, _eval
 from reference_tape import reference_eval
 
 
@@ -404,6 +404,46 @@ def test_tanh_saturation_keeps_the_jets_value():
             assert _eval(expr, x, 0, prec) == _eval(expr, x, 1, prec)[0], (v, prec)
 
 
+@pytest.mark.parametrize("text", ["2*x", "x-1", "3*x^2", "-x", "5-x", "sin(x)*2"])
+def test_infinite_and_nan_points_make_every_call(text):
+    """At a finite x the compiled tape folds 0·u to 0 and 1·u to u; at inf
+    and NaN, where 0·x is NaN, it must make every call and give the bits of
+    the same formulas on mpf operators."""
+    expr, prec = parse(text), working_prec(30)
+    for x in (mp.inf, -mp.inf, mp.nan):
+        for order in (0, 1, 2):
+            with mp.workdps(working_dps(30)):
+                expected = _outcome(lambda: reference_eval(expr, x, order))
+            assert _outcome(lambda: _eval(expr, x._mpf_, order, prec)) == expected, (x, order)
+
+
+def test_literals_are_kept_for_the_last_few_precisions():
+    """The schedule's reduced passes use a new precision on almost every run,
+    so an expression keeps its converted literals for the last
+    _PRECISIONS_KEPT precisions only, with the bits of a fresh parse."""
+    expr, x = parse("x^3+2.1*x-5+pi"), mp.mpf("1.3")._mpf_
+    precisions = range(100, 200)
+    for prec in [*precisions, *precisions[:3]]:
+        assert _eval(expr, x, 2, prec) == _eval(parse(expr.text), x, 2, prec)
+        assert len(expr._literals) <= _PRECISIONS_KEPT
+    assert list(expr._literals) == [*precisions[3 - _PRECISIONS_KEPT:], *precisions[:3]]
+
+
+def test_scheduled_iterate_compiles_per_order_not_per_precision():
+    """From 600 digits up the schedule runs reduced passes at a new precision
+    on almost every run; the tape compiles once per (order, fold) pair, and a
+    second run at other precisions reuses the compiled code."""
+    expr = parse("x^3+2*x-5")
+    compiled = []
+    for x0 in ("2", "2.7"):
+        run = iterate(ScalarProblem(expr, bigreal(x0, 1000), precision=1000), MethodId(4))
+        assert run.termination.kind == "converged"
+        compiled.append(dict(expr._code))
+    assert sorted(compiled[1]) == [(0, True), (1, True)]
+    assert all(compiled[1][key] is code for key, code in compiled[0].items())
+    assert len(expr._literals) > len(expr._code)
+
+
 # the text's functions in plain mpmath; cbrt is the real odd root
 _PLAIN = {"pi": mp.pi, "e": mp.e, "sin": mp.sin, "cos": mp.cos, "tan": mp.tan, "tanh": mp.tanh,
           "exp": mp.exp, "log": mp.log, "sqrt": mp.sqrt, "abs": abs, "mpf": mp.mpf,
@@ -456,6 +496,36 @@ def test_jets_match_plain_mpmath_and_numerical_derivatives(seed, k, order, preci
         tol = mp.mpf(10) ** (5 - working_dps(precision))
         for n, (a, b) in enumerate(zip(got, expected)):
             assert abs(a - b) <= tol * max(1, abs(b)), f"order {n} of {text} at {x}"
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-3000, 3000),
+    precision=st.sampled_from([30, 60]),
+)
+def test_results_agree_when_the_precision_doubles(seed, k, precision):
+    """eval_jet at p and 2p digits, each at the point k/1000 rounded to its own
+    precision, agrees to 10^(5-p)·max(1, |v|) in f, f' and f'', or both raise
+    a Breakdown of the same kind."""
+    rng = random.Random(seed)
+    text = _any_op_expr(rng, rng.randint(1, 3))
+
+    def jet(p):
+        try:
+            j = eval_jet(parse(text), Fraction(k, 1000), p)
+        except Breakdown as exc:
+            return exc.kind
+        return j.f.value, j.d1.value, j.d2.value
+
+    low, high = jet(precision), jet(2 * precision)
+    if not (isinstance(low, tuple) and isinstance(high, tuple)):
+        assert low == high, (text, k, low, high)
+        return
+    with mp.workdps(2 * precision):
+        tol = mp.mpf(10) ** (5 - precision)
+        for n, (a, b) in enumerate(zip(low, high)):
+            assert abs(a - b) <= tol * max(1, abs(b)), f"order {n} of {text} at {k}/1000"
 
 
 def _assert_threads_match_serial(cases, evaluate, repeats):
