@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .bigreal import BigReal, as_mpf, working_dps
+from .bigreal import BigReal, _check_finite, as_mpf, working_dps
 from .errors import Breakdown, InsufficientData
 from .expr import Expression, _eval
-from .solver import (MethodId, Trajectory, _check_finite, _log10_abs, _method_map,
-                     _significant_digits)
+from .solver import MethodId, Trajectory, _log10_abs, _method_map, _significant_digits
 
 STABLE_GAP = 0.15  # adjacent ratio gap below which the estimate counts as settled
 FLOOR_MARGIN = 15  # digits above the working precision reserved for roundoff noise
@@ -45,7 +44,7 @@ def significant_digits(x: BigReal, z: BigReal) -> float:
     precisions; its log is a float (``solver._significant_digits``), good to
     about 16 significant digits, and does not depend on mpmath's context.
     """
-    return _significant_digits(x.value, z.value, max(x.precision, z.precision))
+    return _significant_digits(x.value._mpf_, z.value._mpf_, max(x.precision, z.precision))
 
 
 def _decreasing_run(values, floor):
@@ -81,11 +80,11 @@ def estimate_order(traj: Trajectory, reference_root: BigReal) -> OrderEstimate:
     roundoff floor when the errors reached it before the fourth.
     """
     precision = traj.iterates[0].x.precision
-    root = as_mpf(reference_root)
+    root = as_mpf(reference_root)._mpf_
     # log10|e_k|; an exact hit reads as -precision, below the floor.  The
     # first usable log is negative, so the later ones, which the ratios divide
     # by, are too.
-    logs = [-_significant_digits(rec.x.value, root, precision) for rec in traj.iterates]
+    logs = [-_significant_digits(rec.x.value._mpf_, root, precision) for rec in traj.iterates]
     while logs and logs[0] >= 0:
         logs.pop(0)
     usable, hit_floor = _decreasing_run(logs, FLOOR_MARGIN - precision)
@@ -104,7 +103,7 @@ def estimate_order_from_steps(traj: Trajectory) -> OrderEstimate:
     judged on their float logs as ``estimate_order`` judges errors.
     """
     precision = traj.iterates[0].x.precision
-    logs = [_log10_abs(step.value) for step in traj.steps()]
+    logs = [_log10_abs(step.value._mpf_) for step in traj.steps()]
     usable, _ = _decreasing_run(logs, FLOOR_MARGIN - precision)
     if len(usable) < 3:
         raise InsufficientData(f"need 3 strictly decreasing steps, have {len(usable)}")
@@ -128,14 +127,17 @@ def map_derivatives_at(
     ``mp.diffs`` takes central differences with a step below the working
     precision and evaluates the map at (max_order + 1) times that precision,
     so truncation and roundoff stay below the working precision.  A
-    Breakdown of the map at a sample point (z itself included) propagates.
+    Breakdown of the map at a sample point (z itself included) propagates;
+    a z that is not finite is a ValueError.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     with mp.workdps(working_dps(precision)):
+        z = as_mpf(z)
+        _check_finite("z", [z])
         # f at the precision mp.diffs sets for each sample, not at the working one
-        derivs = mp.diffs(lambda x: _method_map(m, f, precision, mp.mp.prec)(x), as_mpf(z),
-                          max_order)
+        derivs = mp.diffs(
+            lambda x: mp.make_mpf(_method_map(m, f, precision, mp.mp.prec)(x._mpf_)), z, max_order)
         next(derivs)  # t(z) itself
         return [BigReal(d, precision) for d in derivs]
 

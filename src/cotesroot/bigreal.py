@@ -5,11 +5,11 @@ diagnostics (significant digits and order estimates).  Each entry point works
 at one precision, ``working_dps(p)`` digits (``GUARD_DIGITS`` above the target
 ``p``, which must be at least ``MIN_DIGITS``) or ``working_prec(p)`` bits, and
 returns its results as ``BigReal`` records of the value and ``p``.
-Expression evaluation and the scalar maps (``apply_method`` and the ladders
-of ``iterate``) pass those bits to every ``mpmath.libmp`` call they make; the
-outer loop, the schedule, ``analysis`` and ``multivariate`` compute on plain
-mpf inside ``mp.workdps(working_dps(p))``.  Both round each operation the
-same way, so identical inputs yield bit-identical results across runs.
+Expression evaluation and the scalar solves (``apply_method``, and ``iterate``
+from x0 to its records) pass those bits to every ``mpmath.libmp`` call they
+make; ``analysis`` and ``multivariate`` compute on plain mpf inside
+``mp.workdps(working_dps(p))``.  Both round each operation the same way, so
+identical inputs yield bit-identical results across runs.
 ``bigreal`` and ``BigReal.decimal`` take their precision from their arguments
 and never read or set mpmath's context.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, mpf_div, round_nearest
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest
 
 GUARD_DIGITS = 10
 # the precision of a solve that names none (CLI --digits, ScalarProblem, nd_iterate)
@@ -48,16 +48,15 @@ def working_prec(precision: int) -> int:
 def as_mpf(value, prec: int | None = None) -> mp.mpf:
     """Convert to mpf at ``prec`` bits, by default the current mpmath context's.
 
-    Strings are rounded at that precision, so conversion of decimal text like
-    "1.1" stays faithful at any requested precision.  A BigReal keeps its value.
+    Strings and fractions are rounded once at that precision, so decimal text
+    like "1.1" stays faithful at any precision.  A BigReal keeps its value.
     """
     if isinstance(value, BigReal):
         return value.value
     if prec is None:
         prec = mp.mp.prec
     if isinstance(value, Fraction):
-        num, den = (mp.mpf(v, prec=prec)._mpf_ for v in (value.numerator, value.denominator))
-        return mp.make_mpf(mpf_div(num, den, prec, round_nearest))
+        return mp.make_mpf(from_rational(value.numerator, value.denominator, prec, round_nearest))
     return mp.mpf(value, prec=prec)
 
 
@@ -82,6 +81,12 @@ class BigReal:
 
     def __repr__(self):
         return f"BigReal({self.decimal()!r}, precision={self.precision})"
+
+
+def _check_finite(name, coordinates):
+    """ValueError naming the point when a coordinate is NaN or infinite."""
+    if not all(mp.isfinite(v) for v in coordinates):
+        raise ValueError(f"{name} must be finite")
 
 
 def bigreal(value, precision: int) -> BigReal:

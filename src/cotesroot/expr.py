@@ -51,13 +51,13 @@ from itertools import count
 
 import mpmath as mp
 from mpmath.libmp import (
-    finf, fnan, fone, fnone, from_str, ftwo, fzero, mpf_abs, mpf_add, mpf_cbrt, mpf_cos_sin,
-    mpf_cosh_sinh, mpf_div, mpf_e, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int,
-    mpf_neg, mpf_pi, mpf_pos, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_tan,
-    round_nearest, to_int, to_str,
+    fone, fnone, from_str, ftwo, fzero, mpf_abs, mpf_add, mpf_cbrt, mpf_cos_sin, mpf_cosh_sinh,
+    mpf_div, mpf_e, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg,
+    mpf_pi, mpf_pos, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_tan, round_nearest,
+    to_int, to_str,
 )
 
-from .bigreal import BigReal, as_mpf, working_prec
+from .bigreal import BigReal, _check_finite, as_mpf, working_prec
 from .errors import Breakdown, ParseError
 
 FUNCTIONS = ("sin", "cos", "tan", "tanh", "exp", "log", "sqrt", "cbrt", "abs")
@@ -78,7 +78,7 @@ class Expression:
     text: str
     # the literals converted at each of the last few working precisions in bits
     _literals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the compiled tape per (derivative order, whether it folds); see _eval
+    # the compiled tape per derivative order; see _eval
     _code: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
@@ -216,8 +216,8 @@ def _literals_at(expr: Expression, prec: int) -> tuple:
 
 
 def _sign(v):
-    """``mp.sign`` of a raw mpf: v itself when it is 0 or NaN, else +-1."""
-    if v == fzero or v == fnan:
+    """``mp.sign`` of a finite raw mpf: v itself when it is 0, else +-1."""
+    if v == fzero:
         return v
     return fone if mpf_gt(v, fzero) else fnone
 
@@ -237,19 +237,19 @@ class _Source:
 
     A slot is the (f, f', f'') of one operand as names in the source; a
     derivative that is not computed (all of them at order 0, f'' at order 1)
-    is ``fzero``.  With ``fold``, the names ``fzero`` and ``fone`` decide at
-    compile time what a derivative call on them returns: 0·u is 0, 1·u and
-    u ± 0 are u, 0 - u is -u, and an operation whose operands are all
-    passive (no x below them) gets no derivative code.  A folded call would
-    have returned u rounded to ``prec``, which is u itself, since every name
-    but x and those in ``raw`` holds a literal, a constant or a libmp result
-    at ``prec``.  0·u is 0 only for a finite u, and with a finite x every
-    value is finite.  A literal integer exponent is resolved here, and a
-    call the code has made already is not made again (libmp is pure).
+    is ``fzero``.  The names ``fzero`` and ``fone`` decide at compile time
+    what a derivative call on them returns: 0·u is 0, 1·u and u ± 0 are u,
+    0 - u is -u, and an operation whose operands are all passive (no x below
+    them) gets no derivative code.  A folded call would have returned u
+    rounded to ``prec``, which is u itself, since every name but x and those
+    in ``raw`` holds a literal, a constant or a libmp result at ``prec``.
+    0·u is 0 only for a finite u, and with a finite x every value is finite.
+    A literal integer exponent is resolved here, and a call the code has
+    made already is not made again (libmp is pure).
     """
 
-    def __init__(self, order: int, fold: bool):
-        self.order, self.fold = order, fold
+    def __init__(self, order: int):
+        self.order = order
         self.lines, self.pad = [], "    "
         self.names = count()
         self.raw = {"x"}  # names that may hold x itself, which may carry more than prec bits
@@ -278,45 +278,45 @@ class _Source:
 
     def active(self, *slots) -> bool:
         """Whether an operation on these slots needs derivative code."""
-        return self.order > 0 and not (self.fold and all(s[1] == s[2] == _ZERO for s in slots))
+        return self.order > 0 and not all(s[1] == s[2] == _ZERO for s in slots)
 
-    # derivative arithmetic, folded where ``fold`` allows
+    # derivative arithmetic, folded where the operands allow
     def add(self, p, q):
-        if self.fold and q == _ZERO and p not in self.raw:
+        if q == _ZERO and p not in self.raw:
             return p
-        if self.fold and p == _ZERO and q not in self.raw:
+        if p == _ZERO and q not in self.raw:
             return q
         return self.call("mpf_add", p, q)
 
     def sub(self, p, q):
-        if self.fold and q == _ZERO and p not in self.raw:
+        if q == _ZERO and p not in self.raw:
             return p
-        if self.fold and p == _ZERO:
+        if p == _ZERO:
             return self.neg(q)
         return self.call("mpf_sub", p, q)
 
     def neg(self, p):
-        if self.fold and p in (_ZERO, _ONE):
+        if p in (_ZERO, _ONE):
             return _ZERO if p == _ZERO else "fnone"
         return self.call("mpf_neg", p)
 
     def mul(self, p, q):
-        if self.fold and _ZERO in (p, q):
+        if _ZERO in (p, q):
             return _ZERO
-        if self.fold and p == _ONE and q not in self.raw:
+        if p == _ONE and q not in self.raw:
             return q
-        if self.fold and q == _ONE and p not in self.raw:
+        if q == _ONE and p not in self.raw:
             return p
         return self.call("mpf_mul", p, q)
 
     def twice(self, p, q):
         """2·p·q, as (2·p)·q."""
-        if self.fold and _ZERO in (p, q):
+        if _ZERO in (p, q):
             return _ZERO
-        return self.mul("ftwo" if self.fold and p == _ONE else self.call("mpf_mul_int", p, 2), q)
+        return self.mul("ftwo" if p == _ONE else self.call("mpf_mul_int", p, 2), q)
 
     def div(self, p, q):
-        if self.fold and p == _ZERO:
+        if p == _ZERO:
             return _ZERO
         return self.call("mpf_div", p, q)
 
@@ -413,7 +413,7 @@ class _Source:
         """a^c for an integer c other than 0 and 1, as a^(c-2)·a·a."""
         (v, a1, a2), known = a, isinstance(c, int)
         # a^0 == 1, also at a == 0, and a^1 is a rounded
-        if self.fold and known and (c == 2 or c == 3 and v not in self.raw):
+        if known and (c == 2 or c == 3 and v not in self.raw):
             pm2 = "fone" if c == 2 else v
         else:
             pm2 = self.call("mpf_pow_int", v, c - 2 if known else f"{c} - 2")
@@ -450,7 +450,7 @@ class _Source:
         ep1 = self.mul(e, p1)
         if self.order == 1:
             return e, ep1, _ZERO
-        square = _ZERO if self.fold and a1 == _ZERO else self.div(
+        square = _ZERO if a1 == _ZERO else self.div(
             self.mul(self.neg(a1), a1), self.call("mpf_mul", v, v))
         p2 = self.add(self.add(self.mul(b2, lv), self.twice(b1, l1)),
                       self.mul(w, self.add(square, self.div(a2, v))))
@@ -476,7 +476,7 @@ class _Source:
         elif op == "tanh":  # s/c, and sech = 1/c below, from one cosh_sinh call
             c, s, r = self.name(), self.name(), self.name()
             fused = (f"{c}, {s} = mpf_cosh_sinh({v}, prec + 10, rnd)",
-                     f"{r} = _sign({s}) if {c} == finf else mpf_div({s}, {c}, prec, rnd)")
+                     f"{r} = mpf_div({s}, {c}, prec, rnd)")
             if self.order:
                 for text in fused:
                     self.line(text)
@@ -531,7 +531,7 @@ class _Source:
 
 # the names the compiled source uses besides its arguments
 _NAMESPACE = {name: globals()[name] for name in (
-    "Breakdown", "_sign", "_tanh_saturates", "finf", "fnone", "fone", "ftwo", "fzero", "mpf_abs",
+    "Breakdown", "_sign", "_tanh_saturates", "fnone", "fone", "ftwo", "fzero", "mpf_abs",
     "mpf_add", "mpf_cbrt", "mpf_cos_sin", "mpf_cosh_sinh", "mpf_div", "mpf_exp", "mpf_le",
     "mpf_log", "mpf_lt", "mpf_mul", "mpf_mul_int", "mpf_neg", "mpf_pos", "mpf_pow",
     "mpf_pow_int", "mpf_rdiv_int", "mpf_sqrt", "mpf_sub", "mpf_tan", "to_int", "to_str")}
@@ -541,14 +541,14 @@ _NAMESPACE.update(rnd=_RND, DOMAIN=Breakdown.DOMAIN)
 # shared by every Expression with the same tape: run_table, for one, parses
 # its function afresh on every run
 @lru_cache(maxsize=256)
-def _compile(tape: tuple, order: int, fold: bool):
+def _compile(tape: tuple, order: int):
     """The tape at ``order`` as one function ``run(x, prec, literals)`` of libmp calls.
 
     The source holds names, integers and the fixed texts of ``_Source``:
     no text of the function enters it, and an instruction outside the
     grammar is refused, so a tape cannot inject code.
     """
-    source = _Source(order, fold)
+    source = _Source(order)
     stack, literals = [], 0
     for op, arg in tape:
         if op == "x":
@@ -578,17 +578,17 @@ def _compile(tape: tuple, order: int, fold: bool):
 def _eval(expr: Expression, x, order: int, prec: int):
     """Evaluate the tape at the raw mpf ``x`` with every operation rounded to ``prec`` bits.
 
-    The tape is compiled once per (order, fold) pair, on first use, and the
+    The tape is compiled once per order, on first use, and the
     Expression keeps the code, which takes ``prec`` and the literals at
     ``prec`` as arguments, so a new precision compiles nothing.  The code
     takes and returns raw ``mpmath.libmp`` tuples and never reads or sets
     the mpmath context, so concurrent calls do not interfere; callers that
     want mpf values wrap them with ``mp.make_mpf``.  Each call is the libmp
     call mpf's operator or function would make under ``mp.workprec(prec)``,
-    so the bits are those of plain mpf arithmetic of the same formulas.  At
-    a finite x the code folds the calls whose result it knows (see
-    ``_Source``).  At inf or NaN it makes every call, since there 0·x is
-    NaN, not 0.  ``prec`` is at least 32 bits, so that an integer exponent
+    so the bits are those of plain mpf arithmetic of the same formulas: the
+    code folds the calls whose result it knows (see ``_Source``), which
+    holds at a finite x, the only kind any caller passes (at inf, 0·x is
+    NaN, not 0).  ``prec`` is at least 32 bits, so that an integer exponent
     below 2^32 is exact.
     Order 0 returns f(x) and applies only the value-level domain rules.
     Order 1 returns (f, f') and order 2 (f, f', f''); both add the
@@ -596,25 +596,28 @@ def _eval(expr: Expression, x, order: int, prec: int):
     power of a nonpositive base.  Every order computes a value by the same
     formula, so where order 0 and the jets both evaluate, f has the same bits.
     """
-    key = order, x[1] != 0 or x == fzero  # fold at a finite x only
-    run = expr._code.get(key)
+    run = expr._code.get(order)
     if run is None:  # racing threads compile equal code; either may stay cached
-        run = expr._code[key] = _compile(expr.tape, order, key[1])
+        run = expr._code[order] = _compile(expr.tape, order)
     return run(x, prec, _literals_at(expr, prec))
 
 
 def eval_jet(expr: Expression, x, precision: int) -> Jet2:
-    """Evaluate (f, f', f'') at ``x`` with ``precision`` (at least ``MIN_DIGITS``) digits."""
+    """(f, f', f'') at a finite ``x`` with ``precision`` (at least ``MIN_DIGITS``) digits."""
     prec = working_prec(precision)
-    return Jet2(*(BigReal(mp.make_mpf(v), precision)
-                  for v in _eval(expr, as_mpf(x, prec)._mpf_, 2, prec)))
+    x = as_mpf(x, prec)
+    _check_finite("x", [x])
+    return Jet2(*(BigReal(mp.make_mpf(v), precision) for v in _eval(expr, x._mpf_, 2, prec)))
 
 
 def eval_value(expr: Expression, x, precision: int) -> BigReal:
     """Evaluate f(x) only; no derivative-level domain restrictions.
 
     ``precision`` must be at least ``MIN_DIGITS``; a point that is not a
-    BigReal is converted at its working precision, as in ``eval_jet``.
+    BigReal is converted at its working precision, and must be finite, as in
+    ``eval_jet``.
     """
     prec = working_prec(precision)
-    return BigReal(mp.make_mpf(_eval(expr, as_mpf(x, prec)._mpf_, 0, prec)), precision)
+    x = as_mpf(x, prec)
+    _check_finite("x", [x])
+    return BigReal(mp.make_mpf(_eval(expr, x._mpf_, 0, prec)), precision)

@@ -10,21 +10,20 @@ the division; the trapezoidal step is the variant of Weerakoon & Fernando
 
 from __future__ import annotations
 
-import operator
-
 import mpmath as mp
 
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, working_dps
+from .bigreal import DEFAULT_DIGITS, BigReal, _check_finite, as_mpf, working_dps, working_prec
 from .errors import Breakdown
-from .solver import (SEED_TRAPEZOID, Termination, _check_finite, _finite, _ladder_full,
-                     _outer_loop, _stop_rules)
+from .solver import (SEED_TRAPEZOID, Termination, _finite, _ladder_full, _outer_loop,
+                     _stop_rules)
 
 _LEVELS = {"newton": 0, "trapezoidal": 1, "simpson": 2}  # step kind -> ladder level
-# the ladder's point arithmetic, on _Point's operators: p - q, p + q, k·p, p/k
-_POINTS = (operator.sub, operator.add, operator.mul, operator.truediv)
+# the ladder's point arithmetic per coordinate: p - q, p + q, k·p, p/k
+_POINTS = (lambda p, q: [a - b for a, b in zip(p, q)], lambda p, q: [a + b for a, b in zip(p, q)],
+           lambda k, p: [k * a for a in p], lambda p, k: [a / k for a in p])
 
 
 @dataclass(frozen=True)
@@ -52,22 +51,6 @@ class VectorTrajectory:
     @property
     def final(self) -> VectorIterateRecord:
         return self.iterates[-1]
-
-
-class _Point(list):
-    """A vector iterate with the per-coordinate arithmetic the ladder uses."""
-
-    def __add__(self, other):
-        return _Point(a + b for a, b in zip(self, other))
-
-    def __sub__(self, other):
-        return _Point(a - b for a, b in zip(self, other))
-
-    def __rmul__(self, k):
-        return _Point(k * a for a in self)
-
-    def __truediv__(self, k):
-        return _Point(a / k for a in self)
 
 
 def _as_vector(values, d) -> list[mp.mpf]:
@@ -146,7 +129,7 @@ def _level(kind: str) -> int:
 
 
 def _vector_map(n, func, x, fx, precision, bound=None):
-    """Level n of the ladder at the point x (a _Point) with residual fx there;
+    """Level n of the ladder at the point x (a list of mpf) with residual fx there;
     every node must stay inside ``bound`` in the max norm."""
     d = func.dimension
 
@@ -170,7 +153,7 @@ def nd_step(kind: str, func: VectorFunction, x, precision: int) -> list[BigReal]
     level = _level(kind)
     d = func.dimension
     with mp.workdps(working_dps(precision)):
-        point = _Point(_as_vector(x, d))
+        point = _as_vector(x, d)
         _check_finite("x", point)
         y = _vector_map(level, func, point, _as_vector(func.residual(point), d), precision)
         _finite(_max_norm(y))
@@ -191,13 +174,15 @@ def nd_iterate(
     level = _level(kind)
     d = func.dimension
     with mp.workdps(working_dps(precision)):
-        x = _Point(_as_vector(x0, d))
-        step_tol, residual_tol, bound = _stop_rules(precision, x, max_iter, step_tol,
-                                                    residual_tol, divergence_bound)
+        x = _as_vector(x0, d)
+        step_tol, residual_tol, bound = _stop_rules(precision, working_prec(precision), x,
+                                                    max_iter, step_tol, residual_tol,
+                                                    divergence_bound)
         points, _, termination = _outer_loop(
             x,
             lambda p: _as_vector(func.residual(p), d),
             lambda p, fp: _vector_map(level, func, p, fp, precision, bound),
+            _POINTS[0],
             _max_norm,
             max_iter,
             step_tol,

@@ -28,10 +28,11 @@ from itertools import count
 from typing import Optional
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_lt,
-                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_sub, to_float)
+from mpmath.libmp import (dps_to_prec, fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
+                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos,
+                          mpf_pow_int, mpf_sub, to_float)
 
-from .bigreal import DEFAULT_DIGITS, BigReal, as_mpf, working_dps, working_prec
+from .bigreal import DEFAULT_DIGITS, BigReal, _check_finite, as_mpf, working_prec
 from .errors import Breakdown
 from .expr import _RND, Expression, _eval
 from .quadrature import MAX_RULE, builtin_rule
@@ -53,6 +54,9 @@ _RULES = [builtin_rule(n) for n in range(MAX_RULE + 1)]
 # even at 500, 0.85x at 600)
 _SCHEDULE_GUARD = 20
 _SCHEDULE_FROM = 600
+# the precision of the f' that estimates a start point's correct digits
+_INITIAL_PREC = dps_to_prec(30)
+_TEN = from_int(10)
 
 
 @dataclass(frozen=True)
@@ -117,9 +121,9 @@ class ScalarProblem:
     known_root: Optional[BigReal] = None
 
     def __post_init__(self):
-        with mp.workdps(working_dps(self.precision)):
-            rules = _stop_rules(self.precision, [as_mpf(self.x0)], self.max_iter,
-                                self.step_tol, self.residual_tol, self.divergence_bound)
+        prec = working_prec(self.precision)
+        rules = _stop_rules(self.precision, prec, [as_mpf(self.x0, prec)], self.max_iter,
+                            self.step_tol, self.residual_tol, self.divergence_bound)
         for name, value in zip(("step_tol", "residual_tol", "divergence_bound"), rules):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, BigReal(value, self.precision))
@@ -226,23 +230,23 @@ def _levels(m: MethodId) -> tuple[int, ...]:
 
 
 def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=None):
-    """x -> t(x) on mpf values; a composition applies inner first.
+    """x -> t(x) on raw libmp tuples; a composition applies inner first.
 
-    It computes on raw libmp tuples at ``prec`` bits, the working precision
-    of ``precision`` unless a caller such as ``mp.diffs`` works finer, each
-    step the call the mpf operator makes there, and never reads mpmath's
-    context.  ``bound`` is the divergence bound every ladder node must stay
-    inside; x must be inside it, and so must a composition's inner result,
-    the outer ladder's base point (else ``_OutsideBound`` at level 0).  A
-    ladder breaks down at level 0 where the slope at its base point is exactly
-    zero, and at the level whose weighted slope sum is more than about
-    ``precision`` digits below that slope.  ``apply(x, jet)`` reuses the raw
-    base jet at x, (f, f') or for "+F" (f, f', f''), that the caller has.
+    It computes at ``prec`` bits, the working precision of ``precision``
+    unless a caller such as ``mp.diffs`` works finer, each step the call the
+    mpf operator makes there, and never reads mpmath's context.  ``bound``
+    is the mpf divergence bound every ladder node must stay inside; x must
+    be inside it, and so must a composition's inner result, the outer
+    ladder's base point (else ``_OutsideBound`` at level 0).  A ladder breaks
+    down at level 0 where the slope at its base point is exactly zero, and at
+    the level whose weighted slope sum is more than about ``precision``
+    digits below that slope.  ``apply(x, jet)`` reuses the raw base jet at
+    x, (f, f') or for "+F" (f, f', f''), that the caller has.
     """
     levels = _levels(m)
     order = 2 if m.transform else 1  # of the jets: F' needs f''
     # the cancellation trap 10^(5 - precision), relative to the base slope
-    trap = mpf_pow_int(from_int(10), 5 - precision, prec, _RND)
+    trap = mpf_pow_int(_TEN, 5 - precision, prec, _RND)
     outside = None if bound is None else (
         lambda p, b=bound._mpf_: mpf_gt(mpf_abs(p, prec, _RND), b))
     points = (lambda p, q: mpf_sub(p, q, prec, _RND), lambda p, q: mpf_add(p, q, prec, _RND),
@@ -264,7 +268,6 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
                 raise Breakdown(Breakdown.ZERO_DENOMINATOR, "weighted slope sum vanished")
             return mpf_div(mpf_mul_int(fx, c, prec, _RND), b, prec, _RND)
 
-        x = x._mpf_
         for i, n in enumerate(levels):
             if i and outside and outside(x):
                 raise _OutsideBound(0)
@@ -279,7 +282,7 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
             tiny = mpf_mul(trap, mpf_abs(slope0, prec, _RND), prec, _RND)
             x = _ladder_full(n, x, fx, slope0, lambda p: pair(_eval(f, p, order, prec))[1],
                              weighted_sum, solve, points, m.simpson_seed, outside)
-        return mp.make_mpf(x)
+        return x
 
     return apply
 
@@ -298,13 +301,7 @@ def apply_method(m: MethodId, f: Expression, x, precision: int) -> BigReal:
     prec = working_prec(precision)
     x = as_mpf(x, prec)
     _check_finite("x", [x])
-    return BigReal(_method_map(m, f, precision, prec)(x), precision)
-
-
-def _check_finite(name, coordinates):
-    """ValueError naming the point when a coordinate is NaN or infinite."""
-    if not all(mp.isfinite(v) for v in coordinates):
-        raise ValueError(f"{name} must be finite")
+    return BigReal(mp.make_mpf(_method_map(m, f, precision, prec)(x._mpf_)), precision)
 
 
 def _finite(size):
@@ -314,34 +311,37 @@ def _finite(size):
     return size
 
 
-def _stop_rules(precision, x0, max_iter, step_tol, residual_tol, divergence_bound):
-    """The outer loop's step and residual tolerances and divergence bound.
+def _stop_rules(precision, prec, x0, max_iter, step_tol, residual_tol, divergence_bound):
+    """The outer loop's step and residual tolerances and divergence bound, as mpf.
 
-    ``x0`` holds the start point's coordinates; ``max_iter`` must be at least
-    1.  Unset values default to 10^(10 - precision) for both tolerances and
-    10^6 (1 + max |x0_i|) for the bound.  Call under the working precision.
+    ``x0`` holds the start point's coordinates as mpf; ``max_iter`` must be
+    at least 1.  Unset values default to 10^(10 - precision) for both
+    tolerances and 10^6 (1 + max |x0_i|) for the bound, computed and
+    converted at ``prec`` bits, the working precision of ``precision``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     _check_finite("x0", x0)
-    size = max(abs(v) for v in x0)
-    default_tol = mp.mpf(10) ** (10 - precision)
-    step_tol = default_tol if step_tol is None else as_mpf(step_tol)
-    residual_tol = default_tol if residual_tol is None else as_mpf(residual_tol)
-    bound = mp.mpf(10) ** 6 * (1 + size) if divergence_bound is None else as_mpf(divergence_bound)
+    size = max((mpf_abs(v._mpf_, prec, _RND) for v in x0), key=mp.make_mpf)
+    tol = mpf_pow_int(_TEN, 10 - precision, prec, _RND)
+    defaults = tol, tol, mpf_mul(mpf_pow_int(_TEN, 6, prec, _RND), mpf_add(size, fone, prec, _RND),
+                                 prec, _RND)
+    rules = [default if value is None else as_mpf(value, prec)._mpf_
+             for value, default in zip((step_tol, residual_tol, divergence_bound), defaults)]
     # "not >" rather than "<=", so that NaN fails too
-    for name, value in (("step_tol", step_tol), ("residual_tol", residual_tol)):
-        if not value > 0:
+    for name, value in zip(("step_tol", "residual_tol"), rules):
+        if not mpf_gt(value, fzero):
             raise ValueError(f"{name} must be positive")
-    if not bound > size:
+    if not mpf_gt(rules[2], size):
         raise ValueError("divergence_bound must exceed |x0|")
-    return step_tol, residual_tol, bound
+    return tuple(map(mp.make_mpf, rules))
 
 
-def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound):
+def _outer_loop(x, residual, step, sub, norm, max_iter, step_tol, residual_tol, bound):
     """Iterate x <- step(x, f(x)) until a stop rule fires; scalars and vectors alike.
 
-    ``norm`` is abs or the max norm; a NaN anywhere must make it NaN.  Pass 0
+    ``sub(p, q)`` is p - q, and ``norm`` an mpf, abs or the max norm, which a
+    NaN anywhere must make NaN; the tolerances and the bound are mpf.  Pass 0
     takes x0, which ``_stop_rules`` checked, each later pass one step from the
     residual the previous pass took.  A small step converges only where the
     residual norm is at most its value at x0: a map on F = -f/f' also has
@@ -358,7 +358,7 @@ def _outer_loop(x, residual, step, norm, max_iter, step_tol, residual_tol, bound
         for _ in range(max_iter + 1):
             if points:
                 xn = step(x, fx)
-                steps.append(xn - x)
+                steps.append(sub(xn, x))
                 x = xn
             points.append((x, None))
             if _finite(norm(x)) > bound:
@@ -383,7 +383,7 @@ _LOG10_2 = math.log10(2)
 
 
 def _log10_abs(v) -> float:
-    """log10|v| of an mpf as a float, from its binary mantissa and exponent.
+    """log10|v| of a raw mpf as a float, from its binary mantissa and exponent.
 
     The mantissa is cut to its leading 53 bits first, so that near 1 the two
     terms do not cancel a long mantissa's rounding: the error is within a few
@@ -391,24 +391,23 @@ def _log10_abs(v) -> float:
     -inf, an infinity inf and NaN NaN.  It never reads or sets mpmath's
     context and costs the same at any precision.
     """
-    value = v._mpf_
-    _, man, exp, bc = value
+    _, man, exp, bc = v
     if not man:  # zero, an infinity or NaN
-        return -math.inf if value == fzero else abs(to_float(value))
+        return -math.inf if v == fzero else abs(to_float(v))
     shift = max(bc - 53, 0)
     return math.log10(man >> shift) + (exp + shift) * _LOG10_2
 
 
 def _significant_digits(x, z, precision) -> float:
-    """s = -log10|z - x| as a float, or ``precision`` on an exact hit.
+    """s = -log10|z - x| of raw mpfs as a float, or ``precision`` on an exact hit.
 
     z - x is subtracted at ``working_prec(precision)`` bits, rounded as the mpf
     operator rounds it there; the log is a float (``_log10_abs``), since s is
     shown with at most 8 digits, and ``iterate`` and ``significant_digits``
     return it as that float.  Neither step reads mpmath's context.
     """
-    err = mpf_sub(z._mpf_, x._mpf_, working_prec(precision), _RND)
-    return float(precision) if err == fzero else -_log10_abs(mp.make_mpf(err))
+    err = mpf_sub(z, x, working_prec(precision), _RND)
+    return float(precision) if err == fzero else -_log10_abs(err)
 
 
 def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int, bound):
@@ -443,16 +442,16 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     last = (None, None)  # (raw iterate, base jet there) of the residual taken last
 
     def value(x):
-        return mp.make_mpf(_eval(f, x._mpf_, 0, prec))
+        return _eval(f, x, 0, prec)
 
     def jet_residual(x):
         nonlocal last
         try:
-            last = x._mpf_, _eval(f, x._mpf_, 2 if m.transform else 1, prec)
+            last = x, _eval(f, x, 2 if m.transform else 1, prec)
         except Breakdown:
             last = (None, None)
             return value(x)
-        return mp.make_mpf(last[1][0])
+        return last[1][0]
 
     q = _nominal_order(m)
     passes = count(1)
@@ -460,9 +459,8 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     digits = False if precision < _SCHEDULE_FROM or m.transform else None
 
     def initial_digits(x, fx):
-        with mp.workdps(30):
-            slope = mp.make_mpf(_eval(f, x._mpf_, 1, mp.mp.prec)[1])
-            return None if slope == 0 else -_log10_abs(fx / slope)
+        slope = _eval(f, x, 1, _INITIAL_PREC)[1]
+        return None if slope == fzero else -_log10_abs(mpf_div(fx, slope, _INITIAL_PREC, _RND))
 
     def reduced(x, s):
         """(x_{k+1}, its digits) from a pass at P digits, or None where that
@@ -470,16 +468,18 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
         work = math.ceil(q * max(s, 0.0)) + _SCHEDULE_GUARD
         if 4 * work > precision:
             return None
-        with mp.workdps(working_dps(work)):
-            xn = _method_map(m, f, work, working_prec(work), bound)(+x)
-        with mp.workdps(working_dps(work + _SCHEDULE_GUARD)):
-            v, slope = map(mp.make_mpf,
-                           _eval(f, xn._mpf_, 1, working_prec(work + _SCHEDULE_GUARD)))
-            if slope == 0:
-                return None
-            correction = abs(v / slope)
-            if correction <= mp.mpf(10) ** (10 - work) * max(1, abs(xn)):
-                return None
+        low = working_prec(work)
+        xn = _method_map(m, f, work, low, bound)(mpf_pos(x, low, _RND))
+        check = working_prec(work + _SCHEDULE_GUARD)
+        v, slope = _eval(f, xn, 1, check)
+        if slope == fzero:
+            return None
+        correction = mpf_abs(mpf_div(v, slope, check, _RND), check, _RND)
+        limit, size = mpf_pow_int(_TEN, 10 - work, check, _RND), mpf_abs(xn, check, _RND)
+        if mpf_gt(size, fone):  # the limit is 10^(10 - work) max(1, |xn|)
+            limit = mpf_mul(limit, size, check, _RND)
+        if mpf_le(correction, limit):
+            return None
         return xn, -_log10_abs(correction)
 
     def step(x, fx):
@@ -495,7 +495,7 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
                 xn, digits = result
                 return xn
         digits = False
-        return full(x, last[1] if x._mpf_ == last[0] else None)
+        return full(x, last[1] if x == last[0] else None)
 
     return lambda x: jet_residual(x) if digits is False else value(x), step
 
@@ -504,27 +504,29 @@ def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
     """Run the outer iteration until a stop rule fires: small step, small
     residual, iteration budget, the divergence bound, or a recorded breakdown.
 
-    Early passes may run at a reduced precision (``_residual_and_step``)."""
+    Early passes may run at a reduced precision (``_residual_and_step``); no
+    pass reads or sets mpmath's context, so threads may run solves at once."""
     precision = problem.precision
-    with mp.workdps(working_dps(precision)):
-        bound = as_mpf(problem.divergence_bound)
-        points, steps, termination = _outer_loop(
-            as_mpf(problem.x0),
-            *_residual_and_step(m, problem.f, precision, problem.max_iter, bound),
-            abs,
-            problem.max_iter,
-            as_mpf(problem.step_tol),
-            as_mpf(problem.residual_tol),
-            bound,
-        )
-        root = as_mpf(problem.known_root) if problem.known_root is not None else None
+    prec = working_prec(precision)
+    bound = as_mpf(problem.divergence_bound, prec)
+    points, steps, termination = _outer_loop(
+        as_mpf(problem.x0, prec)._mpf_,
+        *_residual_and_step(m, problem.f, precision, problem.max_iter, bound),
+        lambda p, q: mpf_sub(p, q, prec, _RND),
+        lambda v: mp.make_mpf(mpf_abs(v, prec, _RND)),
+        problem.max_iter,
+        as_mpf(problem.step_tol, prec),
+        as_mpf(problem.residual_tol, prec),
+        bound,
+    )
+    root = None if problem.known_root is None else as_mpf(problem.known_root, prec)._mpf_
 
-        def wrap(value):
-            return None if value is None else BigReal(value, precision)
+    def wrap(value):
+        return None if value is None else BigReal(mp.make_mpf(value), precision)
 
-        records = tuple(
-            IterateRecord(k, wrap(x), wrap(fx), wrap(steps[k] if k < len(steps) else None),
-                          None if root is None else _significant_digits(x, root, precision))
-            for k, (x, fx) in enumerate(points)
-        )
+    records = tuple(
+        IterateRecord(k, wrap(x), wrap(fx), wrap(steps[k] if k < len(steps) else None),
+                      None if root is None else _significant_digits(x, root, precision))
+        for k, (x, fx) in enumerate(points)
+    )
     return Trajectory(m, records, termination)

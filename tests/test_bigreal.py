@@ -1,6 +1,7 @@
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from cotesroot import bigreal
@@ -21,6 +22,15 @@ def test_bigreal_is_a_value_record():
     assert bigreal("1.1", 40).decimal() == "1.1"
     assert bigreal(Fraction(1, 3), 40).decimal(8) == "0.33333333"
     assert repr(bigreal("1.1", 40)) == "BigReal('1.1', precision=40)"
+
+
+def test_bigreal_rounds_a_fraction_once():
+    # rounding 10^26 + 1 and 10^26 - 1 to 86 bits first gives the same value
+    # twice, and their quotient 1; rounded once, the quotient is just above 1
+    x = bigreal(Fraction(10**26 + 1, 10**26 - 1), 15)
+    assert x.value._mpf_ == (0, 2**85 + 1, -85, 86)
+    with mp.workprec(400):
+        assert abs(x.value - mp.mpf(10**26 + 1) / (10**26 - 1)) < mp.mpf(2) ** -86
 
 
 def test_bigreal_has_no_arithmetic_or_ordering():

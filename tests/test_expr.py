@@ -20,6 +20,7 @@ from cotesroot import (
     eval_jet,
     eval_value,
     iterate,
+    map_derivatives_at,
     parse,
     significant_digits,
 )
@@ -373,17 +374,6 @@ def test_tanh_is_sinh_over_cosh_where_it_differs_from_mpf_tanh():
     assert expected[0] != mpf_tanh(x._mpf_, prec, round_nearest)
 
 
-def test_tanh_at_infinity_is_its_limit():
-    for sign in (1, -1):
-        for order in (0, 1, 2):
-            with mp.workdps(working_dps(30)):
-                expected = _outcome(lambda: reference_eval(parse("tanh(x)"), sign * mp.inf, order))
-            got = _outcome(lambda: _eval(parse("tanh(x)"), (sign * mp.inf)._mpf_, order,
-                                         working_prec(30)))
-            assert got == expected
-            assert mp.make_mpf(got if order == 0 else got[0]) == sign
-
-
 def test_tanh_of_a_huge_value_is_its_sign_without_computing_exp():
     """exp(exp(20)) has a binary exponent near 7e8; cosh_sinh there takes
     ln 2 to that many bits, so order 0 must return the sign before it."""
@@ -404,17 +394,18 @@ def test_tanh_saturation_keeps_the_jets_value():
             assert _eval(expr, x, 0, prec) == _eval(expr, x, 1, prec)[0], (v, prec)
 
 
-@pytest.mark.parametrize("text", ["2*x", "x-1", "3*x^2", "-x", "5-x", "sin(x)*2"])
-def test_infinite_and_nan_points_make_every_call(text):
-    """At a finite x the compiled tape folds 0·u to 0 and 1·u to u; at inf
-    and NaN, where 0·x is NaN, it must make every call and give the bits of
-    the same formulas on mpf operators."""
-    expr, prec = parse(text), working_prec(30)
-    for x in (mp.inf, -mp.inf, mp.nan):
-        for order in (0, 1, 2):
-            with mp.workdps(working_dps(30)):
-                expected = _outcome(lambda: reference_eval(expr, x, order))
-            assert _outcome(lambda: _eval(expr, x._mpf_, order, prec)) == expected, (x, order)
+@pytest.mark.parametrize("evaluate,name", [
+    (lambda f, x: eval_jet(f, x, 30), "x"),
+    (lambda f, x: eval_value(f, x, 30), "x"),
+    (lambda f, z: map_derivatives_at(MethodId(0), f, z, 1, 30), "z"),
+], ids=["eval_jet", "eval_value", "map_derivatives_at"])
+@pytest.mark.parametrize("point", ["inf", "-inf", "nan"])
+def test_nonfinite_points_are_rejected(evaluate, name, point):
+    """The compiled tape folds 0·u to 0 and 1·u to u, which holds at a
+    finite x only (at inf, 0·x is NaN), so every entry point that evaluates
+    f rejects a NaN or infinite point with a ValueError naming it."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        evaluate(parse("2*x"), bigreal(point, 30))
 
 
 def test_literals_are_kept_for_the_last_few_precisions():
@@ -431,7 +422,7 @@ def test_literals_are_kept_for_the_last_few_precisions():
 
 def test_scheduled_iterate_compiles_per_order_not_per_precision():
     """From 600 digits up the schedule runs reduced passes at a new precision
-    on almost every run; the tape compiles once per (order, fold) pair, and a
+    on almost every run; the tape compiles once per order, and a
     second run at other precisions reuses the compiled code."""
     expr = parse("x^3+2*x-5")
     compiled = []
@@ -439,7 +430,7 @@ def test_scheduled_iterate_compiles_per_order_not_per_precision():
         run = iterate(ScalarProblem(expr, bigreal(x0, 1000), precision=1000), MethodId(4))
         assert run.termination.kind == "converged"
         compiled.append(dict(expr._code))
-    assert sorted(compiled[1]) == [(0, True), (1, True)]
+    assert sorted(compiled[1]) == [0, 1]
     assert all(compiled[1][key] is code for key, code in compiled[0].items())
     assert len(expr._literals) > len(expr._code)
 

@@ -25,7 +25,7 @@ from cotesroot import (
 from cotesroot import solver
 from cotesroot.bigreal import working_dps, working_prec
 from cotesroot.expr import _eval
-from mpmath.libmp import fnone, fone, from_man_exp
+from mpmath.libmp import fnan, fninf, fnone, fone, from_man_exp, fzero
 from cotesroot.solver import (
     BREAKDOWN,
     CONVERGED,
@@ -275,12 +275,12 @@ def test_raw_map_matches_mpf_operators_bitwise(seed, spec, transform, simpson_se
     with mp.workdps(working_dps(precision)):
         expected = _map_outcome(lambda: reference_map(m, f, precision, bound)(point))
     raw = _method_map(m, f, precision, prec, bound)
-    assert _map_outcome(lambda: raw(point)) == expected
+    assert _map_outcome(lambda: mp.make_mpf(raw(point._mpf_))) == expected
     try:
         jet = _eval(f, point._mpf_, 2 if transform else 1, prec)
     except Breakdown:
         return
-    assert _map_outcome(lambda: raw(point, jet)) == expected
+    assert _map_outcome(lambda: mp.make_mpf(raw(point._mpf_, jet))) == expected
 
 
 def test_concurrent_applications_are_bit_identical_to_serial():
@@ -301,6 +301,31 @@ def test_concurrent_applications_are_bit_identical_to_serial():
 
 
 # ------------------------------------------------------------- iterate
+
+def test_concurrent_iterates_are_bit_identical_to_serial():
+    """ScalarProblem and iterate take their precision as an argument, from
+    the start point through the schedule and the outer loop to the records,
+    so threads at different precisions do not change each other's runs.
+
+    The serial pass runs first, so that libmp's cached constants (pi, e and
+    ln 2), which grow without a lock, hold 1000 digits before the threads
+    start: two threads growing one at once may race."""
+    cases = [(MethodId.parse(spec), parse(text), x, precision)
+             for spec, text, x in (("t7", "tanh(x-1)", "1.3"), ("t4", "x^3+2*x-5", "2"),
+                                   ("t5_4", "x*exp(x)-1", "0.6"))
+             for precision in (60, 1000)]
+
+    def bits(value):
+        return None if value is None else value.value._mpf_
+
+    def evaluate(case):
+        m, f, x, precision = case
+        traj = iterate(ScalarProblem(f, bigreal(x, precision), precision=precision), m)
+        return traj.termination, [(bits(r.x), bits(r.fx), bits(r.step)) for r in traj.iterates]
+
+    # about as long at each precision
+    _assert_threads_match_serial(cases, evaluate, {60: 40, 1000: 4})
+
 
 @pytest.mark.parametrize("spec", [f"t{n}" for n in range(8)] + ["t2_1", "t7_6", "t3+F"])
 def test_iterate_jet_counts(spec, monkeypatch):
@@ -370,10 +395,10 @@ def test_iterate_step_reuses_a_jet_only_at_its_own_point(spec):
     # the point that jet was taken at; from any other point it takes its own
     m, f = MethodId.parse(spec), parse("x^3+2*x-5")
     residual, step = solver._residual_and_step(m, f, 60, 12, None)
-    x, y = bigreal("1.4", 60).value, bigreal("1.3", 60).value
-    fx = residual(x)
-    assert step(x, fx) == apply_method(m, f, x, 60).value
-    assert step(y, fx) == apply_method(m, f, y, 60).value
+    x, y = bigreal("1.4", 60), bigreal("1.3", 60)
+    fx = residual(x.value._mpf_)
+    assert step(x.value._mpf_, fx) == apply_method(m, f, x, 60).value._mpf_
+    assert step(y.value._mpf_, fx) == apply_method(m, f, y, 60).value._mpf_
 
 
 def test_iterate_square_root_of_two():
@@ -699,10 +724,10 @@ def test_log10_abs_matches_mpmath(man, exp, negative):
     v = mp.make_mpf(from_man_exp(-man if negative else man, exp))
     with mp.workdps(60):
         expected = mp.log10(abs(v))
-    assert abs(_log10_abs(v) - float(expected)) <= 1e-14 * max(1, abs(float(expected)))
+    assert abs(_log10_abs(v._mpf_) - float(expected)) <= 1e-14 * max(1, abs(float(expected)))
 
 
 def test_log10_abs_special_values():
-    assert _log10_abs(mp.mpf(0)) == -math.inf
-    assert _log10_abs(mp.mpf("-inf")) == math.inf
-    assert math.isnan(_log10_abs(mp.mpf("nan")))
+    assert _log10_abs(fzero) == -math.inf
+    assert _log10_abs(fninf) == math.inf
+    assert math.isnan(_log10_abs(fnan))
