@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .bigreal import BigReal, _check_finite, as_mpf, working_dps
+from .bigreal import BigReal, _check_finite, as_mpf, working_dps, working_prec
 from .errors import Breakdown, InsufficientData
 from .expr import Expression, _eval
 from .solver import MethodId, Trajectory, _log10_abs, _method_map, _significant_digits
@@ -80,7 +80,7 @@ def estimate_order(traj: Trajectory, reference_root: BigReal) -> OrderEstimate:
     roundoff floor when the errors reached it before the fourth.
     """
     precision = traj.iterates[0].x.precision
-    root = as_mpf(reference_root)._mpf_
+    root = as_mpf(reference_root, working_prec(precision))._mpf_
     # log10|e_k|; an exact hit reads as -precision, below the floor.  The
     # first usable log is negative, so the later ones, which the ratios divide
     # by, are too.
@@ -133,8 +133,8 @@ def map_derivatives_at(
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
     with mp.workdps(working_dps(precision)):
-        z = as_mpf(z)
-        _check_finite("z", [z])
+        z = as_mpf(z, working_prec(precision))
+        _check_finite("z", [z._mpf_])
         # f at the precision mp.diffs sets for each sample, not at the working one
         derivs = mp.diffs(
             lambda x: mp.make_mpf(_method_map(m, f, precision, mp.mp.prec)(x._mpf_)), z, max_order)
@@ -188,8 +188,8 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
             v, d1 = map(mp.make_mpf, _eval(f, x._mpf_, 1, mp.mp.prec))
             return v if v == 0 else v / d1
 
-        a, b = as_mpf(lo), as_mpf(hi)
-        _check_finite("lo and hi", [a, b])
+        a, b = (as_mpf(v, working_prec(precision)) for v in (lo, hi))
+        _check_finite("lo and hi", [a._mpf_, b._mpf_])
         if a > b:
             raise ValueError("bisection bracket needs lo <= hi")
         fa, fb = value(a), value(b)

@@ -5,13 +5,13 @@ diagnostics (significant digits and order estimates).  Each entry point works
 at one precision, ``working_dps(p)`` digits (``GUARD_DIGITS`` above the target
 ``p``, which must be at least ``MIN_DIGITS``) or ``working_prec(p)`` bits, and
 returns its results as ``BigReal`` records of the value and ``p``.
-Expression evaluation and the scalar solves (``apply_method``, and ``iterate``
-from x0 to its records) pass those bits to every ``mpmath.libmp`` call they
-make; ``analysis`` and ``multivariate`` compute on plain mpf inside
-``mp.workdps(working_dps(p))``.  Both round each operation the same way, so
-identical inputs yield bit-identical results across runs.
-``bigreal`` and ``BigReal.decimal`` take their precision from their arguments
-and never read or set mpmath's context.
+Expression evaluation, the scalar solves and the vector solves (``solver``
+and ``multivariate``, from the start point to the records) pass those bits to
+every ``mpmath.libmp`` call they make; only the user's vector callbacks and
+``analysis`` compute on plain mpf inside ``mp.workdps(working_dps(p))``.  Both
+round each operation the same way, so identical inputs yield bit-identical
+results across runs.  ``bigreal`` and ``BigReal.decimal`` take their precision
+from their arguments and never read or set mpmath's context.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_rational, round_nearest
+from mpmath.libmp import dps_to_prec, from_rational, fzero, round_nearest
 
 GUARD_DIGITS = 10
 # the precision of a solve that names none (CLI --digits, ScalarProblem, nd_iterate)
@@ -45,16 +45,14 @@ def working_prec(precision: int) -> int:
     return dps_to_prec(working_dps(precision))
 
 
-def as_mpf(value, prec: int | None = None) -> mp.mpf:
-    """Convert to mpf at ``prec`` bits, by default the current mpmath context's.
+def as_mpf(value, prec: int) -> mp.mpf:
+    """Convert to mpf at ``prec`` bits.
 
     Strings and fractions are rounded once at that precision, so decimal text
     like "1.1" stays faithful at any precision.  A BigReal keeps its value.
     """
     if isinstance(value, BigReal):
         return value.value
-    if prec is None:
-        prec = mp.mp.prec
     if isinstance(value, Fraction):
         return mp.make_mpf(from_rational(value.numerator, value.denominator, prec, round_nearest))
     return mp.mpf(value, prec=prec)
@@ -64,8 +62,8 @@ def as_mpf(value, prec: int | None = None) -> mp.mpf:
 class BigReal:
     """Immutable record of an mpf value and the decimal precision it was computed at.
 
-    It has no arithmetic or ordering: compute on ``x.value`` inside
-    ``mp.workdps(working_dps(p))``.  Two BigReals are equal exactly when both
+    It has no arithmetic or ordering: compute on the raw ``x.value._mpf_``
+    with ``mpmath.libmp`` at ``working_prec(p)`` bits.  Two BigReals are equal exactly when both
     value and precision match.
     """
 
@@ -83,9 +81,14 @@ class BigReal:
         return f"BigReal({self.decimal()!r}, precision={self.precision})"
 
 
+def _is_finite(v) -> bool:
+    """Whether the raw mpf ``v`` is finite: of the values with no mantissa, only 0 is."""
+    return bool(v[1]) or v == fzero
+
+
 def _check_finite(name, coordinates):
-    """ValueError naming the point when a coordinate is NaN or infinite."""
-    if not all(mp.isfinite(v) for v in coordinates):
+    """ValueError naming the point when a raw coordinate is NaN or infinite."""
+    if not all(map(_is_finite, coordinates)):
         raise ValueError(f"{name} must be finite")
 
 

@@ -605,9 +605,9 @@ def _eval(expr: Expression, x, order: int, prec: int):
 def eval_jet(expr: Expression, x, precision: int) -> Jet2:
     """(f, f', f'') at a finite ``x`` with ``precision`` (at least ``MIN_DIGITS``) digits."""
     prec = working_prec(precision)
-    x = as_mpf(x, prec)
+    x = as_mpf(x, prec)._mpf_
     _check_finite("x", [x])
-    return Jet2(*(BigReal(mp.make_mpf(v), precision) for v in _eval(expr, x._mpf_, 2, prec)))
+    return Jet2(*(BigReal(mp.make_mpf(v), precision) for v in _eval(expr, x, 2, prec)))
 
 
 def eval_value(expr: Expression, x, precision: int) -> BigReal:
@@ -618,6 +618,6 @@ def eval_value(expr: Expression, x, precision: int) -> BigReal:
     ``eval_jet``.
     """
     prec = working_prec(precision)
-    x = as_mpf(x, prec)
+    x = as_mpf(x, prec)._mpf_
     _check_finite("x", [x])
-    return BigReal(mp.make_mpf(_eval(expr, x._mpf_, 0, prec)), precision)
+    return BigReal(mp.make_mpf(_eval(expr, x, 0, prec)), precision)

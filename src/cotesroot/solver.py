@@ -24,15 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import Optional
 
 import mpmath as mp
-from mpmath.libmp import (dps_to_prec, fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
+from mpmath.libmp import (dps_to_prec, fnan, fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
                           mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos,
                           mpf_pow_int, mpf_sub, to_float)
 
-from .bigreal import DEFAULT_DIGITS, BigReal, _check_finite, as_mpf, working_prec
+from .bigreal import DEFAULT_DIGITS, BigReal, _check_finite, _is_finite, as_mpf, working_prec
 from .errors import Breakdown
 from .expr import _RND, Expression, _eval
 from .quadrature import MAX_RULE, builtin_rule
@@ -122,11 +123,11 @@ class ScalarProblem:
 
     def __post_init__(self):
         prec = working_prec(self.precision)
-        rules = _stop_rules(self.precision, prec, [as_mpf(self.x0, prec)], self.max_iter,
+        rules = _stop_rules(self.precision, prec, [as_mpf(self.x0, prec)._mpf_], self.max_iter,
                             self.step_tol, self.residual_tol, self.divergence_bound)
         for name, value in zip(("step_tol", "residual_tol", "divergence_bound"), rules):
             if getattr(self, name) is None:
-                object.__setattr__(self, name, BigReal(value, self.precision))
+                object.__setattr__(self, name, BigReal(mp.make_mpf(value), self.precision))
 
 
 @dataclass(frozen=True)
@@ -179,6 +180,40 @@ def _transform_pair(jet, prec: int):
     return (mpf_div(mpf_neg(v, prec, _RND), d1, prec, _RND),
             mpf_sub(mpf_div(mpf_mul(v, d2, prec, _RND), mpf_mul(d1, d1, prec, _RND), prec, _RND),
                     fone, prec, _RND))
+
+
+def _point_ops(prec: int):
+    """The ladder's point operations on raw mpfs at ``prec`` bits: p - q, p + q,
+    k·p and p/k for an integer k, each the call the mpf operator makes there."""
+    return (lambda p, q: mpf_sub(p, q, prec, _RND), lambda p, q: mpf_add(p, q, prec, _RND),
+            lambda k, p: mpf_mul_int(p, k, prec, _RND),
+            lambda p, k: mpf_div(p, from_int(k), prec, _RND))
+
+
+def _weighted_sum(prec: int, weights, slopes):
+    """sum_i A_i s_i of raw slopes with integer weights at ``prec`` bits, added
+    up from 0 in order as ``sum`` adds mpfs."""
+    total = fzero
+    for w, s in zip(weights, slopes):
+        total = mpf_add(total, mpf_mul_int(s, w, prec, _RND), prec, _RND)
+    return total
+
+
+def _argmax(values) -> int:
+    """Where ``max`` finds the largest raw mpf: the first of equal ones, and a
+    NaN only where it comes first."""
+    best = 0
+    for i, v in enumerate(values):
+        if mpf_gt(v, values[best]):
+            best = i
+    return best
+
+
+def _max_norm(vec, prec: int):
+    """max |v_i| of raw mpfs at ``prec`` bits, 0 for none, and NaN when any v_i
+    is NaN (``max`` would skip a later NaN)."""
+    sizes = [mpf_abs(v, prec, _RND) for v in vec] or [fzero]
+    return fnan if fnan in sizes else sizes[_argmax(sizes)]
 
 
 class _OutsideBound(Exception):
@@ -235,7 +270,7 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
     It computes at ``prec`` bits, the working precision of ``precision``
     unless a caller such as ``mp.diffs`` works finer, each step the call the
     mpf operator makes there, and never reads mpmath's context.  ``bound``
-    is the mpf divergence bound every ladder node must stay inside; x must
+    is the raw divergence bound every ladder node must stay inside; x must
     be inside it, and so must a composition's inner result, the outer
     ladder's base point (else ``_OutsideBound`` at level 0).  A ladder breaks
     down at level 0 where the slope at its base point is exactly zero, and at
@@ -247,20 +282,11 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
     order = 2 if m.transform else 1  # of the jets: F' needs f''
     # the cancellation trap 10^(5 - precision), relative to the base slope
     trap = mpf_pow_int(_TEN, 5 - precision, prec, _RND)
-    outside = None if bound is None else (
-        lambda p, b=bound._mpf_: mpf_gt(mpf_abs(p, prec, _RND), b))
-    points = (lambda p, q: mpf_sub(p, q, prec, _RND), lambda p, q: mpf_add(p, q, prec, _RND),
-              lambda k, p: mpf_mul_int(p, k, prec, _RND),
-              lambda p, k: mpf_div(p, from_int(k), prec, _RND))
+    outside = None if bound is None else (lambda p: mpf_gt(mpf_abs(p, prec, _RND), bound))
+    points = _point_ops(prec)
 
     def pair(jet):
         return _transform_pair(jet, prec) if m.transform else jet
-
-    def weighted_sum(weights, slopes):
-        total = fzero
-        for w, s in zip(weights, slopes):
-            total = mpf_add(total, mpf_mul_int(s, w, prec, _RND), prec, _RND)
-        return total
 
     def apply(x, jet=None):
         def solve(b, c, fx):
@@ -281,7 +307,8 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
             jet = None
             tiny = mpf_mul(trap, mpf_abs(slope0, prec, _RND), prec, _RND)
             x = _ladder_full(n, x, fx, slope0, lambda p: pair(_eval(f, p, order, prec))[1],
-                             weighted_sum, solve, points, m.simpson_seed, outside)
+                             partial(_weighted_sum, prec), solve, points,
+                             m.simpson_seed, outside)
         return x
 
     return apply
@@ -299,22 +326,22 @@ def apply_method(m: MethodId, f: Expression, x, precision: int) -> BigReal:
     """One application of a basic or composed map (inner map first) from a finite x;
     it never reads or sets mpmath's context, so threads may call it at once."""
     prec = working_prec(precision)
-    x = as_mpf(x, prec)
+    x = as_mpf(x, prec)._mpf_
     _check_finite("x", [x])
-    return BigReal(mp.make_mpf(_method_map(m, f, precision, prec)(x._mpf_)), precision)
+    return BigReal(mp.make_mpf(_method_map(m, f, precision, prec)(x)), precision)
 
 
 def _finite(size):
-    """The norm ``size``, or the nonfinite Breakdown when it is NaN or infinite."""
-    if not mp.isfinite(size):
+    """The raw norm ``size``, or the nonfinite Breakdown when it is NaN or infinite."""
+    if not _is_finite(size):
         raise Breakdown(Breakdown.NONFINITE, "a value became NaN or infinite")
     return size
 
 
 def _stop_rules(precision, prec, x0, max_iter, step_tol, residual_tol, divergence_bound):
-    """The outer loop's step and residual tolerances and divergence bound, as mpf.
+    """The outer loop's step and residual tolerances and divergence bound, raw.
 
-    ``x0`` holds the start point's coordinates as mpf; ``max_iter`` must be
+    ``x0`` holds the start point's coordinates as raw mpfs; ``max_iter`` must be
     at least 1.  Unset values default to 10^(10 - precision) for both
     tolerances and 10^6 (1 + max |x0_i|) for the bound, computed and
     converted at ``prec`` bits, the working precision of ``precision``.
@@ -322,7 +349,7 @@ def _stop_rules(precision, prec, x0, max_iter, step_tol, residual_tol, divergenc
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     _check_finite("x0", x0)
-    size = max((mpf_abs(v._mpf_, prec, _RND) for v in x0), key=mp.make_mpf)
+    size = _max_norm(x0, prec)
     tol = mpf_pow_int(_TEN, 10 - precision, prec, _RND)
     defaults = tol, tol, mpf_mul(mpf_pow_int(_TEN, 6, prec, _RND), mpf_add(size, fone, prec, _RND),
                                  prec, _RND)
@@ -334,14 +361,14 @@ def _stop_rules(precision, prec, x0, max_iter, step_tol, residual_tol, divergenc
             raise ValueError(f"{name} must be positive")
     if not mpf_gt(rules[2], size):
         raise ValueError("divergence_bound must exceed |x0|")
-    return tuple(map(mp.make_mpf, rules))
+    return tuple(rules)
 
 
 def _outer_loop(x, residual, step, sub, norm, max_iter, step_tol, residual_tol, bound):
     """Iterate x <- step(x, f(x)) until a stop rule fires; scalars and vectors alike.
 
-    ``sub(p, q)`` is p - q, and ``norm`` an mpf, abs or the max norm, which a
-    NaN anywhere must make NaN; the tolerances and the bound are mpf.  Pass 0
+    ``sub(p, q)`` is p - q, and ``norm`` a raw mpf, abs or the max norm, which
+    a NaN anywhere must make NaN; the tolerances and the bound are raw.  Pass 0
     takes x0, which ``_stop_rules`` checked, each later pass one step from the
     residual the previous pass took.  A small step converges only where the
     residual norm is at most its value at x0: a map on F = -f/f' also has
@@ -361,16 +388,16 @@ def _outer_loop(x, residual, step, sub, norm, max_iter, step_tol, residual_tol, 
                 steps.append(sub(xn, x))
                 x = xn
             points.append((x, None))
-            if _finite(norm(x)) > bound:
+            if mpf_gt(_finite(norm(x)), bound):
                 return points, steps, Termination(DIVERGED)
             fx = residual(x)
             points[-1] = (x, fx)
             fx_norm = _finite(norm(fx))
             if not steps:
                 fx0_norm = fx_norm
-            elif norm(steps[-1]) < step_tol and fx_norm <= fx0_norm:
+            elif mpf_lt(norm(steps[-1]), step_tol) and mpf_le(fx_norm, fx0_norm):
                 return points, steps, Termination(CONVERGED, "step")
-            if fx_norm < residual_tol:
+            if mpf_lt(fx_norm, residual_tol):
                 return points, steps, Termination(CONVERGED, "residual")
     except Breakdown as exc:
         return points, steps, Termination(BREAKDOWN, exc.kind, str(exc), exc.level)
@@ -388,14 +415,18 @@ def _log10_abs(v) -> float:
     The mantissa is cut to its leading 53 bits first, so that near 1 the two
     terms do not cancel a long mantissa's rounding: the error is within a few
     1e-16·max(1, |log10 v|), below 1e-300 and above 1e300 alike.  Zero gives
-    -inf, an infinity inf and NaN NaN.  It never reads or sets mpmath's
-    context and costs the same at any precision.
+    -inf, an infinity inf and NaN NaN; a binary exponent too large for a float
+    gives the infinity of its sign, as a float log of such a value would.  It
+    never reads or sets mpmath's context and costs the same at any precision.
     """
     _, man, exp, bc = v
     if not man:  # zero, an infinity or NaN
         return -math.inf if v == fzero else abs(to_float(v))
     shift = max(bc - 53, 0)
-    return math.log10(man >> shift) + (exp + shift) * _LOG10_2
+    try:
+        return math.log10(man >> shift) + (exp + shift) * _LOG10_2
+    except OverflowError:
+        return math.inf if exp > 0 else -math.inf
 
 
 def _significant_digits(x, z, precision) -> float:
@@ -508,17 +539,12 @@ def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
     pass reads or sets mpmath's context, so threads may run solves at once."""
     precision = problem.precision
     prec = working_prec(precision)
-    bound = as_mpf(problem.divergence_bound, prec)
+    x0 = as_mpf(problem.x0, prec)._mpf_
+    rules = [as_mpf(v, prec)._mpf_
+             for v in (problem.step_tol, problem.residual_tol, problem.divergence_bound)]
     points, steps, termination = _outer_loop(
-        as_mpf(problem.x0, prec)._mpf_,
-        *_residual_and_step(m, problem.f, precision, problem.max_iter, bound),
-        lambda p, q: mpf_sub(p, q, prec, _RND),
-        lambda v: mp.make_mpf(mpf_abs(v, prec, _RND)),
-        problem.max_iter,
-        as_mpf(problem.step_tol, prec),
-        as_mpf(problem.residual_tol, prec),
-        bound,
-    )
+        x0, *_residual_and_step(m, problem.f, precision, problem.max_iter, rules[2]),
+        _point_ops(prec)[0], lambda v: mpf_abs(v, prec, _RND), problem.max_iter, *rules)
     root = None if problem.known_root is None else as_mpf(problem.known_root, prec)._mpf_
 
     def wrap(value):

@@ -118,6 +118,20 @@ def test_order_scale_invariant():
     assert results[0].per_pair == results[1].per_pair
 
 
+def test_order_text_root_converted_at_the_working_precision():
+    # a root given as text is converted at the trajectory's working precision,
+    # as bigreal converts it, not at mpmath's 53-bit default
+    precision = 300
+    problem = ScalarProblem(parse("exp(x)-3"), bigreal("0.5", precision), precision=precision)
+    traj = iterate(problem, MethodId(1))
+    with mp.workdps(340):
+        text = mp.nstr(mp.log(3), 320)
+    from_text = estimate_order(traj, text)
+    from_bigreal = estimate_order(traj, bigreal(text, precision))
+    assert (from_text.q, from_text.per_pair) == (from_bigreal.q, from_bigreal.per_pair)
+    assert from_text.q == pytest.approx(3, abs=0.1)
+
+
 def test_order_from_steps_three_point():
     traj = _newton_on_sqrt2(precision=300)
     est = estimate_order_from_steps(traj)

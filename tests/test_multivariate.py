@@ -1,9 +1,14 @@
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_rational, fzero, mpf_mul_int,
+                          round_nearest)
+from reference_lu import reference_lu_solve
+from test_expr import _assert_threads_match_serial
 
 from cotesroot import (
     Breakdown,
@@ -15,9 +20,11 @@ from cotesroot import (
     parse,
     solve_linear,
 )
+from cotesroot.bigreal import working_dps, working_prec
 from cotesroot.expr import eval_jet
-from cotesroot.multivariate import _max_norm
-from cotesroot.solver import BREAKDOWN, CONVERGED, DIVERGED, MethodId, Termination, apply_method
+from cotesroot.multivariate import _lu_solve
+from cotesroot.solver import (BREAKDOWN, CONVERGED, DIVERGED, MethodId, Termination, _max_norm,
+                              apply_method)
 
 KIND_LEVELS = [("newton", 0), ("trapezoidal", 1), ("simpson", 2)]
 
@@ -82,6 +89,72 @@ def test_solve_nonfinite_solution_is_a_breakdown():
 def test_solve_needs_pivoting():
     x = solve_linear([[0, 1], [1, 0]], [5, 9], 40)
     assert [float(v) for v in x] == [9.0, 5.0]
+
+
+def _lu_case(rng, shape, prec):
+    """A seeded d x d system (d from 1 to 6) of raw entries at ``prec`` bits."""
+    d = rng.randint(1, 6)
+
+    def entry():
+        if shape == "ties":  # equal sizes in every pivot column
+            return from_int(rng.choice((-2, -1, 1, 2)))
+        if shape == "zero_factor" and rng.random() < 0.5:  # rows with factor 0
+            return fzero
+        # an infinity in a pivot row shows whether a row with factor 0 is skipped
+        if shape in ("special", "zero_factor") and rng.random() < 0.15:
+            return rng.choice((fnan, finf, fninf))
+        return from_rational(rng.randint(-99, 99), rng.randint(1, 99), prec, round_nearest)
+
+    a = [[entry() for _ in range(d)] for _ in range(d)]
+    b = [entry() for _ in range(d)]
+    if shape == "singular" and d > 1:  # one row a multiple of another: exactly singular
+        i, j = rng.sample(range(d), 2)
+        k = rng.choice((1, -1, 2, -2))
+        a[i] = [mpf_mul_int(v, k, prec, round_nearest) for v in a[j]]
+    return a, b
+
+
+def _lu_outcome(solve):
+    try:
+        return "solved", solve()
+    except Breakdown as exc:
+        return exc.kind, str(exc)
+
+
+@pytest.mark.parametrize("precision", [30, 60, 1000])
+@pytest.mark.parametrize("shape", ["dense", "singular", "special", "ties", "zero_factor"])
+def test_raw_lu_matches_mpf_reference_bitwise(shape, precision):
+    """The raw LU gives the bits, or the Breakdown kind and message, of the same
+    LU on mpf operators under mp.workdps; the raw one runs outside it."""
+    rng = random.Random(f"{shape}-{precision}")
+    prec = working_prec(precision)
+    kinds = set()
+    for _ in range(40):
+        a, b = _lu_case(rng, shape, prec)
+        with mp.workdps(working_dps(precision)):
+            expected = _lu_outcome(lambda: [v._mpf_ for v in reference_lu_solve(
+                [[mp.make_mpf(v) for v in row] for row in a], [mp.make_mpf(v) for v in b],
+                precision)])
+        assert _lu_outcome(lambda: _lu_solve(a, b, precision)) == expected
+        kinds.add(expected[0])
+    assert kinds >= ({Breakdown.SINGULAR_MATRIX} if shape == "singular" else {"solved"})
+
+
+def test_concurrent_linear_solves_are_bit_identical_to_serial():
+    """solve_linear converts and solves at its own precision argument, so
+    threads at different precisions do not change each other's results."""
+    rng = random.Random(8)
+    cases = []
+    for precision in (60, 1000):
+        for _ in range(2):
+            a = [[Fraction(rng.randint(-99, 99), rng.randint(1, 99)) + (20 if i == j else 0)
+                  for j in range(8)] for i in range(8)]
+            cases.append((a, [Fraction(rng.randint(-99, 99), 7) for _ in range(8)], precision))
+
+    def evaluate(case):
+        return [v.value._mpf_ for v in solve_linear(*case)]
+
+    _assert_threads_match_serial(cases, evaluate, {60: 200, 1000: 20})
 
 
 # ------------------------------------------------------------ steps
@@ -235,10 +308,10 @@ def test_nd_iterate_rejects_nonfinite_start(x0):
 
 
 def test_max_norm_propagates_nan():
-    assert mp.isnan(_max_norm([mp.mpf(1), mp.nan]))
-    assert mp.isnan(_max_norm([mp.nan, mp.mpf(1)]))
-    assert _max_norm([mp.mpf(1), mp.ninf]) == mp.inf
-    assert _max_norm([mp.mpf(-3), mp.mpf(2)]) == 3
+    assert _max_norm([fone, fnan], 53) == fnan
+    assert _max_norm([fnan, fone], 53) == fnan
+    assert _max_norm([fone, fninf], 53) == finf
+    assert _max_norm([from_int(-3), from_int(2)], 53) == from_int(3)
 
 
 def _identity_jacobian(p):
@@ -325,7 +398,8 @@ def test_nd_iterate_ladder_node_outside_bound_diverges():
     f = scalar_as_vector("tanh(x-1)", 30)
 
     def jacobian(p):
-        assert _max_norm(p) <= bound, "Jacobian taken outside the divergence bound"
+        assert mp.make_mpf(_max_norm([v._mpf_ for v in p], working_prec(30))) <= bound, \
+            "Jacobian taken outside the divergence bound"
         return f.jacobian(p)
 
     traj = nd_iterate(VectorFunction(1, f.residual, jacobian), ["2.477085"],

@@ -14,7 +14,7 @@ from conftest import certified_root, cubic
 
 from cotesroot import MethodId, ScalarProblem, bigreal, estimate_order, iterate, parse
 from cotesroot.expr import eval_value
-from cotesroot.solver import CONVERGED, apply_method
+from cotesroot.solver import CONVERGED, DIVERGED, Termination, apply_method
 
 ROOTS = {
     "x^3+2*x-5": lambda dps: certified_root(cubic, 1, 2, dps),
@@ -118,3 +118,17 @@ def test_below_schedule_precision_iterate_is_a_full_precision_chain(method):
         xs, stop = reference_trajectory(f, m, mp.mpf(2), precision, problem.max_iter)
     assert (traj.termination.kind, traj.termination.detail) == (CONVERGED, stop)
     assert [rec.x.value for rec in traj.iterates] == xs
+
+
+@pytest.mark.parametrize("precision", [500, 700])
+def test_reduced_pass_correction_beyond_the_float_range(precision):
+    # t0 on x*exp(x)-1 from -2.699451 jumps to about -1.1e16591, where the
+    # reduced pass's Newton correction |f/f'| has a binary exponent no float
+    # holds; at 700 digits its digit estimate is then -inf, and the run ends
+    # where the 500-digit run, which has no schedule, ends
+    problem = ScalarProblem(parse("x*exp(x)-1"), bigreal("-2.699451", precision),
+                            precision=precision)
+    traj = iterate(problem, MethodId(0))
+    assert traj.termination == Termination(DIVERGED)
+    assert len(traj.iterates) == 4
+    assert traj.final.x.decimal(8) == "-1.0857931e+16591"

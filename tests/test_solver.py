@@ -274,7 +274,7 @@ def test_raw_map_matches_mpf_operators_bitwise(seed, spec, transform, simpson_se
     bound = None if margin is None else mp.mpf(abs(x) + margin, prec=prec)
     with mp.workdps(working_dps(precision)):
         expected = _map_outcome(lambda: reference_map(m, f, precision, bound)(point))
-    raw = _method_map(m, f, precision, prec, bound)
+    raw = _method_map(m, f, precision, prec, None if bound is None else bound._mpf_)
     assert _map_outcome(lambda: mp.make_mpf(raw(point._mpf_))) == expected
     try:
         jet = _eval(f, point._mpf_, 2 if transform else 1, prec)
@@ -731,3 +731,11 @@ def test_log10_abs_special_values():
     assert _log10_abs(fzero) == -math.inf
     assert _log10_abs(fninf) == math.inf
     assert math.isnan(_log10_abs(fnan))
+
+
+def test_log10_abs_beyond_the_float_range():
+    # a binary exponent no float holds: the log is the infinity of the
+    # exponent's sign, as a float log of such a value would be
+    assert _log10_abs(from_man_exp(3, 10**400)) == math.inf
+    assert _log10_abs(from_man_exp(-3, 10**400)) == math.inf
+    assert _log10_abs(from_man_exp(2**60 + 1, -10**400)) == -math.inf
