@@ -9,22 +9,28 @@ known root.  Errors are subtracted at the working precision, but every log
 float log of the binary mantissa and exponent (``solver._log10_abs``), at the
 precision it is shown at, never at the working precision; none of these
 functions reads or sets mpmath's context.  Map derivatives at a fixed point
-come from ``mp.diffs``, whose differences are exact to working precision.
-Reference roots come from a bracket, independently of the iterative maps:
-bisection seeds them, ``mp.findroot`` polishes them, and a sign change of f
-certifies them to the bound bisection itself would give.
+come from mpmath's ``diffs`` on a private context, whose differences are exact
+to working precision.  Reference roots come from a bracket: bisection seeds
+them, the library's own "t0+F" map polishes them, and a sign change of f
+certifies them to the bound bisection itself would give, independently of
+the maps.  Bisection, polish and certificate compute on raw ``mpmath.libmp``
+tuples, ``diffs`` on its private context: neither reads nor sets mpmath's
+global one.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_add, mpf_gt, mpf_le, mpf_pow_int, mpf_shift, mpf_sign, mpf_sub
 
-from .bigreal import BigReal, _check_finite, as_mpf, working_dps, working_prec
+from .bigreal import BigReal, _check_finite, as_mpf, working_prec
 from .errors import Breakdown, InsufficientData
-from .expr import Expression, _eval
-from .solver import MethodId, Trajectory, _log10_abs, _method_map, _significant_digits
+from .expr import _RND, Expression, _eval
+from .solver import _TEN, MethodId, Trajectory, _log10_abs, _method_map, _significant_digits
 
 STABLE_GAP = 0.15  # adjacent ratio gap below which the estimate counts as settled
 FLOOR_MARGIN = 15  # digits above the working precision reserved for roundoff noise
@@ -124,43 +130,42 @@ def map_derivatives_at(
 ) -> list[BigReal]:
     """Derivatives 1..max_order of the map x -> t(x) at a fixed point z.
 
-    ``mp.diffs`` takes central differences with a step below the working
+    ``diffs`` takes central differences with a step below the working
     precision and evaluates the map at (max_order + 1) times that precision,
-    so truncation and roundoff stay below the working precision.  A
-    Breakdown of the map at a sample point (z itself included) propagates;
-    a z that is not finite is a ValueError.
+    so truncation and roundoff stay below the working precision.  It runs on
+    a private mpmath context at the working precision, so the global one is
+    neither read nor set.  A Breakdown of the map at a sample point (z itself
+    included) propagates; a z that is not finite is a ValueError.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    with mp.workdps(working_dps(precision)):
-        z = as_mpf(z, working_prec(precision))
-        _check_finite("z", [z._mpf_])
-        # f at the precision mp.diffs sets for each sample, not at the working one
-        derivs = mp.diffs(
-            lambda x: mp.make_mpf(_method_map(m, f, precision, mp.mp.prec)(x._mpf_)), z, max_order)
-        next(derivs)  # t(z) itself
-        return [BigReal(d, precision) for d in derivs]
+    ctx = mp.MPContext()
+    ctx.prec = working_prec(precision)
+    z = as_mpf(z, ctx.prec)._mpf_
+    _check_finite("z", [z])
+    # t(z), then its derivatives; each sample of the map runs at the precision
+    # diffs sets for it, not at the working one
+    _, *derivs = ctx.diffs(lambda x: ctx.make_mpf(_method_map(m, f, precision, ctx.prec)(x._mpf_)),
+                           ctx.make_mpf(z), max_order)
+    return [BigReal(mp.make_mpf(d._mpf_), precision) for d in derivs]
 
 
-def _bisect(value, a, fa, b, target):
+def _bisect(value, a, fa, b, target, prec):
     """Halve [a, b], where f(a) = fa and f changes sign, until it is at most
-    ``target`` wide or cannot be split at the working precision; ``value(x)``
-    is f(x).
+    ``target`` wide or cannot be split at ``prec`` bits; ``value(x)`` is f(x),
+    and every number is a raw mpf.
 
     Returns the final bracket as (a, fa, b); an exact zero of f at a midpoint
     m ends the loop with the empty bracket (m, 0, m).
     """
-    while b - a > target:
-        mid = (a + b) / 2
+    while mpf_gt(mpf_sub(b, a, prec, _RND), target):
+        mid = mpf_shift(mpf_add(a, b, prec, _RND), -1)
         if mid == a or mid == b:
             break
         fm = value(mid)
-        if fm == 0:
+        if fm == fzero:
             return mid, fm, mid
-        if mp.sign(fm) == mp.sign(fa):
-            a, fa = mid, fm
-        else:
-            b = mid
+        a, fa, b = (mid, fm, b) if mpf_sign(fm) == mpf_sign(fa) else (a, fa, mid)
     return a, fa, b
 
 
@@ -168,49 +173,45 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
     """A root of f in [lo, hi], within 10^(-precision)/2 of a sign change of f.
 
     The bracket must be finite, ordered and change sign.  Bisection seeds a
-    bracket 10^-30 wide (10^(-precision) if that is wider); ``mp.findroot``
-    polishes its midpoint at the working precision.  The polished r is kept
-    only when it lies in the seed bracket and f changes sign over
-    [r - h, r + h] with h = 10^(-precision)/2: the bound bisection's own
-    midpoint has.  When the polish of f fails, as secant does at a multiple
-    root, ``mp.findroot`` polishes f/f' from the same midpoint under the same
-    certificate: its root is simple where f has a multiple one, and an exact
-    zero of f there is a root.  When that fails too (a point outside the
-    domain, a vanishing f'), bisection goes on from the seed bracket down to
-    10^(-precision).
+    bracket 10^-30 wide (10^(-precision) if that is wider).  The library's
+    "t0+F" map, Newton's map on F = -f/f', polishes its midpoint: F has a
+    simple root at simple and multiple roots of f alike, so the map converges
+    quadratically to either.  It runs until it returns its argument, at most
+    20 times, or until it breaks down; at an exact multiple root, where F is
+    0/0, it does, and that root is kept.  The polished r is kept only when it
+    lies in the seed bracket and f changes sign over [r - h, r + h] with
+    h = 10^(-precision)/2: the bound bisection's own midpoint has.  Else (a
+    breakdown of f at r ± h included) bisection goes on from the seed bracket
+    down to 10^(-precision).  Every number is a raw mpf at the working
+    precision, and mpmath's context is neither read nor set.
     """
-    with mp.workdps(working_dps(precision)):
-        # f at the working precision, or at findroot's finer one inside it
-        def value(x):
-            return mp.make_mpf(_eval(f, x._mpf_, 0, mp.mp.prec))
-
-        def newton_correction(x):
-            v, d1 = map(mp.make_mpf, _eval(f, x._mpf_, 1, mp.mp.prec))
-            return v if v == 0 else v / d1
-
-        a, b = (as_mpf(v, working_prec(precision)) for v in (lo, hi))
-        _check_finite("lo and hi", [a._mpf_, b._mpf_])
-        if a > b:
-            raise ValueError("bisection bracket needs lo <= hi")
-        fa, fb = value(a), value(b)
-        if fa == 0:
-            return BigReal(a, precision)
-        if fb == 0:
-            return BigReal(b, precision)
-        if mp.sign(fa) == mp.sign(fb):
-            raise ValueError("bisection bracket does not change sign")
-        target = mp.mpf(10) ** (-precision)
-        a, fa, b = _bisect(value, a, fa, b, max(target, mp.mpf(10) ** -30))
-        if b - a > target:
-            half_width = target / 2
-            # findroot computes 20 bits finer; unary + rounds to the working precision
-            for g in (value, newton_correction):
-                try:
-                    r = +mp.findroot(g, (a + b) / 2)
-                    if a <= r <= b and (mp.sign(value(r - half_width))
-                                        != mp.sign(value(r + half_width))):
-                        return BigReal(r, precision)
-                except (ValueError, ZeroDivisionError, Breakdown):
-                    pass
-            a, fa, b = _bisect(value, a, fa, b, target)
-        return BigReal((a + b) / 2, precision)
+    prec = working_prec(precision)
+    a, b = (as_mpf(v, prec)._mpf_ for v in (lo, hi))
+    _check_finite("lo and hi", [a, b])
+    if mpf_gt(a, b):
+        raise ValueError("bisection bracket needs lo <= hi")
+    value = partial(_eval, f, order=0, prec=prec)
+    fa, fb = value(a), value(b)
+    if fa == fzero:
+        return BigReal(mp.make_mpf(a), precision)
+    if fb == fzero:
+        return BigReal(mp.make_mpf(b), precision)
+    if mpf_sign(fa) == mpf_sign(fb):
+        raise ValueError("bisection bracket does not change sign")
+    target = mpf_pow_int(_TEN, -precision, prec, _RND)
+    a, fa, b = _bisect(value, a, fa, b, mpf_pow_int(_TEN, -min(precision, 30), prec, _RND), prec)
+    if mpf_gt(mpf_sub(b, a, prec, _RND), target):
+        polish = _method_map(MethodId(0, transform=True), f, precision, prec)
+        r = mpf_shift(mpf_add(a, b, prec, _RND), -1)
+        with suppress(Breakdown):  # F is 0/0 at an exact multiple root: keep that root
+            for _ in range(20):  # a bound: from 10^-30, quadratic steps need log2(p/30) + 2
+                r, last = polish(r), r
+                if r == last:
+                    break
+        h = mpf_shift(target, -1)
+        with suppress(Breakdown):  # of f at r - h or r + h: r is not certified
+            if mpf_le(a, r) and mpf_le(r, b) and mpf_sign(value(mpf_sub(r, h, prec, _RND))) != (
+                    mpf_sign(value(mpf_add(r, h, prec, _RND)))):
+                return BigReal(mp.make_mpf(r), precision)
+        a, fa, b = _bisect(value, a, fa, b, target, prec)
+    return BigReal(mp.make_mpf(mpf_shift(mpf_add(a, b, prec, _RND), -1)), precision)

@@ -5,13 +5,15 @@ diagnostics (significant digits and order estimates).  Each entry point works
 at one precision, ``working_dps(p)`` digits (``GUARD_DIGITS`` above the target
 ``p``, which must be at least ``MIN_DIGITS``) or ``working_prec(p)`` bits, and
 returns its results as ``BigReal`` records of the value and ``p``.
-Expression evaluation, the scalar solves and the vector solves (``solver``
-and ``multivariate``, from the start point to the records) pass those bits to
-every ``mpmath.libmp`` call they make; only the user's vector callbacks and
-``analysis`` compute on plain mpf inside ``mp.workdps(working_dps(p))``.  Both
-round each operation the same way, so identical inputs yield bit-identical
-results across runs.  ``bigreal`` and ``BigReal.decimal`` take their precision
-from their arguments and never read or set mpmath's context.
+Expression evaluation, the scalar and vector solves (``solver`` and
+``multivariate``, from the start point to the records) and the reference
+roots of ``analysis`` pass those bits to every ``mpmath.libmp`` call they
+make.  Only the user's vector callbacks compute on plain mpf, inside
+``mp.workdps`` at ``working_dps(p)`` digits, and ``analysis``'s map
+derivatives run mpmath's ``diffs`` on a private context at those bits.  All
+of them round each operation the same way, so identical inputs yield
+bit-identical results across runs.  ``bigreal`` and ``BigReal.decimal`` take
+their precision from their arguments and never read or set mpmath's context.
 """
 
 from __future__ import annotations

@@ -76,12 +76,14 @@ def _as_matrix(rows, d, prec) -> list[list]:
 def _lu_solve(matrix, rhs, precision):
     """Ax = b on raw mpfs by LU with partial pivoting at the working precision of
     ``precision``, each step the call the mpf operator makes there, with b
-    carried as column d; a ``singular_matrix`` Breakdown on tiny pivots."""
+    carried as column d; a ``singular_matrix`` Breakdown on tiny pivots, and a
+    ``nonfinite`` one when the largest |entry|, which scales their threshold,
+    is infinite or NaN."""
     prec = working_prec(precision)
     d = len(rhs)
     sizes = [mpf_abs(v, prec, _RND) for row in matrix for v in row] or [fzero]
-    threshold = mpf_mul(mpf_pow_int(_TEN, 5 - precision, prec, _RND), sizes[_argmax(sizes)],
-                        prec, _RND)
+    scale = _finite(sizes[_argmax(sizes)])  # the nonfinite Breakdown on an infinite or NaN max
+    threshold = mpf_mul(mpf_pow_int(_TEN, 5 - precision, prec, _RND), scale, prec, _RND)
     a = [row + [v] for row, v in zip(matrix, rhs)]
     for col in range(d):
         sizes = [mpf_abs(a[row][col], prec, _RND) for row in range(col, d)]

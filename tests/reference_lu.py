@@ -5,8 +5,8 @@
 passed.  This copy does the same on mpf's operators, so every operation rounds
 at the precision of the active ``mp.workdps`` context; called under
 ``mp.workdps(working_dps(precision))`` it must return the same bits and raise
-the same ``singular_matrix`` Breakdown message, which ``test_multivariate.py``
-checks.
+the same ``singular_matrix`` or ``nonfinite`` Breakdown message, which
+``test_multivariate.py`` checks.
 """
 
 import mpmath as mp
@@ -15,11 +15,14 @@ from cotesroot.errors import Breakdown
 
 
 def reference_lu_solve(matrix, rhs, precision):
-    """Ax = b by LU with partial pivoting; a ``singular_matrix`` Breakdown on tiny pivots."""
+    """Ax = b by LU with partial pivoting; a ``singular_matrix`` Breakdown on tiny
+    pivots, a ``nonfinite`` one when the largest |entry| is infinite or NaN."""
     d = len(rhs)
     a = [row[:] for row in matrix]
     b = rhs[:]
     scale = max((abs(v) for row in a for v in row), default=mp.mpf(0))
+    if not mp.isfinite(scale):
+        raise Breakdown(Breakdown.NONFINITE, "a value became NaN or infinite")
     threshold = mp.mpf(10) ** (5 - precision) * scale
     for col in range(d):
         pivot_row = max(range(col, d), key=lambda r: abs(a[r][col]))

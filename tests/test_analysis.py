@@ -1,8 +1,13 @@
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import dps_to_prec, from_int, mpf_neg, mpf_sqrt, round_nearest
 
 from conftest import bisect_mpf, cubic
+from test_expr import _assert_threads_match_serial
 from cotesroot import (
+    Breakdown,
     InsufficientData,
     MethodId,
     ScalarProblem,
@@ -15,7 +20,7 @@ from cotesroot import (
     parse,
     significant_digits,
 )
-from cotesroot import analysis
+from cotesroot import analysis, solver
 from cotesroot.solver import SEED_NEWTON, apply_method
 
 
@@ -233,68 +238,91 @@ def test_bisect_root_agrees_with_plain_bisection(text, fn, precision):
         assert abs(root.value - reference) <= mp.mpf(10) ** -precision
 
 
+def _counting_evals(monkeypatch):
+    """The orders of every evaluation of f: values and jets, in bisection,
+    certificate and polish alike."""
+    calls = []
+    for module in (analysis, solver):
+        def counting_eval(f, x, order, prec, real_eval=module._eval):
+            calls.append(order)
+            return real_eval(f, x, order, prec)
+
+        monkeypatch.setattr(module, "_eval", counting_eval)
+    return calls
+
+
 @pytest.mark.parametrize("precision, polish_raises", [(60, False), (300, True)])
 def test_bisect_root_falls_back_on_a_triple_root(monkeypatch, precision, polish_raises):
-    # secant on f converges only linearly at a triple root: at 60 digits it
-    # stops about 1e-32 short, which the certificate rejects; from 300 digits
-    # on (2640 included) findroot raises.  The second polish, of f/f', whose
-    # root there is simple, is certified.
+    # Newton's map on F = -f/f' converges quadratically to the triple root
+    # x = 1, lands on it exactly and breaks down there, where F is 0/0: the
+    # point it broke down at is kept and certified.  When the map breaks down
+    # at once, its seed, about 1e-31 off, is not certified, and bisection goes
+    # on from the seed bracket.
     outcomes = []
-    real_findroot = mp.findroot
+    real_method_map = analysis._method_map
 
-    def recording_findroot(*args):
-        try:
-            outcomes.append(real_findroot(*args))
-        except ValueError as exc:
-            outcomes.append(exc)
-            raise
-        return outcomes[-1]
+    def recording_method_map(*args):
+        step = real_method_map(*args)
 
-    monkeypatch.setattr(analysis.mp, "findroot", recording_findroot)
+        def apply(x):
+            try:
+                if polish_raises:
+                    raise Breakdown(Breakdown.DOMAIN, "no polish")
+                outcomes.append(step(x))
+            except Breakdown as exc:
+                outcomes.append(exc)
+                raise
+            return outcomes[-1]
+        return apply
+
+    monkeypatch.setattr(analysis, "_method_map", recording_method_map)
     root = bisect_root(parse("(x-1)^3*exp(x)"), "0.5", 2, precision)
-    polish_f, polish_ratio = outcomes
-    assert isinstance(polish_f, ValueError) == polish_raises
+    *landings, breakdown = outcomes
+    assert breakdown.kind == Breakdown.DOMAIN
     with mp.workdps(precision + 10):
-        if not polish_raises:
-            assert abs(polish_f - 1) > mp.mpf(10) ** -precision
-        assert abs(polish_ratio - 1) <= mp.mpf(10) ** -precision / 2
         assert abs(root.value - 1) <= mp.mpf(10) ** -precision / 2
+        if polish_raises:
+            assert landings == []
+            assert root.value == bisect_mpf(lambda x: (x - 1)**3 * mp.exp(x), "0.5", 2,
+                                            precision + 10)
+        else:
+            assert mp.make_mpf(landings[-1]) == root.value == 1
 
 
 @pytest.mark.parametrize("precision", [60, 300, 1000])
 @pytest.mark.parametrize("text", ["(x-1)^3*exp(x)", "(x-1)^5"])
 def test_bisect_root_multiple_root_evaluation_count(monkeypatch, text, precision):
     # bisection alone takes about 3.3 evaluations of f per digit (1034 at 300
-    # digits); the polish of f/f' lands on x = 1, where f and f' both vanish
-    calls = []
-    real_eval = analysis._eval
-
-    def counting_eval(f, x, order, prec):
-        calls.append(order)
-        return real_eval(f, x, order, prec)
-
-    monkeypatch.setattr(analysis, "_eval", counting_eval)
+    # digits); the polish, whose order-2 jets F' needs, lands on x = 1, where
+    # f and f' both vanish
+    calls = _counting_evals(monkeypatch)
     root = bisect_root(parse(text), "0.5", 2, precision)
     assert len(calls) <= 200
-    assert 1 in calls
+    assert 2 in calls
     with mp.workdps(precision + 10):
         assert abs(root.value - 1) <= mp.mpf(10) ** -precision / 2
 
 
-def _no_root(f, x0):
-    raise ValueError("no root")
+def _no_root(x):
+    raise Breakdown(Breakdown.ZERO_DERIVATIVE, "no root")
+
+
+def _sqrt2(sign, dps):
+    """A polish that lands on sign·sqrt(2), rounded to ``dps`` digits, from any point."""
+    landing = mpf_sqrt(from_int(2), dps_to_prec(dps), round_nearest)
+    return lambda x: landing if sign > 0 else mpf_neg(landing)
 
 
 @pytest.mark.parametrize("polish", [
     pytest.param(_no_root, id="raises"),
     # a root with a sign change, but not the bracket's: only the bracket
     # test rejects it
-    pytest.param(lambda f, x0: -mp.sqrt(2), id="outside-bracket"),
-    # inside the seed bracket, which is 2^-100 wide, but no root is near it
-    pytest.param(lambda f, x0: x0 + mp.mpf(10) ** -31, id="uncertified"),
+    pytest.param(_sqrt2(-1, 70), id="outside-bracket"),
+    # inside the seed bracket, which is 2^-100 wide, but about 1e-41 from the root
+    pytest.param(_sqrt2(1, 40), id="uncertified"),
 ])
 def test_bisect_root_falls_back_when_the_polish_fails(monkeypatch, polish):
-    monkeypatch.setattr(analysis.mp, "findroot", polish)
+    monkeypatch.setattr(analysis, "_method_map", lambda *args: polish)
     root = bisect_root(parse("x^2-2"), 1, 2, 60)
     with mp.workdps(70):
         assert abs(root.value - mp.sqrt(2)) <= mp.mpf(10) ** -60 / 2
@@ -303,14 +331,54 @@ def test_bisect_root_falls_back_when_the_polish_fails(monkeypatch, polish):
 
 def test_bisect_root_tabpol1_oracle_evaluation_count(monkeypatch):
     # plain bisection to 10^-2640 takes about 8770 evaluations of f
-    calls = []
-    real_eval = analysis._eval
-
-    def counting_eval(f, x, order, prec):
-        calls.append(order)
-        return real_eval(f, x, order, prec)
-
-    monkeypatch.setattr(analysis, "_eval", counting_eval)
+    calls = _counting_evals(monkeypatch)
     bisect_root(parse("x^11+4*x^2-10"), 1, 2, 2640)
     assert 0 < len(calls) <= 300
-    assert set(calls) == {0}
+    assert set(calls) == {0, 2}
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    lo=st.integers(-5, 4),
+    width=st.integers(1, 4),
+    at=st.fractions(0, 1, max_denominator=10**6).filter(lambda t: 0 < t < 1),
+    s_gap=st.fractions(1, 10, max_denominator=100),
+    s_above=st.booleans(),
+    m=st.sampled_from([1, 3, 5]),
+    precision=st.sampled_from([30, 60]),
+)
+def test_bisect_root_polish_lands_on_simple_and_odd_multiple_roots(
+        lo, width, at, s_gap, s_above, m, precision):
+    """f = (x - r)^m (x - s) with r inside [lo, hi] and s outside: the polish
+    lands within 10^(-precision)/2 of r, with at most 200 evaluations of f
+    (values and jets alike), where a fall back to bisection at 60 digits
+    takes more than 200.  At 30 digits the seed bracket is already the
+    target, and bisection alone must land there."""
+    hi = lo + width
+    r = lo + width * at
+    s = hi + s_gap if s_above else lo - s_gap
+    f = parse(f"(x-({r}))^{m}*(x-({s}))")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _counting_evals(monkeypatch)
+        root = bisect_root(f, lo, hi, precision)
+    assert len(calls) <= 200
+    with mp.workdps(precision + 20):
+        assert abs(root.value - mp.mpf(r.numerator) / r.denominator) <= (
+            mp.mpf(10) ** -precision / 2)
+
+
+def test_concurrent_analysis_is_bit_identical_to_serial():
+    """bisect_root and map_derivatives_at take their precision as an argument
+    and never read or set mpmath's global context, so threads at different
+    precisions do not change each other's results."""
+    cases = [("bisect", parse("x^11+4*x^2-10"), 1, 2, p) for p in (40, 400)] + [
+        ("derivs", MethodId(1), parse("tanh(x-1)"), 1, 3, p) for p in (30, 120)]
+
+    def evaluate(case):
+        if case[0] == "bisect":
+            return bisect_root(*case[1:]).value._mpf_
+        return [d.value._mpf_ for d in map_derivatives_at(*case[1:])]
+
+    # the serial pass runs first, so libmp's cached constants hold 120 digits
+    # before the threads start; about as long at each precision
+    _assert_threads_match_serial(cases, evaluate, {40: 80, 400: 70, 30: 60, 120: 30})

@@ -86,6 +86,15 @@ def test_solve_nonfinite_solution_is_a_breakdown():
     assert err.value.kind == Breakdown.NONFINITE
 
 
+@pytest.mark.parametrize("matrix", [[[1, 0], [0, mp.inf]], [[mp.inf, 0], [0, 1]]])
+def test_solve_infinite_entry_is_a_nonfinite_breakdown(matrix):
+    # the largest |entry| scales the pivot threshold: were it infinite, every
+    # pivot would be "below" it and the matrix reported singular
+    with pytest.raises(Breakdown) as err:
+        solve_linear(matrix, [1, 1], 30)
+    assert err.value.kind == Breakdown.NONFINITE
+
+
 def test_solve_needs_pivoting():
     x = solve_linear([[0, 1], [1, 0]], [5, 9], 40)
     assert [float(v) for v in x] == [9.0, 5.0]
@@ -418,6 +427,14 @@ def test_nd_iterate_base_point_jacobian_breakdown_is_level_0():
     f = VectorFunction(2, lambda p: [p[0] - 1, p[1] - 1], jacobian)
     traj = nd_iterate(f, ["0", "0.5"], precision=30)
     assert traj.termination == Termination(BREAKDOWN, Breakdown.DOMAIN, "no Jacobian here", 0)
+    assert len(traj.iterates) == 1
+
+
+def test_nd_iterate_infinite_jacobian_entry_is_a_nonfinite_breakdown():
+    f = VectorFunction(2, lambda p: [p[0] - 1, p[1] - 1], lambda p: [[1, 0], [0, mp.inf]])
+    traj = nd_iterate(f, ["0", "0.5"], precision=30, max_iter=5)
+    assert traj.termination == Termination(
+        BREAKDOWN, Breakdown.NONFINITE, "a value became NaN or infinite", 0)
     assert len(traj.iterates) == 1
 
 
