@@ -9,20 +9,20 @@ known root.  Errors are subtracted at the working precision, but every log
 float log of the binary mantissa and exponent (``solver._log10_abs``), at the
 precision it is shown at, never at the working precision; none of these
 functions reads or sets mpmath's context.  Map derivatives at a fixed point
-come from mpmath's ``diffs`` on a private context, whose differences are exact
-to working precision.  Reference roots come from a bracket: bisection seeds
-them, the library's own "t0+F" map polishes them, and a sign change of f
-certifies them to the bound bisection itself would give, independently of
-the maps.  Bisection, polish and certificate compute on raw ``mpmath.libmp``
-tuples, ``diffs`` on its private context: neither reads nor sets mpmath's
-global one.
+come from mpmath's ``diffs`` on a private context per thread, whose
+differences are exact to working precision.  Reference roots come from a
+bracket: bisection seeds them, the library's own "t0+F" map polishes them,
+and a sign change of f certifies them to the bound bisection itself would
+give, independently of the maps.  Bisection, polish and certificate compute
+on raw ``mpmath.libmp`` tuples, ``diffs`` on its private context: neither
+reads nor sets mpmath's global one.
 """
 
 from __future__ import annotations
 
+import threading
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial
 
 import mpmath as mp
 from mpmath.libmp import fzero, mpf_add, mpf_gt, mpf_le, mpf_pow_int, mpf_shift, mpf_sign, mpf_sub
@@ -34,6 +34,10 @@ from .solver import _TEN, MethodId, Trajectory, _log10_abs, _method_map, _signif
 
 STABLE_GAP = 0.15  # adjacent ratio gap below which the estimate counts as settled
 FLOOR_MARGIN = 15  # digits above the working precision reserved for roundoff noise
+
+# the private mpmath context of map_derivatives_at, one per thread, made once:
+# a new one per call costs about a millisecond and leaves cyclic garbage
+_contexts = threading.local()
 
 
 @dataclass(frozen=True)
@@ -133,13 +137,16 @@ def map_derivatives_at(
     ``diffs`` takes central differences with a step below the working
     precision and evaluates the map at (max_order + 1) times that precision,
     so truncation and roundoff stay below the working precision.  It runs on
-    a private mpmath context at the working precision, so the global one is
-    neither read nor set.  A Breakdown of the map at a sample point (z itself
-    included) propagates; a z that is not finite is a ValueError.
+    the calling thread's private mpmath context, set to the working precision
+    on every call, so the global one is neither read nor set.  A Breakdown of
+    the map at a sample point (z itself included) propagates; a z that is not
+    finite is a ValueError.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    ctx = mp.MPContext()
+    ctx = getattr(_contexts, "ctx", None)
+    if ctx is None:
+        ctx = _contexts.ctx = mp.MPContext()
     ctx.prec = working_prec(precision)
     z = as_mpf(z, ctx.prec)._mpf_
     _check_finite("z", [z])
@@ -178,7 +185,9 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
     simple root at simple and multiple roots of f alike, so the map converges
     quadratically to either.  It runs until it returns its argument, at most
     20 times, or until it breaks down; at an exact multiple root, where F is
-    0/0, it does, and that root is kept.  The polished r is kept only when it
+    0/0, it does, and that root is kept.  Where rounding makes it alternate
+    between two points, it stops at once and keeps the point that its 20th
+    application would have returned.  The polished r is kept only when it
     lies in the seed bracket and f changes sign over [r - h, r + h] with
     h = 10^(-precision)/2: the bound bisection's own midpoint has.  Else (a
     breakdown of f at r ± h included) bisection goes on from the seed bracket
@@ -190,7 +199,10 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
     _check_finite("lo and hi", [a, b])
     if mpf_gt(a, b):
         raise ValueError("bisection bracket needs lo <= hi")
-    value = partial(_eval, f, order=0, prec=prec)
+
+    def value(x):
+        return _eval(f, x, 0, prec)
+
     fa, fb = value(a), value(b)
     if fa == fzero:
         return BigReal(mp.make_mpf(a), precision)
@@ -202,11 +214,14 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
     a, fa, b = _bisect(value, a, fa, b, mpf_pow_int(_TEN, -min(precision, 30), prec, _RND), prec)
     if mpf_gt(mpf_sub(b, a, prec, _RND), target):
         polish = _method_map(MethodId(0, transform=True), f, precision, prec)
-        r = mpf_shift(mpf_add(a, b, prec, _RND), -1)
+        r = last = mpf_shift(mpf_add(a, b, prec, _RND), -1)
         with suppress(Breakdown):  # F is 0/0 at an exact multiple root: keep that root
-            for _ in range(20):  # a bound: from 10^-30, quadratic steps need log2(p/30) + 2
-                r, last = polish(r), r
+            for k in range(1, 21):  # a bound: from 10^-30, quadratic steps need log2(p/30) + 2
+                r, last, before = polish(r), r, last
                 if r == last:
+                    break
+                if r == before:  # a two-point cycle: keep what the 20th gives
+                    r = r if k % 2 == 0 else last
                     break
         h = mpf_shift(target, -1)
         with suppress(Breakdown):  # of f at r - h or r + h: r is not certified

@@ -1,15 +1,18 @@
-"""Scalar function parsing and evaluation at derivative order 0, 1 or 2.
+"""Scalar function parsing and evaluation of f, f' and f'' in any combination.
 
 Functions are given as text over one variable ``x``.  Parsing turns the text
 into a tape: a tuple of instructions in post-order, so every instruction
 finds its operands on top of a stack.  Evaluation compiles the tape once per
-derivative order into one function of straight-line ``mpmath.libmp`` calls.
-Order 0 computes f alone; orders 1 and 2 carry (f, f') and (f, f', f'')
-forward through every instruction, which is forward-mode automatic
-differentiation.  The maps consume f and f', and the multiple-root transform
-additionally needs f'' for its own slope.  Neither parsing, compiling nor
-evaluation recurses, so the nesting depth of a function is limited only by
-memory.
+output set into one function of straight-line ``mpmath.libmp`` calls.  An
+output set names what the code returns, in order: ("f",), ("d1",),
+("f", "d1") or ("f", "d1", "d2"); the orders 0, 1 and 2 stand for the first,
+third and fourth.  Code for f alone is written at order 0; code that returns
+f' or f'' carries (f, f') or (f, f', f'') forward through every instruction,
+which is forward-mode automatic differentiation.  The maps consume f and f'
+at their base point and f' alone at every ladder node, and the
+multiple-root transform additionally needs f'' for its own slope.  Neither
+parsing, compiling nor evaluation recurses, so the nesting depth of a
+function is limited only by memory.
 
 The compiled code computes on raw libmp tuples at a precision in bits that
 its caller passes, rounding to nearest, and never touches the mpmath
@@ -17,17 +20,23 @@ context: ``eval_jet`` and ``eval_value`` may run in several threads at once.
 Each call is the libmp call that the same formula on mpf operators would
 make, so results are bit for bit those of plain mpf arithmetic of the same
 formulas at that precision.  Compiling skips the calls whose result it
-knows, which is activity analysis (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed. 2008): a subtree without x is passive and computes its
-value only, and x's derivative 1 is folded, so ``k*x`` has the derivative k,
-``x^c`` has (c·x^(c-1), c(c-1)·x^(c-2)), ``g(x)`` has (g', g'') and
-``a + k`` passes a's derivatives through.  A folded call would only have
-returned its operand, already rounded, so the bits do not change.  tanh is
-s/c from one ``mpf_cosh_sinh`` call at 10 more bits, whose c also gives
-sech = 1/c for the derivatives (order 0 takes the sign instead where that
-call would give c = s); sin and cos come from one ``mpf_cos_sin`` call, with
-the bits of ``mpf_sin`` and ``mpf_cos``.  Literals are converted once per
-precision and kept beside the tape for the last few precisions.
+knows or does not need, which is activity analysis (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed. 2008).  Forward, a subtree without x is
+passive and computes its value only, and x's derivative 1 is folded, so
+``k*x`` has the derivative k, ``x^c`` has (c·x^(c-1), c(c-1)·x^(c-2)),
+``g(x)`` has (g', g'') and ``a + k`` passes a's derivatives through.  A
+folded call would only have returned its operand, already rounded, so the
+bits do not change.  Backward, one liveness pass from the outputs drops
+every call that no output reads: the f'-only code of ``log(x)+x-2`` makes
+no log call.  It keeps every domain check, in order, so the code for any
+output set raises the Breakdown of the full jet of its order at the same
+point, and it keeps a branch block whole.  The calls that remain are the
+jet's own, in the jet's order, so they give its bits.  tanh is s/c from one
+``mpf_cosh_sinh`` call at 10 more bits, whose c also gives sech = 1/c for
+the derivatives (order 0 takes the sign instead where that call would give
+c = s); sin and cos come from one ``mpf_cos_sin`` call, with the bits of
+``mpf_sin`` and ``mpf_cos``.  Literals are converted once per precision and
+kept beside the tape for the last few precisions.
 
 Grammar (whitespace-insensitive, ``^`` right-associative):
 
@@ -78,7 +87,7 @@ class Expression:
     text: str
     # the literals converted at each of the last few working precisions in bits
     _literals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the compiled tape per derivative order; see _eval
+    # the compiled tape per output set, as _eval is asked for it
     _code: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
@@ -233,7 +242,8 @@ _ZERO, _ONE = "fzero", "fone"
 
 
 class _Source:
-    """The straight-line source of one run of a tape at one order; see ``_compile``.
+    """The straight-line source of one run of a tape at one order, before
+    ``_live`` prunes it to its outputs; see ``_compile``.
 
     A slot is the (f, f', f'') of one operand as names in the source; a
     derivative that is not computed (all of them at order 0, f'' at order 1)
@@ -538,16 +548,48 @@ _NAMESPACE = {name: globals()[name] for name in (
 _NAMESPACE.update(rnd=_RND, DOMAIN=Breakdown.DOMAIN)
 
 
+# what compiled code can return, and the output set of the jet of each order
+_OUTPUTS = ("f", "d1", "d2")
+_JETS = {0: ("f",), 1: ("f", "d1"), 2: ("f", "d1", "d2")}
+# a top-level assignment of the source, and a name it assigns, wherever it appears
+_ASSIGNMENT = re.compile(r"    (t\d+(?:, t\d+)*) = ")
+_NAME = re.compile(r"\bt\d+\b")
+
+
+def _live(lines: list, returned: str) -> list:
+    """The lines of a ``_Source`` that the returned names need: backward liveness.
+
+    A top-level assignment stays when a line kept after it reads a name it
+    sets.  Every other line stays: a domain check, so that the code raises
+    the Breakdown of the full jet, with its message, at the same point; and
+    each line of a branch block, so a block stays whole.  What stays keeps
+    its order, so the calls that remain are made as the full jet makes them.
+    """
+    live, kept = set(_NAME.findall(returned)), []
+    for line in reversed(lines):
+        assigned = _ASSIGNMENT.match(line)
+        if assigned is None or live.intersection(assigned.group(1).split(", ")):
+            kept.append(line)
+            live.update(_NAME.findall(line))
+    kept.reverse()
+    return kept
+
+
 # shared by every Expression with the same tape: run_table, for one, parses
 # its function afresh on every run
 @lru_cache(maxsize=256)
-def _compile(tape: tuple, order: int):
-    """The tape at ``order`` as one function ``run(x, prec, literals)`` of libmp calls.
+def _compile(tape: tuple, outputs: tuple):
+    """The tape as one function ``run(x, prec, literals)`` of libmp calls that
+    returns ``outputs``: one of "f", "d1" and "d2" bare, several as a tuple.
 
-    The source holds names, integers and the fixed texts of ``_Source``:
-    no text of the function enters it, and an instruction outside the
-    grammar is refused, so a tape cannot inject code.
+    ``_Source`` writes the code at the highest order the outputs need, 0 for
+    f alone, and ``_live`` drops every assignment that no output reads, so
+    ("d1",) makes only the calls of the order-1 jet that f' needs, and every
+    domain check of that jet.  The source holds names, integers and the
+    fixed texts of ``_Source``: no text of the function enters it, and an
+    instruction outside the grammar is refused, so a tape cannot inject code.
     """
+    order = max(map(_OUTPUTS.index, outputs))
     source = _Source(order)
     stack, literals = [], 0
     for op, arg in tape:
@@ -568,17 +610,21 @@ def _compile(tape: tuple, order: int):
         else:
             raise ValueError(f"unknown tape instruction {op!r}")
     unpack = "".join(f"L{i}, " for i in range(literals)) + "= literals"
+    returned = ", ".join(stack[0][_OUTPUTS.index(name)] for name in outputs)
     scope = {}
     exec("\n".join(["def run(x, prec, literals):", f"    {unpack}" if literals else "",
-                    *source.lines, f"    return {', '.join(stack[0][:order + 1])}"]),
+                    *_live(source.lines, returned), f"    return {returned}"]),
          _NAMESPACE, scope)
     return scope["run"]
 
 
-def _eval(expr: Expression, x, order: int, prec: int):
-    """Evaluate the tape at the raw mpf ``x`` with every operation rounded to ``prec`` bits.
+def _eval(expr: Expression, x, outputs, prec: int):
+    """Evaluate ``outputs`` of the tape at the raw mpf ``x`` with every
+    operation rounded to ``prec`` bits.
 
-    The tape is compiled once per order, on first use, and the
+    ``outputs`` is an output set of ``_compile``, or an order 0, 1 or 2,
+    which stands for the output set of its jet: f, (f, f') or (f, f', f'').
+    The tape is compiled once per output set, on first use, and the
     Expression keeps the code, which takes ``prec`` and the literals at
     ``prec`` as arguments, so a new precision compiles nothing.  The code
     takes and returns raw ``mpmath.libmp`` tuples and never reads or sets
@@ -595,10 +641,12 @@ def _eval(expr: Expression, x, order: int, prec: int):
     derivative-level rules: no sqrt, cbrt or abs at 0, no real or variable
     power of a nonpositive base.  Every order computes a value by the same
     formula, so where order 0 and the jets both evaluate, f has the same bits.
+    An output set with f' or f'' applies the rules of its order and gives
+    the bits of that order's jet, and ("d1",) its f' alone.
     """
-    run = expr._code.get(order)
+    run = expr._code.get(outputs)
     if run is None:  # racing threads compile equal code; either may stay cached
-        run = expr._code[order] = _compile(expr.tape, order)
+        run = expr._code[outputs] = _compile(expr.tape, _JETS.get(outputs, outputs))
     return run(x, prec, _literals_at(expr, prec))
 
 

@@ -57,6 +57,8 @@ _SCHEDULE_GUARD = 20
 _SCHEDULE_FROM = 600
 # the precision of the f' that estimates a start point's correct digits
 _INITIAL_PREC = dps_to_prec(30)
+# the output set of a ladder node's code: f' alone, without the calls f needs
+_SLOPE = ("d1",)
 _TEN = from_int(10)
 
 
@@ -276,10 +278,12 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
     down at level 0 where the slope at its base point is exactly zero, and at
     the level whose weighted slope sum is more than about ``precision``
     digits below that slope.  ``apply(x, jet)`` reuses the raw base jet at
-    x, (f, f') or for "+F" (f, f', f''), that the caller has.
+    x, (f, f') or for "+F" (f, f', f''), that the caller has.  A node takes
+    f' alone from code that makes no call f' does not need; under "+F" it
+    takes the order-2 jet, since F' needs f, f' and f''.
     """
     levels = _levels(m)
-    order = 2 if m.transform else 1  # of the jets: F' needs f''
+    order = 2 if m.transform else 1  # of the base jets: F' needs f''
     # the cancellation trap 10^(5 - precision), relative to the base slope
     trap = mpf_pow_int(_TEN, 5 - precision, prec, _RND)
     outside = None if bound is None else (lambda p: mpf_gt(mpf_abs(p, prec, _RND), bound))
@@ -287,6 +291,10 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
 
     def pair(jet):
         return _transform_pair(jet, prec) if m.transform else jet
+
+    def slope_at(p):
+        return _transform_pair(_eval(f, p, 2, prec), prec)[1] if m.transform else (
+            _eval(f, p, _SLOPE, prec))
 
     def apply(x, jet=None):
         def solve(b, c, fx):
@@ -306,9 +314,8 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
                 raise
             jet = None
             tiny = mpf_mul(trap, mpf_abs(slope0, prec, _RND), prec, _RND)
-            x = _ladder_full(n, x, fx, slope0, lambda p: pair(_eval(f, p, order, prec))[1],
-                             partial(_weighted_sum, prec), solve, points,
-                             m.simpson_seed, outside)
+            x = _ladder_full(n, x, fx, slope0, slope_at, partial(_weighted_sum, prec), solve,
+                             points, m.simpson_seed, outside)
         return x
 
     return apply
@@ -490,7 +497,7 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     digits = False if precision < _SCHEDULE_FROM or m.transform else None
 
     def initial_digits(x, fx):
-        slope = _eval(f, x, 1, _INITIAL_PREC)[1]
+        slope = _eval(f, x, _SLOPE, _INITIAL_PREC)
         return None if slope == fzero else -_log10_abs(mpf_div(fx, slope, _INITIAL_PREC, _RND))
 
     def reduced(x, s):

@@ -1,3 +1,5 @@
+import threading
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
@@ -329,6 +331,40 @@ def test_bisect_root_falls_back_when_the_polish_fails(monkeypatch, polish):
         assert root.value == bisect_mpf(lambda x: x**2 - 2, 1, 2, 70)
 
 
+@pytest.mark.parametrize("text,lo,hi,precision,jets", [
+    ("x^2-2", 1, 2, 1000, 8),
+    ("cos(x)-x", 0, 1, 500, 6),
+])
+def test_bisect_root_polish_stops_on_a_two_point_cycle(monkeypatch, text, lo, hi, precision,
+                                                        jets):
+    # at these roots rounding makes the t0+F map alternate between two
+    # neighbours of the root; the polish stops once r equals the point two
+    # applications back, well before its bound of 20, and keeps the point
+    # that 20 applications from the same seed reach
+    starts, maps = [], []
+    real_method_map = analysis._method_map
+
+    def recording_method_map(*args):
+        maps.append(real_method_map(*args))
+
+        def apply(x):
+            starts.append(x)
+            return maps[-1](x)
+        return apply
+
+    monkeypatch.setattr(analysis, "_method_map", recording_method_map)
+    calls = _counting_evals(monkeypatch)
+    root = bisect_root(parse(text), lo, hi, precision)
+    assert calls.count(2) == len(starts) == jets < 20
+    r = starts[0]
+    for _ in range(20):
+        r, last = maps[0](r), r
+        if r == last:
+            break
+    assert r != last  # the map never stops on its argument here
+    assert root.value._mpf_ == r
+
+
 def test_bisect_root_tabpol1_oracle_evaluation_count(monkeypatch):
     # plain bisection to 10^-2640 takes about 8770 evaluations of f
     calls = _counting_evals(monkeypatch)
@@ -365,6 +401,29 @@ def test_bisect_root_polish_lands_on_simple_and_odd_multiple_roots(
     with mp.workdps(precision + 20):
         assert abs(root.value - mp.mpf(r.numerator) / r.denominator) <= (
             mp.mpf(10) ** -precision / 2)
+
+
+def test_concurrent_map_derivatives_use_one_context_per_thread():
+    """map_derivatives_at makes its thread's private mpmath context once and
+    sets its precision on every call, so threads at different precisions give
+    the serial bits, also after a call that broke down, and every call in a
+    thread uses that thread's one context."""
+    cases = [(MethodId(n), parse(text), z, 3, p)
+             for n, text, z in ((1, "tanh(x-1)", 1), (2, "x^3-8", 2), (0, "sqrt(x)", 0))
+             for p in (30, 120)]
+    contexts = {}
+
+    def evaluate(case):
+        try:
+            result = [d.value._mpf_ for d in map_derivatives_at(*case)]
+        except Breakdown as exc:
+            result = exc.kind, str(exc)
+        contexts.setdefault(threading.get_ident(), set()).add(id(analysis._contexts.ctx))
+        return result
+
+    _assert_threads_match_serial(cases, evaluate, {30: 60, 120: 30})
+    assert len(contexts) == 3
+    assert all(len(ids) == 1 for ids in contexts.values())
 
 
 def test_concurrent_analysis_is_bit_identical_to_serial():

@@ -222,6 +222,25 @@ def test_order_without_root_uses_steps(capsys):
     assert float(data["q"]) == pytest.approx(2.0, abs=0.2)
 
 
+def test_order_csv_and_text_match_json(capsys):
+    argv = ("order", "-f", "tanh(x-1)", "-m", "t0", "--x0", "1.5", "--digits", "300",
+            "--root", "1", "--max-iter", "10", "--format")
+    code, out, _ = run_cli(capsys, *argv, "json")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["per_pair"]) == 6
+    code, out, _ = run_cli(capsys, *argv, "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == (
+        [["pair", "q"]] + [[str(i), q] for i, q in enumerate(data["per_pair"])]
+        + [["final", data["q"]]])
+    code, out, _ = run_cli(capsys, *argv, "text")
+    assert code == 0
+    assert out.splitlines() == [
+        f"estimated order q = 3.002 from {data['samples_used']} iterates",
+        "per-pair estimates: 3.513, 3.166, 3.053, 3.017, 3.006, 3.002"]
+
+
 def test_order_insufficient_data_exit_code(capsys):
     code, _, err = run_cli(capsys, "order", "-f", "x^2-2", "-m", "t0",
                            "--x0", "1.5", "--digits", "60", "--root", "1.41",
@@ -272,6 +291,11 @@ def test_table_rejects_tiny_digits(capsys):
 def test_table_unknown_id(capsys):
     with pytest.raises(SystemExit):
         main(["table", "tab9"])
+
+
+def test_run_table_unknown_id():
+    with pytest.raises(ValueError, match="^unknown table id 'nope'; choose from tab1, "):
+        run_table("nope")
 
 
 # ------------------------------------------------------- per-iterate series

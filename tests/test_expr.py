@@ -25,7 +25,7 @@ from cotesroot import (
     significant_digits,
 )
 from cotesroot.bigreal import working_dps, working_prec
-from cotesroot.expr import _PRECISIONS_KEPT, _eval
+from cotesroot.expr import _PRECISIONS_KEPT, _compile, _eval
 from reference_tape import reference_eval
 
 
@@ -78,6 +78,26 @@ def test_parse_empty_and_trailing():
         parse("x 1")
     with pytest.raises(ParseError):
         parse("x @ 1")
+
+
+def test_parse_trailing_whitespace():
+    assert parse("x^2 - 2 \t \n").tape == parse("x^2-2").tape
+
+
+@pytest.mark.parametrize("text,message,position", [
+    ("sin x", "expected '('", 4),
+    ("sqrt", "expected '('", 4),
+    ("x + * 2", "unexpected '*'", 4),
+    ("2*)", "unexpected ')'", 2),
+    ("(x + 1", "expected ')'", 6),
+    ("exp(x*(2+x)", "expected ')'", 11),
+    ("log(x 2)", "expected ')'", 6),
+])
+def test_parse_errors_name_their_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
 
 
 def test_whitespace_insensitive():
@@ -361,6 +381,56 @@ def test_raw_tape_matches_mpf_operators_bitwise(seed, x, order, precision, extra
     assert _outcome(lambda: _eval(expr, point._mpf_, order, prec)) == expected
 
 
+def _slope_outcomes(expr, x, prec):
+    """The outcome of the f'-only code at the raw x, and that of the order-1 jet's f'."""
+    return (_outcome(lambda: (_eval(expr, x, ("d1",), prec),)),
+            _outcome(lambda: (_eval(expr, x, 1, prec)[1],)))
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    x=st.floats(-3, 3) | st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5]),
+    precision=st.sampled_from([30, 60, 700]),
+)
+def test_slope_code_is_the_jets_slope(seed, x, precision):
+    """The f'-only code gives the order-1 jet's f' bit for bit, and wherever
+    the jet raises it raises the same error, kind and message: pruning keeps
+    every domain check and makes a subset of the jet's calls, in its order."""
+    rng = random.Random(seed)
+    expr = parse(_any_op_expr(rng, rng.randint(1, 3)))
+    slope, jet = _slope_outcomes(expr, mp.mpf(x)._mpf_, working_prec(precision))
+    assert slope == jet
+
+
+@pytest.mark.parametrize("text,x,message", [
+    ("log(x)+x-2", "0", "log of nonpositive value"),
+    ("log(x)+x-2", "-1.5", "log of nonpositive value"),
+    ("sqrt(x-1)*x", "0.5", "sqrt of negative value"),
+    ("sqrt(x)+x", "0", "derivative of sqrt at 0"),
+    ("cbrt(x)*2", "0", "derivative of cbrt at 0"),
+    ("abs(x)-1", "0", "derivative of abs at 0"),
+    ("1/x+x", "0", "division by zero"),
+    ("x^1.5+1", "-2", "real power of a nonpositive base"),
+    ("x^x", "-1", "variable power of a nonpositive base"),
+    ("(x-1)^(-2)", "1", "zero raised to a negative power"),
+])
+def test_slope_code_raises_the_jets_breakdown_at_domain_edges(text, x, message):
+    expr, prec = parse(text), working_prec(30)
+    slope, jet = _slope_outcomes(expr, mp.mpf(x)._mpf_, prec)
+    assert slope == jet
+    assert slope[:2] == (Breakdown, Breakdown.DOMAIN) and slope[2].startswith(message)
+
+
+def test_slope_code_of_log_makes_no_log_call():
+    """f' of log(x)+x-2 is 1/x + 1, so its f'-only code calls no log; the
+    jets and the value do."""
+    tape = parse("log(x)+x-2").tape
+    assert "mpf_log" not in _compile(tape, ("d1",)).__code__.co_names
+    for outputs in (("f",), ("f", "d1"), ("f", "d1", "d2")):
+        assert "mpf_log" in _compile(tape, outputs).__code__.co_names
+
+
 def test_tanh_is_sinh_over_cosh_where_it_differs_from_mpf_tanh():
     """tanh is s/c from one cosh_sinh call at 10 more bits, which rounds
     differently from mpf_tanh in the last bit at a few points in 10^4; at this
@@ -422,15 +492,16 @@ def test_literals_are_kept_for_the_last_few_precisions():
 
 def test_scheduled_iterate_compiles_per_order_not_per_precision():
     """From 600 digits up the schedule runs reduced passes at a new precision
-    on almost every run; the tape compiles once per order, and a
-    second run at other precisions reuses the compiled code."""
+    on almost every run; the tape compiles once per output set (f, the
+    order-1 jet and the nodes' f'), and a second run at other precisions
+    reuses the compiled code."""
     expr = parse("x^3+2*x-5")
     compiled = []
     for x0 in ("2", "2.7"):
         run = iterate(ScalarProblem(expr, bigreal(x0, 1000), precision=1000), MethodId(4))
         assert run.termination.kind == "converged"
         compiled.append(dict(expr._code))
-    assert sorted(compiled[1]) == [0, 1]
+    assert set(compiled[1]) == {0, 1, ("d1",)}
     assert all(compiled[1][key] is code for key, code in compiled[0].items())
     assert len(expr._literals) > len(expr._code)
 

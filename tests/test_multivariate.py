@@ -279,6 +279,21 @@ def test_dimension_mismatch_rejected():
         nd_iterate(f, ["1"], precision=40)
 
 
+@pytest.mark.parametrize("jacobian", [
+    [[1, 0, 0], [0, 1, 0]],  # 2x3
+    [[1, 0], [0, 1], [0, 0]],  # 3x2
+    [[1, 0], [0]],  # a short row
+], ids=["wide", "tall", "ragged"])
+def test_non_square_jacobian_rejected(jacobian):
+    f = VectorFunction(2, lambda p: [p[0] - 1, p[1] - 2], lambda p: jacobian)
+    for run in (lambda: nd_step("newton", f, ["0", "0"], 40),
+                lambda: nd_iterate(f, ["0", "0"], kind="trapezoidal", precision=40)):
+        with pytest.raises(ValueError, match="^expected a 2x2 matrix$"):
+            run()
+    with pytest.raises(ValueError, match="^expected a 2x2 matrix$"):
+        solve_linear(jacobian, [1, 2], 40)
+
+
 def test_unknown_kind_rejected():
     demo = demo_system("affine")
     with pytest.raises(ValueError):

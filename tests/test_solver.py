@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -150,8 +151,10 @@ def test_two_node_map_exact_on_affine():
 
 @pytest.mark.parametrize("n", range(8))
 def test_slope_evaluation_count(n, monkeypatch):
-    # node 0 of every level is the base point, whose slope is evaluated once;
-    # the plain maps take order-1 jets, the "+F" maps order-2 jets for F'
+    # node 0 of every level is the base point, whose slope is evaluated once,
+    # so one application takes 1 + n(n+1)/2 evaluations: the plain maps take
+    # an order-1 jet at the base point and f' alone (solver._SLOPE) at each
+    # node, the "+F" maps order-2 jets throughout for F'
     orders, evaluate = [], solver._eval
 
     def counting_eval(f, x, order, prec):
@@ -159,10 +162,12 @@ def test_slope_evaluation_count(n, monkeypatch):
         return evaluate(f, x, order, prec)
 
     monkeypatch.setattr(solver, "_eval", counting_eval)
-    for transform, order in ((False, 1), (True, 2)):
+    nodes = n * (n + 1) // 2
+    for transform, expected in ((False, [1] + [("d1",)] * nodes), (True, [2] * (1 + nodes))):
         orders.clear()
         apply_method(MethodId(n, transform=transform), parse("x^3+2*x-5"), bigreal("1.4", 50), 50)
-        assert orders == [order] * (1 + n * (n + 1) // 2)
+        assert len(orders) == 1 + nodes
+        assert orders == expected
 
 
 def test_composed_two_newton_steps():
@@ -230,10 +235,15 @@ def test_transformed_cbrt_one_application_hits_zero():
 # ------------------------------------------------------------- ladder guards
 
 def test_zero_denominator_guard(monkeypatch):
-    # the slope flips sign away from the base point, so the trapezoid's sum vanishes
+    # the slope flips sign away from the base point, so the trapezoid's sum
+    # vanishes; the base point takes (f, f'), a node f' alone
     base = bigreal("0.3", 50)
-    monkeypatch.setattr(solver, "_eval", lambda f, x, order, prec: (
-        fone, fone if x == base.value._mpf_ else fnone))
+
+    def flipping_eval(f, x, order, prec):
+        slope = fone if x == base.value._mpf_ else fnone
+        return slope if order == ("d1",) else (fone, slope)
+
+    monkeypatch.setattr(solver, "_eval", flipping_eval)
     with pytest.raises(Breakdown) as err:
         apply_method(MethodId(1), parse("x"), base, 50)
     assert err.value.kind == Breakdown.ZERO_DENOMINATOR
@@ -332,7 +342,8 @@ def test_iterate_jet_counts(spec, monkeypatch):
     # below the schedule's precision each residual is the f of the base jet
     # that the next step reuses: K steps take K + 1 base jets and the nodes
     # of every ladder, plus each composition's outer base jet, and no order-0
-    # value; a "+F" map takes order-2 jets, a plain map order-1 jets
+    # value; a "+F" map takes order-2 jets throughout, a plain map order-1
+    # base jets and f' alone at its nodes
     orders = []
     evaluate = solver._eval
 
@@ -346,16 +357,20 @@ def test_iterate_jet_counts(spec, monkeypatch):
     traj = iterate(problem, m)
     assert traj.termination.kind == CONVERGED
     k = len(traj.steps())
-    per_step = sum(n * (n + 1) // 2 for n in solver._levels(m)) + (m.inner is not None)
+    bases = (k + 1) + k * (m.inner is not None)
+    nodes = k * sum(n * (n + 1) // 2 for n in solver._levels(m))
     assert k >= 1
-    assert orders == [2 if m.transform else 1] * ((k + 1) + k * per_step)
+    assert len(orders) == bases + nodes
+    assert Counter(orders) == Counter({2: bases + nodes} if m.transform else
+                                      {1: bases, ("d1",): nodes})
 
 
 def test_scheduled_iterate_jet_counts(monkeypatch):
     # at 1000 digits, t4 from 2 takes three reduced passes: the residuals at
     # x_0..x_3 are f alone at p.  Then every pass runs at p, and each residual
-    # is the base jet that the next pass reuses: 1 + 10 jets for the pass from
-    # x_3, one at x_4, 10 more for the pass from there, and one at x_5
+    # is the base jet that the next pass reuses: a jet and 10 node slopes for
+    # the pass from x_3, a jet at x_4, 10 more slopes for the pass from
+    # there, and a jet at x_5
     precision = 1000
     orders = []
     evaluate = solver._eval
@@ -370,7 +385,8 @@ def test_scheduled_iterate_jet_counts(monkeypatch):
     traj = iterate(problem, MethodId(4))
     assert traj.termination.kind == CONVERGED
     assert len(traj.steps()) == 5
-    assert orders == [0] * 4 + [1] * 23
+    slopes = [("d1",)] * 10
+    assert orders == [0] * 4 + [1] + slopes + [1] + slopes + [1]
 
 
 @pytest.mark.parametrize("spec", ["t0", "t2_1", "t1+F"])
