@@ -9,35 +9,33 @@ known root.  Errors are subtracted at the working precision, but every log
 float log of the binary mantissa and exponent (``solver._log10_abs``), at the
 precision it is shown at, never at the working precision; none of these
 functions reads or sets mpmath's context.  Map derivatives at a fixed point
-come from mpmath's ``diffs`` on a private context per thread, whose
-differences are exact to working precision.  Reference roots come from a
-bracket: bisection seeds them, the library's own "t0+F" map polishes them,
-and a sign change of f certifies them to the bound bisection itself would
-give, independently of the maps.  Bisection, polish and certificate compute
-on raw ``mpmath.libmp`` tuples, ``diffs`` on its private context: neither
-reads nor sets mpmath's global one.
+come from the library's own map run on the truncated power series z + ε
+(``series``), exact to the precision it runs at: the working one for a plain
+map, (max_order + 1) times its bits for a "+F" map.  Reference roots come
+from a bracket: bisection seeds them, the library's own "t0+F" map polishes
+them, and a sign change of f certifies them to the bound bisection itself
+would give, independently of the maps.  Map derivatives, bisection, polish
+and certificate all compute on raw ``mpmath.libmp`` tuples: none of them
+reads or sets mpmath's context.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_add, mpf_gt, mpf_le, mpf_pow_int, mpf_shift, mpf_sign, mpf_sub
+from mpmath.libmp import (fone, fzero, mpf_add, mpf_gt, mpf_le, mpf_mul_int, mpf_pow_int, mpf_shift,
+                          mpf_sign, mpf_sub)
 
 from .bigreal import BigReal, _check_finite, as_mpf, working_prec
 from .errors import Breakdown, InsufficientData
-from .expr import _RND, Expression, _eval
+from .expr import _RND, Expression, _eval, _eval_series, _series_namespace
 from .solver import _TEN, MethodId, Trajectory, _log10_abs, _method_map, _significant_digits
 
 STABLE_GAP = 0.15  # adjacent ratio gap below which the estimate counts as settled
 FLOOR_MARGIN = 15  # digits above the working precision reserved for roundoff noise
-
-# the private mpmath context of map_derivatives_at, one per thread, made once:
-# a new one per call costs about a millisecond and leaves cyclic garbage
-_contexts = threading.local()
 
 
 @dataclass(frozen=True)
@@ -134,27 +132,28 @@ def map_derivatives_at(
 ) -> list[BigReal]:
     """Derivatives 1..max_order of the map x -> t(x) at a fixed point z.
 
-    ``diffs`` takes central differences with a step below the working
-    precision and evaluates the map at (max_order + 1) times that precision,
-    so truncation and roundoff stay below the working precision.  It runs on
-    the calling thread's private mpmath context, set to the working precision
-    on every call, so the global one is neither read nor set.  A Breakdown of
-    the map at a sample point (z itself included) propagates; a z that is not
-    finite is a ValueError.
+    The map itself runs on the truncated power series z + ε of degree
+    ``max_order`` (``series``): every jet, node and quotient of its ladder is
+    a series, so t(z + ε) = sum c_k ε^k and the k-th derivative is k!·c_k.  A
+    plain map runs at the working precision of ``precision``, and its c_0 is
+    ``apply_method``'s t(z), bit for bit.  A "+F" map runs at
+    (max_order + 1) times those bits: near a multiple root, F = -f/f' divides
+    by an f' of about 10^(-precision), and each degree of its series loses
+    that much again.  A Breakdown of the map at z itself propagates, as
+    ``apply_method`` raises it there; the domain is judged at z only.  A z
+    that is not finite is a ValueError.  It never reads or sets mpmath's
+    context, so threads may call it at once.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    ctx = getattr(_contexts, "ctx", None)
-    if ctx is None:
-        ctx = _contexts.ctx = mp.MPContext()
-    ctx.prec = working_prec(precision)
-    z = as_mpf(z, ctx.prec)._mpf_
+    out = working_prec(precision)
+    prec = out * (max_order + 1 if m.transform else 1)
+    z = as_mpf(z, prec)._mpf_
     _check_finite("z", [z])
-    # t(z), then its derivatives; each sample of the map runs at the precision
-    # diffs sets for it, not at the working one
-    _, *derivs = ctx.diffs(lambda x: ctx.make_mpf(_method_map(m, f, precision, ctx.prec)(x._mpf_)),
-                           ctx.make_mpf(z), max_order)
-    return [BigReal(mp.make_mpf(d._mpf_), precision) for d in derivs]
+    apply = _method_map(m, f, precision, prec, arithmetic=(_eval_series, _series_namespace()))
+    coefficients = apply([z, fone] + [fzero] * (max_order - 1))
+    return [BigReal(mp.make_mpf(mpf_mul_int(c, math.factorial(k), out, _RND)), precision)
+            for k, c in enumerate(coefficients[1:], 1)]
 
 
 def _bisect(value, a, fa, b, target, prec):
@@ -191,8 +190,10 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
     lies in the seed bracket and f changes sign over [r - h, r + h] with
     h = 10^(-precision)/2: the bound bisection's own midpoint has.  Else (a
     breakdown of f at r ± h included) bisection goes on from the seed bracket
-    down to 10^(-precision).  Every number is a raw mpf at the working
-    precision, and mpmath's context is neither read nor set.
+    down to 10^(-precision), or to two neighbouring numbers of the working
+    precision where those lie further apart (near 10^11 at 30 digits).  Every
+    number is a raw mpf at the working precision, and mpmath's context is
+    neither read nor set.
     """
     prec = working_prec(precision)
     a, b = (as_mpf(v, prec)._mpf_ for v in (lo, hi))

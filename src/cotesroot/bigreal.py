@@ -6,14 +6,14 @@ at one precision, ``working_dps(p)`` digits (``GUARD_DIGITS`` above the target
 ``p``, which must be at least ``MIN_DIGITS``) or ``working_prec(p)`` bits, and
 returns its results as ``BigReal`` records of the value and ``p``.
 Expression evaluation, the scalar and vector solves (``solver`` and
-``multivariate``, from the start point to the records) and the reference
-roots of ``analysis`` pass those bits to every ``mpmath.libmp`` call they
-make.  Only the user's vector callbacks compute on plain mpf, inside
-``mp.workdps`` at ``working_dps(p)`` digits, and ``analysis``'s map
-derivatives run mpmath's ``diffs`` on a private context at those bits.  All
-of them round each operation the same way, so identical inputs yield
-bit-identical results across runs.  ``bigreal`` and ``BigReal.decimal`` take
-their precision from their arguments and never read or set mpmath's context.
+``multivariate``, from the start point to the records) and the map
+derivatives and reference roots of ``analysis`` pass those bits (a "+F" map's
+derivatives a multiple of them) to every ``mpmath.libmp`` call they make.
+Only the user's vector callbacks compute on plain mpf, inside ``mp.workdps``
+at ``working_dps(p)`` digits.  All of them round each operation the same
+way, so identical inputs yield bit-identical results across runs.
+``bigreal`` and ``BigReal.decimal`` take their precision from their
+arguments and never read or set mpmath's context.
 """
 
 from __future__ import annotations

@@ -38,6 +38,15 @@ c = s); sin and cos come from one ``mpf_cos_sin`` call, with the bits of
 ``mpf_sin`` and ``mpf_cos``.  Literals are converted once per precision and
 kept beside the tape for the last few precisions.
 
+The same source also runs against a second namespace, in which each libmp
+name the code calls is its counterpart on truncated power series
+(``series``): on x = z + ε it returns the Taylor coefficients of f, f' and
+f'' at z, whose constant terms have the bits of the raw code at z.  Its
+domain checks test their operands through names of that namespace too
+(``_zero``, ``mpf_le``, ...), which read a series' constant term, so the
+series code raises the Breakdown of the raw code at z.  ``analysis`` takes
+the derivatives of a map from it.
+
 Grammar (whitespace-insensitive, ``^`` right-associative):
 
     expr   := term (("+"|"-") term)*
@@ -87,7 +96,8 @@ class Expression:
     text: str
     # the literals converted at each of the last few working precisions in bits
     _literals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the compiled tape per output set, as _eval is asked for it
+    # the compiled tape per output set, as _eval is asked for it, and per
+    # ("series", output set), as _eval_series is
     _code: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
@@ -374,7 +384,7 @@ class _Source:
         if op == "^":
             return self.power(a, b, variable)
         if op == "/":
-            self.fail(f"{w} == fzero", '"division by zero"')
+            self.fail(f"_zero({w})", '"division by zero"')
         f = self.call({"+": "mpf_add", "-": "mpf_sub", "*": "mpf_mul", "/": "mpf_div"}[op], v, w)
         if not self.active(a, b):
             return f, _ZERO, _ZERO
@@ -414,7 +424,7 @@ class _Source:
         if isinstance(c, int):  # a first power leaves its operand as it is
             return ("fone", _ZERO, _ZERO) if c == 0 else a if c == 1 else self.higher_power(a, c)
         c = self.let(f"int(to_int({c}))")
-        self.fail(f"{a[0]} == fzero and {c} < 0", '"zero raised to a negative power"')
+        self.fail(f"_zero({a[0]}) and {c} < 0", '"zero raised to a negative power"')
         return self.branches([(f"{c} == 0", lambda: self.integer_power(a, 0)),
                               (f"{c} == 1", lambda: self.integer_power(a, 1)),
                               (None, lambda: self.higher_power(a, c))])
@@ -480,7 +490,7 @@ class _Source:
         if op == "sqrt":
             self.fail(f"mpf_lt({v}, fzero)", f'f"sqrt of negative value {{to_str({v}, 8)}}"')
         if self.order and op in ("sqrt", "cbrt", "abs"):
-            self.fail(f"{v} == fzero", f'"derivative of {op} at 0"')
+            self.fail(f"_zero({v})", f'"derivative of {op} at 0"')
         if op == "cbrt":  # real odd root
             r = self.call("mpf_mul", f"_sign({v})", self.call("mpf_cbrt", self.call("mpf_abs", v)))
         elif op == "tanh":  # s/c, and sech = 1/c below, from one cosh_sinh call
@@ -539,13 +549,27 @@ class _Source:
         return (r, *self.chain(u, gp, gpp))
 
 
-# the names the compiled source uses besides its arguments
+# the names the compiled source uses besides its arguments, and those the
+# solver's ladder computes with; ``_zero`` tests an operand of a domain check
 _NAMESPACE = {name: globals()[name] for name in (
     "Breakdown", "_sign", "_tanh_saturates", "fnone", "fone", "ftwo", "fzero", "mpf_abs",
-    "mpf_add", "mpf_cbrt", "mpf_cos_sin", "mpf_cosh_sinh", "mpf_div", "mpf_exp", "mpf_le",
-    "mpf_log", "mpf_lt", "mpf_mul", "mpf_mul_int", "mpf_neg", "mpf_pos", "mpf_pow",
+    "mpf_add", "mpf_cbrt", "mpf_cos_sin", "mpf_cosh_sinh", "mpf_div", "mpf_exp", "mpf_gt",
+    "mpf_le", "mpf_log", "mpf_lt", "mpf_mul", "mpf_mul_int", "mpf_neg", "mpf_pos", "mpf_pow",
     "mpf_pow_int", "mpf_rdiv_int", "mpf_sqrt", "mpf_sub", "mpf_tan", "to_int", "to_str")}
-_NAMESPACE.update(rnd=_RND, DOMAIN=Breakdown.DOMAIN)
+_NAMESPACE.update(rnd=_RND, DOMAIN=Breakdown.DOMAIN, _zero=fzero.__eq__)
+
+
+@lru_cache(maxsize=None)
+def _series_namespace() -> dict:
+    """The same names on truncated power series: the same source computes
+    Taylor coefficients there, and its domain checks judge the constant terms.
+
+    ``series`` is imported on first use: only map derivatives need it, and
+    where Python caches no bytecode every module imported at start-up costs
+    its compile (about 3 ms for ``series``) in every run.
+    """
+    from . import series
+    return {**_NAMESPACE, **series.NAMES}
 
 
 # what compiled code can return, and the output set of the jet of each order
@@ -578,9 +602,10 @@ def _live(lines: list, returned: str) -> list:
 # shared by every Expression with the same tape: run_table, for one, parses
 # its function afresh on every run
 @lru_cache(maxsize=256)
-def _compile(tape: tuple, outputs: tuple):
+def _compile(tape: tuple, outputs: tuple, on_series: bool = False):
     """The tape as one function ``run(x, prec, literals)`` of libmp calls that
     returns ``outputs``: one of "f", "d1" and "d2" bare, several as a tuple.
+    With ``on_series`` the same source runs against ``series.NAMES``.
 
     ``_Source`` writes the code at the highest order the outputs need, 0 for
     f alone, and ``_live`` drops every assignment that no output reads, so
@@ -614,7 +639,7 @@ def _compile(tape: tuple, outputs: tuple):
     scope = {}
     exec("\n".join(["def run(x, prec, literals):", f"    {unpack}" if literals else "",
                     *_live(source.lines, returned), f"    return {returned}"]),
-         _NAMESPACE, scope)
+         _series_namespace() if on_series else _NAMESPACE, scope)
     return scope["run"]
 
 
@@ -647,6 +672,17 @@ def _eval(expr: Expression, x, outputs, prec: int):
     run = expr._code.get(outputs)
     if run is None:  # racing threads compile equal code; either may stay cached
         run = expr._code[outputs] = _compile(expr.tape, _JETS.get(outputs, outputs))
+    return run(x, prec, _literals_at(expr, prec))
+
+
+def _eval_series(expr: Expression, x, outputs, prec: int):
+    """``_eval`` on the truncated power series x (``series``): the Taylor
+    coefficients of each output at x's constant term, with the breakdowns of
+    ``_eval`` there.  The constant terms have the bits of ``_eval`` at it."""
+    key = ("series", outputs)
+    run = expr._code.get(key)
+    if run is None:
+        run = expr._code[key] = _compile(expr.tape, _JETS.get(outputs, outputs), True)
     return run(x, prec, _literals_at(expr, prec))
 
 

@@ -146,9 +146,10 @@ def _residual_and_step(func: VectorFunction, n: int, precision: int, bound=None)
         with mp.workdps(working_dps(precision)):
             return convert(callback([mp.make_mpf(v) for v in p]), d, prec)
 
+    entry_sum = _weighted_sum(prec)
+
     def weighted_sum(weights, jacobians):
-        return [[_weighted_sum(prec, weights, entries) for entries in zip(*rows)]
-                for rows in zip(*jacobians)]
+        return [[entry_sum(weights, entries) for entries in zip(*rows)] for rows in zip(*jacobians)]
 
     def solve(b, c, f):
         return _lu_solve(b, points[2](c, f), precision)

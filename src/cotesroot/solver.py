@@ -24,18 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import count
+from operator import itemgetter
 from typing import Optional
 
 import mpmath as mp
 from mpmath.libmp import (dps_to_prec, fnan, fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
-                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pos,
-                          mpf_pow_int, mpf_sub, to_float)
+                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_pos, mpf_pow_int, mpf_sub, to_float)
 
 from .bigreal import DEFAULT_DIGITS, BigReal, _check_finite, _is_finite, as_mpf, working_prec
 from .errors import Breakdown
-from .expr import _RND, Expression, _eval
+from .expr import _NAMESPACE, _RND, Expression, _eval
 from .quadrature import MAX_RULE, builtin_rule
 
 SEED_TRAPEZOID = "trapezoid"
@@ -165,40 +164,51 @@ class Trajectory:
         return [r.step for r in self.iterates if r.step is not None]
 
 
-def _transform_pair(jet, prec: int):
-    """(F, F') for the multiple-root transform F = -f/f' (the "+F" maps).
+def _transform_pair(prec: int, ns=_NAMESPACE):
+    """jet -> (F, F') for the multiple-root transform F = -f/f' (the "+F" maps).
 
-    From the raw jet (f, f', f'') at a point, raw at ``prec`` bits.  F has a
-    simple root wherever f has a multiple one (when f'' does not vanish
-    there); its slope follows from the quotient rule: F' = f f''/(f')^2 - 1.
-    The removable 0/0 singularity at the multiple root itself is not patched:
-    evaluation there is a ``domain`` Breakdown.
+    From the jet (f, f', f'') at a point, at ``prec`` bits, with the calls
+    named in ``ns``.  F has a simple root wherever f has a multiple one (when
+    f'' does not vanish there); its slope follows from the quotient rule:
+    F' = f f''/(f')^2 - 1.  The removable 0/0 singularity at the multiple
+    root itself is not patched: evaluation there is a ``domain`` Breakdown.
     """
-    v, d1, d2 = jet
-    if d1 == fzero:
-        if v == fzero:
-            raise Breakdown(Breakdown.DOMAIN, "transform is 0/0 at a root of both f and f'")
-        raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished under the transform")
-    return (mpf_div(mpf_neg(v, prec, _RND), d1, prec, _RND),
-            mpf_sub(mpf_div(mpf_mul(v, d2, prec, _RND), mpf_mul(d1, d1, prec, _RND), prec, _RND),
+    zero, neg, sub, mul, div = itemgetter("_zero", "mpf_neg", "mpf_sub", "mpf_mul", "mpf_div")(ns)
+
+    def pair(jet):
+        v, d1, d2 = jet
+        if zero(d1):
+            if zero(v):
+                raise Breakdown(Breakdown.DOMAIN, "transform is 0/0 at a root of both f and f'")
+            raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished under the transform")
+        return (div(neg(v, prec, _RND), d1, prec, _RND),
+                sub(div(mul(v, d2, prec, _RND), mul(d1, d1, prec, _RND), prec, _RND),
                     fone, prec, _RND))
 
-
-def _point_ops(prec: int):
-    """The ladder's point operations on raw mpfs at ``prec`` bits: p - q, p + q,
-    k·p and p/k for an integer k, each the call the mpf operator makes there."""
-    return (lambda p, q: mpf_sub(p, q, prec, _RND), lambda p, q: mpf_add(p, q, prec, _RND),
-            lambda k, p: mpf_mul_int(p, k, prec, _RND),
-            lambda p, k: mpf_div(p, from_int(k), prec, _RND))
+    return pair
 
 
-def _weighted_sum(prec: int, weights, slopes):
-    """sum_i A_i s_i of raw slopes with integer weights at ``prec`` bits, added
-    up from 0 in order as ``sum`` adds mpfs."""
-    total = fzero
-    for w, s in zip(weights, slopes):
-        total = mpf_add(total, mpf_mul_int(s, w, prec, _RND), prec, _RND)
-    return total
+def _point_ops(prec: int, ns=_NAMESPACE):
+    """The ladder's point operations at ``prec`` bits, with the calls named in
+    ``ns``: p - q, p + q, k·p and p/k for an integer k, each the call the mpf
+    operator makes there."""
+    sub, add, mul_int, div = itemgetter("mpf_sub", "mpf_add", "mpf_mul_int", "mpf_div")(ns)
+    return (lambda p, q: sub(p, q, prec, _RND), lambda p, q: add(p, q, prec, _RND),
+            lambda k, p: mul_int(p, k, prec, _RND), lambda p, k: div(p, from_int(k), prec, _RND))
+
+
+def _weighted_sum(prec: int, ns=_NAMESPACE):
+    """sum_i A_i s_i of slopes with integer weights at ``prec`` bits, with the
+    calls named in ``ns``, added up from 0 in order as ``sum`` adds mpfs."""
+    add, mul_int = itemgetter("mpf_add", "mpf_mul_int")(ns)
+
+    def weighted_sum(weights, slopes):
+        total = fzero
+        for w, s in zip(weights, slopes):
+            total = add(total, mul_int(s, w, prec, _RND), prec, _RND)
+        return total
+
+    return weighted_sum
 
 
 def _argmax(values) -> int:
@@ -266,14 +276,19 @@ def _levels(m: MethodId) -> tuple[int, ...]:
     return (m.outer,) if m.inner is None else (m.inner, m.outer)
 
 
-def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=None):
+def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=None,
+                arithmetic=None):
     """x -> t(x) on raw libmp tuples; a composition applies inner first.
 
     It computes at ``prec`` bits, the working precision of ``precision``
-    unless a caller such as ``mp.diffs`` works finer, each step the call the
-    mpf operator makes there, and never reads mpmath's context.  ``bound``
-    is the raw divergence bound every ladder node must stay inside; x must
-    be inside it, and so must a composition's inner result, the outer
+    unless a caller works finer, each step the call the mpf operator makes
+    there, and never reads mpmath's context.  ``arithmetic`` is what it
+    computes with: a jet function with ``_eval``'s arguments and a namespace
+    of the libmp calls by name, bound here once.  It defaults to ``_eval``
+    and the libmp calls themselves; ``analysis`` passes ``_eval_series`` and
+    the series namespace, so that the same map runs on power series.
+    ``bound`` is the raw divergence bound every ladder node must stay inside;
+    x must be inside it, and so must a composition's inner result, the outer
     ladder's base point (else ``_OutsideBound`` at level 0).  A ladder breaks
     down at level 0 where the slope at its base point is exactly zero, and at
     the level whose weighted slope sum is more than about ``precision``
@@ -282,40 +297,42 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
     f' alone from code that makes no call f' does not need; under "+F" it
     takes the order-2 jet, since F' needs f, f' and f''.
     """
+    evaluate, ns = arithmetic or (_eval, _NAMESPACE)
+    zero, abs_, lt, gt, mul, mul_int, div = itemgetter(
+        "_zero", "mpf_abs", "mpf_lt", "mpf_gt", "mpf_mul", "mpf_mul_int", "mpf_div")(ns)
     levels = _levels(m)
     order = 2 if m.transform else 1  # of the base jets: F' needs f''
     # the cancellation trap 10^(5 - precision), relative to the base slope
     trap = mpf_pow_int(_TEN, 5 - precision, prec, _RND)
-    outside = None if bound is None else (lambda p: mpf_gt(mpf_abs(p, prec, _RND), bound))
-    points = _point_ops(prec)
-
-    def pair(jet):
-        return _transform_pair(jet, prec) if m.transform else jet
+    outside = None if bound is None else (lambda p: gt(abs_(p, prec, _RND), bound))
+    points, weighted_sum = _point_ops(prec, ns), _weighted_sum(prec, ns)
+    transform = _transform_pair(prec, ns) if m.transform else None
+    pair = transform or (lambda jet: jet)
 
     def slope_at(p):
-        return _transform_pair(_eval(f, p, 2, prec), prec)[1] if m.transform else (
-            _eval(f, p, _SLOPE, prec))
+        return transform(evaluate(f, p, 2, prec))[1] if m.transform else (
+            evaluate(f, p, _SLOPE, prec))
 
     def apply(x, jet=None):
         def solve(b, c, fx):
-            if b == fzero or mpf_lt(mpf_abs(b, prec, _RND), tiny):
+            if zero(b) or lt(abs_(b, prec, _RND), tiny):
                 raise Breakdown(Breakdown.ZERO_DENOMINATOR, "weighted slope sum vanished")
-            return mpf_div(mpf_mul_int(fx, c, prec, _RND), b, prec, _RND)
+            return div(mul_int(fx, c, prec, _RND), b, prec, _RND)
 
         for i, n in enumerate(levels):
             if i and outside and outside(x):
                 raise _OutsideBound(0)
             try:
-                fx, slope0 = pair(jet or _eval(f, x, order, prec))
-                if slope0 == fzero:
+                fx, slope0 = pair(jet or evaluate(f, x, order, prec))
+                if zero(slope0):
                     raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
             except Breakdown as exc:
                 exc.level = 0
                 raise
             jet = None
-            tiny = mpf_mul(trap, mpf_abs(slope0, prec, _RND), prec, _RND)
-            x = _ladder_full(n, x, fx, slope0, slope_at, partial(_weighted_sum, prec), solve,
-                             points, m.simpson_seed, outside)
+            tiny = mul(trap, abs_(slope0, prec, _RND), prec, _RND)
+            x = _ladder_full(n, x, fx, slope0, slope_at, weighted_sum, solve, points,
+                             m.simpson_seed, outside)
         return x
 
     return apply

@@ -1,13 +1,17 @@
-import threading
+import math
+import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import dps_to_prec, from_int, mpf_neg, mpf_sqrt, round_nearest
+from mpmath.libmp import dps_to_prec, fone, from_int, fzero, mpf_neg, mpf_sqrt, round_nearest
 
 from conftest import bisect_mpf, cubic
-from test_expr import _assert_threads_match_serial
+from reference_diffs import reference_map_derivatives
+from test_expr import _any_op_expr, _assert_threads_match_serial
+from test_solver import _map_outcome
 from cotesroot import (
     Breakdown,
     InsufficientData,
@@ -23,6 +27,8 @@ from cotesroot import (
     significant_digits,
 )
 from cotesroot import analysis, solver
+from cotesroot.bigreal import working_prec
+from cotesroot.expr import _eval_series, _series_namespace
 from cotesroot.solver import SEED_NEWTON, apply_method
 
 
@@ -111,6 +117,29 @@ def test_order_roundoff_floor():
         estimate_order(traj, bigreal(2, 40))
 
 
+def test_order_ratios_that_never_settle():
+    # Newton on the double root of (x-1)^2 halves the error: from 1.5 the logs
+    # of the four errors give the ratios 2, 3/2 and 4/3, whose gaps 1/2 and
+    # 1/6 are both above STABLE_GAP
+    problem = ScalarProblem(parse("(x-1)^2"), bigreal("1.5", 60), precision=60, max_iter=3)
+    traj = iterate(problem, MethodId(0))
+    with pytest.raises(InsufficientData, match="never settled"):
+        estimate_order(traj, 1)
+
+
+def test_order_drops_leading_errors_of_one_or_more():
+    # from 10 the first three errors, 8.6, 3.7 and 1.3, are outside the
+    # contraction regime: the estimate starts at the fourth iterate
+    problem = ScalarProblem(parse("x^2-2"), bigreal(10, 300), precision=300)
+    traj = iterate(problem, MethodId(0))
+    with mp.workdps(320):
+        est = estimate_order(traj, mp.sqrt(2))
+    errors = [abs(float(rec.x) - math.sqrt(2)) for rec in traj.iterates]
+    assert errors[2] > 1 > errors[3]
+    assert est.per_pair[0] == pytest.approx(math.log(errors[4]) / math.log(errors[3]))
+    assert est.q == pytest.approx(2, abs=0.1)
+
+
 def test_order_scale_invariant():
     reference = None
     results = []
@@ -188,6 +217,79 @@ def test_map_derivatives_newton_on_tanh():
             assert float(got) == pytest.approx(want, rel=0.01)
 
 
+def test_map_derivatives_through_a_power_of_zero():
+    # Newton's map on x^5 + x is x·4x^4/(5x^4 + 1) = 4x^5 - 20x^9 + ..., so
+    # at 0, where the series of x^3 in its x^5 has a zero constant term, d_5
+    # is 4·5! and d_1..d_4 vanish
+    derivs = map_derivatives_at(MethodId(0), parse("x^5+x"), bigreal(0, 30), 5, 30)
+    assert [d.value for d in derivs] == [0, 0, 0, 0, 480]
+
+
+def _function_of_x(rng):
+    """A random function from test_expr's forms whose text names x: most
+    constant ones break every map down at once."""
+    while True:
+        text = _any_op_expr(rng, rng.randint(1, 3))
+        if "x" in text:
+            return parse(text)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    spec=st.sampled_from(["t0", "t1", "t2", "t3", "t2_1"]),
+    transform=st.booleans(),
+    max_order=st.integers(1, 4),
+    precision=st.sampled_from([30, 60]),
+)
+def test_map_derivatives_match_finite_differences(seed, spec, transform, max_order, precision):
+    """The series derivatives of t0..t3 and a composition, plain and "+F", on
+    random functions at a random z agree with mpmath's central differences
+    (``reference_diffs``) within 10^(10 - p) max(1, |d_k|).  Both must
+    evaluate the map: the differences sample it around z, the series only at
+    z, so either may break down where the other does not.  z comes from the
+    seed, since hypothesis favours 0, where many of these functions have a
+    zero slope."""
+    rng = random.Random(seed)
+    f, z = _function_of_x(rng), bigreal(rng.uniform(-3, 3), precision)
+    m = MethodId.parse(spec + "+F" * transform)
+    try:
+        got = map_derivatives_at(m, f, z, max_order, precision)
+        expected = reference_map_derivatives(m, f, z, max_order, precision)
+    except Breakdown:
+        return
+    with mp.workdps(3 * precision):
+        for a, b in zip(got, expected):
+            assert abs(a.value - b.value) <= (
+                mp.mpf(10) ** (10 - precision) * max(1, abs(b.value))), (a, b)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    spec=st.sampled_from([f"t{n}" for n in range(8)] + ["t2_1", "t4_3"]),
+    transform=st.booleans(),
+    simpson_seed=st.sampled_from([solver.SEED_TRAPEZOID, SEED_NEWTON]),
+    degree=st.integers(1, 3),
+    precision=st.sampled_from([30, 60, 700]),
+)
+def test_series_map_constant_term_is_the_map_bitwise(seed, spec, transform, simpson_seed, degree,
+                                                     precision):
+    """The map on the series z + ε has the bits of apply_method at z as its
+    constant term, or raises its Breakdown, with its message and level: every
+    series call makes the raw call on the constant terms.  map_derivatives_at
+    runs plain maps so, at the working precision."""
+    rng = random.Random(seed)
+    f, z = _function_of_x(rng), bigreal(rng.uniform(-3, 3), precision)
+    m = MethodId.parse(spec + "+F" * transform, simpson_seed=simpson_seed)
+    prec = working_prec(precision)
+    series_map = solver._method_map(m, f, precision, prec,
+                                    arithmetic=(_eval_series, _series_namespace()))
+    start = [z.value._mpf_, fone] + [fzero] * (degree - 1)
+    assert _map_outcome(lambda: mp.make_mpf(series_map(start)[0])) == _map_outcome(
+        lambda: apply_method(m, f, z, precision).value)
+
+
 def test_map_derivatives_validation():
     f = parse("x^2-4")
     with pytest.raises(ValueError):
@@ -202,6 +304,36 @@ def test_bisect_root_sqrt2():
     root = bisect_root(parse("x^2-2"), 1, 2, 60)
     with mp.workdps(80):
         assert abs(root.value - mp.sqrt(2)) < mp.mpf(10) ** -58
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(
+    numerator=st.integers(-10**6, 10**6),
+    scale=st.integers(0, 40),
+    width=st.integers(1, 10**6),
+    root_at_lo=st.booleans(),
+    precision=st.sampled_from([15, 30, 300]),
+)
+def test_bisect_root_returns_an_end_that_is_an_exact_root(numerator, scale, width, root_at_lo,
+                                                          precision):
+    """A bracket end where f is exactly zero is returned as it is, before the
+    sign check: (x - r)(x^2 + 1) with a dyadic r is exactly zero at r alone."""
+    r = Fraction(numerator, 2 ** scale)
+    other = r + Fraction(width if root_at_lo else -width, 2 ** scale)
+    f = parse(f"(x-({numerator})/{2 ** scale})*(x^2+1)")
+    root = bisect_root(f, *sorted((r, other)), precision)
+    assert root.value == mp.mpf(numerator) / 2 ** scale
+
+
+def test_bisect_root_stops_where_the_bracket_cannot_be_split():
+    # near 1e11 the working precision of 30 digits spaces numbers about 1e-29
+    # apart, wider than the 10^-30 target, so bisection stops at two
+    # neighbours; the root of x - 10^11 - 1/3 lies between two of them, and
+    # f, whose x - 10^11 is exact there, is zero at neither
+    root = bisect_root(parse("x-100000000000-1/3"), 100000000000, 100000000001, 30)
+    spacing = mp.ldexp(1, 37 - working_prec(30))  # 2^36 < 1e11 < 2^37
+    with mp.workdps(80):
+        assert 0 < abs(root.value - (10 ** 11 + mp.mpf(1) / 3)) < spacing
 
 
 def test_bisect_root_needs_sign_change():
@@ -403,41 +535,26 @@ def test_bisect_root_polish_lands_on_simple_and_odd_multiple_roots(
             mp.mpf(10) ** -precision / 2)
 
 
-def test_concurrent_map_derivatives_use_one_context_per_thread():
-    """map_derivatives_at makes its thread's private mpmath context once and
-    sets its precision on every call, so threads at different precisions give
-    the serial bits, also after a call that broke down, and every call in a
-    thread uses that thread's one context."""
-    cases = [(MethodId(n), parse(text), z, 3, p)
-             for n, text, z in ((1, "tanh(x-1)", 1), (2, "x^3-8", 2), (0, "sqrt(x)", 0))
-             for p in (30, 120)]
-    contexts = {}
-
-    def evaluate(case):
-        try:
-            result = [d.value._mpf_ for d in map_derivatives_at(*case)]
-        except Breakdown as exc:
-            result = exc.kind, str(exc)
-        contexts.setdefault(threading.get_ident(), set()).add(id(analysis._contexts.ctx))
-        return result
-
-    _assert_threads_match_serial(cases, evaluate, {30: 60, 120: 30})
-    assert len(contexts) == 3
-    assert all(len(ids) == 1 for ids in contexts.values())
-
-
 def test_concurrent_analysis_is_bit_identical_to_serial():
     """bisect_root and map_derivatives_at take their precision as an argument
     and never read or set mpmath's global context, so threads at different
-    precisions do not change each other's results."""
+    precisions do not change each other's results, also after a call that
+    broke down (sqrt(x) at 0, whose slope there is a domain error)."""
     cases = [("bisect", parse("x^11+4*x^2-10"), 1, 2, p) for p in (40, 400)] + [
-        ("derivs", MethodId(1), parse("tanh(x-1)"), 1, 3, p) for p in (30, 120)]
+        ("derivs", MethodId(n), parse(text), z, 3, p)
+        for n, text, z in ((1, "tanh(x-1)", 1), (2, "x^3-8", 2), (0, "sqrt(x)", 0))
+        for p in (30, 120)]
 
     def evaluate(case):
         if case[0] == "bisect":
             return bisect_root(*case[1:]).value._mpf_
-        return [d.value._mpf_ for d in map_derivatives_at(*case[1:])]
+        try:
+            return [d.value._mpf_ for d in map_derivatives_at(*case[1:])]
+        except Breakdown as exc:
+            return exc.kind, str(exc), exc.level
 
+    for case in cases[-2:]:
+        assert evaluate(case) == (Breakdown.DOMAIN, "derivative of sqrt at 0", 0)
     # the serial pass runs first, so libmp's cached constants hold 120 digits
     # before the threads start; about as long at each precision
-    _assert_threads_match_serial(cases, evaluate, {40: 80, 400: 70, 30: 60, 120: 30})
+    _assert_threads_match_serial(cases, evaluate, {40: 80, 400: 70, 30: 150, 120: 60})

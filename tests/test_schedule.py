@@ -12,9 +12,11 @@ import pytest
 
 from conftest import certified_root, cubic
 
-from cotesroot import MethodId, ScalarProblem, bigreal, estimate_order, iterate, parse
+from cotesroot import (Breakdown, MethodId, ScalarProblem, bigreal, estimate_order, iterate, parse,
+                       solver)
+from cotesroot.bigreal import working_prec
 from cotesroot.expr import eval_value
-from cotesroot.solver import CONVERGED, DIVERGED, Termination, apply_method
+from cotesroot.solver import BREAKDOWN, CONVERGED, DIVERGED, Termination, apply_method
 
 ROOTS = {
     "x^3+2*x-5": lambda dps: certified_root(cubic, 1, 2, dps),
@@ -132,3 +134,58 @@ def test_reduced_pass_correction_beyond_the_float_range(precision):
     assert traj.termination == Termination(DIVERGED)
     assert len(traj.iterates) == 4
     assert traj.final.x.decimal(8) == "-1.0857931e+16591"
+
+
+# the precisions of a 600-digit run, of a reduced pass from an iterate with no
+# correct digit (_SCHEDULE_GUARD digits) and of that pass's check (as many more)
+FULL, LOW, CHECK = (working_prec(d) for d in (600, 20, 40))
+
+
+def _recorded_evaluations(monkeypatch):
+    """(order or output set, precision, point) of every evaluation of f."""
+    calls, evaluate = [], solver._eval
+
+    def recording_eval(f, x, order, prec):
+        calls.append((order, prec, mp.make_mpf(x)))
+        return evaluate(f, x, order, prec)
+
+    monkeypatch.setattr(solver, "_eval", recording_eval)
+    return calls
+
+
+@pytest.mark.parametrize("spec,iterates,last_reduced", [
+    ("t0", [2, 1], (1, CHECK, 1)),  # its check slope at 1 is zero
+    ("t0_0", [2], (1, LOW, 1)),  # its outer base slope at 1 is zero
+])
+def test_reduced_pass_falls_back_to_a_full_pass(monkeypatch, spec, iterates, last_reduced):
+    """Newton on x^3-3x+7 goes from 2 exactly to 1, where f' = 3x^2-3
+    vanishes.  t0's reduced pass lands there, and its check slope is zero;
+    t0_0's reduced pass breaks down at its outer ladder's base point there.
+    Either pass is redone at the full precision from 2, and the run breaks
+    down where that pass, or the next one, meets the zero slope."""
+    calls = _recorded_evaluations(monkeypatch)
+    problem = ScalarProblem(parse("x^3-3*x+7"), bigreal(2, 600), precision=600)
+    traj = iterate(problem, MethodId.parse(spec))
+    assert [rec.x.value for rec in traj.iterates] == iterates
+    assert traj.termination == Termination(BREAKDOWN, Breakdown.ZERO_DERIVATIVE,
+                                           "f' vanished at the base point", 0)
+    assert calls == [(0, FULL, 2), (("d1",), solver._INITIAL_PREC, 2), (1, LOW, 2),
+                     last_reduced, (1, FULL, 2), (1, FULL, 1)]
+
+
+def test_reduced_pass_leaving_the_bound_falls_back_to_a_full_pass(monkeypatch):
+    """t1 on tanh(x-1) from 2.477085 reaches 3.1e6, inside the bound 3.5e6,
+    but the Newton value there, and so the trapezoid node, is far outside.
+    The reduced pass from there leaves the bound after its base jet, and the
+    pass is redone at the full precision, which leaves it too: the run ends
+    diverged, as it does at 30 digits, where no pass is reduced."""
+    calls = _recorded_evaluations(monkeypatch)
+    problem = ScalarProblem(parse("tanh(x-1)"), bigreal("2.477085", 600), precision=600,
+                            max_iter=5)
+    traj = iterate(problem, MethodId(1))
+    assert traj.termination == Termination(DIVERGED, None,
+                                           "a ladder node left the divergence bound", 1)
+    assert len(traj.iterates) == 3
+    last = traj.final.x.value
+    assert calls[-2:] == [(1, LOW, last), (1, FULL, last)]
+    assert all(abs(x) <= problem.divergence_bound.value for _, _, x in calls)

@@ -191,7 +191,7 @@ def transform_pair(text, x, precision):
     """(F, F') of the +F maps at x, at the working precision of ``precision``."""
     prec = working_prec(precision)
     jet = _eval(parse(text), mp.mpf(x, prec=prec)._mpf_, 2, prec)
-    return tuple(mp.make_mpf(v) for v in _transform_pair(jet, prec))
+    return tuple(mp.make_mpf(v) for v in _transform_pair(prec)(jet))
 
 
 def test_transform_of_square():
