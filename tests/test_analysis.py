@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 from fractions import Fraction
 
 import mpmath as mp
@@ -535,26 +536,54 @@ def test_bisect_root_polish_lands_on_simple_and_odd_multiple_roots(
             mp.mpf(10) ** -precision / 2)
 
 
+def test_concurrent_map_derivatives_use_one_context_per_thread(monkeypatch):
+    """map_derivatives_at makes no mpmath context and never sets the shared
+    one, so every call in every thread finds mpmath's global context as it
+    was, and threads at different precisions give the serial bits, also after
+    a call that broke down (sqrt(x) at 0, whose slope there is a domain
+    error)."""
+    cases = [(MethodId(n), parse(text), z, 3, p)
+             for n, text, z in ((1, "tanh(x-1)", 1), (2, "x^3-8", 2), (0, "sqrt(x)", 0))
+             for p in (30, 120)]
+    made = []
+    init = mp.ctx_mp.MPContext.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(mp.ctx_mp.MPContext, "__init__", counting_init)
+    shared = id(mp.mp), mp.mp.prec
+    contexts = {}
+
+    def evaluate(case):
+        try:
+            result = [d.value._mpf_ for d in map_derivatives_at(*case)]
+        except Breakdown as exc:
+            result = exc.kind, str(exc), exc.level
+        contexts.setdefault(threading.get_ident(), set()).add((id(mp.mp), mp.mp.prec))
+        return result
+
+    for case in cases[-2:]:
+        assert evaluate(case) == (Breakdown.DOMAIN, "derivative of sqrt at 0", 0)
+    _assert_threads_match_serial(cases, evaluate, {30: 150, 120: 60})
+    assert not made
+    assert len(contexts) == 3
+    assert all(seen == {shared} for seen in contexts.values())
+
+
 def test_concurrent_analysis_is_bit_identical_to_serial():
     """bisect_root and map_derivatives_at take their precision as an argument
     and never read or set mpmath's global context, so threads at different
-    precisions do not change each other's results, also after a call that
-    broke down (sqrt(x) at 0, whose slope there is a domain error)."""
+    precisions do not change each other's results."""
     cases = [("bisect", parse("x^11+4*x^2-10"), 1, 2, p) for p in (40, 400)] + [
-        ("derivs", MethodId(n), parse(text), z, 3, p)
-        for n, text, z in ((1, "tanh(x-1)", 1), (2, "x^3-8", 2), (0, "sqrt(x)", 0))
-        for p in (30, 120)]
+        ("derivs", MethodId(1), parse("tanh(x-1)"), 1, 3, p) for p in (30, 120)]
 
     def evaluate(case):
         if case[0] == "bisect":
             return bisect_root(*case[1:]).value._mpf_
-        try:
-            return [d.value._mpf_ for d in map_derivatives_at(*case[1:])]
-        except Breakdown as exc:
-            return exc.kind, str(exc), exc.level
+        return [d.value._mpf_ for d in map_derivatives_at(*case[1:])]
 
-    for case in cases[-2:]:
-        assert evaluate(case) == (Breakdown.DOMAIN, "derivative of sqrt at 0", 0)
     # the serial pass runs first, so libmp's cached constants hold 120 digits
     # before the threads start; about as long at each precision
-    _assert_threads_match_serial(cases, evaluate, {40: 80, 400: 70, 30: 150, 120: 60})
+    _assert_threads_match_serial(cases, evaluate, {40: 80, 400: 70, 30: 60, 120: 30})
