@@ -6,10 +6,11 @@ finds its operands on top of a stack.  Evaluation compiles the tape once per
 output set into one function of straight-line ``mpmath.libmp`` calls.  An
 output set names what the code returns, in order: ("f",), ("d1",),
 ("f", "d1") or ("f", "d1", "d2"); the orders 0, 1 and 2 stand for the first,
-third and fourth.  Code for f alone is written at order 0; code that returns
-f' or f'' carries (f, f') or (f, f', f'') forward through every instruction,
-which is forward-mode automatic differentiation.  The maps consume f and f'
-at their base point and f' alone at every ladder node, and the
+third and fourth.  The source is written in one of two modes: value code
+for f alone, and for every other output set the full jet, which carries
+(f, f', f'') forward through every instruction (forward-mode automatic
+differentiation) and is then pruned to the outputs.  The maps consume f and
+f' at their base point and f' alone at every ladder node, and the
 multiple-root transform additionally needs f'' for its own slope.  Neither
 parsing, compiling nor evaluation recurses, so the nesting depth of a
 function is limited only by memory.
@@ -21,22 +22,25 @@ Each call is the libmp call that the same formula on mpf operators would
 make, so results are bit for bit those of plain mpf arithmetic of the same
 formulas at that precision.  Compiling skips the calls whose result it
 knows or does not need, which is activity analysis (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed. 2008).  Forward, a subtree without x is
-passive and computes its value only, and x's derivative 1 is folded, so
-``k*x`` has the derivative k, ``x^c`` has (c·x^(c-1), c(c-1)·x^(c-2)),
-``g(x)`` has (g', g'') and ``a + k`` passes a's derivatives through.  A
-folded call would only have returned its operand, already rounded, so the
-bits do not change.  Backward, one liveness pass from the outputs drops
-every call that no output reads: the f'-only code of ``log(x)+x-2`` makes
-no log call.  It keeps every domain check, in order, so the code for any
-output set raises the Breakdown of the full jet of its order at the same
-point, and it keeps a branch block whole.  The calls that remain are the
-jet's own, in the jet's order, so they give its bits.  tanh is s/c from one
-``mpf_cosh_sinh`` call at 10 more bits, whose c also gives sech = 1/c for
-the derivatives (order 0 takes the sign instead where that call would give
-c = s); sin and cos come from one ``mpf_cos_sin`` call, with the bits of
-``mpf_sin`` and ``mpf_cos``.  Literals are converted once per precision and
-kept beside the tape for the last few precisions.
+*Evaluating Derivatives*, 2nd ed. 2008), done by folding and liveness.
+Forward, the derivatives of a subtree without x are the name ``fzero`` and
+x's derivative is ``fone``, and arithmetic on them is folded, so a passive
+subtree's derivative arithmetic writes no call, ``k*x`` has the derivative
+k, ``x^c`` has (c·x^(c-1), c(c-1)·x^(c-2)), ``g(x)`` has (g', g'') and
+``a + k`` passes a's derivatives through.  A folded call would only have
+returned its operand, already rounded, so the bits do not change.
+Backward, one liveness pass from the outputs drops every call that no
+output reads, at every depth: the f'-only code of ``log(x)+x-2`` makes no
+log call, and no code makes the g'(v) of a passive g(v).  It keeps every
+domain check and branch header, in order, so the code for any output set
+raises the Breakdown of the full jet, or of the value code, at the same
+point.  The calls that remain are the jet's own, in the jet's order, so
+they give its bits.  tanh is s/c from one ``mpf_cosh_sinh`` call at 10
+more bits, whose c also gives sech = 1/c for the derivatives (value code
+takes the sign instead where that call would give c = s); sin and cos come
+from one ``mpf_cos_sin`` call, with the bits of ``mpf_sin`` and
+``mpf_cos``.  Literals are converted once per precision and kept beside the
+tape for the last few precisions.
 
 The same source also runs against a second namespace, in which each libmp
 name the code calls is its counterpart on truncated power series
@@ -252,24 +256,27 @@ _ZERO, _ONE = "fzero", "fone"
 
 
 class _Source:
-    """The straight-line source of one run of a tape at one order, before
-    ``_live`` prunes it to its outputs; see ``_compile``.
+    """The straight-line source of one run of a tape, before ``_live``
+    prunes it to its outputs; see ``_compile``.
 
-    A slot is the (f, f', f'') of one operand as names in the source; a
-    derivative that is not computed (all of them at order 0, f'' at order 1)
-    is ``fzero``.  The names ``fzero`` and ``fone`` decide at compile time
-    what a derivative call on them returns: 0·u is 0, 1·u and u ± 0 are u,
-    0 - u is -u, and an operation whose operands are all passive (no x below
-    them) gets no derivative code.  A folded call would have returned u
-    rounded to ``prec``, which is u itself, since every name but x and those
-    in ``raw`` holds a literal, a constant or a libmp result at ``prec``.
-    0·u is 0 only for a finite u, and with a finite x every value is finite.
-    A literal integer exponent is resolved here, and a call the code has
-    made already is not made again (libmp is pure).
+    It has two modes: value code (``jet`` false), which applies the
+    value-level domain rules only, and the full jet (f, f', f''), which adds
+    the derivative-level ones.  A slot is the (f, f', f'') of one operand as
+    names in the source; value code seeds x with the derivatives ``fzero``.
+    The names ``fzero`` and ``fone`` decide at compile time what a derivative
+    call on them returns: 0·u is 0, 1·u and u ± 0 are u, 0 - u is -u, so the
+    derivative arithmetic of a passive operand (no x below it) is ``fzero``
+    and writes no call, and what it wrote only for that arithmetic is left to
+    ``_live``.  A folded call would have returned u rounded to ``prec``,
+    which is u itself, since every name but x and those in ``raw`` holds a
+    literal, a constant or a libmp result at ``prec``.  0·u is 0 only for a
+    finite u, and with a finite x every value is finite.  A literal integer
+    exponent is resolved here, and a call the code has made already is not
+    made again (libmp is pure).
     """
 
-    def __init__(self, order: int):
-        self.order = order
+    def __init__(self, jet: bool):
+        self.jet = jet
         self.lines, self.pad = [], "    "
         self.names = count()
         self.raw = {"x"}  # names that may hold x itself, which may carry more than prec bits
@@ -295,10 +302,6 @@ class _Source:
 
     def fail(self, condition, message):
         self.line(f"if {condition}: raise Breakdown(DOMAIN, {message})")
-
-    def active(self, *slots) -> bool:
-        """Whether an operation on these slots needs derivative code."""
-        return self.order > 0 and not all(s[1] == s[2] == _ZERO for s in slots)
 
     # derivative arithmetic, folded where the operands allow
     def add(self, p, q):
@@ -369,34 +372,24 @@ class _Source:
                 self.raw.add(merged[-1])
         for k, (condition, lines, _) in enumerate(bodies):
             self.line("else:" if condition is None else f"{'elif' if k else 'if'} {condition}:")
-            self.lines += lines or [f"{pad}    pass"]
+            self.lines += lines
         return tuple(merged)
-
-    def chain(self, u, gp, gpp):
-        """g(u)' = g'(v) u', g(u)'' = g''(v) u'^2 + g'(v) u''."""
-        _, u1, u2 = u
-        return self.mul(gp, u1), (self.add(self.mul(self.mul(gpp, u1), u1), self.mul(gp, u2))
-                                  if self.order == 2 else _ZERO)
 
     def binary(self, op, variable, a, b):
         (v, a1, a2), (w, b1, b2) = a, b
-        second = self.order == 2
         if op == "^":
             return self.power(a, b, variable)
         if op == "/":
             self.fail(f"_zero({w})", '"division by zero"')
         f = self.call({"+": "mpf_add", "-": "mpf_sub", "*": "mpf_mul", "/": "mpf_div"}[op], v, w)
-        if not self.active(a, b):
-            return f, _ZERO, _ZERO
         if op == "+" or op == "-":
             combine = self.add if op == "+" else self.sub
-            return f, combine(a1, b1), combine(a2, b2) if second else _ZERO
+            return f, combine(a1, b1), combine(a2, b2)
         if op == "*":
-            return f, self.add(self.mul(a1, w), self.mul(v, b1)), (self.add(self.add(
-                self.mul(a2, w), self.twice(a1, b1)), self.mul(v, b2)) if second else _ZERO)
+            return f, self.add(self.mul(a1, w), self.mul(v, b1)), self.add(self.add(
+                self.mul(a2, w), self.twice(a1, b1)), self.mul(v, b2))
         d1 = self.div(self.sub(a1, self.mul(f, b1)), w)
-        return f, d1, (self.div(self.sub(self.sub(a2, self.twice(d1, b1)), self.mul(f, b2)), w)
-                       if second else _ZERO)
+        return f, d1, self.div(self.sub(self.sub(a2, self.twice(d1, b1)), self.mul(f, b2)), w)
 
     def power(self, a, b, variable):
         v, w = a[0], b[0]
@@ -404,7 +397,7 @@ class _Source:
             return self.integer_power(a, self.integers[w])
         cases = [] if variable else [(  # a constant integer exponent
             f"{w}[1] and {w}[2] >= 0 or {w} == fzero", lambda: self.integer_power(a, w))]
-        if self.order:
+        if self.jet:
             message = ("variable power of a nonpositive base" if variable else
                        "real power of a nonpositive base; use cbrt() for odd roots")
             cases.append((f"mpf_le({v}, fzero)", lambda: self.line(
@@ -413,7 +406,7 @@ class _Source:
             cases.append((f"mpf_lt({v}, fzero) or ({v} == fzero and mpf_lt({w}, fzero))",
                           lambda: self.line("raise Breakdown(DOMAIN, 'real power of a negative"
                                             " base; use cbrt() for odd roots')")))
-            if variable:  # 0^b, which only order 0 reaches
+            if variable:  # 0^b, which only value code reaches
                 cases.append((f"{v} == fzero", lambda: self.real_power(a, w)))
         cases.append((None, lambda: self.variable_power(a, b) if variable else
                       self.real_power(a, w)))
@@ -439,57 +432,44 @@ class _Source:
             pm2 = self.call("mpf_pow_int", v, c - 2 if known else f"{c} - 2")
         pm1 = self.mul(pm2, v)
         f = self.call("mpf_mul", pm1, v)
-        if not self.active(a):
-            return f, _ZERO, _ZERO
         cpm1 = self.call("mpf_mul_int", pm1, c)
-        return f, self.mul(cpm1, a1), (self.add(self.mul(self.mul(self.call(
+        return f, self.mul(cpm1, a1), self.add(self.mul(self.mul(self.call(
             "mpf_mul_int", pm2, c * (c - 1) if known else f"{c} * ({c} - 1)"), a1), a1),
-            self.mul(cpm1, a2)) if self.order == 2 else _ZERO)
+            self.mul(cpm1, a2))
 
     def real_power(self, a, w):
         v, a1, a2 = a
         f = self.call("mpf_pow", v, w)
-        if not self.active(a):  # the exponent is passive here
-            return f, _ZERO, _ZERO
         bm1 = self.call("mpf_sub", w, "fone")
         bpm1 = self.call("mpf_mul", w, self.call("mpf_pow", v, bm1))
-        return f, self.mul(bpm1, a1), (self.add(self.mul(self.mul(self.call(
+        return f, self.mul(bpm1, a1), self.add(self.mul(self.mul(self.call(
             "mpf_mul", self.call("mpf_mul", w, bm1),
             self.call("mpf_pow", v, self.call("mpf_sub", w, "ftwo"))), a1), a1),
-            self.mul(bpm1, a2)) if self.order == 2 else _ZERO)
+            self.mul(bpm1, a2))
 
     def variable_power(self, a, b):
         """a^b = exp(b * log a), through the jets of log and *."""
         (v, a1, a2), (w, b1, b2) = a, b
         lv = self.call("mpf_log", v)
         e = self.call("mpf_exp", self.call("mpf_mul", w, lv))
-        if not self.active(a, b):
-            return e, _ZERO, _ZERO
         l1 = self.div(a1, v)
         p1 = self.add(self.mul(b1, lv), self.mul(w, l1))
         ep1 = self.mul(e, p1)
-        if self.order == 1:
-            return e, ep1, _ZERO
-        square = _ZERO if a1 == _ZERO else self.div(
-            self.mul(self.neg(a1), a1), self.call("mpf_mul", v, v))
+        square = self.div(self.mul(self.neg(a1), a1), self.call("mpf_mul", v, v))
         p2 = self.add(self.add(self.mul(b2, lv), self.twice(b1, l1)),
                       self.mul(w, self.add(square, self.div(a2, v))))
         return e, ep1, self.add(self.mul(ep1, p1), self.mul(e, p2))
 
     def negate(self, u):
-        f = self.call("mpf_neg", u[0])
-        if not self.active(u):
-            return f, _ZERO, _ZERO
-        return f, self.neg(u[1]), self.neg(u[2]) if self.order == 2 else _ZERO
+        return self.call("mpf_neg", u[0]), self.neg(u[1]), self.neg(u[2])
 
     def function(self, op, u):
         v, u1, u2 = u
-        second = self.order == 2
         if op == "log":
             self.fail(f"mpf_le({v}, fzero)", f'f"log of nonpositive value {{to_str({v}, 8)}}"')
         if op == "sqrt":
             self.fail(f"mpf_lt({v}, fzero)", f'f"sqrt of negative value {{to_str({v}, 8)}}"')
-        if self.order and op in ("sqrt", "cbrt", "abs"):
+        if self.jet and op in ("sqrt", "cbrt", "abs"):
             self.fail(f"_zero({v})", f'"derivative of {op} at 0"')
         if op == "cbrt":  # real odd root
             r = self.call("mpf_mul", f"_sign({v})", self.call("mpf_cbrt", self.call("mpf_abs", v)))
@@ -497,7 +477,7 @@ class _Source:
             c, s, r = self.name(), self.name(), self.name()
             fused = (f"{c}, {s} = mpf_cosh_sinh({v}, prec + 10, rnd)",
                      f"{r} = mpf_div({s}, {c}, prec, rnd)")
-            if self.order:
+            if self.jet:
                 for text in fused:
                     self.line(text)
             else:  # the call works at +14 bits; where it gives c = s, take the sign
@@ -511,42 +491,33 @@ class _Source:
             r = s if op == "sin" else c
         else:  # abs, tan, exp, log, sqrt: one libmp call, as mpmath makes
             r = self.call(f"mpf_{op}", v)
-        if not self.active(u):
-            return r, _ZERO, _ZERO
         if op == "log":
-            return r, self.div(u1, v), (self.add(
-                self.div(self.mul(self.neg(u1), u1), self.call("mpf_mul", v, v)),
-                self.div(u2, v)) if second else _ZERO)
+            return r, self.div(u1, v), self.add(
+                self.div(self.mul(self.neg(u1), u1), self.call("mpf_mul", v, v)), self.div(u2, v))
         if op == "abs":
             sign = self.let(f"_sign({v})")
-            return r, self.mul(sign, u1), self.mul(sign, u2) if second else _ZERO
-        gpp = None
+            return r, self.mul(sign, u1), self.mul(sign, u2)
         if op == "sin" or op == "cos":
-            gp = c if op == "sin" else self.call("mpf_neg", s)
-            if second:
-                gpp = self.call("mpf_neg", r)
+            gp, gpp = c if op == "sin" else self.call("mpf_neg", s), self.call("mpf_neg", r)
         elif op == "exp":
             gp = gpp = r
         elif op == "tan":
             gp = self.call("mpf_add", self.call("mpf_mul", r, r), "fone")
-            if second:
-                gpp = self.call("mpf_mul", self.call("mpf_mul_int", r, 2), gp)
+            gpp = self.call("mpf_mul", self.call("mpf_mul_int", r, 2), gp)
         elif op == "tanh":
             sech = self.let(f"mpf_pos(mpf_div(fone, {c}, prec + 10, rnd), prec, rnd)")
             gp = self.call("mpf_pow_int", sech, 2)  # 1 - r*r underflows for large |v|
-            if second:
-                gpp = self.call("mpf_mul", self.call("mpf_mul_int", r, -2), gp)
+            gpp = self.call("mpf_mul", self.call("mpf_mul_int", r, -2), gp)
         elif op == "sqrt":
             gp = self.call("mpf_rdiv_int", 1, self.call("mpf_mul_int", r, 2))
-            if second:
-                gpp = self.call("mpf_div", self.call("mpf_neg", gp), self.call("mpf_mul_int", v, 2))
+            gpp = self.call("mpf_div", self.call("mpf_neg", gp), self.call("mpf_mul_int", v, 2))
         else:  # cbrt
             r2 = self.call("mpf_mul", r, r)
             gp = self.call("mpf_rdiv_int", 1, self.call("mpf_mul_int", r2, 3))
-            if second:
-                gpp = self.call("mpf_rdiv_int", -2, self.call(
-                    "mpf_mul", self.call("mpf_mul", self.call("mpf_mul_int", r2, 9), r2), r))
-        return (r, *self.chain(u, gp, gpp))
+            gpp = self.call("mpf_rdiv_int", -2, self.call(
+                "mpf_mul", self.call("mpf_mul", self.call("mpf_mul_int", r2, 9), r2), r))
+        # the chain rule: g(u)' = g'(v) u', g(u)'' = g''(v) u'^2 + g'(v) u''
+        return r, self.mul(gp, u1), self.add(self.mul(self.mul(gpp, u1), u1), self.mul(gp, u2))
 
 
 # the names the compiled source uses besides its arguments, and those the
@@ -575,24 +546,30 @@ def _series_namespace() -> dict:
 # what compiled code can return, and the output set of the jet of each order
 _OUTPUTS = ("f", "d1", "d2")
 _JETS = {0: ("f",), 1: ("f", "d1"), 2: ("f", "d1", "d2")}
-# a top-level assignment of the source, and a name it assigns, wherever it appears
-_ASSIGNMENT = re.compile(r"    (t\d+(?:, t\d+)*) = ")
+# an assignment of the source at any depth, and a name it assigns, wherever it appears
+_ASSIGNMENT = re.compile(r" *(t\d+(?:, t\d+)*) = ")
 _NAME = re.compile(r"\bt\d+\b")
 
 
 def _live(lines: list, returned: str) -> list:
     """The lines of a ``_Source`` that the returned names need: backward liveness.
 
-    A top-level assignment stays when a line kept after it reads a name it
-    sets.  Every other line stays: a domain check, so that the code raises
-    the Breakdown of the full jet, with its message, at the same point; and
-    each line of a branch block, so a block stays whole.  What stays keeps
-    its order, so the calls that remain are made as the full jet makes them.
+    An assignment, at any depth, stays when a line kept after it reads a
+    name it sets.  Every name is assigned once, but for a branch block's
+    merged names, which each branch assigns, so a name once live stays live.
+    Every other line stays: a domain check, so that the code raises the
+    Breakdown of the full jet, with its message, at the same point, and a
+    branch header; a block that pruning empties gets ``pass``.  What stays
+    keeps its order, so the calls that remain are made as the full jet makes
+    them.
     """
     live, kept = set(_NAME.findall(returned)), []
     for line in reversed(lines):
         assigned = _ASSIGNMENT.match(line)
         if assigned is None or live.intersection(assigned.group(1).split(", ")):
+            block = line[:len(line) - len(line.lstrip())] + "    "
+            if line.endswith(":") and not (kept and kept[-1].startswith(block)):
+                kept.append(block + "pass")  # a header whose block pruning emptied
             kept.append(line)
             live.update(_NAME.findall(line))
     kept.reverse()
@@ -607,19 +584,21 @@ def _compile(tape: tuple, outputs: tuple, on_series: bool = False):
     returns ``outputs``: one of "f", "d1" and "d2" bare, several as a tuple.
     With ``on_series`` the same source runs against ``series.NAMES``.
 
-    ``_Source`` writes the code at the highest order the outputs need, 0 for
-    f alone, and ``_live`` drops every assignment that no output reads, so
-    ("d1",) makes only the calls of the order-1 jet that f' needs, and every
-    domain check of that jet.  The source holds names, integers and the
-    fixed texts of ``_Source``: no text of the function enters it, and an
+    ``_Source`` writes value code for f alone and the full jet for every
+    other output set, and ``_live`` drops every assignment, at any depth,
+    that no output reads, so ("d1",) makes only the calls of the jet that f'
+    needs, and every domain check of the jet.  Passive work goes the same
+    way: folding leaves a passive operand's derivatives ``fzero``, and
+    liveness drops the calls that only those would have read.  This is the
+    library's one ``exec``.  The source holds names, integers and the fixed
+    texts of ``_Source``: no text of the function enters it, and an
     instruction outside the grammar is refused, so a tape cannot inject code.
     """
-    order = max(map(_OUTPUTS.index, outputs))
-    source = _Source(order)
+    source = _Source(outputs != ("f",))
     stack, literals = [], 0
     for op, arg in tape:
         if op == "x":
-            stack.append(("x", _ONE if order else _ZERO, _ZERO))
+            stack.append(("x", _ONE if source.jet else _ZERO, _ZERO))
         elif op == "num" or op == "const":
             stack.append((f"L{literals}", _ZERO, _ZERO))
             if op == "num" and re.fullmatch("[0-9]+", arg) and int(arg) < 2 ** 32:
@@ -666,8 +645,8 @@ def _eval(expr: Expression, x, outputs, prec: int):
     derivative-level rules: no sqrt, cbrt or abs at 0, no real or variable
     power of a nonpositive base.  Every order computes a value by the same
     formula, so where order 0 and the jets both evaluate, f has the same bits.
-    An output set with f' or f'' applies the rules of its order and gives
-    the bits of that order's jet, and ("d1",) its f' alone.
+    An output set with f' or f'' applies the derivative-level rules and gives
+    the bits of the order-2 jet's outputs, and ("d1",) its f' alone.
     """
     run = expr._code.get(outputs)
     if run is None:  # racing threads compile equal code; either may stay cached

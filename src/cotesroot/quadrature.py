@@ -63,9 +63,7 @@ def _solve_fraction_free(matrix: list[list[int]], rhs: list[int]) -> list[Fracti
     a = [row[:] + [r] for row, r in zip(matrix, rhs)]
     prev = 1
     for col in range(size - 1):
-        if a[col][col] == 0:
-            swap = next(r for r in range(col + 1, size) if a[r][col] != 0)
-            a[col], a[swap] = a[swap], a[col]
+        # no pivot swap: a[col][col], a leading minor, is (col+1)!·Vandermonde(0..col) != 0
         for row in range(col + 1, size):
             for j in range(col + 1, size + 1):
                 a[row][j] = (a[row][j] * a[col][col] - a[row][col] * a[col][j]) // prev

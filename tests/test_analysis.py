@@ -141,6 +141,20 @@ def test_order_drops_leading_errors_of_one_or_more():
     assert est.q == pytest.approx(2, abs=0.1)
 
 
+def test_order_stops_at_an_error_that_does_not_decrease():
+    # against a reference 1e-30 off the root, Newton's errors fall to 1e-30,
+    # far above the roundoff floor 1e-45, and then stay there: the estimate
+    # uses the seven decreasing errors and stops at the eighth, an equal one
+    problem = ScalarProblem(parse("x^2-2"), bigreal(2, 60), precision=60)
+    traj = iterate(problem, MethodId(0))
+    assert len(traj.iterates) == 8
+    with mp.workdps(80):
+        est = estimate_order(traj, mp.sqrt(2) + mp.mpf(10) ** -30)
+    assert est.samples_used == 7
+    assert len(est.per_pair) == 6
+    assert est.q == pytest.approx(2, abs=0.1)
+
+
 def test_order_scale_invariant():
     reference = None
     results = []

@@ -64,6 +64,16 @@ def test_solve_newton_square(capsys):
     assert "converged" in out
 
 
+def test_solve_text_shows_s_against_root(capsys):
+    code, out, _ = run_cli(capsys, "solve", "-f", "x^2-4", "-m", "t0",
+                           "--x0", "3", "--digits", "30", "--root", "2")
+    assert code == 0
+    rows = out.splitlines()[:-1]
+    assert all(" s=" in row for row in rows)
+    # the first step goes to 13/6, an error of 1/6
+    assert float(rows[1].split("s=")[1]) == pytest.approx(float(mp.log10(6)), abs=1e-5)
+
+
 def test_solve_json_schema(capsys):
     code, out, _ = run_cli(capsys, "solve", "-f", "tanh(x-1)", "-m", "t2",
                            "--x0", "2.0", "--digits", "60", "--root", "1",

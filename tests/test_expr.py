@@ -1,7 +1,9 @@
+import dis
 import random
 import re
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from cotesroot import (
     Breakdown,
+    Expression,
     MethodId,
     ParseError,
     ScalarProblem,
@@ -43,6 +46,7 @@ def test_parse_tanh_shape():
 
 def test_parse_polynomial():
     e = parse("x^11 + 4*x^2 - 10")
+    assert str(e) == "x^11 + 4*x^2 - 10"
     v, d1, d2 = (float(b) for b in
                  (eval_jet(e, bigreal(2, 30), 30).f,
                   eval_jet(e, bigreal(2, 30), 30).d1,
@@ -98,6 +102,15 @@ def test_parse_errors_name_their_position(text, message, position):
         parse(text)
     assert str(err.value) == f"{message} (at position {position})"
     assert err.value.position == position
+
+
+@pytest.mark.parametrize("instruction", ["sinh", "x; import os", "neg "])
+def test_tape_with_an_unknown_instruction_is_refused(instruction):
+    """A hand-built tape outside the grammar compiles to nothing."""
+    expr = Expression((("x", None), (instruction, None)), "f")
+    for evaluate in (eval_value, eval_jet):
+        with pytest.raises(ValueError, match="unknown tape instruction"):
+            evaluate(expr, 1, 30)
 
 
 def test_whitespace_insensitive():
@@ -429,6 +442,36 @@ def test_slope_code_of_log_makes_no_log_call():
     assert "mpf_log" not in _compile(tape, ("d1",)).__code__.co_names
     for outputs in (("f",), ("f", "d1"), ("f", "d1", "d2")):
         assert "mpf_log" in _compile(tape, outputs).__code__.co_names
+
+
+def _libmp_calls(run):
+    """The libmp functions compiled code calls, as a multiset of names."""
+    return Counter(i.argval for i in dis.get_instructions(run)
+                   if i.opname == "LOAD_GLOBAL" and i.argval.startswith("mpf_"))
+
+
+@pytest.mark.parametrize("outputs", [("d1",), ("f", "d1")])
+def test_dead_branch_code_makes_no_call_but_keeps_its_check(outputs):
+    """f = (tan(x^x))^0 is 1, so no output reads x^x or its tan: liveness
+    prunes the power's branch block down to its domain check, which still
+    raises at x = -1 as the full jet does."""
+    expr = parse("(tan(x^x))^0")
+    assert _libmp_calls(_compile(expr.tape, outputs)) == Counter(mpf_le=1)
+    with pytest.raises(Breakdown) as err:
+        _eval(expr, mp.mpf(-1)._mpf_, outputs, working_prec(30))
+    assert err.value.kind == Breakdown.DOMAIN
+    assert str(err.value) == "variable power of a nonpositive base"
+
+
+def test_pruned_code_calls_a_subset_of_the_jets_calls():
+    """Every derivative output set is the full jet pruned by liveness, so it
+    makes no libmp call the jet does not make, and no call more often."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        tape = parse(_any_op_expr(rng, rng.randint(1, 3))).tape
+        jet = _libmp_calls(_compile(tape, ("f", "d1", "d2")))
+        for outputs in (("d1",), ("f", "d1")):
+            assert _libmp_calls(_compile(tape, outputs)) <= jet, (seed, outputs)
 
 
 def test_tanh_is_sinh_over_cosh_where_it_differs_from_mpf_tanh():

@@ -86,6 +86,9 @@ def test_rulespec_validates_invariants():
         RuleSpec(1, (2, 1), 3)  # symmetry
     with pytest.raises(ValueError):
         RuleSpec(2, (1, 4), 5)  # length
+    for weights in ((1, 0, 1), (-1, 4, -1)):
+        with pytest.raises(ValueError, match="strictly positive"):
+            RuleSpec(2, weights, sum(weights))
     with pytest.raises(ValueError, match=r"^rule index must be in 0\.\.7, got 8$"):
         RuleSpec(8, (1,) * 9, 9)
 
