@@ -26,13 +26,14 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import (fone, fzero, mpf_add, mpf_gt, mpf_le, mpf_mul_int, mpf_pow_int, mpf_shift,
-                          mpf_sign, mpf_sub)
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_mul_int, mpf_pow_int,
+                          mpf_shift, mpf_sign, mpf_sub)
 
 from .bigreal import BigReal, _check_finite, as_mpf, working_prec
 from .errors import Breakdown, InsufficientData
 from .expr import _RND, Expression, _eval, _eval_series, _series_namespace
-from .solver import _TEN, MethodId, Trajectory, _log10_abs, _method_map, _significant_digits
+from .solver import (_TEN, MethodId, Trajectory, _default_bound, _log10_abs, _method_map,
+                     _significant_digits)
 
 STABLE_GAP = 0.15  # adjacent ratio gap below which the estimate counts as settled
 FLOOR_MARGIN = 15  # digits above the working precision reserved for roundoff noise
@@ -140,8 +141,10 @@ def map_derivatives_at(
     (max_order + 1) times those bits: near a multiple root, F = -f/f' divides
     by an f' of about 10^(-precision), and each degree of its series loses
     that much again.  A Breakdown of the map at z itself propagates, as
-    ``apply_method`` raises it there; the domain is judged at z only.  A z
-    that is not finite is a ValueError.  It never reads or sets mpmath's
+    ``apply_method`` raises it there; the domain is judged at z only, and
+    so is the bound 10^6 (1 + |z|) that every ladder node must stay inside
+    (``solver._default_bound``; else the ``diverged`` Breakdown).  A z that
+    is not finite is a ValueError.  It never reads or sets mpmath's
     context, so threads may call it at once.
     """
     if max_order < 1:
@@ -150,7 +153,8 @@ def map_derivatives_at(
     prec = out * (max_order + 1 if m.transform else 1)
     z = as_mpf(z, prec)._mpf_
     _check_finite("z", [z])
-    apply = _method_map(m, f, precision, prec, arithmetic=(_eval_series, _series_namespace()))
+    apply = _method_map(m, f, precision, prec, _default_bound(mpf_abs(z, prec, _RND), prec),
+                        (_eval_series, _series_namespace()))
     coefficients = apply([z, fone] + [fzero] * (max_order - 1))
     return [BigReal(mp.make_mpf(mpf_mul_int(c, math.factorial(k), out, _RND)), precision)
             for k, c in enumerate(coefficients[1:], 1)]
@@ -180,20 +184,21 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
 
     The bracket must be finite, ordered and change sign.  Bisection seeds a
     bracket 10^-30 wide (10^(-precision) if that is wider).  The library's
-    "t0+F" map, Newton's map on F = -f/f', polishes its midpoint: F has a
+    "t0+F" map, Newton's map on F = -f/f', polishes its midpoint m: F has a
     simple root at simple and multiple roots of f alike, so the map converges
-    quadratically to either.  It runs until it returns its argument, at most
-    20 times, or until it breaks down; at an exact multiple root, where F is
-    0/0, it does, and that root is kept.  Where rounding makes it alternate
-    between two points, it stops at once and keeps the point that its 20th
-    application would have returned.  The polished r is kept only when it
-    lies in the seed bracket and f changes sign over [r - h, r + h] with
-    h = 10^(-precision)/2: the bound bisection's own midpoint has.  Else (a
-    breakdown of f at r ± h included) bisection goes on from the seed bracket
-    down to 10^(-precision), or to two neighbouring numbers of the working
-    precision where those lie further apart (near 10^11 at 30 digits).  Every
-    number is a raw mpf at the working precision, and mpmath's context is
-    neither read nor set.
+    quadratically to either.  Its bound is 10^6 (1 + |m|)
+    (``solver._default_bound``), though Newton's map has no ladder node for it
+    to hold.  It runs until it returns its argument, at most 20 times, or
+    until it breaks down; at an exact multiple root, where F is 0/0, it does,
+    and that root is kept.  Where rounding makes it alternate between two
+    points, it stops at once and keeps the point that its 20th application
+    would have returned.  The polished r is kept only when it lies in the seed
+    bracket and f changes sign over [r - h, r + h] with h = 10^(-precision)/2:
+    the bound bisection's own midpoint has.  Else (a breakdown of f at r ± h
+    included) bisection goes on from the seed bracket down to 10^(-precision),
+    or to two neighbouring numbers of the working precision where those lie
+    further apart (near 10^11 at 30 digits).  Every number is a raw mpf at the
+    working precision, and mpmath's context is neither read nor set.
     """
     prec = working_prec(precision)
     a, b = (as_mpf(v, prec)._mpf_ for v in (lo, hi))
@@ -214,8 +219,9 @@ def bisect_root(f: Expression, lo, hi, precision: int) -> BigReal:
     target = mpf_pow_int(_TEN, -precision, prec, _RND)
     a, fa, b = _bisect(value, a, fa, b, mpf_pow_int(_TEN, -min(precision, 30), prec, _RND), prec)
     if mpf_gt(mpf_sub(b, a, prec, _RND), target):
-        polish = _method_map(MethodId(0, transform=True), f, precision, prec)
         r = last = mpf_shift(mpf_add(a, b, prec, _RND), -1)
+        polish = _method_map(MethodId(0, transform=True), f, precision, prec,
+                             _default_bound(mpf_abs(r, prec, _RND), prec))
         with suppress(Breakdown):  # F is 0/0 at an exact multiple root: keep that root
             for k in range(1, 21):  # a bound: from 10^-30, quadratic steps need log2(p/30) + 2
                 r, last, before = polish(r), r, last

@@ -26,11 +26,12 @@ class Breakdown(CotesrootError, ArithmeticError):
     # derivative of cbrt/abs at zero, 0/0 in the multiple-root transform)
     DOMAIN = "domain"
     NONFINITE = "nonfinite"  # a value became NaN or infinite
+    DIVERGED = "diverged"  # a ladder node or a composition's inner result left the bound
 
-    def __init__(self, kind: str, message: str = ""):
+    def __init__(self, kind: str, message: str = "", level=None):
         super().__init__(message or kind)
         self.kind = kind
-        self.level = None
+        self.level = level
 
 
 class InsufficientData(CotesrootError, ValueError):

@@ -475,16 +475,13 @@ class _Source:
             r = self.call("mpf_mul", f"_sign({v})", self.call("mpf_cbrt", self.call("mpf_abs", v)))
         elif op == "tanh":  # s/c, and sech = 1/c below, from one cosh_sinh call
             c, s, r = self.name(), self.name(), self.name()
-            fused = (f"{c}, {s} = mpf_cosh_sinh({v}, prec + 10, rnd)",
-                     f"{r} = mpf_div({s}, {c}, prec, rnd)")
             if self.jet:
-                for text in fused:
-                    self.line(text)
-            else:  # the call works at +14 bits; where it gives c = s, take the sign
-                self.line(f"if _tanh_saturates({v}, prec + 24): {r} = _sign({v})")
-                self.line("else:")
-                for text in fused:
-                    self.line("    " + text)
+                self.line(f"{c}, {s} = mpf_cosh_sinh({v}, prec + 10, rnd)")
+                self.line(f"{r} = mpf_div({s}, {c}, prec, rnd)")
+            else:  # the call works at +14 bits; where it gives c = s, take the sign, in
+                # one assignment, which liveness drops where no output reads r
+                self.line(f"{r} = _sign({v}) if _tanh_saturates({v}, prec + 24) else "
+                          f"mpf_div(*mpf_cosh_sinh({v}, prec + 10, rnd)[::-1], prec, rnd)")
         elif op == "sin" or op == "cos":  # the bits of mpf_sin and mpf_cos
             c, s = self.name(), self.name()
             self.line(f"{c}, {s} = mpf_cos_sin({v}, prec, rnd)")

@@ -26,8 +26,8 @@ from mpmath.libmp import (fzero, mpf_abs, mpf_div, mpf_gt, mpf_le, mpf_mul, mpf_
 
 from .bigreal import DEFAULT_DIGITS, BigReal, _check_finite, as_mpf, working_dps, working_prec
 from .errors import Breakdown
-from .solver import (_RND, _TEN, SEED_TRAPEZOID, Termination, _argmax, _finite, _ladder_full,
-                     _max_norm, _outer_loop, _point_ops, _stop_rules, _weighted_sum)
+from .solver import (_RND, _TEN, SEED_TRAPEZOID, Termination, _argmax, _default_bound, _finite,
+                     _ladder_full, _max_norm, _outer_loop, _point_ops, _stop_rules, _weighted_sum)
 
 _LEVELS = {"newton": 0, "trapezoidal": 1, "simpson": 2}  # step kind -> ladder level
 
@@ -125,7 +125,7 @@ def _level(kind: str) -> int:
     return _LEVELS[kind]
 
 
-def _residual_and_step(func: VectorFunction, n: int, precision: int, bound=None):
+def _residual_and_step(func: VectorFunction, n: int, precision: int, bound):
     """The residual x -> F(x) and the ladder's level-n step (x, F(x)) -> y on
     raw points at the working precision of ``precision``; every node must stay
     inside the raw ``bound`` in the max norm.
@@ -155,26 +155,24 @@ def _residual_and_step(func: VectorFunction, n: int, precision: int, bound=None)
         return _lu_solve(b, points[2](c, f), precision)
 
     jacobian = partial(call, func.jacobian, _as_matrix)
-    outside = None if bound is None else (lambda p: mpf_gt(_max_norm(p, prec), bound))
 
     def step(x, fx):
-        try:
-            slope0 = jacobian(x)
-        except Breakdown as exc:
-            exc.level = 0
-            raise
-        return _ladder_full(n, x, fx, slope0, jacobian, weighted_sum, solve, points,
-                            SEED_TRAPEZOID, outside)
+        return _ladder_full(n, x, lambda p: (fx, jacobian(p)), jacobian, weighted_sum, solve,
+                            points, SEED_TRAPEZOID, lambda p: mpf_gt(_max_norm(p, prec), bound))
 
     return partial(call, func.residual, _as_vector), step
 
 
 def nd_step(kind: str, func: VectorFunction, x, precision: int) -> list[BigReal]:
-    """One step of the chosen kind from a finite x; a NaN or inf result raises Breakdown."""
-    residual, step = _residual_and_step(func, _level(kind), precision)
-    prec = working_prec(precision)
+    """One step of the chosen kind from a finite x; a NaN or inf result raises Breakdown.
+
+    Every ladder node must stay inside 10^6 (1 + max |x_i|)
+    (``solver._default_bound``), else the ``diverged`` Breakdown."""
+    level, prec = _level(kind), working_prec(precision)
     point = _as_vector(x, func.dimension, prec)
     _check_finite("x", point)
+    residual, step = _residual_and_step(func, level, precision,
+                                        _default_bound(_max_norm(point, prec), prec))
     y = step(point, residual(point))
     _finite(_max_norm(y, prec))
     return _big_reals(y, precision)

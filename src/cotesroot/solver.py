@@ -228,41 +228,33 @@ def _max_norm(vec, prec: int):
     return fnan if fnan in sizes else sizes[_argmax(sizes)]
 
 
-class _OutsideBound(Exception):
-    """A ladder node left the divergence bound; the outer loop ends the run diverged."""
-
-    def __init__(self, level: int):
-        super().__init__("a ladder node left the divergence bound")
-        self.level = level
-
-
-def _ladder_full(n, x, fx, slope0, slope_at, weighted_sum, solve, points, simpson_seed,
-                 outside=None):
+def _ladder_full(n, x, base, slope_at, weighted_sum, solve, points, simpson_seed, outside):
     """The map value y_n at x, built up from the Newton value y_0.
 
-    One ladder serves scalars and vectors.  ``fx`` and ``slope0`` are the
-    value and slope at x; ``slope0`` is node 0 of every level.  The caller
-    supplies ``slope_at(p)``, ``weighted_sum(weights, slopes)`` and
+    One ladder serves scalars and vectors.  ``base(x)`` gives the value and
+    slope at x, (fx, slope0); ``slope0`` is node 0 of every level.  The
+    caller supplies ``slope_at(p)``, ``weighted_sum(weights, slopes)`` and
     ``solve(B, c, F)``, the u with B u = c F, which raises Breakdown when B
     is numerically singular.  Points need only the four operations in
-    ``points``: p - q, p + q, k·p and p/k for an integer k.  With
-    ``outside(p)``, true for a p outside the divergence bound that x is
-    inside, a level whose last node x + k h is outside raises
-    ``_OutsideBound`` before any slope of the level is taken: a norm is
-    convex, so the nodes between x and the last one are inside whenever both
-    ends are.  A Breakdown leaves with ``level`` set to the level being built.
+    ``points``: p - q, p + q, k·p and p/k for an integer k.  ``outside(p)``
+    is true for a p outside the divergence bound that x is inside: a level
+    whose last node x + k h is outside raises the ``diverged`` Breakdown
+    before any slope of the level is taken, since a norm is convex, so the
+    nodes between x and the last one are inside whenever both ends are.
+    Every Breakdown, of ``base`` at level 0 included, leaves with ``level``
+    set to the level being built.
     """
     sub, add, scale, divide = points
     k = 0
     try:
+        fx, slope0 = base(x)
         y = newton = sub(x, solve(slope0, 1, fx))
         for k in range(1, n + 1):
             rule = _RULES[k]
-            base = newton if (k == 2 and simpson_seed == SEED_NEWTON) else y
-            h = divide(sub(base, x), k)
+            h = divide(sub(newton if (k == 2 and simpson_seed == SEED_NEWTON) else y, x), k)
             nodes = [add(x, scale(i, h)) for i in range(1, k + 1)]
-            if outside is not None and outside(nodes[-1]):
-                raise _OutsideBound(k)
+            if outside(nodes[-1]):
+                raise Breakdown(Breakdown.DIVERGED, "a ladder node left the divergence bound")
             slopes = [slope0] + [slope_at(p) for p in nodes]
             y = sub(x, solve(weighted_sum(rule.weights, slopes), rule.c, fx))
     except Breakdown as exc:
@@ -276,8 +268,7 @@ def _levels(m: MethodId) -> tuple[int, ...]:
     return (m.outer,) if m.inner is None else (m.inner, m.outer)
 
 
-def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=None,
-                arithmetic=None):
+def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound, arithmetic=None):
     """x -> t(x) on raw libmp tuples; a composition applies inner first.
 
     It computes at ``prec`` bits, the working precision of ``precision``
@@ -287,15 +278,16 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
     of the libmp calls by name, bound here once.  It defaults to ``_eval``
     and the libmp calls themselves; ``analysis`` passes ``_eval_series`` and
     the series namespace, so that the same map runs on power series.
-    ``bound`` is the raw divergence bound every ladder node must stay inside;
-    x must be inside it, and so must a composition's inner result, the outer
-    ladder's base point (else ``_OutsideBound`` at level 0).  A ladder breaks
-    down at level 0 where the slope at its base point is exactly zero, and at
-    the level whose weighted slope sum is more than about ``precision``
-    digits below that slope.  ``apply(x, jet)`` reuses the raw base jet at
-    x, (f, f') or for "+F" (f, f', f''), that the caller has.  A node takes
-    f' alone from code that makes no call f' does not need; under "+F" it
-    takes the order-2 jet, since F' needs f, f' and f''.
+    ``bound`` is the raw divergence bound every ladder node must stay inside
+    (``_default_bound`` of the start point, unless ``iterate`` is given
+    another); x must be inside it, and so must a composition's inner result,
+    the outer ladder's base point, else the ``diverged`` Breakdown at level 0.  A ladder breaks down at level 0 where the slope at its base
+    point is exactly zero, and at the level whose weighted slope sum is more
+    than about ``precision`` digits below that slope.  ``apply(x, jet)``
+    reuses the raw base jet at x, (f, f') or for "+F" (f, f', f''), that the
+    caller has.  A node takes f' alone from code that makes no call f' does
+    not need; under "+F" it takes the order-2 jet, since F' needs f, f' and
+    f''.
     """
     evaluate, ns = arithmetic or (_eval, _NAMESPACE)
     zero, abs_, lt, gt, mul, mul_int, div = itemgetter(
@@ -304,35 +296,39 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound=Non
     order = 2 if m.transform else 1  # of the base jets: F' needs f''
     # the cancellation trap 10^(5 - precision), relative to the base slope
     trap = mpf_pow_int(_TEN, 5 - precision, prec, _RND)
-    outside = None if bound is None else (lambda p: gt(abs_(p, prec, _RND), bound))
     points, weighted_sum = _point_ops(prec, ns), _weighted_sum(prec, ns)
     transform = _transform_pair(prec, ns) if m.transform else None
     pair = transform or (lambda jet: jet)
+
+    def outside(p):
+        return gt(abs_(p, prec, _RND), bound)
 
     def slope_at(p):
         return transform(evaluate(f, p, 2, prec))[1] if m.transform else (
             evaluate(f, p, _SLOPE, prec))
 
     def apply(x, jet=None):
+        tiny = None
+
+        def base(p):
+            nonlocal jet, tiny
+            fx, slope0 = pair(jet or evaluate(f, p, order, prec))
+            jet = None
+            if zero(slope0):
+                raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
+            tiny = mul(trap, abs_(slope0, prec, _RND), prec, _RND)
+            return fx, slope0
+
         def solve(b, c, fx):
             if zero(b) or lt(abs_(b, prec, _RND), tiny):
                 raise Breakdown(Breakdown.ZERO_DENOMINATOR, "weighted slope sum vanished")
             return div(mul_int(fx, c, prec, _RND), b, prec, _RND)
 
         for i, n in enumerate(levels):
-            if i and outside and outside(x):
-                raise _OutsideBound(0)
-            try:
-                fx, slope0 = pair(jet or evaluate(f, x, order, prec))
-                if zero(slope0):
-                    raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
-            except Breakdown as exc:
-                exc.level = 0
-                raise
-            jet = None
-            tiny = mul(trap, abs_(slope0, prec, _RND), prec, _RND)
-            x = _ladder_full(n, x, fx, slope0, slope_at, weighted_sum, solve, points,
-                             m.simpson_seed, outside)
+            if i and outside(x):
+                raise Breakdown(Breakdown.DIVERGED, "a ladder node left the divergence bound", 0)
+            x = _ladder_full(n, x, base, slope_at, weighted_sum, solve, points, m.simpson_seed,
+                             outside)
         return x
 
     return apply
@@ -347,12 +343,16 @@ def _nominal_order(m: MethodId) -> int:
 
 
 def apply_method(m: MethodId, f: Expression, x, precision: int) -> BigReal:
-    """One application of a basic or composed map (inner map first) from a finite x;
-    it never reads or sets mpmath's context, so threads may call it at once."""
+    """One application of a basic or composed map (inner map first) from a finite x.
+
+    Every ladder node, and a composition's inner result, must stay inside
+    10^6 (1 + |x|) (``_default_bound``), else the ``diverged`` Breakdown.  It
+    never reads or sets mpmath's context, so threads may call it at once."""
     prec = working_prec(precision)
     x = as_mpf(x, prec)._mpf_
     _check_finite("x", [x])
-    return BigReal(mp.make_mpf(_method_map(m, f, precision, prec)(x)), precision)
+    bound = _default_bound(mpf_abs(x, prec, _RND), prec)
+    return BigReal(mp.make_mpf(_method_map(m, f, precision, prec, bound)(x)), precision)
 
 
 def _finite(size):
@@ -362,21 +362,26 @@ def _finite(size):
     return size
 
 
+def _default_bound(size, prec: int):
+    """The divergence bound 10^6 (1 + size) of a start point of raw norm ``size``,
+    at ``prec`` bits: every entry point's ladders stay inside it."""
+    return mpf_mul(mpf_pow_int(_TEN, 6, prec, _RND), mpf_add(size, fone, prec, _RND), prec, _RND)
+
+
 def _stop_rules(precision, prec, x0, max_iter, step_tol, residual_tol, divergence_bound):
     """The outer loop's step and residual tolerances and divergence bound, raw.
 
     ``x0`` holds the start point's coordinates as raw mpfs; ``max_iter`` must be
     at least 1.  Unset values default to 10^(10 - precision) for both
-    tolerances and 10^6 (1 + max |x0_i|) for the bound, computed and
-    converted at ``prec`` bits, the working precision of ``precision``.
+    tolerances and ``_default_bound`` of max |x0_i| for the bound, computed
+    and converted at ``prec`` bits, the working precision of ``precision``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     _check_finite("x0", x0)
     size = _max_norm(x0, prec)
     tol = mpf_pow_int(_TEN, 10 - precision, prec, _RND)
-    defaults = tol, tol, mpf_mul(mpf_pow_int(_TEN, 6, prec, _RND), mpf_add(size, fone, prec, _RND),
-                                 prec, _RND)
+    defaults = tol, tol, _default_bound(size, prec)
     rules = [default if value is None else as_mpf(value, prec)._mpf_
              for value, default in zip((step_tol, residual_tol, divergence_bound), defaults)]
     # "not >" rather than "<=", so that NaN fails too
@@ -401,8 +406,8 @@ def _outer_loop(x, residual, step, sub, norm, max_iter, step_tol, residual_tol, 
     its iterate; it is never raised, and the termination carries its message
     and ladder level.  A non-finite iterate is a breakdown and one outside the
     bound ends the run diverged, both before (and without) the residual there;
-    a step whose ladder left the bound (``_OutsideBound``) ends it diverged at
-    the last iterate.
+    a step whose ladder left the bound (the ``diverged`` Breakdown) ends it
+    diverged at the last iterate.
     """
     points, steps, fx = [], [], None
     try:
@@ -424,9 +429,9 @@ def _outer_loop(x, residual, step, sub, norm, max_iter, step_tol, residual_tol, 
             if mpf_lt(fx_norm, residual_tol):
                 return points, steps, Termination(CONVERGED, "residual")
     except Breakdown as exc:
+        if exc.kind == Breakdown.DIVERGED:
+            return points, steps, Termination(DIVERGED, None, str(exc), exc.level)
         return points, steps, Termination(BREAKDOWN, exc.kind, str(exc), exc.level)
-    except _OutsideBound as exc:
-        return points, steps, Termination(DIVERGED, None, str(exc), exc.level)
     return points, steps, Termination(MAX_ITERATIONS)
 
 
@@ -544,7 +549,7 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
                 if digits is None:
                     digits = initial_digits(x, fx)
                 result = None if digits is None else reduced(x, digits)
-            except (Breakdown, _OutsideBound):
+            except Breakdown:
                 result = None
             if result is not None:
                 xn, digits = result

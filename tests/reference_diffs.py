@@ -20,8 +20,9 @@ def reference_map_derivatives(m, f, z, max_order, precision):
     """Derivatives 1..max_order of the map ``m`` on f at z, as BigReals."""
     ctx = mp.MPContext()
     ctx.prec = working_prec(precision)
-    z = as_mpf(z, ctx.prec)._mpf_
+    z = ctx.make_mpf(as_mpf(z, ctx.prec)._mpf_)
+    bound = (10**6 * (1 + abs(z)))._mpf_  # every ladder node stays inside 10^6 (1 + |z|)
     # each sample of the map runs at the precision diffs sets for it
-    _, *derivs = ctx.diffs(lambda x: ctx.make_mpf(_method_map(m, f, precision, ctx.prec)(x._mpf_)),
-                           ctx.make_mpf(z), max_order)
+    _, *derivs = ctx.diffs(
+        lambda x: ctx.make_mpf(_method_map(m, f, precision, ctx.prec, bound)(x._mpf_)), z, max_order)
     return [BigReal(mp.make_mpf(d._mpf_), precision) for d in derivs]

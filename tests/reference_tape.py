@@ -15,7 +15,7 @@ import mpmath as mp
 
 from cotesroot.errors import Breakdown
 from cotesroot.quadrature import builtin_rule
-from cotesroot.solver import SEED_NEWTON, _OutsideBound
+from cotesroot.solver import SEED_NEWTON
 
 _BINARY = ("+", "-", "*", "/", "^")
 
@@ -177,18 +177,18 @@ def _reference_transform_pair(f, x):
     return -v / d1, v * d2 / (d1 * d1) - 1
 
 
-def _reference_ladder(n, x, fx, slope0, slope_at, solve, simpson_seed, bound):
+def _reference_ladder(n, x, base, slope_at, solve, simpson_seed, bound):
     """y_n at x from the Newton value y_0, as ``solver._ladder_full`` builds it."""
     k = 0
     try:
+        fx, slope0 = base(x)
         y = newton = x - solve(slope0, 1, fx)
         for k in range(1, n + 1):
             rule = builtin_rule(k)
-            base = newton if (k == 2 and simpson_seed == SEED_NEWTON) else y
-            h = (base - x) / k
+            h = ((newton if (k == 2 and simpson_seed == SEED_NEWTON) else y) - x) / k
             nodes = [x + i * h for i in range(1, k + 1)]
-            if bound is not None and abs(nodes[-1]) > bound:
-                raise _OutsideBound(k)
+            if abs(nodes[-1]) > bound:
+                raise Breakdown(Breakdown.DIVERGED, "a ladder node left the divergence bound")
             slopes = [slope0] + [slope_at(p) for p in nodes]
             y = x - solve(sum(w * s for w, s in zip(rule.weights, slopes)), rule.c, fx)
     except Breakdown as exc:
@@ -197,9 +197,10 @@ def _reference_ladder(n, x, fx, slope0, slope_at, solve, simpson_seed, bound):
     return y
 
 
-def reference_map(m, f, precision, bound=None):
-    """x -> t(x) for the MethodId ``m``, inner map first; call under the working
-    precision of ``precision``, which sets the cancellation trap 10^(5 - precision)."""
+def reference_map(m, f, precision, bound):
+    """x -> t(x) for the MethodId ``m``, inner map first, with every ladder node
+    inside ``bound``; call under the working precision of ``precision``, which
+    sets the cancellation trap 10^(5 - precision)."""
     levels = (m.outer,) if m.inner is None else (m.inner, m.outer)
     trap = mp.mpf(10) ** (5 - precision)
 
@@ -207,24 +208,25 @@ def reference_map(m, f, precision, bound=None):
         return _reference_transform_pair(f, p) if m.transform else reference_eval(f, p, 1)
 
     def apply(x):
+        tiny = None
+
+        def base(p):
+            nonlocal tiny
+            fx, slope0 = pair(p)
+            if slope0 == 0:
+                raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
+            tiny = trap * abs(slope0)
+            return fx, slope0
+
         def solve(b, c, fx):
             if b == 0 or abs(b) < tiny:
                 raise Breakdown(Breakdown.ZERO_DENOMINATOR, "weighted slope sum vanished")
             return c * fx / b
 
         for i, n in enumerate(levels):
-            if i and bound is not None and abs(x) > bound:
-                raise _OutsideBound(0)
-            try:
-                fx, slope0 = pair(x)
-                if slope0 == 0:
-                    raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
-            except Breakdown as exc:
-                exc.level = 0
-                raise
-            tiny = trap * abs(slope0)
-            x = _reference_ladder(n, x, fx, slope0, lambda p: pair(p)[1], solve,
-                                  m.simpson_seed, bound)
+            if i and abs(x) > bound:
+                raise Breakdown(Breakdown.DIVERGED, "a ladder node left the divergence bound", 0)
+            x = _reference_ladder(n, x, base, lambda p: pair(p)[1], solve, m.simpson_seed, bound)
         return x
 
     return apply

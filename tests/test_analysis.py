@@ -7,7 +7,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import dps_to_prec, fone, from_int, fzero, mpf_neg, mpf_sqrt, round_nearest
+from mpmath.libmp import (dps_to_prec, fone, from_int, fzero, mpf_abs, mpf_neg, mpf_sqrt,
+                          round_nearest)
 
 from conftest import bisect_mpf, cubic
 from reference_diffs import reference_map_derivatives
@@ -298,11 +299,21 @@ def test_series_map_constant_term_is_the_map_bitwise(seed, spec, transform, simp
     f, z = _function_of_x(rng), bigreal(rng.uniform(-3, 3), precision)
     m = MethodId.parse(spec + "+F" * transform, simpson_seed=simpson_seed)
     prec = working_prec(precision)
-    series_map = solver._method_map(m, f, precision, prec,
-                                    arithmetic=(_eval_series, _series_namespace()))
+    bound = solver._default_bound(mpf_abs(z.value._mpf_, prec, round_nearest), prec)
+    series_map = solver._method_map(m, f, precision, prec, bound,
+                                    (_eval_series, _series_namespace()))
     start = [z.value._mpf_, fone] + [fzero] * (degree - 1)
     assert _map_outcome(lambda: mp.make_mpf(series_map(start)[0])) == _map_outcome(
         lambda: apply_method(m, f, z, precision).value)
+
+
+def test_map_derivatives_node_outside_the_default_bound_is_diverged():
+    # f' = 10^-9 sends the Newton value from 0 to -10^9, and the t1 node with
+    # it, outside 10^6 (1 + |z|)
+    with pytest.raises(Breakdown) as err:
+        map_derivatives_at(MethodId(1), parse("x/10^9+1"), bigreal(0, 30), 2, 30)
+    assert (err.value.kind, str(err.value), err.value.level) == (
+        Breakdown.DIVERGED, "a ladder node left the divergence bound", 1)
 
 
 def test_map_derivatives_validation():

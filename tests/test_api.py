@@ -53,7 +53,7 @@ def test_benchmark_names_are_public():
 
 
 BREAKDOWN_KINDS = {"zero_derivative", "zero_denominator", "singular_matrix", "domain",
-                   "nonfinite"}
+                   "nonfinite", "diverged"}
 
 
 def test_breakdown_kinds_are_pinned_and_documented():

@@ -460,6 +460,23 @@ def test_nd_step_nonfinite_result_is_a_breakdown():
     assert err.value.kind == Breakdown.NONFINITE
 
 
+def test_nd_step_node_outside_the_default_bound_is_diverged():
+    # a tiny Jacobian that does not fit the residual x + 1: the Newton value
+    # from 0 is -10^10, and the trapezoid's node with it, outside 10^6 (1 + |x|)
+    points = []
+
+    def jacobian(p):
+        points.append(p[0])
+        return [[mp.mpf(10) ** -10]]
+
+    f = VectorFunction(1, lambda p: [p[0] + 1], jacobian)
+    with pytest.raises(Breakdown) as err:
+        nd_step("trapezoidal", f, ["0"], 30)
+    assert (err.value.kind, str(err.value), err.value.level) == (
+        Breakdown.DIVERGED, "a ladder node left the divergence bound", 1)
+    assert points == [0]  # no Jacobian is taken at the node
+
+
 @pytest.mark.parametrize("x", [["nan", "0"], ["0", "inf"]])
 def test_nd_step_rejects_nonfinite_x(x):
     f = demo_system("circle-line").function

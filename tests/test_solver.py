@@ -26,7 +26,7 @@ from cotesroot import (
 from cotesroot import solver
 from cotesroot.bigreal import working_dps, working_prec
 from cotesroot.expr import _eval
-from mpmath.libmp import fnan, fninf, fnone, fone, from_man_exp, fzero
+from mpmath.libmp import fnan, fninf, fnone, fone, from_int, from_man_exp, fzero
 from cotesroot.solver import (
     BREAKDOWN,
     CONVERGED,
@@ -35,7 +35,6 @@ from cotesroot.solver import (
     SEED_NEWTON,
     SEED_TRAPEZOID,
     Termination,
-    _OutsideBound,
     _log10_abs,
     _method_map,
     _transform_pair,
@@ -111,6 +110,23 @@ def test_newton_step_zero_derivative():
     with pytest.raises(Breakdown) as err:
         apply_method(MethodId(0), f, x, 50)
     assert err.value.kind == Breakdown.ZERO_DERIVATIVE
+
+
+@pytest.mark.parametrize("spec,text,x,precision,level", [
+    # the outer t2 ladder's level-1 node lands near -10^(2e15), where tanh's
+    # f' would ask libmp for an integer of about 2^mag bits
+    ("t2_1", "tanh(((x)^3)+(sqrt((3)^2+1)))", 0.02604311589436925, 30, 1),
+    # the inner Newton value -1.6e7 is the outer ladder's base point, beyond
+    # 10^6 (1 + 10): no jet is taken there
+    ("t0_0", "tanh(x-1)", 10, 30, 0),
+], ids=["t2_1-node", "t0_0-base-point"])
+def test_apply_method_outside_the_default_bound_is_diverged(spec, text, x, precision, level):
+    start = time.perf_counter()
+    with pytest.raises(Breakdown) as err:
+        apply_method(MethodId.parse(spec), parse(text), bigreal(x, precision), precision)
+    assert time.perf_counter() - start < 10  # a backstop; about 1 ms
+    assert (err.value.kind, str(err.value), err.value.level) == (
+        Breakdown.DIVERGED, "a ladder node left the divergence bound", level)
 
 
 @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
@@ -254,8 +270,8 @@ def _map_outcome(apply):
     """The raw bits of a map value, or the type, kind, text and level of its error."""
     try:
         return apply()._mpf_
-    except (Breakdown, _OutsideBound) as exc:
-        return type(exc), getattr(exc, "kind", None), str(exc), exc.level
+    except Breakdown as exc:
+        return type(exc), exc.kind, str(exc), exc.level
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
@@ -269,22 +285,23 @@ def _map_outcome(apply):
 )
 def test_raw_map_matches_mpf_operators_bitwise(seed, spec, transform, simpson_seed, margin,
                                                precision):
-    """The libmp map gives the bits, the Breakdown kind, message and level, and
-    the _OutsideBound level of the same ladder on mpf operators, with or
-    without the base jet from its caller.  The reference runs under
-    mp.workdps; the map runs outside it, at its own precision argument.  x
-    comes from the seed, since hypothesis favours 0, where many of these
-    functions have a zero slope."""
+    """The libmp map gives the bits, and the Breakdown kind, message and level
+    (of a node outside the bound too), of the same ladder on mpf operators,
+    with or without the base jet from its caller, under a bound just above
+    |x| or the default 10^6 (1 + |x|).  The reference runs under mp.workdps;
+    the map runs outside it, at its own precision argument.  x comes from
+    the seed, since hypothesis favours 0, where many of these functions have
+    a zero slope."""
     rng = random.Random(seed)
     f = parse(_any_op_expr(rng, rng.randint(1, 3)))
     x = rng.uniform(-3, 3)
     m = MethodId.parse(spec + "+F" * transform, simpson_seed=simpson_seed)
     prec = working_prec(precision)
     point = mp.mpf(x, prec=prec)
-    bound = None if margin is None else mp.mpf(abs(x) + margin, prec=prec)
     with mp.workdps(working_dps(precision)):
+        bound = 10**6 * (1 + abs(point)) if margin is None else mp.mpf(abs(x) + margin)
         expected = _map_outcome(lambda: reference_map(m, f, precision, bound)(point))
-    raw = _method_map(m, f, precision, prec, None if bound is None else bound._mpf_)
+    raw = _method_map(m, f, precision, prec, bound._mpf_)
     assert _map_outcome(lambda: mp.make_mpf(raw(point._mpf_))) == expected
     try:
         jet = _eval(f, point._mpf_, 2 if transform else 1, prec)
@@ -410,7 +427,7 @@ def test_iterate_step_reuses_a_jet_only_at_its_own_point(spec):
     # the step passes on the residual's base jet only when it starts from
     # the point that jet was taken at; from any other point it takes its own
     m, f = MethodId.parse(spec), parse("x^3+2*x-5")
-    residual, step = solver._residual_and_step(m, f, 60, 12, None)
+    residual, step = solver._residual_and_step(m, f, 60, 12, from_int(10**7))
     x, y = bigreal("1.4", 60), bigreal("1.3", 60)
     fx = residual(x.value._mpf_)
     assert step(x.value._mpf_, fx) == apply_method(m, f, x, 60).value._mpf_
