@@ -49,16 +49,16 @@ DIVERGED = "diverged"
 _RULES = [builtin_rule(n) for n in range(MAX_RULE + 1)]
 
 # guard digits of a reduced pass of iterate's precision schedule, and the
-# precision it starts at: below it the schedule's extra jets cost more than its
-# reduced passes save (Newton on a 2-vCPU VM: 1.13x the time at 400 digits,
-# even at 500, 0.85x at 600)
+# precision it starts at: below it the schedule's extra evaluations cost more
+# than its reduced passes save (Newton on a 2-vCPU VM: 1.13x the time at 400
+# digits, even at 500, 0.85x at 600)
 _SCHEDULE_GUARD = 20
 _SCHEDULE_FROM = 600
-# the precision of the f' that estimates a start point's correct digits
-_INITIAL_PREC = dps_to_prec(30)
+# the precision of the f' in the digit estimate -log10|f/f'| of an iterate
+_ESTIMATE_PREC = dps_to_prec(30)
 # the output set of a ladder node's code: f' alone, without the calls f needs
 _SLOPE = ("d1",)
-_TEN = from_int(10)
+_TEN, _MILLION = from_int(10), from_int(10**6)
 
 
 @dataclass(frozen=True)
@@ -365,7 +365,7 @@ def _finite(size):
 def _default_bound(size, prec: int):
     """The divergence bound 10^6 (1 + size) of a start point of raw norm ``size``,
     at ``prec`` bits: every entry point's ladders stay inside it."""
-    return mpf_mul(mpf_pow_int(_TEN, 6, prec, _RND), mpf_add(size, fone, prec, _RND), prec, _RND)
+    return mpf_mul(_MILLION, mpf_add(size, fone, prec, _RND), prec, _RND)
 
 
 def _stop_rules(precision, prec, x0, max_iter, step_tol, residual_tol, divergence_bound):
@@ -477,87 +477,68 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     q the nominal order.  So it runs at P = q·s + _SCHEDULE_GUARD digits when
     4·P is at most the precision p (Brent & Zimmermann, Modern Computer
     Arithmetic, 2010, section 4.2: Newton with increasing working precision).
-    s is -log10|f/f'|, a float log of the mantissa and exponent at any size
-    (``_log10_abs``): at x_0 from the full-precision residual and a 30-digit
-    f', which does not cancel near a simple root; at a later x_k from the
-    check below.  Always at p: every pass below _SCHEDULE_FROM digits, every
+    One estimate, s = -log10|f/f'| from the residual at p and an f' at
+    _ESTIMATE_PREC bits, which does not cancel near a simple root, both plans
+    a pass from x_k and judges its result: a reduced pass is redone at p when
+    it breaks down, when f' or the estimate breaks down at x_{k+1}, or when
+    x_{k+1} is as accurate as P digits allow, |f/f'| at most
+    10^(10 - P) max(1, |x_{k+1}|): the nominal order is a lower bound, and a
+    pass that gains more is cut short by P, not by the map.  This also catches
+    a pass that stalls at its own rounding.  A reduced x_{k+1} outside the
+    bound is returned as it is, before any f there, and the outer loop ends the
+    run diverged.  Always at p: every pass below _SCHEDULE_FROM digits, every
     pass of a "+F" map (F = -f/f' cancels near a multiple root), the pass that
-    reaches ``max_iter`` and every pass after one run at p.  A reduced pass is
-    redone at p when it breaks down, leaves the bound, or returns an x_{k+1}
-    whose Newton correction (at P + _SCHEDULE_GUARD digits) shows it as
-    accurate as P digits allow: the nominal order is a lower bound, and a pass
-    that gains more is cut short by P, not by the map.  This check also catches
-    a pass that stalls at its own rounding.  Residuals, stop rules and reported
-    iterates stay at p.
+    reaches ``max_iter`` and every pass after one run at p.  Residuals, stop
+    rules and reported iterates stay at p.
 
-    Once every later pass runs at p (always, below _SCHEDULE_FROM digits or
-    for "+F"), the residual is the f of the base jet that the next step
-    reuses if it starts from the same iterate (order 0 has the same bits), or
-    f alone where that jet breaks down (abs at 0) and so will the step.  A
-    schedule takes f alone until then, so its reduced passes pay for no
-    derivative.
+    The last residual is kept with its point, so the outer loop's residual at
+    x_{k+1} is the f the estimate took.  While a schedule runs it is f alone,
+    so reduced passes pay for no derivative at p.  Once every later pass runs
+    at p, it is the f of the base jet that the next step reuses if it starts
+    from the same iterate (order 0 has the same bits), or f alone where that
+    jet breaks down (abs at 0) and so will the step.
     """
     prec = working_prec(precision)
     full = _method_map(m, f, precision, prec, bound)
-    last = (None, None)  # (raw iterate, base jet there) of the residual taken last
-
-    def value(x):
-        return _eval(f, x, 0, prec)
-
-    def jet_residual(x):
-        nonlocal last
-        try:
-            last = x, _eval(f, x, 2 if m.transform else 1, prec)
-        except Breakdown:
-            last = (None, None)
-            return value(x)
-        return last[1][0]
-
+    order = 2 if m.transform else 1  # of the base jet: F' needs f''
     q = _nominal_order(m)
     passes = count(1)
-    # estimated correct digits of the current iterate; False once at p for good
-    digits = False if precision < _SCHEDULE_FROM or m.transform else None
+    scheduled = precision >= _SCHEDULE_FROM and not m.transform
+    last = (None, None, None)  # (raw x, f at p there, base jet there or None)
 
-    def initial_digits(x, fx):
-        slope = _eval(f, x, _SLOPE, _INITIAL_PREC)
-        return None if slope == fzero else -_log10_abs(mpf_div(fx, slope, _INITIAL_PREC, _RND))
-
-    def reduced(x, s):
-        """(x_{k+1}, its digits) from a pass at P digits, or None where that
-        does not pay or cannot be trusted."""
-        work = math.ceil(q * max(s, 0.0)) + _SCHEDULE_GUARD
-        if 4 * work > precision:
-            return None
-        low = working_prec(work)
-        xn = _method_map(m, f, work, low, bound)(mpf_pos(x, low, _RND))
-        check = working_prec(work + _SCHEDULE_GUARD)
-        v, slope = _eval(f, xn, 1, check)
-        if slope == fzero:
-            return None
-        correction = mpf_abs(mpf_div(v, slope, check, _RND), check, _RND)
-        limit, size = mpf_pow_int(_TEN, 10 - work, check, _RND), mpf_abs(xn, check, _RND)
-        if mpf_gt(size, fone):  # the limit is 10^(10 - work) max(1, |xn|)
-            limit = mpf_mul(limit, size, check, _RND)
-        if mpf_le(correction, limit):
-            return None
-        return xn, -_log10_abs(correction)
-
-    def step(x, fx):
-        nonlocal digits
-        if digits is not False and next(passes) < max_iter:
+    def residual(x):
+        nonlocal last
+        if x != last[0]:
             try:
-                if digits is None:
-                    digits = initial_digits(x, fx)
-                result = None if digits is None else reduced(x, digits)
+                jet = None if scheduled else _eval(f, x, order, prec)
             except Breakdown:
-                result = None
-            if result is not None:
-                xn, digits = result
-                return xn
-        digits = False
-        return full(x, last[1] if x == last[0] else None)
+                jet = None
+            last = x, _eval(f, x, 0, prec) if jet is None else jet[0], jet
+        return last[1]
 
-    return lambda x: jet_residual(x) if digits is False else value(x), step
+    def digits(x):
+        slope = _eval(f, x, _SLOPE, _ESTIMATE_PREC)
+        if slope == fzero:
+            raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the digit estimate")
+        return -_log10_abs(mpf_div(residual(x), slope, _ESTIMATE_PREC, _RND))
+
+    def step(x, _fx):
+        nonlocal scheduled
+        if scheduled and next(passes) < max_iter:
+            try:
+                work = math.ceil(q * max(digits(x), 0.0)) + _SCHEDULE_GUARD
+                if 4 * work <= precision:
+                    low = working_prec(work)
+                    xn = _method_map(m, f, work, low, bound)(mpf_pos(x, low, _RND))
+                    if mpf_gt(mpf_abs(xn), bound) or (
+                            digits(xn) < work - 10 - max(_log10_abs(xn), 0.0)):
+                        return xn
+            except Breakdown:
+                pass
+        scheduled = False
+        return full(x, last[2] if x == last[0] else None)
+
+    return residual, step
 
 
 def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:

@@ -128,6 +128,15 @@ def test_solve_diverged_exit_code(capsys):
     assert "diverged" in out
 
 
+def test_solve_reduced_pass_outside_the_bound_is_diverged(capsys):
+    # the first pass at 700 digits is reduced, and its result lies far outside
+    # the bound, where f would overflow libmp's exp
+    code, out, err = run_cli(capsys, "solve", "-f", "tanh(exp(x))", "--x0", "700",
+                             "--digits", "700")
+    assert (code, err) == (2, "")
+    assert out.endswith("termination: diverged\n")
+
+
 def test_solve_max_iterations_exit_code(capsys):
     code, out, _ = run_cli(capsys, "solve", "-f", "sin(x)-x", "-m", "t0",
                            "--x0", "0.1", "--digits", "40", "--max-iter", "3")

@@ -124,10 +124,10 @@ def test_below_schedule_precision_iterate_is_a_full_precision_chain(method):
 
 @pytest.mark.parametrize("precision", [500, 700])
 def test_reduced_pass_correction_beyond_the_float_range(precision):
-    # t0 on x*exp(x)-1 from -2.699451 jumps to about -1.1e16591, where the
-    # reduced pass's Newton correction |f/f'| has a binary exponent no float
-    # holds; at 700 digits its digit estimate is then -inf, and the run ends
-    # where the 500-digit run, which has no schedule, ends
+    # t0 on x*exp(x)-1 from -2.699451 jumps to about -1.1e16591, far outside
+    # the bound; at 700 digits that is a reduced pass's result, which is
+    # returned without an f there, and the run ends where the 500-digit run,
+    # which has no schedule, ends
     problem = ScalarProblem(parse("x*exp(x)-1"), bigreal("-2.699451", precision),
                             precision=precision)
     traj = iterate(problem, MethodId(0))
@@ -136,9 +136,23 @@ def test_reduced_pass_correction_beyond_the_float_range(precision):
     assert traj.final.x.decimal(8) == "-1.0857931e+16591"
 
 
-# the precisions of a 600-digit run, of a reduced pass from an iterate with no
-# correct digit (_SCHEDULE_GUARD digits) and of that pass's check (as many more)
-FULL, LOW, CHECK = (working_prec(d) for d in (600, 20, 40))
+@pytest.mark.parametrize("precision", [599, 700])
+def test_reduced_result_outside_the_bound_ends_the_run_diverged(precision):
+    # Newton on tanh(exp(x)) from 700 jumps to about -4.5e8809507, far outside
+    # the bound, where exp overflows libmp; at 700 digits that is a reduced
+    # pass's result, which is returned without an f there, and the run ends
+    # where the 599-digit run, which has no schedule, ends
+    problem = ScalarProblem(parse("tanh(exp(x))"), bigreal(700, precision), precision=precision,
+                            max_iter=5)
+    traj = iterate(problem, MethodId(0))
+    assert traj.termination == Termination(DIVERGED)
+    assert len(traj.iterates) == 2
+    assert traj.final.fx is None
+
+
+# the precisions of a 600-digit run and of a reduced pass from an iterate with
+# no correct digit (_SCHEDULE_GUARD digits)
+FULL, LOW = (working_prec(d) for d in (600, 20))
 
 
 def _recorded_evaluations(monkeypatch):
@@ -154,12 +168,12 @@ def _recorded_evaluations(monkeypatch):
 
 
 @pytest.mark.parametrize("spec,iterates,last_reduced", [
-    ("t0", [2, 1], (1, CHECK, 1)),  # its check slope at 1 is zero
+    ("t0", [2, 1], (("d1",), solver._ESTIMATE_PREC, 1)),  # the estimate's f' at 1 is zero
     ("t0_0", [2], (1, LOW, 1)),  # its outer base slope at 1 is zero
 ])
 def test_reduced_pass_falls_back_to_a_full_pass(monkeypatch, spec, iterates, last_reduced):
     """Newton on x^3-3x+7 goes from 2 exactly to 1, where f' = 3x^2-3
-    vanishes.  t0's reduced pass lands there, and its check slope is zero;
+    vanishes.  t0's reduced pass lands there, and its digit estimate's f' is zero;
     t0_0's reduced pass breaks down at its outer ladder's base point there.
     Either pass is redone at the full precision from 2, and the run breaks
     down where that pass, or the next one, meets the zero slope."""
@@ -169,7 +183,7 @@ def test_reduced_pass_falls_back_to_a_full_pass(monkeypatch, spec, iterates, las
     assert [rec.x.value for rec in traj.iterates] == iterates
     assert traj.termination == Termination(BREAKDOWN, Breakdown.ZERO_DERIVATIVE,
                                            "f' vanished at the base point", 0)
-    assert calls == [(0, FULL, 2), (("d1",), solver._INITIAL_PREC, 2), (1, LOW, 2),
+    assert calls == [(0, FULL, 2), (("d1",), solver._ESTIMATE_PREC, 2), (1, LOW, 2),
                      last_reduced, (1, FULL, 2), (1, FULL, 1)]
 
 

@@ -387,23 +387,30 @@ def test_scheduled_iterate_jet_counts(monkeypatch):
     # x_0..x_3 are f alone at p.  Then every pass runs at p, and each residual
     # is the base jet that the next pass reuses: a jet and 10 node slopes for
     # the pass from x_3, a jet at x_4, 10 more slopes for the pass from
-    # there, and a jet at x_5
+    # there, and a jet at x_5.  Below p there are only the three reduced
+    # passes' ladders, a jet and 10 node slopes each at the pass's own
+    # precision, and the digit estimate's 30-digit f'
     precision = 1000
-    orders = []
+    calls = []
     evaluate = solver._eval
 
-    def counting_eval(f, x, order, prec):
-        if prec == working_prec(precision):
-            orders.append(order)
+    def recording_eval(f, x, order, prec):
+        calls.append((order, prec))
         return evaluate(f, x, order, prec)
 
-    monkeypatch.setattr(solver, "_eval", counting_eval)
+    monkeypatch.setattr(solver, "_eval", recording_eval)
     problem = ScalarProblem(parse("x^3+2*x-5"), bigreal("2", precision), precision=precision)
     traj = iterate(problem, MethodId(4))
     assert traj.termination.kind == CONVERGED
     assert len(traj.steps()) == 5
-    slopes = [("d1",)] * 10
-    assert orders == [0] * 4 + [1] + slopes + [1] + slopes + [1]
+    full, estimate, slopes = working_prec(precision), solver._ESTIMATE_PREC, [("d1",)] * 10
+    assert [order for order, prec in calls if prec == full] == (
+        [0] * 4 + [1] + slopes + [1] + slopes + [1])
+    assert {order for order, prec in calls if prec == estimate} == {("d1",)}
+    reduced = [(order, prec) for order, prec in calls if prec not in (full, estimate)]
+    precs = list(dict.fromkeys(prec for _, prec in reduced))
+    assert len(precs) == 3
+    assert reduced == [(order, prec) for prec in precs for order in [1] + slopes]
 
 
 @pytest.mark.parametrize("spec", ["t0", "t2_1", "t1+F"])
