@@ -39,8 +39,11 @@ they give its bits.  tanh is s/c from one ``mpf_cosh_sinh`` call at 10
 more bits, whose c also gives sech = 1/c for the derivatives (value code
 takes the sign instead where that call would give c = s); sin and cos come
 from one ``mpf_cos_sin`` call, with the bits of ``mpf_sin`` and
-``mpf_cos``.  Literals are converted once per precision and kept beside the
-tape for the last few precisions.
+``mpf_cos``.  Where the argument of exp, sin, cos, tan or the jets' tanh is
+2^prec or more in magnitude, no bit of the result is correct, and the code
+raises the ``nonfinite`` Breakdown instead of making the call.  Literals
+are converted once per precision and kept beside the tape for the last few
+precisions.
 
 The same source also runs against a second namespace, in which each libmp
 name the code calls is its counterpart on truncated power series
@@ -251,6 +254,28 @@ def _tanh_saturates(v, wp: int) -> bool:
     return bool(v[1]) and mag > 10 and 3 << min(mag - 1, wp.bit_length()) > wp
 
 
+def _beyond(v, prec: int) -> bool:
+    """Whether |v| >= 2^prec for a raw mpf v, so that one ulp of v is at least 1.
+
+    exp, sin, cos, tan and tanh's derivatives then have no correct bit at
+    ``prec`` (exp's condition number is |v|; Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed. 2002), and libmp would reduce the
+    argument with about prec + log2|v| bits, which costs seconds from about
+    2^(2^17) up."""
+    return v[2] + v[3] > prec
+
+
+def _too_large(name: str):
+    """The Breakdown of a transcendental ``name`` whose argument is ``_beyond`` the precision."""
+    raise Breakdown(Breakdown.NONFINITE, f"{name} of an argument too large for the precision")
+
+
+def _guarded(name: str, v: str, call: str) -> str:
+    """The source of ``call``, a transcendental of ``v``, behind the ``_beyond``
+    guard: one expression, so that liveness drops the guard with the call."""
+    return f"_too_large({name!r}) if _beyond({v}, prec) else {call}"
+
+
 # the derivative of a literal and of x, as names in the compiled source
 _ZERO, _ONE = "fzero", "fone"
 
@@ -451,7 +476,8 @@ class _Source:
         """a^b = exp(b * log a), through the jets of log and *."""
         (v, a1, a2), (w, b1, b2) = a, b
         lv = self.call("mpf_log", v)
-        e = self.call("mpf_exp", self.call("mpf_mul", w, lv))
+        b_log_a = self.call("mpf_mul", w, lv)
+        e = self.let(_guarded("exp", b_log_a, f"mpf_exp({b_log_a}, prec, rnd)"))
         l1 = self.div(a1, v)
         p1 = self.add(self.mul(b1, lv), self.mul(w, l1))
         ep1 = self.mul(e, p1)
@@ -476,7 +502,7 @@ class _Source:
         elif op == "tanh":  # s/c, and sech = 1/c below, from one cosh_sinh call
             c, s, r = self.name(), self.name(), self.name()
             if self.jet:
-                self.line(f"{c}, {s} = mpf_cosh_sinh({v}, prec + 10, rnd)")
+                self.line(f"{c}, {s} = " + _guarded(op, v, f"mpf_cosh_sinh({v}, prec + 10, rnd)"))
                 self.line(f"{r} = mpf_div({s}, {c}, prec, rnd)")
             else:  # the call works at +14 bits; where it gives c = s, take the sign, in
                 # one assignment, which liveness drops where no output reads r
@@ -484,9 +510,11 @@ class _Source:
                           f"mpf_div(*mpf_cosh_sinh({v}, prec + 10, rnd)[::-1], prec, rnd)")
         elif op == "sin" or op == "cos":  # the bits of mpf_sin and mpf_cos
             c, s = self.name(), self.name()
-            self.line(f"{c}, {s} = mpf_cos_sin({v}, prec, rnd)")
+            self.line(f"{c}, {s} = " + _guarded(op, v, f"mpf_cos_sin({v}, prec, rnd)"))
             r = s if op == "sin" else c
-        else:  # abs, tan, exp, log, sqrt: one libmp call, as mpmath makes
+        elif op == "tan" or op == "exp":  # one libmp call, as mpmath makes
+            r = self.let(_guarded(op, v, f"mpf_{op}({v}, prec, rnd)"))
+        else:  # abs, log, sqrt
             r = self.call(f"mpf_{op}", v)
         if op == "log":
             return r, self.div(u1, v), self.add(
@@ -520,10 +548,11 @@ class _Source:
 # the names the compiled source uses besides its arguments, and those the
 # solver's ladder computes with; ``_zero`` tests an operand of a domain check
 _NAMESPACE = {name: globals()[name] for name in (
-    "Breakdown", "_sign", "_tanh_saturates", "fnone", "fone", "ftwo", "fzero", "mpf_abs",
-    "mpf_add", "mpf_cbrt", "mpf_cos_sin", "mpf_cosh_sinh", "mpf_div", "mpf_exp", "mpf_gt",
-    "mpf_le", "mpf_log", "mpf_lt", "mpf_mul", "mpf_mul_int", "mpf_neg", "mpf_pos", "mpf_pow",
-    "mpf_pow_int", "mpf_rdiv_int", "mpf_sqrt", "mpf_sub", "mpf_tan", "to_int", "to_str")}
+    "Breakdown", "_beyond", "_sign", "_tanh_saturates", "_too_large", "fnone", "fone", "ftwo",
+    "fzero", "mpf_abs", "mpf_add", "mpf_cbrt", "mpf_cos_sin", "mpf_cosh_sinh", "mpf_div",
+    "mpf_exp", "mpf_gt", "mpf_le", "mpf_log", "mpf_lt", "mpf_mul", "mpf_mul_int", "mpf_neg",
+    "mpf_pos", "mpf_pow", "mpf_pow_int", "mpf_rdiv_int", "mpf_sqrt", "mpf_sub", "mpf_tan",
+    "to_int", "to_str")}
 _NAMESPACE.update(rnd=_RND, DOMAIN=Breakdown.DOMAIN, _zero=fzero.__eq__)
 
 
@@ -558,7 +587,10 @@ def _live(lines: list, returned: str) -> list:
     Breakdown of the full jet, with its message, at the same point, and a
     branch header; a block that pruning empties gets ``pass``.  What stays
     keeps its order, so the calls that remain are made as the full jet makes
-    them.
+    them.  The one Breakdown that is not kept is a transcendental's of an
+    argument ``_beyond`` the precision: it sits in the call's own assignment,
+    so code that drops the call does not raise it, just as value-code tanh,
+    which saturates, does not raise it where the jet does.
     """
     live, kept = set(_NAME.findall(returned)), []
     for line in reversed(lines):

@@ -13,9 +13,9 @@ quotient rounded to ``prec``.
 
 So code written for raw libmp tuples, run against ``NAMES`` on x = z + ε,
 gives the Taylor coefficients of what it computes at z.  The comparisons,
-the zero test, the sign and the decimal text read the constant term: code
-that checks its operands before a call judges the point z itself.  Nothing
-here reads or sets mpmath's context.
+the zero test, the magnitude guard, the sign and the decimal text read the
+constant term: code that checks its operands before a call judges the point
+z itself.  Nothing here reads or sets mpmath's context.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from mpmath.libmp import (fnone, fone, from_int, fzero, mpf_abs, mpf_add, mpf_cb
                           mpf_cosh_sinh, mpf_div, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt,
                           mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_pow, mpf_pow_int,
                           mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_tan, round_nearest, to_str)
+
+from .expr import _beyond
 
 _RND = round_nearest
 
@@ -250,5 +252,6 @@ NAMES = {
     "mpf_le": lambda a, b: mpf_le(_constant(a), _constant(b)),
     "mpf_gt": lambda a, b: mpf_gt(_constant(a), _constant(b)),
     "_zero": lambda a: _constant(a) == fzero,
+    "_beyond": lambda a, prec: _beyond(_constant(a), prec),
     "to_str": lambda a, digits: to_str(_constant(a), digits),
 }

@@ -6,7 +6,9 @@ h_k = (y_{k-1} - x)/k, forms the weighted slope sum
 B_k = sum_i A_i f'(x + i h_k) with the level-k rule weights, and sets
 y_k = x - c_k f(x)/B_k.  Every level is computed exactly once and node 0 of
 every level is x itself, so one application of the n-th map costs
-1 + n(n+1)/2 slope evaluations.
+1 + n(n+1)/2 slope evaluations (one fewer from n = 2 on under the Newton
+seeding below, whose level 2 shares a node with level 1), or fewer where
+``iterate``'s full passes stop a ladder at the level that has settled.
 
 The same ladder and the same outer loop run the vector steps of
 ``multivariate``: there the slopes are Jacobians, B_k is a matrix and the
@@ -228,7 +230,8 @@ def _max_norm(vec, prec: int):
     return fnan if fnan in sizes else sizes[_argmax(sizes)]
 
 
-def _ladder_full(n, x, base, slope_at, weighted_sum, solve, points, simpson_seed, outside):
+def _ladder_full(n, x, base, slope_at, weighted_sum, solve, points, simpson_seed, outside,
+                 settled=None):
     """The map value y_n at x, built up from the Newton value y_0.
 
     One ladder serves scalars and vectors.  ``base(x)`` gives the value and
@@ -243,20 +246,36 @@ def _ladder_full(n, x, base, slope_at, weighted_sum, solve, points, simpson_seed
     nodes between x and the last one are inside whenever both ends are.
     Every Breakdown, of ``base`` at level 0 included, leaves with ``level``
     set to the level being built.
+
+    Under the Newton seeding level 2's last node x + 2·((y_0 - x)/2) is
+    level 1's node x + (y_0 - x), bit for bit, since halving and doubling
+    are exact, so it takes level 1's slope there.  ``settled(u, v)``, when
+    given, is called after each level k >= 1 with the corrections
+    u = c_k F/B_k of level k and v of level k - 1 (``solve``'s results), and
+    the ladder ends at y_k, the map of level k, when it returns true.
     """
     sub, add, scale, divide = points
     k = 0
     try:
         fx, slope0 = base(x)
-        y = newton = sub(x, solve(slope0, 1, fx))
+        correction = solve(slope0, 1, fx)
+        y = newton = sub(x, correction)
         for k in range(1, n + 1):
             rule = _RULES[k]
-            h = divide(sub(newton if (k == 2 and simpson_seed == SEED_NEWTON) else y, x), k)
+            newton_seeded = k == 2 and simpson_seed == SEED_NEWTON
+            h = divide(sub(newton if newton_seeded else y, x), k)
             nodes = [add(x, scale(i, h)) for i in range(1, k + 1)]
             if outside(nodes[-1]):
                 raise Breakdown(Breakdown.DIVERGED, "a ladder node left the divergence bound")
-            slopes = [slope0] + [slope_at(p) for p in nodes]
-            y = sub(x, solve(weighted_sum(rule.weights, slopes), rule.c, fx))
+            if newton_seeded and nodes[-1] == last[0]:
+                slopes = [slope0] + [slope_at(p) for p in nodes[:-1]] + [last[1]]
+            else:
+                slopes = [slope0] + [slope_at(p) for p in nodes]
+            last = nodes[-1], slopes[-1]
+            previous, correction = correction, solve(weighted_sum(rule.weights, slopes), rule.c, fx)
+            y = sub(x, correction)
+            if settled is not None and settled(correction, previous):
+                break
     except Breakdown as exc:
         exc.level = k
         raise
@@ -268,7 +287,8 @@ def _levels(m: MethodId) -> tuple[int, ...]:
     return (m.outer,) if m.inner is None else (m.inner, m.outer)
 
 
-def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound, arithmetic=None):
+def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound, arithmetic=None,
+                stop=False):
     """x -> t(x) on raw libmp tuples; a composition applies inner first.
 
     It computes at ``prec`` bits, the working precision of ``precision``
@@ -281,21 +301,41 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound, ar
     ``bound`` is the raw divergence bound every ladder node must stay inside
     (``_default_bound`` of the start point, unless ``iterate`` is given
     another); x must be inside it, and so must a composition's inner result,
-    the outer ladder's base point, else the ``diverged`` Breakdown at level 0.  A ladder breaks down at level 0 where the slope at its base
-    point is exactly zero, and at the level whose weighted slope sum is more
-    than about ``precision`` digits below that slope.  ``apply(x, jet)``
-    reuses the raw base jet at x, (f, f') or for "+F" (f, f', f''), that the
-    caller has.  A node takes f' alone from code that makes no call f' does
-    not need; under "+F" it takes the order-2 jet, since F' needs f, f' and
-    f''.
+    the outer ladder's base point, else the ``diverged`` Breakdown at level
+    0.  A ladder breaks down at level 0 where the slope at its base point is
+    exactly zero, and at the level whose weighted slope sum is more than
+    about ``precision`` digits below that slope.  ``apply(x, jet)`` reuses
+    the raw base jet at x, (f, f') or for "+F" (f, f', f''), that the caller
+    has.  A node takes f' alone from code that makes no call f' does not
+    need; under "+F" it takes the order-2 jet, since F' needs f, f' and f''.
+
+    With ``stop`` each ladder ends at the first level k >= 1 whose correction
+    u is at most 10^-_SCHEDULE_GUARD |x_b|, x_b its base point, and differs
+    from level k - 1's by at most 10^-(precision + _SCHEDULE_GUARD) |x_b|,
+    and returns y_k: the later levels' corrections differ from u by less
+    still, about 10^-10 of an ulp of y, so y_n has the bits of y_k.  The
+    first bound keeps u's own rounding, about 10^-(precision + 10) |u|, below
+    the second; without it a ladder at a root at 0, where u is about x_b,
+    stops where its corrections agree to their last bit but y_n does not.
+    The rule is per ladder, so a composition's outer ladder runs from the
+    inner result and settles by itself.  ``iterate``'s full passes set it; at
+    a multiple root the corrections of successive levels differ by a fixed
+    fraction of the error, so it does not end a ladder there before the
+    roundoff floor.
     """
     evaluate, ns = arithmetic or (_eval, _NAMESPACE)
-    zero, abs_, lt, gt, mul, mul_int, div = itemgetter(
-        "_zero", "mpf_abs", "mpf_lt", "mpf_gt", "mpf_mul", "mpf_mul_int", "mpf_div")(ns)
+    zero, abs_, lt, gt, le, sub, mul, mul_int, div = itemgetter(
+        "_zero", "mpf_abs", "mpf_lt", "mpf_gt", "mpf_le", "mpf_sub", "mpf_mul", "mpf_mul_int",
+        "mpf_div")(ns)
     levels = _levels(m)
     order = 2 if m.transform else 1  # of the base jets: F' needs f''
     # the cancellation trap 10^(5 - precision), relative to the base slope
     trap = mpf_pow_int(_TEN, 5 - precision, prec, _RND)
+    # relative to |x_b|: the largest correction whose rounding stays below
+    # the settling tolerance, and that tolerance 10^-(precision + guard)
+    if stop:
+        small = mpf_pow_int(_TEN, -_SCHEDULE_GUARD, prec, _RND)
+        settle = mpf_pow_int(_TEN, -precision - _SCHEDULE_GUARD, prec, _RND)
     points, weighted_sum = _point_ops(prec, ns), _weighted_sum(prec, ns)
     transform = _transform_pair(prec, ns) if m.transform else None
     pair = transform or (lambda jet: jet)
@@ -308,15 +348,18 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound, ar
             evaluate(f, p, _SLOPE, prec))
 
     def apply(x, jet=None):
-        tiny = None
+        tiny = near = tol = None
 
         def base(p):
-            nonlocal jet, tiny
+            nonlocal jet, tiny, near, tol
             fx, slope0 = pair(jet or evaluate(f, p, order, prec))
             jet = None
             if zero(slope0):
                 raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
             tiny = mul(trap, abs_(slope0, prec, _RND), prec, _RND)
+            if stop:
+                size = abs_(p, prec, _RND)
+                near, tol = mul(small, size, prec, _RND), mul(settle, size, prec, _RND)
             return fx, slope0
 
         def solve(b, c, fx):
@@ -324,11 +367,15 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound, ar
                 raise Breakdown(Breakdown.ZERO_DENOMINATOR, "weighted slope sum vanished")
             return div(mul_int(fx, c, prec, _RND), b, prec, _RND)
 
+        def settled(u, v):
+            return (le(abs_(u, prec, _RND), near)
+                    and le(abs_(sub(u, v, prec, _RND), prec, _RND), tol))
+
         for i, n in enumerate(levels):
             if i and outside(x):
                 raise Breakdown(Breakdown.DIVERGED, "a ladder node left the divergence bound", 0)
             x = _ladder_full(n, x, base, slope_at, weighted_sum, solve, points, m.simpson_seed,
-                             outside)
+                             outside, settled if stop else None)
         return x
 
     return apply
@@ -491,6 +538,12 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     reaches ``max_iter`` and every pass after one run at p.  Residuals, stop
     rules and reported iterates stay at p.
 
+    Where the schedule runs, each ladder of a pass at p also stops at the
+    level whose correction has settled (``_method_map``'s ``stop``), with
+    the bits of the whole ladder: a pass from an iterate with s correct
+    digits needs only the levels whose order brings s past p.  Reduced
+    passes run whole ladders: each is planned to gain the map's full order.
+
     The last residual is kept with its point, so the outer loop's residual at
     x_{k+1} is the f the estimate took.  While a schedule runs it is f alone,
     so reduced passes pay for no derivative at p.  Once every later pass runs
@@ -499,11 +552,11 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     jet breaks down (abs at 0) and so will the step.
     """
     prec = working_prec(precision)
-    full = _method_map(m, f, precision, prec, bound)
+    scheduled = precision >= _SCHEDULE_FROM and not m.transform
+    full = _method_map(m, f, precision, prec, bound, stop=scheduled)
     order = 2 if m.transform else 1  # of the base jet: F' needs f''
     q = _nominal_order(m)
     passes = count(1)
-    scheduled = precision >= _SCHEDULE_FROM and not m.transform
     last = (None, None, None)  # (raw x, f at p there, base jet there or None)
 
     def residual(x):
@@ -545,8 +598,11 @@ def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
     """Run the outer iteration until a stop rule fires: small step, small
     residual, iteration budget, the divergence bound, or a recorded breakdown.
 
-    Early passes may run at a reduced precision (``_residual_and_step``); no
-    pass reads or sets mpmath's context, so threads may run solves at once."""
+    From 600 digits up on plain maps, early passes may run at a reduced
+    precision, and the ladders of the passes at the full precision stop at
+    the level whose correction has settled, with the whole ladder's bits
+    (``_residual_and_step``); no pass reads or sets mpmath's context, so
+    threads may run solves at once."""
     precision = problem.precision
     prec = working_prec(precision)
     x0 = as_mpf(problem.x0, prec)._mpf_

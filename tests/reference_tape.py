@@ -23,6 +23,13 @@ _ZERO = mp.mpf(0)
 _ONE = mp.mpf(1)
 
 
+def _too_large(name, v):
+    """The nonfinite Breakdown where |v| >= 2^prec at the working precision,
+    so that one ulp of v is at least 1 and ``name`` of v has no correct bit."""
+    if abs(v) >= mp.ldexp(1, mp.mp.prec):
+        raise Breakdown(Breakdown.NONFINITE, f"{name} of an argument too large for the precision")
+
+
 def reference_eval(expr, x, order):
     """Run the tape at ``x`` on mpf operators; call under the working precision.
 
@@ -31,6 +38,8 @@ def reference_eval(expr, x, order):
     derivative-level rules: no sqrt, cbrt or abs at 0, no real or variable
     power of a nonpositive base.  Every order computes a value by the same
     formula, so where order 0 and the jets both evaluate, f has the same bits.
+    exp, sin, cos, tan and, at orders 1 and 2, tanh raise the nonfinite
+    Breakdown at an argument of 2^prec or more in magnitude.
     """
     second = order == 2
     vals = []  # f of each operand
@@ -100,6 +109,7 @@ def reference_eval(expr, x, order):
                             b * (b - 1) * a ** (b - 2) * a1 * a1 + b * pm1 * a2 if second else None)
             else:  # variable exponent: a^b = exp(b * log a), through the jets of log and *
                 lv = mp.log(a)
+                _too_large("exp", b * lv)
                 e = vals[-1] = mp.exp(b * lv)
                 if not order:
                     continue
@@ -121,6 +131,8 @@ def reference_eval(expr, x, order):
                 raise Breakdown(Breakdown.DOMAIN, f"sqrt of negative value {mp.nstr(v, 8)}")
             if order and v == 0 and op in ("sqrt", "cbrt", "abs"):
                 raise Breakdown(Breakdown.DOMAIN, f"derivative of {op} at 0")
+            if op in ("exp", "sin", "cos", "tan") or order and op == "tanh":
+                _too_large(op, v)
             if op == "cbrt":
                 r = mp.sign(v) * mp.cbrt(abs(v))  # real odd root
             elif op == "abs":

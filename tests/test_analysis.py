@@ -241,6 +241,18 @@ def test_map_derivatives_through_a_power_of_zero():
     assert [d.value for d in derivs] == [0, 0, 0, 0, 480]
 
 
+@pytest.mark.parametrize("text,name", [("exp(x)", "exp"), ("sin(x)", "sin"), ("tan(x)", "tan"),
+                                       ("tanh(x)", "tanh")])
+def test_series_code_guards_a_huge_constant_term(text, name):
+    # on z + ε the magnitude guard reads the constant term, so the series
+    # code raises where the raw code at z = 3·2^(2^20) does, before any call
+    z = (mp.mpf(3) * mp.mpf(2) ** (2 ** 20))._mpf_
+    with pytest.raises(Breakdown) as err:
+        _eval_series(parse(text), [z, fone, fzero], 1, working_prec(30))
+    assert (err.value.kind, str(err.value)) == (
+        Breakdown.NONFINITE, f"{name} of an argument too large for the precision")
+
+
 def _function_of_x(rng):
     """A random function from test_expr's forms whose text names x: most
     constant ones break every map down at once."""

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import threading
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -319,7 +320,9 @@ def test_number_literals_reparse_at_full_precision():
        precision=st.sampled_from([30, 60, 700]))
 def test_order_one_is_the_head_of_order_two(seed, x, precision):
     """Order 1 gives eval_jet's (f, f') bit for bit and fails exactly where it
-    fails; order 0 gives its f bit for bit wherever the jets evaluate."""
+    fails, with the same kind: ``domain``, or ``nonfinite`` for a
+    transcendental of an argument beyond 2^prec (a tan of 1/x^k at a tiny x);
+    order 0 gives its f bit for bit wherever the jets evaluate."""
     rng = random.Random(seed)
     expr = parse(_any_op_expr(rng, rng.randint(1, 3)))
     point = bigreal(x, precision)
@@ -327,10 +330,10 @@ def test_order_one_is_the_head_of_order_two(seed, x, precision):
     try:
         jet = eval_jet(expr, point, precision)
     except Breakdown as exc:
-        assert exc.kind == Breakdown.DOMAIN
+        assert exc.kind in (Breakdown.DOMAIN, Breakdown.NONFINITE)
         with pytest.raises(Breakdown) as err:
             _eval(expr, point.value._mpf_, 1, prec)
-        assert err.value.kind == Breakdown.DOMAIN
+        assert err.value.kind == exc.kind
         return
     assert _eval(expr, point.value._mpf_, 1, prec) == (jet.f.value._mpf_, jet.d1.value._mpf_)
     assert _eval(expr, point.value._mpf_, 0, prec) == jet.f.value._mpf_
@@ -507,6 +510,33 @@ def test_tanh_of_a_huge_value_is_its_sign_without_computing_exp():
     assert eval_value(parse("tanh(-exp(exp(x)))"), 20, 30).value == -1
     for sign in (0, 1):
         assert _eval(parse("tanh(x)"), (sign, 1, 10 ** 9, 1), 0, 100) == (sign, 1, 0, 1)
+
+
+# 3·2^(2^20): one ulp of it is far above 1 at any precision a test uses
+HUGE = mp.mpf(3) * mp.mpf(2) ** (2 ** 20)
+
+
+@pytest.mark.parametrize("text,name", [("exp(x)", "exp"), ("exp(-x)", "exp"), ("sin(x)", "sin"),
+                                       ("cos(x)", "cos"), ("tan(x)", "tan"), ("tanh(x)", "tanh"),
+                                       ("x^x", "exp")])
+def test_transcendental_of_a_huge_argument_is_a_nonfinite_breakdown(text, name):
+    """Where |v| >= 2^prec, exp, sin, cos, tan and tanh's derivatives have no
+    correct bit, and libmp would reduce v with about 2^20 bits here (6.7 to
+    18 s a call): the jet raises instead, and so does the value code, but
+    for tanh, whose value saturates to the sign."""
+    expr = parse(text)
+    start = time.perf_counter()
+    with pytest.raises(Breakdown) as err:
+        eval_jet(expr, HUGE, 30)
+    assert (err.value.kind, str(err.value)) == (
+        Breakdown.NONFINITE, f"{name} of an argument too large for the precision")
+    if name == "tanh":
+        assert eval_value(expr, HUGE, 30).value == 1
+    else:
+        with pytest.raises(Breakdown) as err:
+            eval_value(expr, HUGE, 30)
+        assert err.value.kind == Breakdown.NONFINITE
+    assert time.perf_counter() - start < 1  # about 1 ms
 
 
 def test_tanh_saturation_keeps_the_jets_value():

@@ -9,6 +9,8 @@ with the reference to 10 digits more than it has correct.
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import certified_root, cubic
 
@@ -16,7 +18,8 @@ from cotesroot import (Breakdown, MethodId, ScalarProblem, bigreal, estimate_ord
                        solver)
 from cotesroot.bigreal import working_prec
 from cotesroot.expr import eval_value
-from cotesroot.solver import BREAKDOWN, CONVERGED, DIVERGED, Termination, apply_method
+from cotesroot.solver import (BREAKDOWN, CONVERGED, DIVERGED, MAX_ITERATIONS, SEED_NEWTON,
+                              SEED_TRAPEZOID, Termination, apply_method)
 
 ROOTS = {
     "x^3+2*x-5": lambda dps: certified_root(cubic, 1, 2, dps),
@@ -203,3 +206,120 @@ def test_reduced_pass_leaving_the_bound_falls_back_to_a_full_pass(monkeypatch):
     last = traj.final.x.value
     assert calls[-2:] == [(1, LOW, last), (1, FULL, last)]
     assert all(abs(x) <= problem.divergence_bound.value for _, _, x in calls)
+
+
+def _run_counting_at_p(monkeypatch, f, m, x0, precision, max_iter=30, whole=False):
+    """iterate's trajectory and the number of evaluations of f it makes at p;
+    with ``whole`` every ladder runs to n (``_ladder_full`` without ``settled``)."""
+    calls = _recorded_evaluations(monkeypatch)
+    if whole:
+        ladder = solver._ladder_full
+        monkeypatch.setattr(solver, "_ladder_full", lambda *args: ladder(*args[:9]))
+    traj = iterate(ScalarProblem(f, x0, precision=precision, max_iter=max_iter), m)
+    monkeypatch.undo()
+    return traj, sum(prec == working_prec(precision) for _, prec, _ in calls)
+
+
+def _assert_a_chain_of_applications(traj, f, m, precision):
+    xs = [rec.x for rec in traj.iterates]
+    for k, (x, xn) in enumerate(zip(xs, xs[1:])):
+        assert xn == apply_method(m, f, x, precision), f"k={k}"
+
+
+def _near(root, precision, digits=200, side=1):
+    """root + side·10^-digits, correct to more than ``precision`` digits."""
+    with mp.workdps(precision + digits + 20):
+        return bigreal(root + side * mp.mpf(10) ** -digits, precision)
+
+
+@pytest.mark.parametrize("spec", ["t4", "t7", "t5_4", "t7_6"])
+@pytest.mark.parametrize("text", ["x^3+2*x-5", "tanh(x-1)"])
+def test_settled_ladders_keep_the_bits_of_whole_ladders(monkeypatch, text, spec):
+    """From 10^-60 off the root at 1000 digits the first plan is above p/4, so
+    every pass runs at p, and the ladders of the second stop at the level
+    whose correction has settled (from 10^-200, t4 converges in one pass,
+    whose ladders do not settle): each iterate is apply_method of the one
+    before, bit for bit, and so is the run with whole ladders, which takes
+    more evaluations."""
+    precision, f, m = 1000, parse(text), MethodId.parse(spec)
+    x0 = _near(ROOTS[text](precision + 20), precision, digits=60)
+    traj, at_p = _run_counting_at_p(monkeypatch, f, m, x0, precision)
+    whole, at_p_whole = _run_counting_at_p(monkeypatch, f, m, x0, precision, whole=True)
+    assert traj.termination.kind == CONVERGED
+    assert traj == whole
+    assert at_p < at_p_whole
+    _assert_a_chain_of_applications(traj, f, m, precision)
+
+
+@pytest.mark.parametrize("spec", ["t4", "t7", "t5_4", "t7_6"])
+def test_ladders_at_a_root_at_zero_keep_their_bits(monkeypatch, spec):
+    """At the simple root 0 of x*exp(x) a correction is about x itself, and
+    y_k = x - u_k keeps shrinking with k: corrections that agree to their
+    last bit there leave y_n different from y_k, so no ladder may settle on
+    them.  A tolerance of 10^-(p + 20) max(1, |x|) moves these runs."""
+    precision, f, m = 1000, parse("x*exp(x)"), MethodId.parse(spec)
+    x0 = _near(mp.mpf(0), precision, digits=60)
+    traj, _ = _run_counting_at_p(monkeypatch, f, m, x0, precision)
+    whole, _ = _run_counting_at_p(monkeypatch, f, m, x0, precision, whole=True)
+    assert traj.termination.kind == CONVERGED
+    assert traj == whole
+    _assert_a_chain_of_applications(traj, f, m, precision)
+
+
+@pytest.mark.parametrize("spec", ["t4", "t7", "t5_4", "t7_6"])
+def test_ladders_at_a_double_root_run_to_n(monkeypatch, spec):
+    """At the double root of (x^2-2)^2 a plain map converges linearly, and the
+    corrections of successive levels differ by a fixed fraction of the
+    error, so no ladder settles: the run takes the evaluations of whole
+    ladders, and each iterate is apply_method of the one before."""
+    precision, f, m = 1000, parse("(x^2-2)^2"), MethodId.parse(spec)
+    with mp.workdps(precision + 20):
+        x0 = _near(mp.sqrt(2), precision)
+    traj, at_p = _run_counting_at_p(monkeypatch, f, m, x0, precision, max_iter=6)
+    whole, at_p_whole = _run_counting_at_p(monkeypatch, f, m, x0, precision, 6, whole=True)
+    assert traj.termination.kind == MAX_ITERATIONS
+    assert (traj, at_p) == (whole, at_p_whole)
+    _assert_a_chain_of_applications(traj, f, m, precision)
+
+
+@pytest.mark.parametrize("text,spec,precision", [
+    ("x^3+2*x-5", "t4", 599),  # below the schedule's precision
+    ("tanh(x-1)", "t5_4", 599),
+    ("(x^2-2)^2", "t4+F", 1000),  # a "+F" map, which the schedule leaves at p
+    ("(x^2-2)^2", "t7_6+F", 1000),
+])
+def test_ladders_outside_the_schedule_run_to_n(monkeypatch, text, spec, precision):
+    """Where the schedule does not run, every ladder runs to n."""
+    f, m = parse(text), MethodId.parse(spec)
+    with mp.workdps(precision + 20):
+        x0 = _near(mp.sqrt(2) if text == "(x^2-2)^2" else ROOTS[text](precision + 20), precision)
+    traj, at_p = _run_counting_at_p(monkeypatch, f, m, x0, precision)
+    whole, at_p_whole = _run_counting_at_p(monkeypatch, f, m, x0, precision, whole=True)
+    assert traj.termination.kind == CONVERGED
+    assert (traj, at_p) == (whole, at_p_whole)
+
+
+@settings(deadline=None, max_examples=20, derandomize=True)
+@given(
+    root=st.integers(-12, 12),
+    b=st.integers(-3, 3),
+    c=st.integers(1, 6),
+    spec=st.sampled_from(["t0", "t1", "t2", "t4", "t7", "t2_1", "t5_4", "t7_6"]),
+    simpson_seed=st.sampled_from([SEED_TRAPEZOID, SEED_NEWTON]),
+    precision=st.integers(600, 700),
+    digits=st.integers(90, 300),
+    side=st.sampled_from([-1, 1]),
+)
+def test_iterate_near_a_simple_root_is_a_chain_of_applications(root, b, c, spec, simpson_seed,
+                                                               precision, digits, side):
+    """(x - r)(x^2 + b x + c'), c' = c + floor(b^2/4) + 1, has the one real
+    root r = root/4, a simple one; hypothesis favours 0, where a correction
+    is about x itself.  From 10^-digits off it every pass runs at p, and its ladders
+    settle with the bits of whole ladders: each iterate is apply_method of
+    the one before."""
+    r = mp.mpf(root) / 4
+    f = parse(f"(x-({mp.nstr(r, 5)}))*(x^2+({b})*x+{c + b * b // 4 + 1})")
+    m = MethodId.parse(spec, simpson_seed=simpson_seed)
+    traj = iterate(ScalarProblem(f, _near(r, precision, digits, side), precision=precision), m)
+    assert traj.termination.kind == CONVERGED
+    _assert_a_chain_of_applications(traj, f, m, precision)

@@ -112,6 +112,18 @@ def test_newton_step_zero_derivative():
     assert err.value.kind == Breakdown.ZERO_DERIVATIVE
 
 
+def test_apply_method_on_a_transcendental_of_a_huge_value_breaks_down():
+    # exp(700000) is about 2^(10^6), far beyond 2^prec at 30 digits: the base
+    # jet's tanh has no correct derivative bit there, and raises before libmp
+    # reduces the argument with about 10^6 bits (15-18 s)
+    start = time.perf_counter()
+    with pytest.raises(Breakdown) as err:
+        apply_method(MethodId(0), parse("tanh(exp(x))"), bigreal(700000, 30), 30)
+    assert time.perf_counter() - start < 1  # about 1 ms
+    assert (err.value.kind, str(err.value), err.value.level) == (
+        Breakdown.NONFINITE, "tanh of an argument too large for the precision", 0)
+
+
 @pytest.mark.parametrize("spec,text,x,precision,level", [
     # the outer t2 ladder's level-1 node lands near -10^(2e15), where tanh's
     # f' would ask libmp for an integer of about 2^mag bits
@@ -184,6 +196,27 @@ def test_slope_evaluation_count(n, monkeypatch):
         apply_method(MethodId(n, transform=transform), parse("x^3+2*x-5"), bigreal("1.4", 50), 50)
         assert len(orders) == 1 + nodes
         assert orders == expected
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_newton_seeding_evaluates_each_distinct_node_once(n, monkeypatch):
+    # under the Newton seeding level 2's last node x + 2·((y_0 - x)/2) is
+    # level 1's node, bit for bit, and takes level 1's slope: an application
+    # takes n(n+1)/2 evaluations, one fewer than the trapezoid seeding
+    # (test_raw_map_matches_mpf_operators_bitwise checks the bits against a
+    # ladder that evaluates that node twice)
+    orders, evaluate = [], solver._eval
+
+    def counting_eval(f, x, order, prec):
+        orders.append(order)
+        return evaluate(f, x, order, prec)
+
+    monkeypatch.setattr(solver, "_eval", counting_eval)
+    for transform in (False, True):
+        orders.clear()
+        apply_method(MethodId(n, transform=transform, simpson_seed=SEED_NEWTON),
+                     parse("x^3+2*x-5"), bigreal("1.4", 50), 50)
+        assert len(orders) == n * (n + 1) // 2
 
 
 def test_composed_two_newton_steps():
@@ -386,8 +419,9 @@ def test_scheduled_iterate_jet_counts(monkeypatch):
     # at 1000 digits, t4 from 2 takes three reduced passes: the residuals at
     # x_0..x_3 are f alone at p.  Then every pass runs at p, and each residual
     # is the base jet that the next pass reuses: a jet and 10 node slopes for
-    # the pass from x_3, a jet at x_4, 10 more slopes for the pass from
-    # there, and a jet at x_5.  Below p there are only the three reduced
+    # the pass from x_3, a jet at x_4, one node slope for the pass from
+    # there, whose ladder settles at level 1 since x_4 has converged, and a
+    # jet at x_5.  Below p there are only the three reduced
     # passes' ladders, a jet and 10 node slopes each at the pass's own
     # precision, and the digit estimate's 30-digit f'
     precision = 1000
@@ -405,7 +439,7 @@ def test_scheduled_iterate_jet_counts(monkeypatch):
     assert len(traj.steps()) == 5
     full, estimate, slopes = working_prec(precision), solver._ESTIMATE_PREC, [("d1",)] * 10
     assert [order for order, prec in calls if prec == full] == (
-        [0] * 4 + [1] + slopes + [1] + slopes + [1])
+        [0] * 4 + [1] + slopes + [1] + [("d1",)] + [1])
     assert {order for order, prec in calls if prec == estimate} == {("d1",)}
     reduced = [(order, prec) for order, prec in calls if prec not in (full, estimate)]
     precs = list(dict.fromkeys(prec for _, prec in reduced))
