@@ -50,10 +50,11 @@ DIVERGED = "diverged"
 
 _RULES = [builtin_rule(n) for n in range(MAX_RULE + 1)]
 
-# guard digits of a reduced pass of iterate's precision schedule, and the
-# precision it starts at: below it the schedule's extra evaluations cost more
-# than its reduced passes save (Newton on a 2-vCPU VM: 1.13x the time at 400
-# digits, even at 500, 0.85x at 600)
+# guard digits of a reduced pass of iterate's precision schedule, which are
+# also the digits a reduced pass planned above p/4 may fall short of its plan
+# by, and the precision the schedule starts at: below it the schedule's extra
+# evaluations cost more than its reduced passes save (Newton on a 2-vCPU VM:
+# 1.13x the time at 400 digits, even at 500, 0.85x at 600)
 _SCHEDULE_GUARD = 20
 _SCHEDULE_FROM = 600
 # the precision of the f' in the digit estimate -log10|f/f'| of an iterate
@@ -520,23 +521,29 @@ def _significant_digits(x, z, precision) -> float:
 def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int, bound):
     """``iterate``'s residual and step: each pass at the precision its iterate can use.
 
-    Pass k maps x_k, with about s correct digits, to x_{k+1} with about q·s,
-    q the nominal order.  So it runs at P = q·s + _SCHEDULE_GUARD digits when
-    4·P is at most the precision p (Brent & Zimmermann, Modern Computer
-    Arithmetic, 2010, section 4.2: Newton with increasing working precision).
-    One estimate, s = -log10|f/f'| from the residual at p and an f' at
-    _ESTIMATE_PREC bits, which does not cancel near a simple root, both plans
-    a pass from x_k and judges its result: a reduced pass is redone at p when
-    it breaks down, when f' or the estimate breaks down at x_{k+1}, or when
-    x_{k+1} is as accurate as P digits allow, |f/f'| at most
-    10^(10 - P) max(1, |x_{k+1}|): the nominal order is a lower bound, and a
-    pass that gains more is cut short by P, not by the map.  This also catches
-    a pass that stalls at its own rounding.  A reduced x_{k+1} outside the
-    bound is returned as it is, before any f there, and the outer loop ends the
-    run diverged.  Always at p: every pass below _SCHEDULE_FROM digits, every
-    pass of a "+F" map (F = -f/f' cancels near a multiple root), the pass that
-    reaches ``max_iter`` and every pass after one run at p.  Residuals, stop
-    rules and reported iterates stay at p.
+    Pass k maps x_{k-1}, with about s correct digits, to x_k with about q·s,
+    q the nominal order, so it needs only P = q·s + _SCHEDULE_GUARD digits of
+    the precision p (Brent & Zimmermann, Modern Computer Arithmetic, 2010,
+    section 4.2: Newton with increasing working precision).  One planner
+    gives the pass P or p.  It gives P where 4·P is at most p.  Above p/4 it
+    gives P only where P < p and the passes left can finish the run at the
+    nominal order, q·s·q^(max_iter - k) >= p; a run that ends at ``max_iter``
+    before it converges then runs those passes at p.  One estimate,
+    s = -log10|f/f'| from the residual at p and an f' at _ESTIMATE_PREC bits,
+    which does not cancel near a simple root, both plans a pass and judges
+    its result: a reduced pass is redone at p when it breaks down, when f' or
+    the estimate breaks down at x_k, or when x_k is as accurate as P digits
+    allow, |f/f'| at most 10^(10 - P) max(1, |x_k|): the nominal order is a
+    lower bound, and a pass that gains more is cut short by P, not by the
+    map.  This also catches a pass that stalls at its own rounding.  A pass
+    planned above p/4 is also redone at p when x_k falls short of its plan,
+    an estimate below q·s - _SCHEDULE_GUARD, as at a multiple root, where
+    the gain is linear.  A reduced x_k outside the bound is returned as it
+    is, before any f there, and the outer loop ends the run diverged.
+    Always at p: every pass below _SCHEDULE_FROM digits, every pass of a "+F"
+    map (F = -f/f' cancels near a multiple root), the pass that reaches
+    ``max_iter`` and every pass after one run at p.  Residuals, stop rules and
+    reported iterates stay at p.
 
     Where the schedule runs, each ladder of a pass at p also stops at the
     level whose correction has settled (``_method_map``'s ``stop``), with
@@ -545,7 +552,7 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     passes run whole ladders: each is planned to gain the map's full order.
 
     The last residual is kept with its point, so the outer loop's residual at
-    x_{k+1} is the f the estimate took.  While a schedule runs it is f alone,
+    x_k is the f the estimate took.  While a schedule runs it is f alone,
     so reduced passes pay for no derivative at p.  Once every later pass runs
     at p, it is the f of the base jet that the next step reuses if it starts
     from the same iterate (order 0 has the same bits), or f alone where that
@@ -575,16 +582,31 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
             raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the digit estimate")
         return -_log10_abs(mpf_div(residual(x), slope, _ESTIMATE_PREC, _RND))
 
+    def plan(k, s):
+        work = math.ceil(q * s) + _SCHEDULE_GUARD
+        if 4 * work <= precision:
+            return work
+        # q·s·q^(max_iter - k) >= p in logs, the exponent capped at p, past which
+        # it exceeds p anyway; s > 0 here, since 4·work > p >= _SCHEDULE_FROM
+        finishes = (math.log(q * s) + min(max_iter - k, precision) * math.log(q)
+                    >= math.log(precision))
+        return work if work < precision and finishes else precision
+
     def step(x, _fx):
         nonlocal scheduled
-        if scheduled and next(passes) < max_iter:
+        k = next(passes)
+        if scheduled and k < max_iter:
             try:
-                work = math.ceil(q * max(digits(x), 0.0)) + _SCHEDULE_GUARD
-                if 4 * work <= precision:
+                s = max(digits(x), 0.0)
+                work = plan(k, s)
+                if work < precision:
                     low = working_prec(work)
                     xn = _method_map(m, f, work, low, bound)(mpf_pos(x, low, _RND))
-                    if mpf_gt(mpf_abs(xn), bound) or (
-                            digits(xn) < work - 10 - max(_log10_abs(xn), 0.0)):
+                    if mpf_gt(mpf_abs(xn), bound):
+                        return xn
+                    gained = digits(xn)
+                    if gained < work - 10 - max(_log10_abs(xn), 0.0) and (
+                            4 * work <= precision or gained >= q * s - _SCHEDULE_GUARD):
                         return xn
             except Breakdown:
                 pass
@@ -598,10 +620,13 @@ def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
     """Run the outer iteration until a stop rule fires: small step, small
     residual, iteration budget, the divergence bound, or a recorded breakdown.
 
-    From 600 digits up on plain maps, early passes may run at a reduced
-    precision, and the ladders of the passes at the full precision stop at
-    the level whose correction has settled, with the whole ladder's bits
-    (``_residual_and_step``); no pass reads or sets mpmath's context, so
+    From 600 digits up on plain maps, each pass before the last runs at the
+    precision its iterate's digit estimate plans for it, where that is below
+    the full precision and, for a plan above a quarter of it, where the
+    passes left can still reach it and the result meets its plan; the
+    ladders of the passes at the full precision stop at the level whose
+    correction has settled, with the whole ladder's bits
+    (``_residual_and_step``).  No pass reads or sets mpmath's context, so
     threads may run solves at once."""
     precision = problem.precision
     prec = working_prec(precision)

@@ -19,10 +19,22 @@ last line is the sha256 of all run lines, so two versions of cotesroot that
 print the same digest gave every run the same bits and the same ending.
 pytest does not collect this file; the known roots come from
 ``conftest.certified_root``, which does not use cotesroot.
+
+To check a change that alters bits, save the output of each version and
+compare them:
+
+    PYTHONPATH=src python tests/comparison_set.py --compare OLD NEW
+
+This prints every run that moved: its termination and iterate count on each
+side, and how far its final iterates differ against the bound
+10^(-p)·max(1, |x|), x the old final iterate.  It exits 1 when a run's
+termination or iterate count changed, or its final iterates differ by more
+than the bound.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
@@ -121,7 +133,77 @@ def run_line(index, text, method, seeding, x0, digits, knows_root, roots):
     return json.dumps(line)
 
 
-def main() -> int:
+def _value(text):
+    """The mpf of a number as ``_bits`` writes it."""
+    if "p" not in text:
+        return mp.mpf(text)
+    mantissa, exp = text.split("p")
+    return mp.mpf((int(mantissa, 16), int(exp)))
+
+
+def _ending(line):
+    """(termination or error, iterate count) of a run line."""
+    if "error" in line:
+        return line["error"], 0
+    return tuple(line["termination"]), len(line["iterates"])
+
+
+def _show(ending):
+    termination, iterates = ending
+    if isinstance(termination, str):
+        return termination
+    kind, detail = termination[:2]
+    return f"{kind}{f' ({detail})' if detail else ''} after {iterates} iterates"
+
+
+def compare(old_lines, new_lines):
+    """The report lines on the runs that moved between two outputs, and whether
+    every moved run kept its termination and iterate count and its final
+    iterate within 10^(-p)·max(1, |x|) of the old one."""
+    old, new = ({r["run"]: r for r in map(json.loads, filter(lambda t: t.startswith("{"), lines))}
+                for lines in (old_lines, new_lines))
+    report, ok = [], True
+    for index in sorted(old.keys() | new.keys()):
+        a, b = old.get(index), new.get(index)
+        if a == b:
+            continue
+        if a is None or b is None:
+            report.append(f"run {index}: only in the {'new' if a is None else 'old'} output")
+            ok = False
+            continue
+        head = f"run {index} {a['f']} {a['method']} {a['digits']} digits"
+        end_a, end_b = _ending(a), _ending(b)
+        sides = f"{_show(end_a)} -> {_show(end_b)}"
+        if end_a != end_b or "error" in a:
+            report.append(f"{head}: {sides}, ending changed")
+            ok = False
+            continue
+        with mp.workdps(a["digits"] + 30):
+            x, y = (_value(r["iterates"][-1][0]) for r in (a, b))
+            diff = abs(y - x)
+            bound = mp.mpf(10) ** -a["digits"] * max(1, abs(x))
+            within = diff <= bound
+            report.append(f"{head}: {sides}, final |dx| {mp.nstr(diff, 3)} "
+                          f"{'<=' if within else '>'} {mp.nstr(bound, 3)}")
+        ok = ok and within
+    report.append(f"{len(report)} runs moved; {'all within' if ok else 'NOT all within'} the bound "
+                  "with the same endings")
+    return report, ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="report the runs that moved between two saved outputs")
+    args = parser.parse_args(argv)
+    if args.compare:
+        outputs = []
+        for path in args.compare:
+            with open(path) as fh:
+                outputs.append(fh.read().splitlines())
+        report, ok = compare(*outputs)
+        print("\n".join(report))
+        return 0 if ok else 1
     digest, roots = hashlib.sha256(), {}
     for run in runs():
         line = run_line(*run, roots)

@@ -208,6 +208,73 @@ def test_reduced_pass_leaving_the_bound_falls_back_to_a_full_pass(monkeypatch):
     assert all(abs(x) <= problem.divergence_bound.value for _, _, x in calls)
 
 
+def test_a_pass_that_leaves_too_few_passes_runs_at_full_precision(monkeypatch):
+    """Newton on cos(x)-x from -2 at 1000 digits ends at max_iter=12 before
+    it converges.  The eleventh pass, from x_10, is planned above p/4, but
+    one pass after it cannot reach p at order 2 from its plan, so it runs
+    at p, as the twelfth does: 14 evaluations at p, f alone at x_0..x_10 and
+    a jet at x_10..x_12, and x_11 and x_12 are apply_method's."""
+    calls = _recorded_evaluations(monkeypatch)
+    f, m = parse("cos(x)-x"), MethodId.parse("t0", simpson_seed=SEED_NEWTON)
+    traj = iterate(ScalarProblem(f, bigreal(-2, 1000), precision=1000, max_iter=12), m)
+    monkeypatch.undo()
+    assert traj.termination == Termination(MAX_ITERATIONS)
+    assert len(traj.iterates) == 13
+    assert [order for order, prec, _ in calls if prec == working_prec(1000)] == [0] * 11 + [1] * 3
+    xs = [rec.x for rec in traj.iterates]
+    assert xs[11:] == [apply_method(m, f, xs[10], 1000), apply_method(m, f, xs[11], 1000)]
+
+
+def test_a_reduced_pass_short_of_its_plan_is_redone_at_full_precision(monkeypatch):
+    """t7_6 (order 56 under the Newton seeding) on the double root of
+    (x^2-2)^2 gains digits linearly.  At 600 digits the second pass, from
+    x_1 about 3 digits off, is planned at 186 digits, above p/4; its result
+    is short of the 56-fold gain planned, and the pass is redone at p from
+    x_1."""
+    calls = _recorded_evaluations(monkeypatch)
+    f, m = parse("(x^2-2)^2"), MethodId.parse("t7_6", simpson_seed=SEED_NEWTON)
+    traj = iterate(ScalarProblem(f, bigreal("-0.487433", 600), precision=600, max_iter=4), m)
+    monkeypatch.undo()
+    assert traj.termination == Termination(MAX_ITERATIONS)
+    x1, x2 = (traj.iterates[k].x for k in (1, 2))
+    plan = working_prec(186)
+    reduced = [call for call in calls if call[1] == plan]
+    first = calls.index((1, plan, x1.value))
+    # one reduced pass: the base jets of its two ladders and their node slopes
+    assert calls[first:first + len(reduced)] == reduced
+    assert [order for order, _, _ in reduced].count(1) == 2
+    after = calls[first + len(reduced):]
+    short = after[0][2]
+    assert after[:3] == [(("d1",), solver._ESTIMATE_PREC, short), (0, FULL, short),
+                         (1, FULL, x1.value)]
+    assert all(prec == FULL for _, prec, _ in after[2:])
+    assert short != x2.value
+    assert x2 == apply_method(m, f, x1, 600)
+
+
+@pytest.mark.parametrize("text,method,precision,x0,at_p", [
+    case + (at_p,) for case, at_p in zip(CASES[:7], [8, 13, 8, 10, 37, 7, 7])])
+def test_highprec_evaluations_at_full_precision(monkeypatch, text, method, precision, x0, at_p):
+    """The benchmark's highprec op types from their base starts: passes
+    planned above p/4 run reduced, so only the last one or two passes, and
+    the residuals, evaluate f at p."""
+    traj, count = _run_counting_at_p(monkeypatch, parse(text), MethodId.parse(method),
+                                     bigreal(x0, precision), precision)
+    assert traj.termination.kind == CONVERGED
+    assert count == at_p
+
+
+def test_a_huge_iteration_budget_plans_its_passes(monkeypatch):
+    """With max_iter = 10^9 the budget test q·s·q^(max_iter - k) >= p does
+    not overflow: t4 from 2 at 1000 digits runs as with 30 iterations, its
+    fourth pass reduced at a plan above p/4."""
+    f, m = parse("x^3+2*x-5"), MethodId(4)
+    traj, at_p = _run_counting_at_p(monkeypatch, f, m, bigreal(2, 1000), 1000, max_iter=10**9)
+    budget, at_p_budget = _run_counting_at_p(monkeypatch, f, m, bigreal(2, 1000), 1000)
+    assert traj.termination.kind == CONVERGED
+    assert (traj.iterates, at_p) == (budget.iterates, at_p_budget) and at_p == 8
+
+
 def _run_counting_at_p(monkeypatch, f, m, x0, precision, max_iter=30, whole=False):
     """iterate's trajectory and the number of evaluations of f it makes at p;
     with ``whole`` every ladder runs to n (``_ladder_full`` without ``settled``)."""
@@ -235,14 +302,13 @@ def _near(root, precision, digits=200, side=1):
 @pytest.mark.parametrize("spec", ["t4", "t7", "t5_4", "t7_6"])
 @pytest.mark.parametrize("text", ["x^3+2*x-5", "tanh(x-1)"])
 def test_settled_ladders_keep_the_bits_of_whole_ladders(monkeypatch, text, spec):
-    """From 10^-60 off the root at 1000 digits the first plan is above p/4, so
-    every pass runs at p, and the ladders of the second stop at the level
-    whose correction has settled (from 10^-200, t4 converges in one pass,
-    whose ladders do not settle): each iterate is apply_method of the one
-    before, bit for bit, and so is the run with whole ladders, which takes
-    more evaluations."""
+    """From 10^-520 off the root at 1000 digits the first plan is at least p,
+    so every pass runs at p, and its ladders stop at level 1, whose
+    correction has settled: each iterate is apply_method of the one before,
+    bit for bit, and so is the run with whole ladders, which takes more
+    evaluations."""
     precision, f, m = 1000, parse(text), MethodId.parse(spec)
-    x0 = _near(ROOTS[text](precision + 20), precision, digits=60)
+    x0 = _near(ROOTS[text](precision + 20), precision, digits=520)
     traj, at_p = _run_counting_at_p(monkeypatch, f, m, x0, precision)
     whole, at_p_whole = _run_counting_at_p(monkeypatch, f, m, x0, precision, whole=True)
     assert traj.termination.kind == CONVERGED
@@ -251,14 +317,31 @@ def test_settled_ladders_keep_the_bits_of_whole_ladders(monkeypatch, text, spec)
     _assert_a_chain_of_applications(traj, f, m, precision)
 
 
+def test_a_ladder_settles_past_level_1(monkeypatch):
+    """From 10^-360 off the cubic's root at 1000 digits, t4's first pass
+    runs at p, and its ladder settles at level 2, since level 1's order 3
+    leaves about 1080 digits: with f at x_0 and the base jets at x_0 and
+    x_1, 3 node slopes at p, against 10 for the whole ladder, with the whole
+    ladder's bits."""
+    precision, f, m = 1000, parse("x^3+2*x-5"), MethodId(4)
+    x0 = _near(ROOTS["x^3+2*x-5"](precision + 20), precision, digits=360)
+    traj, at_p = _run_counting_at_p(monkeypatch, f, m, x0, precision)
+    whole, at_p_whole = _run_counting_at_p(monkeypatch, f, m, x0, precision, whole=True)
+    assert traj.termination.kind == CONVERGED and len(traj.iterates) == 2
+    assert traj == whole
+    assert (at_p, at_p_whole) == (3 + 3, 3 + 10)
+    _assert_a_chain_of_applications(traj, f, m, precision)
+
+
 @pytest.mark.parametrize("spec", ["t4", "t7", "t5_4", "t7_6"])
 def test_ladders_at_a_root_at_zero_keep_their_bits(monkeypatch, spec):
     """At the simple root 0 of x*exp(x) a correction is about x itself, and
     y_k = x - u_k keeps shrinking with k: corrections that agree to their
     last bit there leave y_n different from y_k, so no ladder may settle on
-    them.  A tolerance of 10^-(p + 20) max(1, |x|) moves these runs."""
+    them.  A tolerance of 10^-(p + 20) max(1, |x|) moves these runs.  From
+    10^-520 the first plan is at least p, so every pass runs at p."""
     precision, f, m = 1000, parse("x*exp(x)"), MethodId.parse(spec)
-    x0 = _near(mp.mpf(0), precision, digits=60)
+    x0 = _near(mp.mpf(0), precision, digits=520)
     traj, _ = _run_counting_at_p(monkeypatch, f, m, x0, precision)
     whole, _ = _run_counting_at_p(monkeypatch, f, m, x0, precision, whole=True)
     assert traj.termination.kind == CONVERGED
@@ -307,19 +390,22 @@ def test_ladders_outside_the_schedule_run_to_n(monkeypatch, text, spec, precisio
     spec=st.sampled_from(["t0", "t1", "t2", "t4", "t7", "t2_1", "t5_4", "t7_6"]),
     simpson_seed=st.sampled_from([SEED_TRAPEZOID, SEED_NEWTON]),
     precision=st.integers(600, 700),
-    digits=st.integers(90, 300),
     side=st.sampled_from([-1, 1]),
+    data=st.data(),
 )
 def test_iterate_near_a_simple_root_is_a_chain_of_applications(root, b, c, spec, simpson_seed,
-                                                               precision, digits, side):
+                                                               precision, side, data):
     """(x - r)(x^2 + b x + c'), c' = c + floor(b^2/4) + 1, has the one real
     root r = root/4, a simple one; hypothesis favours 0, where a correction
-    is about x itself.  From 10^-digits off it every pass runs at p, and its ladders
-    settle with the bits of whole ladders: each iterate is apply_method of
-    the one before."""
+    is about x itself.  From 10^-digits off it, digits at least 90 and
+    (p - 20)/q + 1, q the nominal order, the first plan is at least p, so
+    every pass runs at p, and its ladders settle with the bits of whole
+    ladders: each iterate is apply_method of the one before."""
     r = mp.mpf(root) / 4
     f = parse(f"(x-({mp.nstr(r, 5)}))*(x^2+({b})*x+{c + b * b // 4 + 1})")
     m = MethodId.parse(spec, simpson_seed=simpson_seed)
+    low = max(90, -(-(precision - 20) // solver._nominal_order(m)) + 1)
+    digits = data.draw(st.integers(low, max(low, 300)), label="digits")
     traj = iterate(ScalarProblem(f, _near(r, precision, digits, side), precision=precision), m)
     assert traj.termination.kind == CONVERGED
     _assert_a_chain_of_applications(traj, f, m, precision)

@@ -416,14 +416,13 @@ def test_iterate_jet_counts(spec, monkeypatch):
 
 
 def test_scheduled_iterate_jet_counts(monkeypatch):
-    # at 1000 digits, t4 from 2 takes three reduced passes: the residuals at
-    # x_0..x_3 are f alone at p.  Then every pass runs at p, and each residual
-    # is the base jet that the next pass reuses: a jet and 10 node slopes for
-    # the pass from x_3, a jet at x_4, one node slope for the pass from
-    # there, whose ladder settles at level 1 since x_4 has converged, and a
-    # jet at x_5.  Below p there are only the three reduced
-    # passes' ladders, a jet and 10 node slopes each at the pass's own
-    # precision, and the digit estimate's 30-digit f'
+    # at 1000 digits, t4 from 2 takes four reduced passes, the last planned
+    # above p/4: the residuals at x_0..x_4 are f alone at p.  The pass from
+    # x_4 runs at p: a base jet there, one node slope, since its ladder
+    # settles at level 1 as x_4 has converged, and the residual at x_5 is a
+    # jet, as every residual is once a pass has run at p.  Below p there are
+    # only the four reduced passes' ladders, a jet and 10 node slopes each at
+    # the pass's own precision, and the digit estimate's 30-digit f'
     precision = 1000
     calls = []
     evaluate = solver._eval
@@ -439,11 +438,11 @@ def test_scheduled_iterate_jet_counts(monkeypatch):
     assert len(traj.steps()) == 5
     full, estimate, slopes = working_prec(precision), solver._ESTIMATE_PREC, [("d1",)] * 10
     assert [order for order, prec in calls if prec == full] == (
-        [0] * 4 + [1] + slopes + [1] + [("d1",)] + [1])
+        [0] * 5 + [1] + [("d1",)] + [1])
     assert {order for order, prec in calls if prec == estimate} == {("d1",)}
     reduced = [(order, prec) for order, prec in calls if prec not in (full, estimate)]
     precs = list(dict.fromkeys(prec for _, prec in reduced))
-    assert len(precs) == 3
+    assert len(precs) == 4
     assert reduced == [(order, prec) for prec in precs for order in [1] + slopes]
 
 
