@@ -31,8 +31,8 @@ from operator import itemgetter
 from typing import Optional
 
 import mpmath as mp
-from mpmath.libmp import (dps_to_prec, fnan, fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
-                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_pos, mpf_pow_int, mpf_sub, to_float)
+from mpmath.libmp import (fnan, fone, from_int, fzero, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_lt,
+                          mpf_mul, mpf_pos, mpf_pow_int, mpf_sub, to_float)
 
 from .bigreal import DEFAULT_DIGITS, BigReal, _check_finite, _is_finite, as_mpf, working_prec
 from .errors import Breakdown
@@ -52,15 +52,14 @@ _RULES = [builtin_rule(n) for n in range(MAX_RULE + 1)]
 
 # guard digits of a reduced pass of iterate's precision schedule, which are
 # also the digits a reduced pass planned above p/4 may fall short of its plan
-# by, and the precision the schedule starts at: below it the schedule's extra
-# evaluations cost more than its reduced passes save (Newton on a 2-vCPU VM:
-# 1.13x the time at 400 digits, even at 500, 0.85x at 600)
+# by, and the precision the schedule starts at, one gate for every order.
+# Schedule on against off from the base starts of x^3+2*x-5, tanh(x-1) and
+# x*exp(x)-1 (in-process, alternating, best of seven, three rounds, 2-vCPU
+# VM), Newton still loses above it: t0 takes 1.19-1.41x the time at 600
+# digits and 1.00-1.21x at 1000, while t1 takes 0.74-1.00x at 600, t2
+# 0.53-0.88x and t7 0.20-0.56x
 _SCHEDULE_GUARD = 20
 _SCHEDULE_FROM = 600
-# the precision of the f' in the digit estimate -log10|f/f'| of an iterate
-_ESTIMATE_PREC = dps_to_prec(30)
-# the output set of a ladder node's code: f' alone, without the calls f needs
-_SLOPE = ("d1",)
 _TEN, _MILLION = from_int(10), from_int(10**6)
 
 
@@ -346,7 +345,7 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound, ar
 
     def slope_at(p):
         return transform(evaluate(f, p, 2, prec))[1] if m.transform else (
-            evaluate(f, p, _SLOPE, prec))
+            evaluate(f, p, ("d1",), prec))
 
     def apply(x, jet=None):
         tiny = near = tol = None
@@ -529,10 +528,10 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     gives P only where P < p and the passes left can finish the run at the
     nominal order, q·s·q^(max_iter - k) >= p; a run that ends at ``max_iter``
     before it converges then runs those passes at p.  One estimate,
-    s = -log10|f/f'| from the residual at p and an f' at _ESTIMATE_PREC bits,
-    which does not cancel near a simple root, both plans a pass and judges
-    its result: a reduced pass is redone at p when it breaks down, when f' or
-    the estimate breaks down at x_k, or when x_k is as accurate as P digits
+    s = log10|f'| - log10|f| from the residual's base jet at p, which does
+    not cancel near a simple root, both plans a pass and judges its result:
+    a reduced pass is redone at p when it breaks down, when the jet at x_k
+    breaks down or its f' vanishes, or when x_k is as accurate as P digits
     allow, |f/f'| at most 10^(10 - P) max(1, |x_k|): the nominal order is a
     lower bound, and a pass that gains more is cut short by P, not by the
     map.  This also catches a pass that stalls at its own rounding.  A pass
@@ -551,12 +550,10 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     digits needs only the levels whose order brings s past p.  Reduced
     passes run whole ladders: each is planned to gain the map's full order.
 
-    The last residual is kept with its point, so the outer loop's residual at
-    x_k is the f the estimate took.  While a schedule runs it is f alone,
-    so reduced passes pay for no derivative at p.  Once every later pass runs
-    at p, it is the f of the base jet that the next step reuses if it starts
-    from the same iterate (order 0 has the same bits), or f alone where that
-    jet breaks down (abs at 0) and so will the step.
+    The residual is the f of the base jet at p (order 0 has the same bits),
+    kept with its point, which the estimate reads and a pass at p from that
+    point reuses, a redone one too; it is f alone only where that jet breaks
+    down (abs at 0), and then the estimate and the step do too.
     """
     prec = working_prec(precision)
     scheduled = precision >= _SCHEDULE_FROM and not m.transform
@@ -570,17 +567,17 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
         nonlocal last
         if x != last[0]:
             try:
-                jet = None if scheduled else _eval(f, x, order, prec)
+                jet = _eval(f, x, order, prec)
             except Breakdown:
                 jet = None
             last = x, _eval(f, x, 0, prec) if jet is None else jet[0], jet
         return last[1]
 
     def digits(x):
-        slope = _eval(f, x, _SLOPE, _ESTIMATE_PREC)
-        if slope == fzero:
-            raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the digit estimate")
-        return -_log10_abs(mpf_div(residual(x), slope, _ESTIMATE_PREC, _RND))
+        residual(x)
+        if last[2] is None or last[2][1] == fzero:
+            raise Breakdown(Breakdown.ZERO_DERIVATIVE, "no f' at the digit estimate")
+        return _log10_abs(last[2][1]) - _log10_abs(last[2][0])
 
     def plan(k, s):
         work = math.ceil(q * s) + _SCHEDULE_GUARD
@@ -595,6 +592,7 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     def step(x, _fx):
         nonlocal scheduled
         k = next(passes)
+        jet = last[2] if x == last[0] else None
         if scheduled and k < max_iter:
             try:
                 s = max(digits(x), 0.0)
@@ -611,7 +609,7 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
             except Breakdown:
                 pass
         scheduled = False
-        return full(x, last[2] if x == last[0] else None)
+        return full(x, jet)
 
     return residual, step
 
@@ -623,7 +621,9 @@ def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
     From 600 digits up on plain maps, each pass before the last runs at the
     precision its iterate's digit estimate plans for it, where that is below
     the full precision and, for a plan above a quarter of it, where the
-    passes left can still reach it and the result meets its plan; the
+    passes left can still reach it and the result meets its plan.  The
+    estimate reads the base jet that the residual takes at the full
+    precision, and the first pass at that precision reuses the jet; the
     ladders of the passes at the full precision stop at the level whose
     correction has settled, with the whole ladder's bits
     (``_residual_and_step``).  No pass reads or sets mpmath's context, so

@@ -10,7 +10,6 @@ distinction.
 import time
 
 import mpmath as mp
-import pytest
 
 from conftest import certified_root, cubic
 
@@ -28,7 +27,6 @@ from cotesroot import (
     nd_iterate,
     nd_step,
     parse,
-    significant_digits,
     solve_linear,
 )
 from cotesroot.expr import eval_jet, eval_value

@@ -170,32 +170,35 @@ def _recorded_evaluations(monkeypatch):
     return calls
 
 
+# last_reduced: the reduced attempt's evaluation at 1 and every call after it
 @pytest.mark.parametrize("spec,iterates,last_reduced", [
-    ("t0", [2, 1], (("d1",), solver._ESTIMATE_PREC, 1)),  # the estimate's f' at 1 is zero
-    ("t0_0", [2], (1, LOW, 1)),  # its outer base slope at 1 is zero
+    ("t0", [2, 1], [(1, FULL, 1)]),  # the estimate's jet at 1 has f' = 0
+    ("t0_0", [2], [(1, LOW, 1), (1, FULL, 1)]),  # its outer base slope at 1 is zero
 ])
 def test_reduced_pass_falls_back_to_a_full_pass(monkeypatch, spec, iterates, last_reduced):
     """Newton on x^3-3x+7 goes from 2 exactly to 1, where f' = 3x^2-3
-    vanishes.  t0's reduced pass lands there, and its digit estimate's f' is zero;
-    t0_0's reduced pass breaks down at its outer ladder's base point there.
-    Either pass is redone at the full precision from 2, and the run breaks
-    down where that pass, or the next one, meets the zero slope."""
+    vanishes.  t0's reduced pass lands there, and the base jet its digit
+    estimate takes there has f' = 0; t0_0's reduced pass breaks down at its
+    outer ladder's base point there.  Either pass is redone at the full
+    precision from 2 with the residual's jet there, and the run breaks down
+    where that pass, or the next one, meets the zero slope: t0's next pass
+    starts from the jet the estimate took at 1."""
     calls = _recorded_evaluations(monkeypatch)
     problem = ScalarProblem(parse("x^3-3*x+7"), bigreal(2, 600), precision=600)
     traj = iterate(problem, MethodId.parse(spec))
     assert [rec.x.value for rec in traj.iterates] == iterates
     assert traj.termination == Termination(BREAKDOWN, Breakdown.ZERO_DERIVATIVE,
                                            "f' vanished at the base point", 0)
-    assert calls == [(0, FULL, 2), (("d1",), solver._ESTIMATE_PREC, 2), (1, LOW, 2),
-                     last_reduced, (1, FULL, 2), (1, FULL, 1)]
+    assert calls == [(1, FULL, 2), (1, LOW, 2), *last_reduced]
 
 
 def test_reduced_pass_leaving_the_bound_falls_back_to_a_full_pass(monkeypatch):
     """t1 on tanh(x-1) from 2.477085 reaches 3.1e6, inside the bound 3.5e6,
     but the Newton value there, and so the trapezoid node, is far outside.
     The reduced pass from there leaves the bound after its base jet, and the
-    pass is redone at the full precision, which leaves it too: the run ends
-    diverged, as it does at 30 digits, where no pass is reduced."""
+    pass is redone at the full precision from the residual's jet there, which
+    leaves it too: the run ends diverged, as it does at 30 digits, where no
+    pass is reduced."""
     calls = _recorded_evaluations(monkeypatch)
     problem = ScalarProblem(parse("tanh(x-1)"), bigreal("2.477085", 600), precision=600,
                             max_iter=5)
@@ -204,7 +207,7 @@ def test_reduced_pass_leaving_the_bound_falls_back_to_a_full_pass(monkeypatch):
                                            "a ladder node left the divergence bound", 1)
     assert len(traj.iterates) == 3
     last = traj.final.x.value
-    assert calls[-2:] == [(1, LOW, last), (1, FULL, last)]
+    assert calls[-2:] == [(1, FULL, last), (1, LOW, last)]
     assert all(abs(x) <= problem.divergence_bound.value for _, _, x in calls)
 
 
@@ -212,15 +215,18 @@ def test_a_pass_that_leaves_too_few_passes_runs_at_full_precision(monkeypatch):
     """Newton on cos(x)-x from -2 at 1000 digits ends at max_iter=12 before
     it converges.  The eleventh pass, from x_10, is planned above p/4, but
     one pass after it cannot reach p at order 2 from its plan, so it runs
-    at p, as the twelfth does: 14 evaluations at p, f alone at x_0..x_10 and
-    a jet at x_10..x_12, and x_11 and x_12 are apply_method's."""
+    at p, as the twelfth does, and x_11 and x_12 are apply_method's.  Each
+    residual is the base jet at p, which the digit estimate reads and the
+    passes from x_10 and x_11 reuse: 13 evaluations at p, and one jet at its
+    own precision for each of the ten reduced passes."""
     calls = _recorded_evaluations(monkeypatch)
     f, m = parse("cos(x)-x"), MethodId.parse("t0", simpson_seed=SEED_NEWTON)
     traj = iterate(ScalarProblem(f, bigreal(-2, 1000), precision=1000, max_iter=12), m)
     monkeypatch.undo()
     assert traj.termination == Termination(MAX_ITERATIONS)
     assert len(traj.iterates) == 13
-    assert [order for order, prec, _ in calls if prec == working_prec(1000)] == [0] * 11 + [1] * 3
+    assert [order for order, prec, _ in calls if prec == working_prec(1000)] == [1] * 13
+    assert len(calls) == 13 + 10
     xs = [rec.x for rec in traj.iterates]
     assert xs[11:] == [apply_method(m, f, xs[10], 1000), apply_method(m, f, xs[11], 1000)]
 
@@ -230,7 +236,8 @@ def test_a_reduced_pass_short_of_its_plan_is_redone_at_full_precision(monkeypatc
     (x^2-2)^2 gains digits linearly.  At 600 digits the second pass, from
     x_1 about 3 digits off, is planned at 186 digits, above p/4; its result
     is short of the 56-fold gain planned, and the pass is redone at p from
-    x_1."""
+    x_1 with the residual's jet there: the base jet the estimate took at the
+    short result goes unused."""
     calls = _recorded_evaluations(monkeypatch)
     f, m = parse("(x^2-2)^2"), MethodId.parse("t7_6", simpson_seed=SEED_NEWTON)
     traj = iterate(ScalarProblem(f, bigreal("-0.487433", 600), precision=600, max_iter=4), m)
@@ -245,19 +252,20 @@ def test_a_reduced_pass_short_of_its_plan_is_redone_at_full_precision(monkeypatc
     assert [order for order, _, _ in reduced].count(1) == 2
     after = calls[first + len(reduced):]
     short = after[0][2]
-    assert after[:3] == [(("d1",), solver._ESTIMATE_PREC, short), (0, FULL, short),
-                         (1, FULL, x1.value)]
-    assert all(prec == FULL for _, prec, _ in after[2:])
+    assert after[0] == (1, FULL, short) and (1, FULL, x1.value) not in after
+    assert all(prec == FULL for _, prec, _ in after)
     assert short != x2.value
     assert x2 == apply_method(m, f, x1, 600)
 
 
 @pytest.mark.parametrize("text,method,precision,x0,at_p", [
-    case + (at_p,) for case, at_p in zip(CASES[:7], [8, 13, 8, 10, 37, 7, 7])])
+    pytest.param(*case, at_p, id="-".join(map(str, case)))
+    for case, at_p in zip(CASES[:7], [7, 12, 7, 9, 36, 6, 6])])
 def test_highprec_evaluations_at_full_precision(monkeypatch, text, method, precision, x0, at_p):
     """The benchmark's highprec op types from their base starts: passes
     planned above p/4 run reduced, so only the last one or two passes, and
-    the residuals, evaluate f at p."""
+    the residuals' base jets, which the digit estimate reads and the first
+    full pass reuses, evaluate f at p."""
     traj, count = _run_counting_at_p(monkeypatch, parse(text), MethodId.parse(method),
                                      bigreal(x0, precision), precision)
     assert traj.termination.kind == CONVERGED
@@ -272,7 +280,7 @@ def test_a_huge_iteration_budget_plans_its_passes(monkeypatch):
     traj, at_p = _run_counting_at_p(monkeypatch, f, m, bigreal(2, 1000), 1000, max_iter=10**9)
     budget, at_p_budget = _run_counting_at_p(monkeypatch, f, m, bigreal(2, 1000), 1000)
     assert traj.termination.kind == CONVERGED
-    assert (traj.iterates, at_p) == (budget.iterates, at_p_budget) and at_p == 8
+    assert (traj.iterates, at_p) == (budget.iterates, at_p_budget) and at_p == 7
 
 
 def _run_counting_at_p(monkeypatch, f, m, x0, precision, max_iter=30, whole=False):
@@ -329,7 +337,7 @@ def test_a_ladder_settles_past_level_1(monkeypatch):
     whole, at_p_whole = _run_counting_at_p(monkeypatch, f, m, x0, precision, whole=True)
     assert traj.termination.kind == CONVERGED and len(traj.iterates) == 2
     assert traj == whole
-    assert (at_p, at_p_whole) == (3 + 3, 3 + 10)
+    assert (at_p, at_p_whole) == (2 + 3, 2 + 10)
     _assert_a_chain_of_applications(traj, f, m, precision)
 
 

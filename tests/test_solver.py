@@ -181,8 +181,8 @@ def test_two_node_map_exact_on_affine():
 def test_slope_evaluation_count(n, monkeypatch):
     # node 0 of every level is the base point, whose slope is evaluated once,
     # so one application takes 1 + n(n+1)/2 evaluations: the plain maps take
-    # an order-1 jet at the base point and f' alone (solver._SLOPE) at each
-    # node, the "+F" maps order-2 jets throughout for F'
+    # an order-1 jet at the base point and f' alone (output set ("d1",)) at
+    # each node, the "+F" maps order-2 jets throughout for F'
     orders, evaluate = [], solver._eval
 
     def counting_eval(f, x, order, prec):
@@ -417,12 +417,12 @@ def test_iterate_jet_counts(spec, monkeypatch):
 
 def test_scheduled_iterate_jet_counts(monkeypatch):
     # at 1000 digits, t4 from 2 takes four reduced passes, the last planned
-    # above p/4: the residuals at x_0..x_4 are f alone at p.  The pass from
-    # x_4 runs at p: a base jet there, one node slope, since its ladder
-    # settles at level 1 as x_4 has converged, and the residual at x_5 is a
-    # jet, as every residual is once a pass has run at p.  Below p there are
+    # above p/4.  Every residual, at x_0..x_5, is the base jet at p, which
+    # the digit estimate reads; the pass from x_4 runs at p and reuses the
+    # jet there, and takes one node slope, since its ladder settles at level
+    # 1 as x_4 has converged.  Nothing else runs at p, and below p there are
     # only the four reduced passes' ladders, a jet and 10 node slopes each at
-    # the pass's own precision, and the digit estimate's 30-digit f'
+    # the pass's own precision
     precision = 1000
     calls = []
     evaluate = solver._eval
@@ -436,26 +436,28 @@ def test_scheduled_iterate_jet_counts(monkeypatch):
     traj = iterate(problem, MethodId(4))
     assert traj.termination.kind == CONVERGED
     assert len(traj.steps()) == 5
-    full, estimate, slopes = working_prec(precision), solver._ESTIMATE_PREC, [("d1",)] * 10
-    assert [order for order, prec in calls if prec == full] == (
-        [0] * 5 + [1] + [("d1",)] + [1])
-    assert {order for order, prec in calls if prec == estimate} == {("d1",)}
-    reduced = [(order, prec) for order, prec in calls if prec not in (full, estimate)]
+    full, slopes = working_prec(precision), [("d1",)] * 10
+    assert [order for order, prec in calls if prec == full] == [1] * 5 + [("d1",), 1]
+    reduced = [(order, prec) for order, prec in calls if prec != full]
     precs = list(dict.fromkeys(prec for _, prec in reduced))
     assert len(precs) == 4
     assert reduced == [(order, prec) for prec in precs for order in [1] + slopes]
 
 
-@pytest.mark.parametrize("spec", ["t0", "t2_1", "t1+F"])
+# at 600 digits the schedule's digit estimate finds no jet at 0 either, and
+# the pass runs at p
+@pytest.mark.parametrize("spec,precision", [
+    pytest.param(spec, precision, id=spec + ("" if precision == 30 else f"-{precision}"))
+    for precision in (30, 600) for spec in ("t0", "t2_1", "t1+F")])
 @pytest.mark.parametrize("text,message", [
     ("abs(x)+1", "derivative of abs at 0"),
     ("sqrt(x)+1", "derivative of sqrt at 0"),
     ("sqrt(x)", None),  # f(0) = 0: the run converges before any step
 ])
-def test_iterate_residual_where_only_the_jet_breaks_down(spec, text, message):
+def test_iterate_residual_where_only_the_jet_breaks_down(spec, text, message, precision):
     # the base jet at 0 breaks down, f there does not: the residual is f
     # alone, and the step breaks down at level 0 as the ladder's own jet does
-    problem = ScalarProblem(parse(text), bigreal(0, 30), precision=30)
+    problem = ScalarProblem(parse(text), bigreal(0, precision), precision=precision)
     traj = iterate(problem, MethodId.parse(spec))
     assert [(r.x.value, r.fx.value) for r in traj.iterates] == [(0, 0 if message is None else 1)]
     assert traj.termination == (Termination(CONVERGED, "residual") if message is None else
