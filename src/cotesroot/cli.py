@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
 
 import mpmath as mp
@@ -38,7 +38,6 @@ from .solver import (
     SEED_TRAPEZOID,
     MethodId,
     ScalarProblem,
-    Trajectory,
     iterate,
 )
 from .tables import TABLE_IDS, run_table
@@ -110,23 +109,48 @@ def _nstr(value: float, digits: int) -> str:
     return mp.nstr(mp.mpf(value), digits)
 
 
-def _print_csv(rows) -> None:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    print(buf.getvalue(), end="")
+def _print(args, data: dict, lines: list[str], rows=()) -> None:
+    """Print a command's report in ``args.format``: the JSON ``data``, the CSV
+    ``rows`` (header row first) or the text ``lines``.
+
+    A reader that closes the pipe early takes the rest of the report, not the
+    command's exit code: stdout then goes to the null device, so that the
+    flush at exit cannot fail again.
+    """
+    try:
+        if args.format == "json":
+            print(json.dumps(data, indent=2))
+        elif args.format == "csv":
+            csv.writer(sys.stdout).writerows(rows)
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _ending(term) -> str:
+    """How a run ended, as the last line of its text report names it."""
+    detail = f" ({term.detail})" if term.detail else ""
+    return f"termination: {term.kind}{detail}"
+
+
+def _print_run(args, traj, header: dict, records: list, lines: list, rows=()) -> int:
+    """Print a run's report: ``header`` and one record (a text line, a CSV row)
+    per iterate, then how the run ended; return the run's exit code."""
+    _print(args, {**header, "iterates": records, "termination": vars(traj.termination)},
+           [*lines, _ending(traj.termination)], rows)
+    return _EXIT_BY_KIND[traj.termination.kind]
 
 
 def _cmd_weights(args) -> int:
     rule = derive_rule(args.n) if args.derive else builtin_rule(args.n)
-    if args.format == "json":
-        print(json.dumps({"n": rule.n, "weights": list(rule.weights), "c": rule.c}))
-    elif args.format == "csv":
-        _print_csv([["n", "c"] + [f"A{i}" for i in range(rule.n + 1)],
-                    [rule.n, rule.c] + list(rule.weights)])
-    else:
-        print(f"n = {rule.n}")
-        print(f"weights = {' '.join(str(w) for w in rule.weights)}")
-        print(f"c = {rule.c}")
+    _print(args, {"n": rule.n, "weights": list(rule.weights), "c": rule.c},
+           [f"n = {rule.n}",
+            f"weights = {' '.join(str(w) for w in rule.weights)}",
+            f"c = {rule.c}"],
+           [["n", "c"] + [f"A{i}" for i in range(rule.n + 1)],
+            [rule.n, rule.c] + list(rule.weights)])
     return 0
 
 
@@ -147,7 +171,8 @@ def _solve(args):
     return problem, iterate(problem, method)
 
 
-def _config_json(args, problem, method) -> dict:
+def _cmd_solve(args) -> int:
+    problem, traj = _solve(args)
     config = {
         "function": args.function,
         "x0": problem.x0.decimal(),
@@ -156,63 +181,30 @@ def _config_json(args, problem, method) -> dict:
         "step_tol": problem.step_tol.decimal(8),
         "residual_tol": problem.residual_tol.decimal(8),
         "divergence_bound": problem.divergence_bound.decimal(8),
-        "simpson_seed": method.simpson_seed,
+        "simpson_seed": traj.method.simpson_seed,
     }
     if problem.known_root is not None:
         config["root"] = problem.known_root.decimal()
-    return config
-
-
-def _trajectory_json(traj: Trajectory, args, problem) -> dict:
-    iterates = []
-    for rec in traj.iterates:
-        entry = {"k": rec.k, "x": rec.x.decimal(),
-                 "fx": None if rec.fx is None else rec.fx.decimal()}
-        if rec.step is not None:
-            entry["step"] = rec.step.decimal()
-        if rec.s is not None:
-            entry["s"] = _nstr(rec.s, 8)
-        iterates.append(entry)
-    return {
-        "method": str(traj.method),
-        "config": _config_json(args, problem, traj.method),
-        "iterates": iterates,
-        "termination": vars(traj.termination),
-    }
-
-
-def _print_trajectory(traj: Trajectory, args, problem) -> None:
-    if args.format == "json":
-        print(json.dumps(_trajectory_json(traj, args, problem), indent=2))
-        return
-    if args.format == "csv":
-        _print_csv([["k", "x", "fx", "step", "s"]] + [
-            [
-                rec.k,
-                rec.x.decimal(),
-                "" if rec.fx is None else rec.fx.decimal(),
-                "" if rec.step is None else rec.step.decimal(),
-                "" if rec.s is None else _nstr(rec.s, 8),
-            ]
-            for rec in traj.iterates
-        ])
-        return
     shown = min(problem.precision, 30)
+    records, lines = [], []
     for rec in traj.iterates:
+        # an absent step or s is left out of the record, an absent f(x) is None
+        record = {"k": rec.k, "x": rec.x.decimal(),
+                  "fx": None if rec.fx is None else rec.fx.decimal()}
         line = f"k={rec.k:<3d} x={rec.x.decimal(shown)}"
         if rec.fx is not None:
             line += f"  f(x)={rec.fx.decimal(8)}"
+        if rec.step is not None:
+            record["step"] = rec.step.decimal()
         if rec.s is not None:
+            record["s"] = _nstr(rec.s, 8)
             line += f"  s={_nstr(rec.s, 6)}"
-        print(line)
-    detail = f" ({traj.termination.detail})" if traj.termination.detail else ""
-    print(f"termination: {traj.termination.kind}{detail}")
-
-
-def _cmd_solve(args) -> int:
-    problem, traj = _solve(args)
-    _print_trajectory(traj, args, problem)
-    return _EXIT_BY_KIND[traj.termination.kind]
+        records.append(record)
+        lines.append(line)
+    columns = ["k", "x", "fx", "step", "s"]
+    rows = [columns] + [["" if r.get(c) is None else r[c] for c in columns] for r in records]
+    return _print_run(args, traj, {"method": str(traj.method), "config": config},
+                      records, lines, rows)
 
 
 def _cmd_order(args) -> int:
@@ -225,49 +217,29 @@ def _cmd_order(args) -> int:
     except InsufficientData as exc:
         print(f"cannot estimate order: {exc}", file=sys.stderr)
         return 3
-    if args.format == "json":
-        print(json.dumps({
-            "method": str(traj.method),
-            "q": _nstr(estimate.q, 6),
-            "samples_used": estimate.samples_used,
-            "per_pair": [_nstr(r, 6) for r in estimate.per_pair],
-        }))
-    elif args.format == "csv":
-        _print_csv([["pair", "q"]]
-                   + [[i, _nstr(r, 6)] for i, r in enumerate(estimate.per_pair)]
-                   + [["final", _nstr(estimate.q, 6)]])
-    else:
-        pairs = ", ".join(_nstr(r, 4) for r in estimate.per_pair)
-        print(f"estimated order q = {_nstr(estimate.q, 4)} "
-              f"from {estimate.samples_used} iterates")
-        print(f"per-pair estimates: {pairs}")
+    q, pairs = _nstr(estimate.q, 6), [_nstr(r, 6) for r in estimate.per_pair]
+    _print(args, {"method": str(traj.method), "q": q, "samples_used": estimate.samples_used,
+                  "per_pair": pairs},
+           [f"estimated order q = {_nstr(estimate.q, 4)} from {estimate.samples_used} iterates",
+            f"per-pair estimates: {', '.join(_nstr(r, 4) for r in estimate.per_pair)}"],
+           [["pair", "q"], *enumerate(pairs), ["final", q]])
     return 0
 
 
 def _cmd_table(args) -> int:
     report = run_table(args.id, args.digits)
-    if args.format == "json":
-        print(json.dumps({
-            "table": report.table_id,
-            "title": report.title,
-            "digits": report.digits,
-            "rows": [vars(row) for row in report.rows],
-        }, indent=2))
-        return 0
-    if args.format == "csv":
-        _print_csv([["method", "quantity", "computed", "reference", "diff", "runtime_s",
-                     "provenance"]] + [
-            [row.method, row.quantity, row.computed, row.reference, f"{row.diff:.4g}",
-             f"{row.runtime:.3f}", row.provenance]
-            for row in report.rows
-        ])
-        return 0
-    print(f"{report.table_id}: {report.title} ({report.digits} digits)")
-    print(f"{'method':<8} {'qty':<4} {'computed':>14} {'reference':>12} {'|diff|':>10} {'time':>8}")
-    for row in report.rows:
-        print(f"{row.method:<8} {row.quantity:<4} {row.computed:>14.4f} "
-              f"{row.reference:>12.4f} {row.diff:>10.4g} {row.runtime:>7.2f}s")
-    print(f"max |computed - reference| = {report.max_diff:.4g}")
+    _print(args, {"table": report.table_id, "title": report.title, "digits": report.digits,
+                  "rows": [vars(row) for row in report.rows]},
+           [f"{report.table_id}: {report.title} ({report.digits} digits)",
+            f"{'method':<8} {'qty':<4} {'computed':>14} {'reference':>12} {'|diff|':>10} "
+            f"{'time':>8}",
+            *(f"{row.method:<8} {row.quantity:<4} {row.computed:>14.4f} "
+              f"{row.reference:>12.4f} {row.diff:>10.4g} {row.runtime:>7.2f}s"
+              for row in report.rows),
+            f"max |computed - reference| = {report.max_diff:.4g}"],
+           [["method", "quantity", "computed", "reference", "diff", "runtime_s", "provenance"],
+            *([row.method, row.quantity, row.computed, row.reference, f"{row.diff:.4g}",
+               f"{row.runtime:.3f}", row.provenance] for row in report.rows)])
     return 0
 
 
@@ -276,32 +248,17 @@ def _cmd_ndsolve(args) -> int:
     demo = demo_system(args.system)
     traj = nd_iterate(demo.function, demo.x0, kind=kind, precision=args.digits,
                       max_iter=args.max_iter)
-    if args.format == "json":
-        print(json.dumps({
-            "system": args.system,
-            "kind": kind,
-            "digits": args.digits,
-            "iterates": [
-                {
-                    "k": rec.k,
-                    "x": [v.decimal() for v in rec.x],
-                    "residual_norm": None if rec.residual_norm is None
-                    else rec.residual_norm.decimal(8),
-                }
-                for rec in traj.iterates
-            ],
-            "termination": vars(traj.termination),
-        }, indent=2))
-    else:
-        shown = min(args.digits, 30)
-        for rec in traj.iterates:
-            point = ", ".join(v.decimal(shown) for v in rec.x)
-            norm = "" if rec.residual_norm is None else \
-                f"  |F|={rec.residual_norm.decimal(6)}"
-            print(f"k={rec.k:<3d} x=({point}){norm}")
-        detail = f" ({traj.termination.detail})" if traj.termination.detail else ""
-        print(f"termination: {traj.termination.kind}{detail}")
-    return _EXIT_BY_KIND[traj.termination.kind]
+    shown = min(args.digits, 30)
+    records, lines = [], []
+    for rec in traj.iterates:
+        norm = rec.residual_norm
+        records.append({"k": rec.k, "x": [v.decimal() for v in rec.x],
+                        "residual_norm": None if norm is None else norm.decimal(8)})
+        point = ", ".join(v.decimal(shown) for v in rec.x)
+        lines.append(f"k={rec.k:<3d} x=({point})"
+                     + ("" if norm is None else f"  |F|={norm.decimal(6)}"))
+    return _print_run(args, traj, {"system": args.system, "kind": kind, "digits": args.digits},
+                      records, lines)
 
 
 _COMMANDS = {
