@@ -9,7 +9,8 @@ and its ``step`` column the error estimate without one.
 
 Exit codes for solve-like commands: 0 converged, 2 breakdown or divergence,
 3 iteration budget exhausted (or not enough data for an order estimate),
-1 for parse/configuration errors.
+1 for parse/configuration errors.  A reader that closes the output pipe
+early changes no exit code.
 """
 
 from __future__ import annotations
@@ -215,7 +216,9 @@ def _cmd_order(args) -> int:
         else:
             estimate = estimate_order(traj, problem.known_root)
     except InsufficientData as exc:
-        print(f"cannot estimate order: {exc}", file=sys.stderr)
+        term = traj.termination
+        message = f": {term.message}" if term.message else ""
+        print(f"cannot estimate order: {exc}; {_ending(term)}{message}", file=sys.stderr)
         return 3
     q, pairs = _nstr(estimate.q, 6), [_nstr(r, 6) for r in estimate.per_pair]
     _print(args, {"method": str(traj.method), "q": q, "samples_used": estimate.samples_used,

@@ -260,6 +260,19 @@ def test_order_csv_and_text_match_json(capsys):
         "per-pair estimates: 3.513, 3.166, 3.053, 3.017, 3.006, 3.002"]
 
 
+@pytest.mark.parametrize("text,x0,method,ending", [
+    ("log(x)", "3", "t1",
+     "have 0; termination: breakdown (domain): log of nonpositive value -0.29583687\n"),
+    ("tanh(x-1)", "-5", "t0", "have 1; termination: diverged\n"),
+])
+def test_order_insufficient_data_names_the_ending(capsys, text, x0, method, ending):
+    code, out, err = run_cli(capsys, "order", "-f", text, "-m", method, "--x0", x0,
+                             "--digits", "30")
+    assert (code, out) == (3, "")
+    assert err.startswith("cannot estimate order: need 3 strictly decreasing steps, ")
+    assert err.endswith(ending)
+
+
 def test_order_insufficient_data_exit_code(capsys):
     code, _, err = run_cli(capsys, "order", "-f", "x^2-2", "-m", "t0",
                            "--x0", "1.5", "--digits", "60", "--root", "1.41",
@@ -435,3 +448,21 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "c = 1" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["weights", "--n", "4"],
+                                  ["solve", "-f", "x^2-2", "-m", "t0", "--x0", "1.5",
+                                   "--digits", "30"]])
+def test_closed_pipe_keeps_the_exit_code(argv):
+    # the reader closes its end before the child has written anything
+    src = str(Path(cotesroot.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cotesroot.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
