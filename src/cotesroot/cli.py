@@ -127,7 +127,9 @@ def _print(args, data: dict, lines: list[str], rows=()) -> None:
             print("\n".join(lines))
         sys.stdout.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _ending(term) -> str:
@@ -137,8 +139,8 @@ def _ending(term) -> str:
 
 
 def _print_run(args, traj, header: dict, records: list, lines: list, rows=()) -> int:
-    """Print a run's report: ``header`` and one record (a text line, a CSV row)
-    per iterate, then how the run ended; return the run's exit code."""
+    """Print a run's report: ``header``, then the iterates (JSON ``records``,
+    text ``lines``, CSV ``rows``), then how the run ended; return its exit code."""
     _print(args, {**header, "iterates": records, "termination": vars(traj.termination)},
            [*lines, _ending(traj.termination)], rows)
     return _EXIT_BY_KIND[traj.termination.kind]

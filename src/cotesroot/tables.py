@@ -169,10 +169,11 @@ def run_table(table_id: str, digits: int | None = None) -> TableReport:
             values = [significant_digits(iterate(problem, method).final.x, root)]
         elapsed = time.perf_counter() - start
         if spec.iterations == 0:
-            quantities, places = [f"d{order}" for order in range(1, len(values) + 1)], 6
+            quantities = [f"d{order}" for order in range(1, len(values) + 1)]
+            places, references = 6, reference
         else:
-            quantities, places, reference = ["s"], 4, (reference,)
-        for quantity, got, ref in zip(quantities, values, reference):
+            quantities, places, references = ["s"], 4, (reference,)
+        for quantity, got, ref in zip(quantities, values, references):
             value = float(got)
             rows.append(
                 TableRow(
