@@ -2,37 +2,42 @@
 
 A series is a list [c_0, c_1, ..., c_d] of raw mpfs, the Taylor coefficients
 of a function of ε truncated at degree d; every series in one computation has
-the same degree.  A raw mpf is a constant, and stays raw.  Each function here
-stands in for the libmp call it is named after in ``NAMES`` and takes that
-call's arguments, series or raw in any mix: on raw operands alone it is that
-call.  On a series it makes that same call on the constant terms for c_0, so
-c_0 has the bits the raw computation would have, and gets c_1..c_d from the
-standard recurrences (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.
-2008, ch. 13; Knuth, TAOCP vol. 2, section 4.7), each product, sum and
-quotient rounded to ``prec``.
+the same degree.  A raw mpf is a constant, and stays raw.  ``NAMES`` maps the
+name of each libmp call that compiled code makes to its stand-in, which takes
+that call's arguments, series or raw in any mix, by one rule, decided there
+once: a call whose operands are all raw is the libmp call itself; otherwise
+each raw operand becomes the constant series [c, 0, ..., 0] of the same
+degree, so each counterpart below takes series only.  It makes the named call
+on the constant terms for c_0, so c_0 has the bits the raw computation would
+have, and gets c_1..c_d from the standard recurrences (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed. 2008, ch. 13; Knuth, TAOCP vol. 2, section
+4.7), each product, sum and quotient rounded to ``prec``.  The lifted zeros
+change no bit: every coefficient past c_0 is a libmp result at ``prec`` or
+the exact 1 or 0 of z + ε, which a sum with 0, or a product with it, returns
+unchanged.
 
 So code written for raw libmp tuples, run against ``NAMES`` on x = z + ε,
 gives the Taylor coefficients of what it computes at z.  The comparisons,
-the zero test, the magnitude guard, the sign and the decimal text read the
-constant term: code that checks its operands before a call judges the point
-z itself.  Nothing here reads or sets mpmath's context.
+the zero test, the magnitude guard, the sign and the decimal text are their
+raw calls on the constant terms: code that checks its operands before a call
+judges the point z itself.  Nothing here reads or sets mpmath's context.
 """
 
 from __future__ import annotations
 
-from mpmath.libmp import (fnone, fone, from_int, fzero, mpf_abs, mpf_add, mpf_cbrt, mpf_cos_sin,
-                          mpf_cosh_sinh, mpf_div, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt,
-                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pos, mpf_pow, mpf_pow_int,
-                          mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_tan, round_nearest, to_str)
+from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_cbrt, mpf_cos_sin,
+                          mpf_cosh_sinh, mpf_div, mpf_exp, mpf_log, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_pos, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_tan,
+                          round_nearest)
 
-from .expr import _beyond
+from .expr import _NAMESPACE
 
 _RND = round_nearest
 
 
-def _constant(a):
-    """The constant term of a series, or the raw mpf itself."""
-    return a[0] if type(a) is list else a
+def _lift(c, size):
+    """The constant series of the raw mpf c with ``size`` coefficients."""
+    return [c] + [fzero] * (size - 1)
 
 
 def _dot(pairs, prec):
@@ -50,83 +55,50 @@ def _weighted(a, b, k, prec):
 
 
 def add(a, b, prec, rnd):
-    if type(a) is not list:
-        if type(b) is not list:
-            return mpf_add(a, b, prec, rnd)
-        return [mpf_add(a, b[0], prec, rnd), *b[1:]]
-    if type(b) is not list:
-        return [mpf_add(a[0], b, prec, rnd), *a[1:]]
     return [mpf_add(p, q, prec, rnd) for p, q in zip(a, b)]
 
 
 def neg(a, prec, rnd):
-    if type(a) is not list:
-        return mpf_neg(a, prec, rnd)
     return [mpf_neg(a[0], prec, rnd), *map(mpf_neg, a[1:])]
 
 
 def sub(a, b, prec, rnd):
-    if type(a) is not list and type(b) is not list:
-        return mpf_sub(a, b, prec, rnd)
-    if type(b) is not list:
-        return [mpf_sub(a[0], b, prec, rnd), *a[1:]]
-    if type(a) is not list:
-        return [mpf_sub(a, b[0], prec, rnd), *map(mpf_neg, b[1:])]
     return [mpf_sub(p, q, prec, rnd) for p, q in zip(a, b)]
 
 
 def pos(a, prec, rnd):
-    if type(a) is not list:
-        return mpf_pos(a, prec, rnd)
     return [mpf_pos(c, prec, rnd) for c in a]
 
 
 def abs_(a, prec, rnd):
-    if type(a) is not list:
-        return mpf_abs(a, prec, rnd)
     tail = map(mpf_neg, a[1:]) if a[0][0] else a[1:]
     return [mpf_abs(a[0], prec, rnd), *tail]
 
 
 def mul(a, b, prec, rnd):
-    if type(a) is not list:
-        if type(b) is not list:
-            return mpf_mul(a, b, prec, rnd)
-        return [mpf_mul(a, c, prec, rnd) for c in b]
-    if type(b) is not list:
-        return [mpf_mul(c, b, prec, rnd) for c in a]
     return [_dot(zip(a[:k + 1], b[k::-1]), prec) for k in range(len(a))]
 
 
 def mul_int(a, n, prec, rnd):
-    if type(a) is not list:
-        return mpf_mul_int(a, n, prec, rnd)
     return [mpf_mul_int(c, n, prec, rnd) for c in a]
 
 
 def _quotient(a, b, c0, prec):
-    """a/b for a series b with b_0 != 0, from its constant term c0:
+    """a/b for series a and b with b_0 != 0, from its constant term c0:
     c_k = (a_k - sum_{i=1..k} b_i c_{k-i}) / b_0."""
     c = [c0]
     for k in range(1, len(b)):
-        ak = a[k] if type(a) is list else fzero
-        c.append(mpf_div(mpf_sub(ak, _dot(zip(b[1:k + 1], c[k - 1::-1]), prec), prec, _RND),
+        c.append(mpf_div(mpf_sub(a[k], _dot(zip(b[1:k + 1], c[k - 1::-1]), prec), prec, _RND),
                          b[0], prec, _RND))
     return c
 
 
 def div(a, b, prec, rnd):
-    if type(b) is not list:
-        if type(a) is not list:
-            return mpf_div(a, b, prec, rnd)
-        return [mpf_div(c, b, prec, rnd) for c in a]
-    return _quotient(a, b, mpf_div(_constant(a), b[0], prec, rnd), prec)
+    return _quotient(a, b, mpf_div(a[0], b[0], prec, rnd), prec)
 
 
 def rdiv_int(n, b, prec, rnd):
-    if type(b) is not list:
-        return mpf_rdiv_int(n, b, prec, rnd)
-    return _quotient(from_int(n), b, mpf_rdiv_int(n, b[0], prec, rnd), prec)
+    return _quotient(_lift(from_int(n), len(b)), b, mpf_rdiv_int(n, b[0], prec, rnd), prec)
 
 
 def _power(a, b0, w, den, prec):
@@ -143,41 +115,31 @@ def _power(a, b0, w, den, prec):
 
 
 def pow_int(a, n, prec, rnd):
-    if type(a) is not list:
-        return mpf_pow_int(a, n, prec, rnd)
     b0 = mpf_pow_int(a[0], n, prec, rnd)
     if a[0] != fzero:
         return _power(a, b0, from_int(n), 1, prec)
     # a = ε·u: n >= 0, since a negative power of 0 failed above
-    b = [fone] + [fzero] * (len(a) - 1)
+    b = _lift(fone, len(a))
     for _ in range(n):
         b = mul(b, a, prec, rnd)
     return [b0, *b[1:]]
 
 
 def pow_(a, w, prec, rnd):
-    """a^w for a raw w; the compiled tape takes a^b for a b that depends on x
-    as exp(b·log a)."""
-    if type(a) is not list:
-        return mpf_pow(a, w, prec, rnd)
-    return _power(a, mpf_pow(a[0], w, prec, rnd), w, 1, prec)
+    """a^w for a constant w, of which only w_0 is read: the compiled tape
+    takes a^b for a b that depends on x as exp(b·log a)."""
+    return _power(a, mpf_pow(a[0], w[0], prec, rnd), w[0], 1, prec)
 
 
 def sqrt(a, prec, rnd):
-    if type(a) is not list:
-        return mpf_sqrt(a, prec, rnd)
     return _power(a, mpf_sqrt(a[0], prec, rnd), fone, 2, prec)
 
 
 def cbrt(a, prec, rnd):
-    if type(a) is not list:
-        return mpf_cbrt(a, prec, rnd)
     return _power(a, mpf_cbrt(a[0], prec, rnd), fone, 3, prec)
 
 
 def exp(a, prec, rnd):
-    if type(a) is not list:
-        return mpf_exp(a, prec, rnd)
     b = [mpf_exp(a[0], prec, rnd)]
     for k in range(1, len(a)):
         b.append(_weighted(a, b, k, prec))
@@ -186,8 +148,6 @@ def exp(a, prec, rnd):
 
 def log(a, prec, rnd):
     """b' = a'/a: b_k = (a_k - sum_{j=1..k-1} j b_j a_{k-j} / k) / a_0."""
-    if type(a) is not list:
-        return mpf_log(a, prec, rnd)
     b = [mpf_log(a[0], prec, rnd)]
     for k in range(1, len(a)):
         inner = mpf_div(_dot(((mpf_mul_int(b[j], j, prec, _RND), a[k - j]) for j in range(1, k)),
@@ -208,21 +168,15 @@ def _pair(a, c0, s0, sign, prec):
 
 
 def cos_sin(a, prec, rnd):
-    if type(a) is not list:
-        return mpf_cos_sin(a, prec, rnd)
     return _pair(a, *mpf_cos_sin(a[0], prec, rnd), -1, prec)
 
 
 def cosh_sinh(a, prec, rnd):
-    if type(a) is not list:
-        return mpf_cosh_sinh(a, prec, rnd)
     return _pair(a, *mpf_cosh_sinh(a[0], prec, rnd), 1, prec)
 
 
 def tan(a, prec, rnd):
     """t' = (1 + t^2)·a', with w = 1 + t^2 built up beside t."""
-    if type(a) is not list:
-        return mpf_tan(a, prec, rnd)
     t = [mpf_tan(a[0], prec, rnd)]
     w = [mpf_add(fone, mpf_mul(t[0], t[0], prec, _RND), prec, _RND)]
     for k in range(1, len(a)):
@@ -231,27 +185,33 @@ def tan(a, prec, rnd):
     return t
 
 
-def sign(a):
-    """``mp.sign`` of the constant term, raw: that term itself when it is 0,
-    else +-1."""
-    a = _constant(a)
-    if a == fzero:
-        return a
-    return fone if mpf_gt(a, fzero) else fnone
+def _on_series(call, counterpart):
+    """``call`` where no operand is a series, else ``counterpart`` with each
+    raw operand lifted to the constant series of the series' size."""
+
+    def run(*args):
+        for a in args:
+            if type(a) is list:
+                size = len(a)
+                return counterpart(*[_lift(b, size) if type(b) is tuple else b for b in args])
+        return call(*args)
+
+    return run
+
+
+def _on_constant(call):
+    """``call`` on the constant terms of its operands."""
+    return lambda *args: call(*[a[0] if type(a) is list else a for a in args])
 
 
 # every libmp name of the compiled tape and the solver's ladder that takes
-# operands, with its series counterpart
-NAMES = {
+# operands: the series counterpart of each call that returns mpfs, and the
+# calls that judge their operands, on the constant terms
+NAMES = {name: _on_series(_NAMESPACE[name], counterpart) for name, counterpart in {
     "mpf_add": add, "mpf_sub": sub, "mpf_neg": neg, "mpf_pos": pos, "mpf_abs": abs_,
     "mpf_mul": mul, "mpf_mul_int": mul_int, "mpf_div": div, "mpf_rdiv_int": rdiv_int,
     "mpf_pow_int": pow_int, "mpf_pow": pow_, "mpf_sqrt": sqrt, "mpf_cbrt": cbrt,
     "mpf_exp": exp, "mpf_log": log, "mpf_tan": tan, "mpf_cos_sin": cos_sin,
-    "mpf_cosh_sinh": cosh_sinh, "_sign": sign,
-    "mpf_lt": lambda a, b: mpf_lt(_constant(a), _constant(b)),
-    "mpf_le": lambda a, b: mpf_le(_constant(a), _constant(b)),
-    "mpf_gt": lambda a, b: mpf_gt(_constant(a), _constant(b)),
-    "_zero": lambda a: _constant(a) == fzero,
-    "_beyond": lambda a, prec: _beyond(_constant(a), prec),
-    "to_str": lambda a, digits: to_str(_constant(a), digits),
-}
+    "mpf_cosh_sinh": cosh_sinh}.items()}
+NAMES.update((name, _on_constant(_NAMESPACE[name]))
+             for name in ("mpf_lt", "mpf_le", "mpf_gt", "_sign", "_zero", "_beyond", "to_str"))
