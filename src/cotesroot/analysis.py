@@ -51,8 +51,11 @@ def significant_digits(x: BigReal, z: BigReal) -> float:
 
     The error is subtracted at the working precision of the finer of the two
     precisions; its log is a float (``solver._significant_digits``), good to
-    about 16 significant digits, and does not depend on mpmath's context.
+    about 16 significant digits, and does not depend on mpmath's context.  A
+    point or root that is not finite is a ValueError.
     """
+    _check_finite("x", [x.value._mpf_])
+    _check_finite("z", [z.value._mpf_])
     return _significant_digits(x.value._mpf_, z.value._mpf_, max(x.precision, z.precision))
 
 
@@ -86,10 +89,12 @@ def estimate_order(traj: Trajectory, reference_root: BigReal) -> OrderEstimate:
     10^(-precision+15), all three judged on the float logs of the errors: two
     errors whose logs agree to float precision do not decrease.  Needs at
     least four of them, else raises InsufficientData, whose message names the
-    roundoff floor when the errors reached it before the fourth.
+    roundoff floor when the errors reached it before the fourth.  A reference
+    root that is not finite is a ValueError.
     """
     precision = traj.iterates[0].x.precision
     root = as_mpf(reference_root, working_prec(precision))._mpf_
+    _check_finite("reference_root", [root])
     # log10|e_k|; an exact hit reads as -precision, below the floor.  The
     # first usable log is negative, so the later ones, which the ratios divide
     # by, are too.

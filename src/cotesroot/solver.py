@@ -25,6 +25,7 @@ table-reproduction layer selects it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
@@ -61,6 +62,9 @@ _RULES = [builtin_rule(n) for n in range(MAX_RULE + 1)]
 _SCHEDULE_GUARD = 20
 _SCHEDULE_FROM = 600
 _TEN, _MILLION = from_int(10), from_int(10**6)
+# a method spec: "tN" or "tI_J", then "+F"; each index is ASCII digits, and
+# a leading minus reaches MethodId's range check
+_SPEC = re.compile(r"t(-?[0-9]+)(?:_(-?[0-9]+))?(\+F)?")
 
 
 @dataclass(frozen=True)
@@ -88,23 +92,12 @@ class MethodId:
     @classmethod
     def parse(cls, spec: str, simpson_seed: str = SEED_TRAPEZOID) -> "MethodId":
         """Parse "tN", "tI_J" (composition t_I o t_J), optional "+F" suffix."""
-        text = spec.strip()
-        transform = False
-        if text.endswith("+F"):
-            transform = True
-            text = text[:-2]
-        if not text.startswith("t"):
-            raise ValueError(f"method spec must start with 't': {spec!r}")
-        body = text[1:]
-        try:
-            if "_" in body:
-                i, j = body.split("_")
-                outer, inner = int(i), int(j)
-            else:
-                outer, inner = int(body), None
-        except ValueError as exc:
-            raise ValueError(f"bad method spec {spec!r}") from exc
-        return cls(outer, inner=inner, transform=transform, simpson_seed=simpson_seed)
+        match = _SPEC.fullmatch(spec.strip())
+        if match is None:
+            raise ValueError(f"bad method spec {spec!r}")
+        outer, inner, transform = match.groups()
+        return cls(int(outer), inner=None if inner is None else int(inner),
+                   transform=transform is not None, simpson_seed=simpson_seed)
 
     def __str__(self) -> str:
         body = f"t{self.outer}" if self.inner is None else f"t{self.outer}_{self.inner}"
@@ -128,6 +121,8 @@ class ScalarProblem:
         prec = working_prec(self.precision)
         rules = _stop_rules(self.precision, prec, [as_mpf(self.x0, prec)._mpf_], self.max_iter,
                             self.step_tol, self.residual_tol, self.divergence_bound)
+        if self.known_root is not None:
+            _check_finite("known_root", [as_mpf(self.known_root, prec)._mpf_])
         for name, value in zip(("step_tol", "residual_tol", "divergence_bound"), rules):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, BigReal(mp.make_mpf(value), self.precision))

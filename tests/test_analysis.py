@@ -71,6 +71,20 @@ def test_sdigits_one_simpson_application_on_tanh():
     assert s == pytest.approx(5.6, abs=0.15)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_sdigits_rejects_a_nonfinite_point_or_root(value):
+    with pytest.raises(ValueError, match="^z must be finite$"):
+        significant_digits(bigreal(1, 20), bigreal(value, 20))
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        significant_digits(bigreal(value, 20), bigreal(1, 20))
+
+
+@pytest.mark.parametrize("root", ["nan", "inf", "-inf"])
+def test_estimate_order_rejects_a_nonfinite_root(root):
+    with pytest.raises(ValueError, match="^reference_root must be finite$"):
+        estimate_order(_newton_on_sqrt2(), bigreal(root, 200))
+
+
 # ------------------------------------------------------- order estimation
 
 def _newton_on_sqrt2(precision=200, max_iter=12):

@@ -180,6 +180,20 @@ def test_solve_rejects_nonfinite_start(capsys, x0):
     assert "x0" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "order"])
+@pytest.mark.parametrize("root", ["nan", "inf", "-inf"])
+def test_nonfinite_root_is_a_configuration_error(capsys, command, root):
+    code, out, err = run_cli(capsys, command, "-f", "x^2-2", "--x0", "1.5", "--digits", "20",
+                             f"--root={root}")
+    assert (code, out, err) == (1, "", "error: known_root must be finite\n")
+
+
+def test_malformed_method_spec_is_a_configuration_error(capsys):
+    code, out, err = run_cli(capsys, "solve", "-f", "x^2-2", "-m", "t 1", "--x0", "1.5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad method spec ")
+
+
 @pytest.mark.parametrize("text", ["(" * 1500 + "x" + ")" * 1500, "+".join(["x"] * 3000)])
 def test_solve_deep_expression_converges(capsys, text):
     # 1500 nested parentheses, or a flat sum of 3000 terms: no nesting limit

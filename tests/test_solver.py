@@ -68,6 +68,14 @@ def test_method_parse_rejects(bad):
         MethodId.parse(bad)
 
 
+@pytest.mark.parametrize("bad", ["t+1", "t 1", "t1_ 2", "t\u0663", "t1 +F", "t1_2_3", "t1+F+F"])
+def test_method_parse_takes_ascii_digits_only(bad):
+    # int() would take a sign, spaces and any Unicode digit (t\u0663 is an
+    # Arabic-Indic three)
+    with pytest.raises(ValueError, match="^bad method spec "):
+        MethodId.parse(bad)
+
+
 def test_method_seed_validation():
     with pytest.raises(ValueError):
         MethodId(2, simpson_seed="midpoint")
@@ -684,6 +692,13 @@ def test_problem_rejects_nan_stop_rule(name):
 def test_problem_rejects_nonfinite_start(x0):
     with pytest.raises(ValueError, match="x0"):
         ScalarProblem(parse("x^2-2"), bigreal(x0, 40), precision=40)
+
+
+@pytest.mark.parametrize("root", ["nan", "inf", "-inf"])
+def test_problem_rejects_nonfinite_known_root(root):
+    with pytest.raises(ValueError, match="^known_root must be finite$"):
+        ScalarProblem(parse("x^2-2"), bigreal("1.5", 40), precision=40,
+                      known_root=bigreal(root, 40))
 
 
 # ------------------------------------------------------------- properties
