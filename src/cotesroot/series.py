@@ -3,18 +3,19 @@
 A series is a list [c_0, c_1, ..., c_d] of raw mpfs, the Taylor coefficients
 of a function of ε truncated at degree d; every series in one computation has
 the same degree.  A raw mpf is a constant, and stays raw.  ``NAMES`` maps the
-name of each libmp call that compiled code makes to its stand-in, which takes
-that call's arguments, series or raw in any mix, by one rule, decided there
-once: a call whose operands are all raw is the libmp call itself; otherwise
-each raw operand becomes the constant series [c, 0, ..., 0] of the same
-degree, so each counterpart below takes series only.  It makes the named call
-on the constant terms for c_0, so c_0 has the bits the raw computation would
-have, and gets c_1..c_d from the standard recurrences (Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed. 2008, ch. 13; Knuth, TAOCP vol. 2, section
-4.7), each product, sum and quotient rounded to ``prec``.  The lifted zeros
-change no bit: every coefficient past c_0 is a libmp result at ``prec`` or
-the exact 1 or 0 of z + ε, which a sum with 0, or a product with it, returns
-unchanged.
+name of each libmp call of the compiled tape and the ladder to its stand-in,
+which takes that call's arguments, series or raw in any mix, by one rule,
+decided there once: a call whose operands are all raw is the libmp call
+itself; otherwise each raw operand becomes the constant series [c, 0, ..., 0]
+of the same degree, so each counterpart below takes series only.  It makes
+the named call on the constant terms for c_0, so c_0 has the bits the raw
+computation would have, and gets c_1..c_d from the standard recurrences
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed. 2008, ch. 13; Knuth,
+TAOCP vol. 2, section 4.7), each product, sum and quotient rounded to
+``prec``.  The lifted zeros change no bit: every coefficient past c_0 is a
+libmp result at ``prec`` or the exact 1 or 0 of z + ε, so adding a lifted 0
+to one returns it unchanged, and its product with a lifted 0 is 0, which
+adds nothing to a sum.
 
 So code written for raw libmp tuples, run against ``NAMES`` on x = z + ε,
 gives the Taylor coefficients of what it computes at z.  The comparisons,
