@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_rational, fzero, round_nearest
@@ -36,7 +37,10 @@ MIN_DIGITS = 15
 def working_dps(precision: int) -> int:
     """Decimal digits used internally for a target precision; every entry
     point converts its precision here or in ``working_prec`` before it
-    computes, so this is the one check that it is at least ``MIN_DIGITS``."""
+    computes, so this is the one check that it is an integer (a numpy one
+    too, but not a bool) of at least ``MIN_DIGITS``."""
+    if not isinstance(precision, Integral) or isinstance(precision, bool):
+        raise ValueError(f"digits must be an integer, got {precision!r}")
     if precision < MIN_DIGITS:
         raise ValueError(f"digits must be at least {MIN_DIGITS}, got {precision}")
     return precision + GUARD_DIGITS

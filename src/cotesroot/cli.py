@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = subs.add_parser("weights", help="print rule weights and their sum")
     w.add_argument("--n", type=int, required=True, help="node count minus one (0..7)")
     w.add_argument("--derive", action="store_true",
-                   help="derive by undetermined coefficients instead of the builtin row")
+                   help="derive from the Lagrange basis integrals instead of the builtin row")
     w.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     s = subs.add_parser("solve", help="iterate one method on a function")

@@ -10,12 +10,14 @@ precision, lifting the scalar map's point operations and weighted slope sum
 entry by entry, so for d = 1 a step equals the scalar map bit for bit.  The
 user's callbacks alone run inside ``mp.workdps``: they receive lists of mpf
 and may read mpmath's precision, and their results are rounded to raw tuples
-at the working precision.  ``solve_linear`` never reads or sets mpmath's
-context.
+at the working precision.  One lock serializes the callbacks of all threads,
+so concurrent vector solves keep their bits; the ladders and LU solves run
+unlocked.  ``solve_linear`` never reads or sets mpmath's context.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -30,6 +32,9 @@ from .solver import (_RND, _TEN, SEED_TRAPEZOID, Termination, _argmax, _default_
                      _ladder_full, _max_norm, _outer_loop, _point_ops, _stop_rules, _weighted_sum)
 
 _LEVELS = {"newton": 0, "trapezoidal": 1, "simpson": 2}  # step kind -> ladder level
+# held around every callback, since mpmath's precision is process-global;
+# reentrant, since a callback may itself call nd_step
+_CALLBACK_LOCK = threading.RLock()
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,9 @@ def _residual_and_step(func: VectorFunction, n: int, precision: int, bound):
     The scalar point operations and weighted slope sum apply entry by entry.
     The user's callbacks run inside ``mp.workdps`` at the working precision,
     the one place a vector solve sets mpmath's context, since a callback may
-    read mpmath's precision.  They take the point as a list of mpf, and their
-    results are rounded to raw tuples at the working precision.
+    read mpmath's precision, and under ``_CALLBACK_LOCK``, so no other
+    thread's callback sets it meanwhile.  They take the point as a list of
+    mpf, and their results are rounded to raw tuples at the working precision.
     """
     d, prec = func.dimension, working_prec(precision)
     sub, add, scale, divide = _point_ops(prec)
@@ -143,8 +149,9 @@ def _residual_and_step(func: VectorFunction, n: int, precision: int, bound):
               lambda k, p: [scale(k, a) for a in p], lambda p, k: [divide(a, k) for a in p])
 
     def call(callback, convert, p):
-        with mp.workdps(working_dps(precision)):
-            return convert(callback([mp.make_mpf(v) for v in p]), d, prec)
+        with _CALLBACK_LOCK:
+            with mp.workdps(working_dps(precision)):
+                return convert(callback([mp.make_mpf(v) for v in p]), d, prec)
 
     entry_sum = _weighted_sum(prec)
 

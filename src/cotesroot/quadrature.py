@@ -1,15 +1,19 @@
 """Closed Newton-Cotes rule weights in exact integer arithmetic.
 
 Weights are stored and derived exactly (integers and fractions, never
-floats): the moment identities that underpin the high-order convergence of
-the iterative maps must check out with zero tolerance.
+floats).  ``derive_rule`` derives a row from the definition of the closed
+rule: the weight of node i is the integral of its Lagrange basis polynomial
+over the nodes 0..n (Davis & Rabinowitz, *Methods of Numerical Integration*,
+ch. 2).  ``check_moments`` checks the moment identities that underpin the
+high-order convergence of the iterative maps with zero tolerance; the
+derivation does not use them, so the two are independent checks of a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 MAX_RULE = 7
 
@@ -28,6 +32,11 @@ _BUILTIN = {
 }
 
 
+def _is_index(n) -> bool:
+    """Whether ``n`` indexes a closed rule or a map: an int, not a bool, in 0..MAX_RULE."""
+    return isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= MAX_RULE
+
+
 @dataclass(frozen=True)
 class RuleSpec:
     """One closed rule: node count minus one, integer weights, their sum."""
@@ -37,7 +46,7 @@ class RuleSpec:
     c: int
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_RULE:
+        if not _is_index(self.n):
             raise ValueError(f"rule index must be in 0..{MAX_RULE}, got {self.n}")
         if len(self.weights) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} weights, got {len(self.weights)}")
@@ -51,58 +60,36 @@ class RuleSpec:
 
 def builtin_rule(n: int) -> RuleSpec:
     """Hard-coded weight row for the closed rule with ``n + 1`` nodes."""
-    if not isinstance(n, int) or not 0 <= n <= MAX_RULE:
+    if not _is_index(n):
         raise ValueError(f"no closed rule for n={n}; supported range is 0..{MAX_RULE}")
     weights, c = _BUILTIN[n]
     return RuleSpec(n, weights, c)
 
 
-def _solve_fraction_free(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Exact solve of an integer system by fraction-free (Bareiss) elimination."""
-    size = len(rhs)
-    a = [row[:] + [r] for row, r in zip(matrix, rhs)]
-    prev = 1
-    for col in range(size - 1):
-        # no pivot swap: a[col][col], a leading minor, is (col+1)!·Vandermonde(0..col) != 0
-        for row in range(col + 1, size):
-            for j in range(col + 1, size + 1):
-                a[row][j] = (a[row][j] * a[col][col] - a[row][col] * a[col][j]) // prev
-            a[row][col] = 0
-        prev = a[col][col]
-    solution = [Fraction(0)] * size
-    for row in range(size - 1, -1, -1):
-        acc = Fraction(a[row][size])
-        for j in range(row + 1, size):
-            acc -= a[row][j] * solution[j]
-        solution[row] = acc / a[row][row]
-    return solution
-
-
 def derive_rule(n: int) -> RuleSpec:
-    """Derive the weight row by undetermined coefficients.
+    """Derive the weight row from the definition of the closed rule.
 
-    Solves the exact moment system on the interval [0, n] (the rule must
-    integrate 1, t, ..., t^n exactly), then rescales so all weights are
-    integers with the least possible integer sum.
+    The weight of node i on the unit interval is the integral of its Lagrange
+    basis polynomial prod_{j != i} (t - j)/(i - j) over [0, n], divided by n:
+    sum_k b_k n^k/(k+1), where b_0..b_n are the basis polynomial's
+    coefficients multiplied out in exact rationals (at n = 0 the one weight is
+    0**0 = 1).  Scaled by c, the least common denominator of the n+1 weights,
+    the row is all integers with the least possible integer sum c.  The
+    moment identities play no part here, so ``check_moments`` checks the row
+    independently.
     """
-    if not isinstance(n, int) or not 0 <= n <= MAX_RULE:
+    if not _is_index(n):
         raise ValueError(f"no closed rule for n={n}; supported range is 0..{MAX_RULE}")
-    if n == 0:
-        # single equation A_0 = c_0; least integer scale is 1
-        return RuleSpec(0, (1,), 1)
-
-    # row j demands sum_i i^j * A_i = n^(j+1)/(j+1) (0**0 is 1); scale row
-    # by (j+1) so the system is purely integer
-    matrix = [[(j + 1) * i**j for i in range(n + 1)] for j in range(n + 1)]
-    rhs = [n ** (j + 1) for j in range(n + 1)]
-    raw = _solve_fraction_free(matrix, rhs)
-
-    normalized = [w / n for w in raw]  # weights for a unit-length interval
-    scale = 1
-    for w in normalized:
-        scale = scale * w.denominator // gcd(scale, w.denominator)
-    weights = tuple(int(w * scale) for w in normalized)
-    return RuleSpec(n, weights, scale)
+    weights = []
+    for i in range(n + 1):
+        basis = [Fraction(1)]  # coefficients of the basis polynomial, constant first
+        for j in range(n + 1):
+            if j != i:
+                # times (t - j)/(i - j): coefficient k becomes (b_(k-1) - j b_k)/(i - j)
+                basis = [(lower - j * b) / (i - j) for lower, b in zip([0] + basis, basis + [0])]
+        weights.append(sum(b * Fraction(n**k, k + 1) for k, b in enumerate(basis)))
+    c = lcm(*(w.denominator for w in weights))
+    return RuleSpec(n, tuple(int(w * c) for w in weights), c)
 
 
 def check_moments(rule: RuleSpec) -> list[bool]:
@@ -111,10 +98,9 @@ def check_moments(rule: RuleSpec) -> list[bool]:
     Entry j-1 reports whether sum_i A_i (i/n)^j equals c/(j+1) exactly.  The
     weights are symmetric (``RuleSpec`` rejects others), so the sums with the
     node index running from the far end are these same sums.  A single-node
-    rule has no identities.
+    rule has no identities.  ``derive_rule`` does not use them, so they check
+    its rows independently.
     """
-    if rule.n == 0:
-        return []
     out = []
     for j in range(1, rule.n + 1):
         total = Fraction(0)

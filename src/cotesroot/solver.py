@@ -38,7 +38,7 @@ from mpmath.libmp import (fnan, fone, from_int, fzero, mpf_abs, mpf_add, mpf_gt,
 from .bigreal import DEFAULT_DIGITS, BigReal, _check_finite, _is_finite, as_mpf, working_prec
 from .errors import Breakdown
 from .expr import _NAMESPACE, _RND, Expression, _eval
-from .quadrature import MAX_RULE, builtin_rule
+from .quadrature import MAX_RULE, _is_index, builtin_rule
 
 SEED_TRAPEZOID = "trapezoid"
 SEED_NEWTON = "newton"
@@ -84,7 +84,7 @@ class MethodId:
 
     def __post_init__(self):
         for idx in (self.outer, self.inner):
-            if idx is not None and not 0 <= idx <= MAX_RULE:
+            if idx is not None and not _is_index(idx):
                 raise ValueError(f"map index must be in 0..{MAX_RULE}, got {idx}")
         if self.simpson_seed not in (SEED_TRAPEZOID, SEED_NEWTON):
             raise ValueError(f"unknown simpson_seed {self.simpson_seed!r}")

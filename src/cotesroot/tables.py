@@ -151,11 +151,11 @@ def run_table(table_id: str, digits: int | None = None) -> TableReport:
         raise ValueError(f"unknown table id {table_id!r}; choose from {', '.join(TABLE_IDS)}")
     digits = spec.digits if digits is None else digits
     f = parse(spec.function)
+    x0 = bigreal(spec.x0, digits)  # first: it checks digits before the oracle adds 40
     if spec.root is None:
         root = bisect_root(f, *spec.bracket, digits + 40)
     else:
         root = bigreal(spec.root, digits)
-    x0 = bigreal(spec.x0, digits)
     rows = []
     for method_text, reference in zip(spec.methods, spec.reference):
         start = time.perf_counter()

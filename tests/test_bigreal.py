@@ -4,7 +4,19 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from cotesroot import bigreal
+from cotesroot import (MethodId, ScalarProblem, apply_method, bigreal, bisect_root, demo_system,
+                       eval_value, nd_iterate, parse, run_table)
+
+# entry points that take a precision, each called with precision p
+ENTRY_POINTS = {
+    "bigreal": lambda p: bigreal(1, p),
+    "eval_value": lambda p: eval_value(parse("x"), 1, p),
+    "apply_method": lambda p: apply_method(MethodId(1), parse("x^2-2"), bigreal("1.5", 30), p),
+    "ScalarProblem": lambda p: ScalarProblem(parse("x^2-2"), bigreal("1.5", 30), precision=p),
+    "nd_iterate": lambda p: nd_iterate(demo_system("affine").function, ["0", "0"], precision=p),
+    "bisect_root": lambda p: bisect_root(parse("x^2-2"), 1, 2, p),
+    "run_table": lambda p: run_table("tab1nn", p),
+}
 
 
 def test_bigreal_is_a_value_record():
@@ -40,6 +52,21 @@ def test_bigreal_has_no_arithmetic_or_ordering():
         with pytest.raises(TypeError):
             op()
     assert a != 2
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("precision, shown", [(20.5, "20.5"), ("30", "'30'"), (True, "True"),
+                                              (30.0, "30.0")])
+def test_precision_must_be_an_integer(entry, precision, shown):
+    # 20.5 failed inside libmp, "30" in a comparison, and True was "at least 15"
+    with pytest.raises(ValueError, match=rf"^digits must be an integer, got {shown}$"):
+        ENTRY_POINTS[entry](precision)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_numpy_integer_precision_is_accepted(entry):
+    np = pytest.importorskip("numpy")  # not a dependency of cotesroot
+    ENTRY_POINTS[entry](np.int64(30))
 
 
 def test_bigreal_rejects_nonpositive_precision():

@@ -271,6 +271,37 @@ def test_rank_deficient_jacobian_breaks_down():
     assert traj.termination.detail == "singular_matrix"
 
 
+def test_concurrent_vector_solves_are_bit_identical_to_serial():
+    """The callbacks compute on plain mpf at mpmath's global precision, which
+    the wrapper sets around each under one lock, so threads at different
+    precisions do not change each other's rounding."""
+    rng = random.Random(25)
+
+    def dense_system(d=8):
+        a = [[rng.randint(-9, 9) + (40 if i == j else 0) for j in range(d)] for i in range(d)]
+        b = [rng.randint(-99, 99) for _ in range(d)]
+
+        def residual(p):
+            return [sum(c * v for c, v in zip(row, p)) + p[i] ** 3 / 7 - b[i]
+                    for i, row in enumerate(a)]
+
+        def jacobian(p):
+            return [[c + (3 * p[i] ** 2 / 7 if i == j else 0) for j, c in enumerate(row)]
+                    for i, row in enumerate(a)]
+
+        return VectorFunction(d, residual, jacobian)
+
+    cases = [(kind, dense_system(), precision)
+             for precision in (30, 60, 400, 1000) for kind in ("newton", "simpson")]
+
+    def evaluate(case):
+        kind, func, precision = case
+        run = nd_iterate(func, ["0"] * 8, kind=kind, precision=precision)
+        return run.termination, [[v.value._mpf_ for v in record.x] for record in run.iterates]
+
+    _assert_threads_match_serial(cases, evaluate, {30: 3, 60: 3, 400: 1, 1000: 1})
+
+
 def test_dimension_mismatch_rejected():
     f = VectorFunction(2, lambda p: [p[0]], lambda p: [[1, 0], [0, 1]])
     with pytest.raises(ValueError):

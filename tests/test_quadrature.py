@@ -34,6 +34,17 @@ def test_out_of_range_rules_rejected(n):
         derive_rule(n)
 
 
+@pytest.mark.parametrize("n", [True, False, 1.0, 2.5, "3", None])
+def test_non_int_rules_rejected(n):
+    # a bool is an int to isinstance, and RuleSpec(True, ...) was accepted
+    with pytest.raises(ValueError, match=rf"^no closed rule for n={n}; supported range is 0\.\.7$"):
+        builtin_rule(n)
+    with pytest.raises(ValueError, match=rf"^no closed rule for n={n}; supported range is 0\.\.7$"):
+        derive_rule(n)
+    with pytest.raises(ValueError, match=rf"^rule index must be in 0\.\.7, got {n}$"):
+        RuleSpec(n, (1, 1), 2)
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_derived_equals_builtin(n):
     assert derive_rule(n) == builtin_rule(n)
@@ -52,6 +63,15 @@ def test_moment_identities_hold_exactly(n):
     assert len(flags) == n
     assert all(flags)
     assert rule.weights == rule.weights[::-1]  # so the mirrored identities hold too
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rows_gain_a_degree_at_even_n(n):
+    # a closed rule with an odd number of nodes also integrates t^(n+1)
+    # exactly; neither derive_rule nor check_moments uses this
+    for rule in (derive_rule(n), builtin_rule(n)):
+        total = sum(w * Fraction(i, n) ** (n + 1) for i, w in enumerate(rule.weights))
+        assert (total == Fraction(rule.c, n + 2)) == (n % 2 == 0)
 
 
 def test_moments_single_node_rule_empty():

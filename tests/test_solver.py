@@ -89,6 +89,15 @@ def test_apply_tn_rejects_out_of_range_index():
             apply_method(MethodId(n), f, bigreal("1.5", 40), 40)
 
 
+@pytest.mark.parametrize("outer, inner, bad", [(1.5, None, "1.5"), (2, 0.5, "0.5"), (1.0, None, "1.0"),
+                                               (True, None, "True"), (2, False, "False")])
+def test_method_index_must_be_an_int(outer, inner, bad):
+    # a float index failed in the ladder's range(), and MethodId(True) ran t1
+    # but printed "tTrue"
+    with pytest.raises(ValueError, match=rf"^map index must be in 0\.\.7, got {bad}$"):
+        MethodId(outer, inner=inner)
+
+
 # ------------------------------------------------------------- one step
 
 def test_newton_step_on_square():
