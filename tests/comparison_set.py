@@ -1,10 +1,11 @@
-"""The scalar comparison set: 1260 seeded ``iterate`` runs, one JSON line each, then a digest.
+"""The comparison set: 1260 seeded scalar ``iterate`` runs and 36 vector
+``nd_iterate`` runs, one JSON line each, each set followed by its digest.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/comparison_set.py
 
-The set crosses 15 functions (the ten benchmark families, abs(x), log(x),
+The scalar set crosses 15 functions (the ten benchmark families, abs(x), log(x),
 sqrt(x), cbrt(x) and 1/x-2) with ten maps (t0..t7, t2_1, t7_6), each plain
 and with "+F", and draws four runs for every pair from its own seeded
 generator: the Simpson seeding, a start (an integer in -2..3 or a six-place
@@ -15,10 +16,17 @@ one run each, drawn the same way.
 Every run has ``max_iter=12`` and the default stop rules.  Each line holds a
 run's inputs and, per iterate, x, f(x), the step and s, the numbers as exact
 binary values (mantissa in hex, binary exponent), then the termination.  The
-last line is the sha256 of all run lines, so two versions of cotesroot that
-print the same digest gave every run the same bits and the same ending.
-pytest does not collect this file; the known roots come from
+line after the scalar runs is the sha256 of all of them, so two versions of
+cotesroot that print the same digest gave every run the same bits and the
+same ending.  pytest does not collect this file; the known roots come from
 ``conftest.certified_root``, which does not use cotesroot.
+
+The vector set follows, with its own digest on the last line: the ``affine``
+and ``circle-line`` demo systems and four seeded dense systems
+(``DenseSystem``), each with the three step kinds at 60 and 1000 digits, one
+run each from a start drawn from its own seeded generator, with
+``max_iter=12`` and the default stop rules.  Its lines hold, per iterate,
+the point's coordinates and the residual's max norm.
 
 To check a change that alters bits, save the output of each version and
 compare them:
@@ -27,9 +35,9 @@ compare them:
 
 This prints every run that moved: its termination and iterate count on each
 side, and how far its final iterates differ against the bound
-10^(-p)·max(1, |x|), x the old final iterate.  It exits 1 when a run's
-termination or iterate count changed, or its final iterates differ by more
-than the bound.
+10^(-p)·max(1, |x|), x the old final iterate and |x| its max norm for a
+vector run.  It exits 1 when a run's termination or iterate count changed,
+or its final iterates differ by more than the bound.
 """
 
 from __future__ import annotations
@@ -39,11 +47,13 @@ import hashlib
 import json
 import random
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 
 from conftest import certified_root
-from cotesroot import CotesrootError, MethodId, ScalarProblem, bigreal, iterate, parse
+from cotesroot import (CotesrootError, MethodId, ScalarProblem, VectorFunction, bigreal,
+                       demo_system, iterate, nd_iterate, parse)
 
 # function text -> its root in closed form, or f in mpmath and a bracket of the root
 FUNCTIONS = {
@@ -69,6 +79,10 @@ RUNS_PER_PAIR = 4
 SCHEDULED_MAPS = ["t0", "t4", "t7", "t7_6"]
 SCHEDULED_DIGITS = 1000
 MAX_ITER = 12
+# the vector set: every system with every step kind at both precisions
+VECTOR_KINDS = ["newton", "trapezoidal", "simpson"]
+VECTOR_DIGITS = [60, 1000]
+DENSE_SYSTEMS = 4
 
 
 def _root(text, digits):
@@ -133,12 +147,83 @@ def run_line(index, text, method, seeding, x0, digits, knows_root, roots):
     return json.dumps(line)
 
 
+class DenseSystem:
+    """F(x) = A x + x^3 - b, the cube taken per coordinate, from a seeded generator.
+
+    A is d x d, d in 2..8, with 20 on the diagonal and integers in -2..2 off
+    it, and the root r has eighths in [-1, 1] as coordinates, so b is exact.
+    """
+
+    def __init__(self, rng):
+        d = rng.randint(2, 8)
+        self.a = [[20 if i == j else rng.randint(-2, 2) for j in range(d)] for i in range(d)]
+        self.root = [Fraction(rng.randint(-8, 8), 8) for _ in range(d)]
+        self.b = [sum(aij * rj for aij, rj in zip(row, self.root)) + ri**3
+                  for row, ri in zip(self.a, self.root)]
+
+    def residual(self, x):
+        return [mp.fsum(aij * xj for aij, xj in zip(row, x)) + xi**3
+                - mp.mpf(bi.numerator) / bi.denominator
+                for row, xi, bi in zip(self.a, x, self.b)]
+
+    def jacobian(self, x):
+        return [[aij + 3 * x[i] ** 2 if i == j else aij for j, aij in enumerate(row)]
+                for i, row in enumerate(self.a)]
+
+    def function(self):
+        return VectorFunction(len(self.a), self.residual, self.jacobian)
+
+
+def vector_systems():
+    """name -> (VectorFunction, the point its starts are drawn around, their spread)."""
+    systems = {name: (demo.function, demo.x0, 0.5)
+               for name, demo in ((n, demo_system(n)) for n in ("affine", "circle-line"))}
+    for i in range(DENSE_SYSTEMS):
+        rng = random.Random(f"dense|{i}")
+        dense = DenseSystem(rng)
+        systems[f"dense-{i}"] = (dense.function(), [str(float(r)) for r in dense.root],
+                                 rng.choice([0.05, 0.5, 2.0]))
+    return systems
+
+
+def vector_runs(start):
+    """(index, system, step kind, x0, digits) of every vector run, numbered from ``start``."""
+    index = start
+    for name, (_, center, spread) in vector_systems().items():
+        for kind in VECTOR_KINDS:
+            for digits in VECTOR_DIGITS:
+                rng = random.Random(f"{name}|{kind}|{digits}")
+                x0 = [f"{float(c) + rng.uniform(-spread, spread):.6f}" for c in center]
+                yield index, name, kind, x0, digits
+                index += 1
+
+
+def vector_line(index, name, kind, x0, digits, systems):
+    """The JSON line of one vector run."""
+    line = {"run": index, "f": name, "method": kind, "x0": x0, "digits": digits}
+    try:
+        traj = nd_iterate(systems[name][0], x0, kind=kind, precision=digits, max_iter=MAX_ITER)
+    except (CotesrootError, ValueError) as exc:
+        line["error"] = f"{type(exc).__name__}: {exc}"
+        return json.dumps(line)
+    line["iterates"] = [[[_bits(v) for v in r.x], _bits(r.residual_norm)] for r in traj.iterates]
+    t = traj.termination
+    line["termination"] = [t.kind, t.detail, t.message, t.level]
+    return json.dumps(line)
+
+
 def _value(text):
     """The mpf of a number as ``_bits`` writes it."""
     if "p" not in text:
         return mp.mpf(text)
     mantissa, exp = text.split("p")
     return mp.mpf((int(mantissa, 16), int(exp)))
+
+
+def _final(line):
+    """The final iterate of a run line as a list of mpfs: one coordinate for a scalar run."""
+    x = line["iterates"][-1][0]
+    return [_value(v) for v in (x if isinstance(x, list) else [x])]
 
 
 def _ending(line):
@@ -159,7 +244,7 @@ def _show(ending):
 def compare(old_lines, new_lines):
     """The report lines on the runs that moved between two outputs, and whether
     every moved run kept its termination and iterate count and its final
-    iterate within 10^(-p)·max(1, |x|) of the old one."""
+    iterate within 10^(-p)·max(1, |x|) of the old one, in the max norm."""
     old, new = ({r["run"]: r for r in map(json.loads, filter(lambda t: t.startswith("{"), lines))}
                 for lines in (old_lines, new_lines))
     report, ok = [], True
@@ -179,9 +264,9 @@ def compare(old_lines, new_lines):
             ok = False
             continue
         with mp.workdps(a["digits"] + 30):
-            x, y = (_value(r["iterates"][-1][0]) for r in (a, b))
-            diff = abs(y - x)
-            bound = mp.mpf(10) ** -a["digits"] * max(1, abs(x))
+            x, y = (_final(r) for r in (a, b))
+            diff = max(abs(v - u) for u, v in zip(x, y))
+            bound = mp.mpf(10) ** -a["digits"] * max(1, *map(abs, x))
             within = diff <= bound
             report.append(f"{head}: {sides}, final |dx| {mp.nstr(diff, 3)} "
                           f"{'<=' if within else '>'} {mp.nstr(bound, 3)}")
@@ -204,12 +289,14 @@ def main(argv=None) -> int:
         report, ok = compare(*outputs)
         print("\n".join(report))
         return 0 if ok else 1
-    digest, roots = hashlib.sha256(), {}
-    for run in runs():
-        line = run_line(*run, roots)
-        print(line, flush=True)
-        digest.update(line.encode() + b"\n")
-    print(digest.hexdigest())
+    roots, systems = {}, vector_systems()
+    scalar = [run_line(*run, roots) for run in runs()]
+    for lines in (scalar, (vector_line(*run, systems) for run in vector_runs(len(scalar)))):
+        digest = hashlib.sha256()
+        for line in lines:
+            print(line, flush=True)
+            digest.update(line.encode() + b"\n")
+        print(digest.hexdigest())
     return 0
 
 

@@ -46,3 +46,28 @@ def test_compare_reports_moved_runs_and_fails_changed_endings_and_large_moves(
     summary = "all within" if code == 0 else "NOT all within"
     assert capsys.readouterr().out.splitlines() == report + [
         f"{len(report)} runs moved; {summary} the bound with the same endings"]
+
+
+def _vector_line(run, x):
+    """A 30-digit vector run line as ``comparison_set.vector_line`` writes it, ending at ``x``."""
+    return json.dumps({"run": run, "f": "circle-line", "method": "newton", "x0": ["1", "0.5"],
+                       "digits": 30, "iterates": [[["1p0", "1p-1"], "1p-2"], [x, "0.0"]],
+                       "termination": ["converged", "residual", None, None]})
+
+
+@pytest.mark.parametrize("moved,code,distance", [
+    (["3p-1", "-" + _above(100)], 0, "7.89e-31 <= 1.5e-30"),
+    ([_above(98), "-3p-1"], 1, "3.16e-30 > 1.5e-30"),
+], ids=["within", "beyond"])
+def test_compare_bounds_a_vector_run_in_the_max_norm(tmp_path, capsys, moved, code, distance):
+    # the final iterate (1.5, -1.5) moves in one coordinate; the bound is
+    # 10^-30 · max(1, 1.5), from the max norm of the old final iterate
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text(_vector_line(7, ["3p-1", "-3p-1"]) + "\n")
+    new.write_text(_vector_line(7, moved) + "\n")
+    assert main(["--compare", str(old), str(new)]) == code
+    summary = "all within" if code == 0 else "NOT all within"
+    assert capsys.readouterr().out.splitlines() == [
+        "run 7 circle-line newton 30 digits: converged (residual) after 2 iterates -> "
+        f"converged (residual) after 2 iterates, final |dx| {distance}",
+        f"1 runs moved; {summary} the bound with the same endings"]
