@@ -77,8 +77,13 @@ class BigReal:
     precision: int
 
     def decimal(self, digits: int | None = None) -> str:
-        """Decimal string with ``digits`` significant digits (default: full)."""
-        return mp.nstr(self.value, digits if digits is not None else self.precision)
+        """Decimal string with ``digits`` significant digits (default: full), a
+        positive integer that is not a bool."""
+        if digits is None:
+            digits = self.precision
+        elif not isinstance(digits, Integral) or isinstance(digits, bool) or digits < 1:
+            raise ValueError(f"digits must be a positive integer, got {digits!r}")
+        return mp.nstr(self.value, digits)
 
     def __float__(self):
         return float(self.value)

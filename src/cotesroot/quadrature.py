@@ -32,9 +32,14 @@ _BUILTIN = {
 }
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an int and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_index(n) -> bool:
     """Whether ``n`` indexes a closed rule or a map: an int, not a bool, in 0..MAX_RULE."""
-    return isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= MAX_RULE
+    return _is_int(n) and 0 <= n <= MAX_RULE
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,10 @@ class RuleSpec:
             raise ValueError(f"rule index must be in 0..{MAX_RULE}, got {self.n}")
         if len(self.weights) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} weights, got {len(self.weights)}")
+        if not all(map(_is_int, self.weights)):
+            raise ValueError(f"weights must be ints, got {self.weights!r}")
+        if not _is_int(self.c):
+            raise ValueError(f"scale c must be an int, got {self.c!r}")
         if self.c != sum(self.weights):
             raise ValueError("scale c must equal the sum of the weights")
         if any(w <= 0 for w in self.weights):

@@ -10,9 +10,9 @@ every level is x itself, so one application of the n-th map costs
 seeding below, whose level 2 shares a node with level 1), or fewer where
 ``iterate``'s full passes stop a ladder at the level that has settled.
 
-The same ladder and the same outer loop run the vector steps of
-``multivariate``: there the slopes are Jacobians, B_k is a matrix and the
-division by B_k is an LU solve.
+The same ladder, the same outer loop and the same precision planner run the
+vector steps of ``multivariate``: there the slopes are Jacobians, B_k is a
+matrix and the division by B_k is an LU solve.
 
 ``simpson_seed`` switches how the three-node level obtains its step: the
 default "trapezoid" wiring (h_2 from y_1) is the properly recursive ladder
@@ -226,7 +226,7 @@ def _max_norm(vec, prec: int):
 
 
 def _ladder_full(n, x, base, slope_at, weighted_sum, solve, points, simpson_seed, outside,
-                 settled=None):
+                 settles=None):
     """The map value y_n at x, built up from the Newton value y_0.
 
     One ladder serves scalars and vectors.  ``base(x)`` gives the value and
@@ -244,14 +244,16 @@ def _ladder_full(n, x, base, slope_at, weighted_sum, solve, points, simpson_seed
 
     Under the Newton seeding level 2's last node x + 2·((y_0 - x)/2) is
     level 1's node x + (y_0 - x), bit for bit, since halving and doubling
-    are exact, so it takes level 1's slope there.  ``settled(u, v)``, when
-    given, is called after each level k >= 1 with the corrections
-    u = c_k F/B_k of level k and v of level k - 1 (``solve``'s results), and
-    the ladder ends at y_k, the map of level k, when it returns true.
+    are exact, so it takes level 1's slope there.  ``settles(x)``, when
+    given, gives the ladder's settled test ``settled(u, v)``, which is called
+    after each level k >= 1 with the corrections u = c_k F/B_k of level k and
+    v of level k - 1 (``solve``'s results); the ladder ends at y_k, the map
+    of level k, when it returns true.
     """
     sub, add, scale, divide = points
     k = 0
     try:
+        settled = settles and settles(x)
         fx, slope0 = base(x)
         correction = solve(slope0, 1, fx)
         y = newton = sub(x, correction)
@@ -269,12 +271,38 @@ def _ladder_full(n, x, base, slope_at, weighted_sum, solve, points, simpson_seed
             last = nodes[-1], slopes[-1]
             previous, correction = correction, solve(weighted_sum(rule.weights, slopes), rule.c, fx)
             y = sub(x, correction)
-            if settled is not None and settled(correction, previous):
+            if settled and settled(correction, previous):
                 break
     except Breakdown as exc:
         exc.level = k
         raise
     return y
+
+
+def _settling(precision: int, prec: int, norm, sub):
+    """The settled stop at ``prec`` bits: a ladder's base point x_b -> its test
+    settled(u, v), true where level k's correction u is at most
+    10^-_SCHEDULE_GUARD ||x_b|| and within 10^-(precision + _SCHEDULE_GUARD)
+    ||x_b|| of level k - 1's v, in the raw ``norm`` (abs or the max norm);
+    ``sub(u, v)`` is u - v.
+
+    The later levels' corrections differ from u by less still, about 10^-10
+    of an ulp of y, so y_n has the bits of y_k.  The first bound keeps u's
+    own rounding, about 10^-(precision + 10) ||u||, below the second; without
+    it a ladder at a root at 0, where u is about x_b, stops where its
+    corrections agree to their last bit but y_n does not.  At a multiple
+    root the corrections of successive levels differ by a fixed fraction of
+    the error, so it does not end a ladder there before the roundoff floor.
+    """
+    small = mpf_pow_int(_TEN, -_SCHEDULE_GUARD, prec, _RND)
+    settle = mpf_pow_int(_TEN, -precision - _SCHEDULE_GUARD, prec, _RND)
+
+    def at(base):
+        size = norm(base)
+        near, tol = mpf_mul(small, size, prec, _RND), mpf_mul(settle, size, prec, _RND)
+        return lambda u, v: mpf_le(norm(u), near) and mpf_le(norm(sub(u, v)), tol)
+
+    return at
 
 
 def _levels(m: MethodId) -> tuple[int, ...]:
@@ -305,32 +333,20 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound, ar
     need; under "+F" it takes the order-2 jet, since F' needs f, f' and f''.
 
     With ``stop`` each ladder ends at the first level k >= 1 whose correction
-    u is at most 10^-_SCHEDULE_GUARD |x_b|, x_b its base point, and differs
-    from level k - 1's by at most 10^-(precision + _SCHEDULE_GUARD) |x_b|,
-    and returns y_k: the later levels' corrections differ from u by less
-    still, about 10^-10 of an ulp of y, so y_n has the bits of y_k.  The
-    first bound keeps u's own rounding, about 10^-(precision + 10) |u|, below
-    the second; without it a ladder at a root at 0, where u is about x_b,
-    stops where its corrections agree to their last bit but y_n does not.
-    The rule is per ladder, so a composition's outer ladder runs from the
-    inner result and settles by itself.  ``iterate``'s full passes set it; at
-    a multiple root the corrections of successive levels differ by a fixed
-    fraction of the error, so it does not end a ladder there before the
-    roundoff floor.
+    has settled (``_settling``, with abs), and returns y_k, with the bits of
+    y_n.  The rule is per ladder, so a composition's outer ladder runs from
+    the inner result and settles by itself.  ``iterate``'s full passes set
+    it where its schedule runs.
     """
     evaluate, ns = arithmetic or (_eval, _NAMESPACE)
-    zero, abs_, lt, gt, le, sub, mul, mul_int, div = itemgetter(
-        "_zero", "mpf_abs", "mpf_lt", "mpf_gt", "mpf_le", "mpf_sub", "mpf_mul", "mpf_mul_int",
-        "mpf_div")(ns)
+    zero, abs_, lt, gt, mul, mul_int, div = itemgetter(
+        "_zero", "mpf_abs", "mpf_lt", "mpf_gt", "mpf_mul", "mpf_mul_int", "mpf_div")(ns)
     levels = _levels(m)
     order = 2 if m.transform else 1  # of the base jets: F' needs f''
     # the cancellation trap 10^(5 - precision), relative to the base slope
     trap = mpf_pow_int(_TEN, 5 - precision, prec, _RND)
-    # relative to |x_b|: the largest correction whose rounding stays below
-    # the settling tolerance, and that tolerance 10^-(precision + guard)
-    if stop:
-        small = mpf_pow_int(_TEN, -_SCHEDULE_GUARD, prec, _RND)
-        settle = mpf_pow_int(_TEN, -precision - _SCHEDULE_GUARD, prec, _RND)
+    settles = _settling(precision, prec, lambda v: mpf_abs(v, prec, _RND),
+                        lambda u, v: mpf_sub(u, v, prec, _RND)) if stop else None
     points, weighted_sum = _point_ops(prec, ns), _weighted_sum(prec, ns)
     transform = _transform_pair(prec, ns) if m.transform else None
     pair = transform or (lambda jet: jet)
@@ -343,18 +359,15 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound, ar
             evaluate(f, p, ("d1",), prec))
 
     def apply(x, jet=None):
-        tiny = near = tol = None
+        tiny = None
 
         def base(p):
-            nonlocal jet, tiny, near, tol
+            nonlocal jet, tiny
             fx, slope0 = pair(jet or evaluate(f, p, order, prec))
             jet = None
             if zero(slope0):
                 raise Breakdown(Breakdown.ZERO_DERIVATIVE, "f' vanished at the base point")
             tiny = mul(trap, abs_(slope0, prec, _RND), prec, _RND)
-            if stop:
-                size = abs_(p, prec, _RND)
-                near, tol = mul(small, size, prec, _RND), mul(settle, size, prec, _RND)
             return fx, slope0
 
         def solve(b, c, fx):
@@ -362,15 +375,11 @@ def _method_map(m: MethodId, f: Expression, precision: int, prec: int, bound, ar
                 raise Breakdown(Breakdown.ZERO_DENOMINATOR, "weighted slope sum vanished")
             return div(mul_int(fx, c, prec, _RND), b, prec, _RND)
 
-        def settled(u, v):
-            return (le(abs_(u, prec, _RND), near)
-                    and le(abs_(sub(u, v, prec, _RND), prec, _RND), tol))
-
         for i, n in enumerate(levels):
             if i and outside(x):
                 raise Breakdown(Breakdown.DIVERGED, "a ladder node left the divergence bound", 0)
             x = _ladder_full(n, x, base, slope_at, weighted_sum, solve, points, m.simpson_seed,
-                             outside, settled if stop else None)
+                             outside, settles)
         return x
 
     return apply
@@ -512,32 +521,83 @@ def _significant_digits(x, z, precision) -> float:
     return float(precision) if err == fzero else -_log10_abs(err)
 
 
-def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int, bound):
-    """``iterate``'s residual and step: each pass at the precision its iterate can use.
+def _planner(precision: int, max_iter: int, q: int, reduced, digits, norm, bound):
+    """The precision plan of a run's passes, one for ``iterate`` and ``nd_iterate``.
 
     Pass k maps x_{k-1}, with about s correct digits, to x_k with about q·s,
     q the nominal order, so it needs only P = q·s + _SCHEDULE_GUARD digits of
     the precision p (Brent & Zimmermann, Modern Computer Arithmetic, 2010,
-    section 4.2: Newton with increasing working precision).  One planner
-    gives the pass P or p.  It gives P where 4·P is at most p.  Above p/4 it
-    gives P only where P < p and the passes left can finish the run at the
-    nominal order, q·s·q^(max_iter - k) >= p; a run that ends at ``max_iter``
-    before it converges then runs those passes at p.  One estimate,
-    s = log10|f'| - log10|f| from the residual's base jet at p, which does
-    not cancel near a simple root, both plans a pass and judges its result:
-    a reduced pass is redone at p when it breaks down, when the jet at x_k
-    breaks down or its f' vanishes, or when x_k is as accurate as P digits
-    allow, |f/f'| at most 10^(10 - P) max(1, |x_k|): the nominal order is a
-    lower bound, and a pass that gains more is cut short by P, not by the
-    map.  This also catches a pass that stalls at its own rounding.  A pass
-    planned above p/4 is also redone at p when x_k falls short of its plan,
-    an estimate below q·s - _SCHEDULE_GUARD, as at a multiple root, where
-    the gain is linear.  A reduced x_k outside the bound is returned as it
-    is, before any f there, and the outer loop ends the run diverged.
-    Always at p: every pass below _SCHEDULE_FROM digits, every pass of a "+F"
-    map (F = -f/f' cancels near a multiple root), the pass that reaches
-    ``max_iter`` and every pass after one run at p.  Residuals, stop rules and
-    reported iterates stay at p.
+    section 4.2: Newton with increasing working precision).  The plan is P
+    where 4·P is at most p.  Above p/4 it is P only where P < p and the passes
+    left can finish the run at the nominal order, q·s·q^(max_iter - k) >= p;
+    a run that ends at ``max_iter`` before it converges then runs those
+    passes at p.  One estimate, ``digits``, both plans a pass and judges its
+    result: a reduced pass is redone at p when it breaks down, when the
+    estimate at x_k breaks down, or when x_k is as accurate as P digits
+    allow, an estimate of at least P - 10 - log10 max(1, ||x_k||): the
+    nominal order is a lower bound, and a pass that gains more is cut short
+    by P, not by the map.  This also catches a pass that stalls at its own
+    rounding.  A pass planned above p/4 is also redone at p when x_k falls
+    short of its plan, an estimate below q·s - _SCHEDULE_GUARD, as at a
+    multiple root, where the gain is linear.  A reduced x_k outside the raw
+    ``bound`` in the raw ``norm`` is kept as it is, with no estimate there,
+    and the outer loop ends the run diverged.  The pass that reaches
+    ``max_iter`` runs at p, and so does every pass after one that ran at p.
+
+    The caller gives ``reduced(x, fx, work)``, the pass from x, whose residual
+    at p is fx, at ``work`` digits, and ``digits(y)``, the estimate of y's
+    correct digits, -log10 of its Newton correction's norm, which may raise
+    Breakdown.  Returns attempt(x, fx): x's next iterate from a pass at its
+    plan, or None where the pass runs at p, which the caller's full step
+    then runs.  The caller's passes at p stop each ladder at the level that
+    has settled (``_settling``).
+    """
+    passes = count(1)
+    planning = True
+
+    def plan(k, s):
+        work = math.ceil(q * s) + _SCHEDULE_GUARD
+        if 4 * work <= precision:
+            return work
+        # q·s·q^(max_iter - k) >= p in logs, the exponent capped at p, past which
+        # it exceeds p anyway; s > 0 here, since 4·work > p >= _SCHEDULE_FROM
+        finishes = (math.log(q * s) + min(max_iter - k, precision) * math.log(q)
+                    >= math.log(precision))
+        return work if work < precision and finishes else precision
+
+    def attempt(x, fx):
+        nonlocal planning
+        k = next(passes)
+        if planning and k < max_iter:
+            try:
+                s = max(digits(x), 0.0)
+                work = plan(k, s)
+                if work < precision:
+                    xn = reduced(x, fx, work)
+                    size = norm(xn)
+                    if mpf_gt(size, bound):
+                        return xn
+                    gained = digits(xn)
+                    if gained < work - 10 - max(_log10_abs(size), 0.0) and (
+                            4 * work <= precision or gained >= q * s - _SCHEDULE_GUARD):
+                        return xn
+            except Breakdown:
+                pass
+        planning = False
+        return None
+
+    return attempt
+
+
+def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int, bound):
+    """``iterate``'s residual and step: each pass at the precision its iterate can use.
+
+    From _SCHEDULE_FROM digits on plain maps the passes follow ``_planner``,
+    with the estimate s = log10|f'| - log10|f| from the residual's base jet
+    at p, which does not cancel near a simple root.  Always at p: every pass
+    below _SCHEDULE_FROM digits and every pass of a "+F" map (F = -f/f'
+    cancels near a multiple root).  Residuals, stop rules and reported
+    iterates stay at p.
 
     Where the schedule runs, each ladder of a pass at p also stops at the
     level whose correction has settled (``_method_map``'s ``stop``), with
@@ -554,8 +614,6 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     scheduled = precision >= _SCHEDULE_FROM and not m.transform
     full = _method_map(m, f, precision, prec, bound, stop=scheduled)
     order = 2 if m.transform else 1  # of the base jet: F' needs f''
-    q = _nominal_order(m)
-    passes = count(1)
     last = (None, None, None)  # (raw x, f at p there, base jet there or None)
 
     def residual(x):
@@ -574,37 +632,16 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
             raise Breakdown(Breakdown.ZERO_DERIVATIVE, "no f' at the digit estimate")
         return _log10_abs(last[2][1]) - _log10_abs(last[2][0])
 
-    def plan(k, s):
-        work = math.ceil(q * s) + _SCHEDULE_GUARD
-        if 4 * work <= precision:
-            return work
-        # q·s·q^(max_iter - k) >= p in logs, the exponent capped at p, past which
-        # it exceeds p anyway; s > 0 here, since 4·work > p >= _SCHEDULE_FROM
-        finishes = (math.log(q * s) + min(max_iter - k, precision) * math.log(q)
-                    >= math.log(precision))
-        return work if work < precision and finishes else precision
+    def reduced(x, _fx, work):
+        low = working_prec(work)
+        return _method_map(m, f, work, low, bound)(mpf_pos(x, low, _RND))
 
-    def step(x, _fx):
-        nonlocal scheduled
-        k = next(passes)
-        jet = last[2] if x == last[0] else None
-        if scheduled and k < max_iter:
-            try:
-                s = max(digits(x), 0.0)
-                work = plan(k, s)
-                if work < precision:
-                    low = working_prec(work)
-                    xn = _method_map(m, f, work, low, bound)(mpf_pos(x, low, _RND))
-                    if mpf_gt(mpf_abs(xn), bound):
-                        return xn
-                    gained = digits(xn)
-                    if gained < work - 10 - max(_log10_abs(xn), 0.0) and (
-                            4 * work <= precision or gained >= q * s - _SCHEDULE_GUARD):
-                        return xn
-            except Breakdown:
-                pass
-        scheduled = False
-        return full(x, jet)
+    attempt = _planner(precision, max_iter, _nominal_order(m), reduced, digits,
+                       lambda v: mpf_abs(v, prec, _RND), bound)
+
+    def step(x, fx):
+        jet = last[2] if x == last[0] else None  # the estimate may move the cache
+        return (attempt(x, fx) if scheduled else None) or full(x, jet)
 
     return residual, step
 

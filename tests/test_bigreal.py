@@ -36,6 +36,13 @@ def test_bigreal_is_a_value_record():
     assert repr(bigreal("1.1", 40)) == "BigReal('1.1', precision=40)"
 
 
+@pytest.mark.parametrize("digits", [2.5, "3", True, False, 0, -1])
+def test_decimal_digits_must_be_a_positive_integer(digits):
+    # 2.5 and "3" raised TypeError inside mpmath, and True printed one digit
+    with pytest.raises(ValueError, match=rf"^digits must be a positive integer, got {digits!r}$"):
+        bigreal("1.25", 30).decimal(digits)
+
+
 def test_bigreal_rounds_a_fraction_once():
     # rounding 10^26 + 1 and 10^26 - 1 to 86 bits first gives the same value
     # twice, and their quotient 1; rounded once, the quotient is just above 1

@@ -20,11 +20,12 @@ from cotesroot import (
     parse,
     solve_linear,
 )
+from cotesroot import multivariate
 from cotesroot.bigreal import working_dps, working_prec
 from cotesroot.expr import eval_jet
-from cotesroot.multivariate import _lu_solve
-from cotesroot.solver import (BREAKDOWN, CONVERGED, DIVERGED, MethodId, Termination, _max_norm,
-                              apply_method)
+from cotesroot.multivariate import _LEVELS, _lu_solve
+from cotesroot.solver import (BREAKDOWN, CONVERGED, DIVERGED, MAX_ITERATIONS, MethodId,
+                              Termination, _max_norm, apply_method)
 
 KIND_LEVELS = [("newton", 0), ("trapezoidal", 1), ("simpson", 2)]
 
@@ -300,6 +301,176 @@ def test_concurrent_vector_solves_are_bit_identical_to_serial():
         return run.termination, [[v.value._mpf_ for v in record.x] for record in run.iterates]
 
     _assert_threads_match_serial(cases, evaluate, {30: 3, 60: 3, 400: 1, 1000: 1})
+
+
+# ------------------------------------------------------------ precision schedule
+
+P = 1000  # a scheduled precision: at least solver._SCHEDULE_FROM
+AT_P, ESTIMATE = working_dps(P), working_dps(multivariate._ESTIMATE)
+
+
+def _cubic_system(seed, d):
+    """F(x) = A x + x^3 - b (cube per coordinate), A diagonally dominant, with
+    the root r of eighths in [-1, 1], so b is exact; (F, r)."""
+    rng = random.Random(seed)
+    a = [[20 if i == j else rng.randint(-2, 2) for j in range(d)] for i in range(d)]
+    root = [Fraction(rng.randint(-8, 8), 8) for _ in range(d)]
+    b = [sum(c * r for c, r in zip(row, root)) + ri**3 for row, ri in zip(a, root)]
+
+    def residual(p):
+        return [mp.fsum(c * v for c, v in zip(row, p)) + pi**3
+                - mp.mpf(bi.numerator) / bi.denominator for row, pi, bi in zip(a, p, b)]
+
+    def jacobian(p):
+        return [[c + 3 * p[i] ** 2 if i == j else c for j, c in enumerate(row)]
+                for i, row in enumerate(a)]
+
+    return VectorFunction(d, residual, jacobian), root
+
+
+def _recording(func, log):
+    """``func`` with its callbacks logging ("F" or "J", mpmath's dps) per call."""
+    def residual(p):
+        log.append(("F", mp.mp.dps))
+        return func.residual(p)
+
+    def jacobian(p):
+        log.append(("J", mp.mp.dps))
+        return func.jacobian(p)
+
+    return VectorFunction(func.dimension, residual, jacobian)
+
+
+def _unscheduled(monkeypatch, *args, **kwargs):
+    """nd_iterate with the schedule off: every pass nd_step's, at p."""
+    with monkeypatch.context() as patch:
+        patch.setattr(multivariate, "_SCHEDULE_FROM", 10**9)
+        return nd_iterate(*args, **kwargs)
+
+
+def _assert_within_the_bound(run, reference, precision):
+    """The same ending after as many iterates, and final iterates within
+    10^-p·max(1, ||x||) of each other in the max norm."""
+    assert run.termination == reference.termination
+    assert len(run.iterates) == len(reference.iterates)
+    with mp.workdps(precision + 30):
+        x, y = ([v.value for v in r.final.x] for r in (reference, run))
+        bound = mp.mpf(10) ** -precision * max(1, *map(abs, x))
+        assert max(abs(a - b) for a, b in zip(x, y)) <= bound
+
+
+@pytest.mark.parametrize("kind", ["newton", "trapezoidal", "simpson"])
+def test_scheduled_dense_run_reduces_its_passes_then_ends_at_p(monkeypatch, kind):
+    """From 600 digits the passes run at the precisions their iterates' digit
+    estimates plan: the Jacobians of the reduced passes are taken below p,
+    at rising precisions, and those of the last pass at p.  The residual is
+    taken at p exactly once per iterate, and the estimates take the
+    Jacobian at 30 digits.  The run ends as the unscheduled run does, within
+    10^-p of its final iterate."""
+    func, root = _cubic_system(11, 8)
+    x0 = [str(float(r) + 0.1) for r in root]
+    log = []
+    run = nd_iterate(_recording(func, log), x0, kind=kind, precision=P)
+    assert run.termination == Termination(CONVERGED, "residual")
+    assert [dps for what, dps in log if what == "F"] == [AT_P] * len(run.iterates)
+    passes = [dps for what, dps in log if what == "J" and dps != ESTIMATE]
+    reduced = [dps for dps in passes if dps < AT_P]
+    assert passes[:len(reduced)] == reduced == sorted(reduced)
+    assert len(set(reduced)) >= 3 and passes[-1] == AT_P
+    _assert_within_the_bound(run, _unscheduled(monkeypatch, func, x0, kind=kind, precision=P), P)
+
+
+DOUBLE_ROOTS = {  # residual, Jacobian and a start 10^-120 off the double root
+    "(1, 2)": (lambda p: [(p[0] - 1) ** 2, p[1] - 2], lambda p: [[2 * (p[0] - 1), 0], [0, 1]],
+               (1, 1, 2, 0)),
+    "(0, 0)": (lambda p: [p[0] ** 2 * (1 + p[1]), p[1] ** 2],
+               lambda p: [[2 * p[0] * (1 + p[1]), p[0] ** 2], [0, 2 * p[1]]], (0, 1, 0, -0.3)),
+}
+
+
+@pytest.mark.parametrize("kind", ["newton", "trapezoidal", "simpson"])
+@pytest.mark.parametrize("root", DOUBLE_ROOTS)
+def test_a_double_root_keeps_the_unscheduled_run(monkeypatch, root, kind):
+    """At a double root every kind gains linearly.  On [x^2 (1 + y), y^2],
+    10^-120 off (0, 0), the first pass is planned above p/4, its result
+    falls short of the plan, and it is redone at p.  On [(x - 1)^2, y - 2],
+    10^-120 off (1, 2), x - 1 vanishes at the estimate's 30 digits, so its
+    solve finds the Jacobian singular, and the first pass runs at p at once.
+    Either way every later pass runs at p, and the run keeps the unscheduled
+    run's bits and ending."""
+    residual, jacobian, (x, dx, y, dy) = DOUBLE_ROOTS[root]
+    func = VectorFunction(2, residual, jacobian)
+    with mp.workdps(P + 20):
+        x0 = [x + dx * mp.mpf(10) ** -120, y + dy * mp.mpf(10) ** -120]
+    log = []
+    run = nd_iterate(_recording(func, log), x0, kind=kind, precision=P, max_iter=6)
+    assert run == _unscheduled(monkeypatch, func, x0, kind=kind, precision=P, max_iter=6)
+    assert run.termination == Termination(MAX_ITERATIONS)
+    jacobians = [dps for what, dps in log if what == "J"]
+    if root == "(1, 2)":
+        assert jacobians[0] == ESTIMATE and set(jacobians[1:]) == {AT_P}
+        return
+    # the estimate at x0, the reduced pass (a Jacobian per node of its whole
+    # ladder, 1 + n(n+1)/2), the estimate at its short result, then passes at p
+    n = _LEVELS[kind]
+    nodes = 1 + n * (n + 1) // 2
+    reduced = jacobians[1:1 + nodes]
+    assert len(set(reduced)) == 1 and AT_P < 4 * reduced[0] < 4 * AT_P
+    assert jacobians[0] == jacobians[1 + nodes] == ESTIMATE
+    assert set(jacobians[2 + nodes:]) == {AT_P}
+
+
+def test_a_reduced_pass_that_breaks_down_is_redone_at_p(monkeypatch):
+    """A Jacobian that breaks down at any precision but p and the estimate's
+    30 digits: the first reduced pass breaks down and is redone at p, and so
+    is every later pass, so the run keeps the unscheduled run's bits."""
+    func, root = _cubic_system(12, 4)
+    x0 = [str(float(r) - 0.2) for r in root]
+    log = []
+
+    def jacobian(p):
+        if mp.mp.dps not in (ESTIMATE, AT_P):
+            raise Breakdown(Breakdown.DOMAIN, "no Jacobian below p")
+        return func.jacobian(p)
+
+    run = nd_iterate(_recording(VectorFunction(4, func.residual, jacobian), log), x0,
+                     precision=P)
+    assert run == _unscheduled(monkeypatch, func, x0, precision=P)
+    assert run.termination.kind == CONVERGED
+    jacobians = [dps for what, dps in log if what == "J"]
+    assert jacobians[0] == ESTIMATE and jacobians[1] < AT_P and set(jacobians[2:]) == {AT_P}
+
+
+def test_ladders_at_p_stop_at_the_settled_level(monkeypatch):
+    """From 10^-520 off the root every plan is at least p, so every pass runs
+    at p, and its Simpson ladder stops at level 1, whose correction has
+    settled in the max norm: two Jacobians per pass, against the four of the
+    whole ladder, and the unscheduled run's ending within 10^-p."""
+    func, root = _cubic_system(13, 4)
+    with mp.workdps(P + 20):
+        x0 = [mp.mpf(r.numerator) / r.denominator + mp.mpf(10) ** -520 for r in root]
+    log, whole = [], []
+    run = nd_iterate(_recording(func, log), x0, kind="simpson", precision=P)
+    reference = _unscheduled(monkeypatch, _recording(func, whole), x0, kind="simpson",
+                             precision=P)
+    _assert_within_the_bound(run, reference, P)
+    steps = len(run.iterates) - 1
+    assert [dps for what, dps in log if what == "J" and dps != ESTIMATE] == [AT_P] * 2 * steps
+    assert [dps for what, dps in whole if what == "J"] == [AT_P] * 4 * steps
+
+
+@pytest.mark.parametrize("kind", ["newton", "trapezoidal", "simpson"])
+def test_below_the_schedule_nd_iterate_is_a_chain_of_nd_steps(kind):
+    """At 599 digits no pass is planned: every iterate is nd_step of the one
+    before, bit for bit."""
+    func, root = _cubic_system(14, 4)
+    x0 = [str(float(r) + 0.3) for r in root]
+    run = nd_iterate(func, x0, kind=kind, precision=599)
+    assert run.termination.kind == CONVERGED
+    x = [bigreal(v, 599) for v in x0]
+    for record in run.iterates[1:]:
+        x = nd_step(kind, func, x, 599)
+        assert record.x == tuple(x)
 
 
 def test_dimension_mismatch_rejected():

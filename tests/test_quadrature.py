@@ -45,6 +45,19 @@ def test_non_int_rules_rejected(n):
         RuleSpec(n, (1, 1), 2)
 
 
+@pytest.mark.parametrize("weights,c,message", [
+    ((0.5, 0.5), 1.0, r"^weights must be ints, got \(0\.5, 0\.5\)$"),
+    ((True, True), 2, r"^weights must be ints, got \(True, True\)$"),
+    ((1, 1), 2.0, r"^scale c must be an int, got 2\.0$"),
+    ((1, 1), True, r"^scale c must be an int, got True$"),
+])
+def test_non_int_weights_and_scale_rejected(weights, c, message):
+    # (0.5, 0.5) with 1.0 built, and check_moments raised TypeError from
+    # Fraction; (True, True) with 2 built, and its moments "held"
+    with pytest.raises(ValueError, match=message):
+        RuleSpec(1, weights, c)
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_derived_equals_builtin(n):
     assert derive_rule(n) == builtin_rule(n)
