@@ -150,12 +150,11 @@ def run_line(index, text, method, seeding, x0, digits, knows_root, roots):
 class DenseSystem:
     """F(x) = A x + x^3 - b, the cube taken per coordinate, from a seeded generator.
 
-    A is d x d, d in 2..8, with 20 on the diagonal and integers in -2..2 off
-    it, and the root r has eighths in [-1, 1] as coordinates, so b is exact.
+    A is d x d with 20 on the diagonal and integers in -2..2 off it, and the
+    root r has eighths in [-1, 1] as coordinates, so b is exact.
     """
 
-    def __init__(self, rng):
-        d = rng.randint(2, 8)
+    def __init__(self, rng, d):
         self.a = [[20 if i == j else rng.randint(-2, 2) for j in range(d)] for i in range(d)]
         self.root = [Fraction(rng.randint(-8, 8), 8) for _ in range(d)]
         self.b = [sum(aij * rj for aij, rj in zip(row, self.root)) + ri**3
@@ -180,7 +179,7 @@ def vector_systems():
                for name, demo in ((n, demo_system(n)) for n in ("affine", "circle-line"))}
     for i in range(DENSE_SYSTEMS):
         rng = random.Random(f"dense|{i}")
-        dense = DenseSystem(rng)
+        dense = DenseSystem(rng, rng.randint(2, 8))
         systems[f"dense-{i}"] = (dense.function(), [str(float(r)) for r in dense.root],
                                  rng.choice([0.05, 0.5, 2.0]))
     return systems

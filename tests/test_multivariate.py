@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_rational, fzero, mpf_mul_int,
                           round_nearest)
+from comparison_set import DenseSystem
 from reference_lu import reference_lu_solve
 from test_expr import _assert_threads_match_serial
 
@@ -310,22 +311,10 @@ AT_P, ESTIMATE = working_dps(P), working_dps(multivariate._ESTIMATE)
 
 
 def _cubic_system(seed, d):
-    """F(x) = A x + x^3 - b (cube per coordinate), A diagonally dominant, with
-    the root r of eighths in [-1, 1], so b is exact; (F, r)."""
-    rng = random.Random(seed)
-    a = [[20 if i == j else rng.randint(-2, 2) for j in range(d)] for i in range(d)]
-    root = [Fraction(rng.randint(-8, 8), 8) for _ in range(d)]
-    b = [sum(c * r for c, r in zip(row, root)) + ri**3 for row, ri in zip(a, root)]
-
-    def residual(p):
-        return [mp.fsum(c * v for c, v in zip(row, p)) + pi**3
-                - mp.mpf(bi.numerator) / bi.denominator for row, pi, bi in zip(a, p, b)]
-
-    def jacobian(p):
-        return [[c + 3 * p[i] ** 2 if i == j else c for j, c in enumerate(row)]
-                for i, row in enumerate(a)]
-
-    return VectorFunction(d, residual, jacobian), root
+    """The comparison set's dense system of dimension d, A x + x^3 = b with a
+    root r of eighths: (F, r)."""
+    system = DenseSystem(random.Random(seed), d)
+    return system.function(), system.root
 
 
 def _recording(func, log):
