@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -166,6 +167,46 @@ def test_concurrent_linear_solves_are_bit_identical_to_serial():
         return [v.value._mpf_ for v in solve_linear(*case)]
 
     _assert_threads_match_serial(cases, evaluate, {60: 200, 1000: 20})
+
+
+# sha256 of the outcomes of _linear_grid, recorded when the LU was one function
+LINEAR_GRID_SHA256 = "a0fe78336d4e70d646c3880c000fc56887d4ea7e5e3333b8c5233e09c97a21c5"
+
+
+def _linear_grid():
+    """Seeded ``solve_linear`` cases, d = 1..8 at 15, 60 and 1000 digits: two
+    systems each and, for d > 1, a third with one row a multiple of another.
+    About a quarter of the entries are 0, (0, 0) always and (d - 1, 0) never,
+    so for d > 1 column 0 swaps rows, and the row that held the zero has
+    multiplier 0 there."""
+    for d in range(1, 9):
+        for precision in (15, 60, 1000):
+            rng = random.Random(f"grid-{d}-{precision}")
+
+            def nonzero():
+                return Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 99))
+
+            for case in range(3 if d > 1 else 2):
+                a = [[Fraction(0) if rng.random() < 0.25 else nonzero() for _ in range(d)]
+                     for _ in range(d)]
+                a[0][0], a[d - 1][0] = Fraction(0), nonzero()
+                if case == 2:
+                    i, j = rng.sample(range(d), 2)
+                    a[i] = [rng.choice((-3, 2)) * v for v in a[j]]
+                yield a, [Fraction(rng.randint(-99, 99), 7) for _ in range(d)], precision
+
+
+def test_solve_linear_grid_keeps_its_bits():
+    """Every LU bit, and every Breakdown kind and message, of the seeded grid
+    equals its pin: the solves' results as raw mpf tuples."""
+    digest = hashlib.sha256()
+    kinds = set()
+    for a, b, precision in _linear_grid():
+        outcome = _lu_outcome(lambda: [v.value._mpf_ for v in solve_linear(a, b, precision)])
+        kinds.add(outcome[0])
+        digest.update(repr((precision, outcome)).encode() + b"\n")
+    assert kinds == {"solved", Breakdown.SINGULAR_MATRIX}
+    assert digest.hexdigest() == LINEAR_GRID_SHA256
 
 
 # ------------------------------------------------------------ steps
