@@ -10,9 +10,10 @@ precision, lifting the scalar map's point operations and weighted slope sum
 entry by entry, so for d = 1 a step equals the scalar map bit for bit.  From
 600 digits ``nd_iterate`` runs each pass at the precision its iterate can
 use, planned by the scalar solver's planner from the max norm of the Newton
-correction, solved at 30 digits: a reduced pass runs its ladder, Jacobians
-and LU solves at its own precision, and the passes at full precision stop
-each ladder at the level that has settled.  The user's callbacks alone run
+correction: solved at 30 digits at the start point, and at a reduced pass's
+result from the LU factors of that pass's own Newton solve.  A reduced pass
+runs its ladder, Jacobians and LU solves at its own precision, and the
+passes at full precision stop each ladder at the level that has settled.  The user's callbacks alone run
 inside ``mp.workdps``, at the precision of the pass or estimate that calls
 them: they receive lists of mpf and may read mpmath's precision, and their
 results are rounded to raw tuples there.  One lock serializes the callbacks
@@ -39,7 +40,8 @@ from .solver import (_RND, _SCHEDULE_FROM, _TEN, SEED_TRAPEZOID, Termination, _a
                      _planner, _point_ops, _settling, _stop_rules, _weighted_sum)
 
 _LEVELS = {"newton": 0, "trapezoidal": 1, "simpson": 2}  # step kind -> ladder level
-# digits of the Newton correction behind a vector digit estimate
+# digits of the Newton correction behind a vector digit estimate where no
+# reduced pass's LU factors serve: at the start point
 _ESTIMATE = 30
 # held around every callback, since mpmath's precision is process-global;
 # reentrant, since a callback may itself call nd_step
@@ -87,18 +89,23 @@ def _as_matrix(rows, d, prec) -> list[list]:
     return out
 
 
-def _lu_solve(matrix, rhs, precision):
-    """Ax = b on raw mpfs by LU with partial pivoting at the working precision of
-    ``precision``, each step the call the mpf operator makes there, with b
-    carried as column d; a ``singular_matrix`` Breakdown on tiny pivots, and a
-    ``nonfinite`` one when the largest |entry|, which scales their threshold,
-    is infinite or NaN."""
+def _lu(matrix, precision):
+    """The LU factors, with partial pivoting, of a square matrix A of raw mpfs
+    at the working precision of ``precision``, each step the call the mpf
+    operator makes there, as their substitution b -> x with Ax = b; a
+    ``singular_matrix`` Breakdown on tiny pivots, and a ``nonfinite`` one when
+    the largest |entry|, which scales their threshold, is infinite or NaN.
+
+    The substitution applies the row swaps and nonzero multipliers to b in
+    the elimination's order, so x has the bits of an elimination that carries
+    b as a column of A."""
     prec = working_prec(precision)
-    d = len(rhs)
+    d = len(matrix)
     sizes = [mpf_abs(v, prec, _RND) for row in matrix for v in row] or [fzero]
     scale = _finite(sizes[_argmax(sizes)])  # the nonfinite Breakdown on an infinite or NaN max
     threshold = mpf_mul(mpf_pow_int(_TEN, 5 - precision, prec, _RND), scale, prec, _RND)
-    a = [row + [v] for row, v in zip(matrix, rhs)]
+    a = [list(row) for row in matrix]
+    steps = []  # per column: its pivot row and the (row, multiplier) pairs of its updates
     for col in range(d):
         sizes = [mpf_abs(a[row][col], prec, _RND) for row in range(col, d)]
         pivot_row = col + _argmax(sizes)
@@ -106,18 +113,30 @@ def _lu_solve(matrix, rhs, precision):
             raise Breakdown(Breakdown.SINGULAR_MATRIX, f"pivot below threshold in column {col}")
         a[col], a[pivot_row] = a[pivot_row], a[col]
         inv = mpf_rdiv_int(1, a[col][col], prec, _RND)
+        pivot, updates = a[col][col + 1:], []
         for row in range(col + 1, d):
             factor = mpf_mul(a[row][col], inv, prec, _RND)
-            if factor != fzero:
-                a[row][col:] = [mpf_sub(v, mpf_mul(factor, p, prec, _RND), prec, _RND)
-                                for v, p in zip(a[row][col:], a[col][col:])]
-    x = [fzero] * d
-    for row in range(d - 1, -1, -1):
-        acc = a[row][d]
-        for j in range(row + 1, d):
-            acc = mpf_sub(acc, mpf_mul(a[row][j], x[j], prec, _RND), prec, _RND)
-        x[row] = mpf_div(acc, a[row][row], prec, _RND)
-    return x
+            if factor != fzero:  # column col below the pivot is read no more
+                a[row][col + 1:] = [mpf_sub(v, mpf_mul(factor, p, prec, _RND), prec, _RND)
+                                    for v, p in zip(a[row][col + 1:], pivot)]
+                updates.append((row, factor))
+        steps.append((pivot_row, updates))
+
+    def substitute(rhs):
+        b = list(rhs)
+        for col, (pivot_row, updates) in enumerate(steps):
+            b[col], b[pivot_row] = b[pivot_row], b[col]
+            for row, factor in updates:
+                b[row] = mpf_sub(b[row], mpf_mul(factor, b[col], prec, _RND), prec, _RND)
+        x = [fzero] * d
+        for row in range(d - 1, -1, -1):
+            acc = b[row]
+            for j in range(row + 1, d):
+                acc = mpf_sub(acc, mpf_mul(a[row][j], x[j], prec, _RND), prec, _RND)
+            x[row] = mpf_div(acc, a[row][row], prec, _RND)
+        return x
+
+    return substitute
 
 
 def _big_reals(vec, precision) -> list[BigReal]:
@@ -128,7 +147,8 @@ def solve_linear(matrix, rhs, precision: int) -> list[BigReal]:
     """Solve a dense square system; raises Breakdown if singular or not finite.
     It never reads or sets mpmath's context, so threads may call it at once."""
     prec = working_prec(precision)
-    x = _lu_solve(_as_matrix(matrix, len(rhs), prec), _as_vector(rhs, len(rhs), prec), precision)
+    a, b = _as_matrix(matrix, len(rhs), prec), _as_vector(rhs, len(rhs), prec)
+    x = _lu(a, precision)(b)
     _finite(_max_norm(x, prec))
     return _big_reals(x, precision)
 
@@ -159,9 +179,10 @@ def _rounded(vec, precision) -> list:
 
 
 def _vector_map(func: VectorFunction, n: int, precision: int, bound, stop=False):
-    """The ladder's level-n step (x, F(x)) -> y on raw points at the working
-    precision of ``precision``, the Jacobians and LU solves included; every
-    node must stay inside the raw ``bound`` in the max norm.
+    """The ladder's level-n step (x, F(x)) -> (y, the substitution of J(x)'s LU)
+    on raw points at the working precision of ``precision``, the Jacobians
+    and LU solves included; every node must stay inside the raw ``bound`` in
+    the max norm.
 
     The scalar point operations and weighted slope sum apply entry by entry.
     With ``stop`` the ladder ends at the level whose correction has settled,
@@ -179,14 +200,18 @@ def _vector_map(func: VectorFunction, n: int, precision: int, bound, stop=False)
     def weighted_sum(weights, jacobians):
         return [[entry_sum(weights, entries) for entries in zip(*rows)] for rows in zip(*jacobians)]
 
-    def solve(b, c, f):
-        return _lu_solve(b, points[2](c, f), precision)
-
     jacobian = partial(_call, func.jacobian, _as_matrix, d, precision)
 
     def step(x, fx):
-        return _ladder_full(n, x, lambda p: (fx, jacobian(p)), jacobian, weighted_sum, solve,
-                            points, SEED_TRAPEZOID, lambda p: mpf_gt(norm(p), bound), settles)
+        factors = []  # level 0's, of J(x), first
+
+        def solve(b, c, f):
+            factors.append(_lu(b, precision))
+            return factors[-1](points[2](c, f))
+
+        y = _ladder_full(n, x, lambda p: (fx, jacobian(p)), jacobian, weighted_sum, solve,
+                         points, SEED_TRAPEZOID, lambda p: mpf_gt(norm(p), bound), settles)
+        return y, factors[0]
 
     return step
 
@@ -197,19 +222,25 @@ def _residual_and_step(func: VectorFunction, n: int, precision: int, max_iter: i
 
     From _SCHEDULE_FROM digits the passes follow ``solver._planner``, as
     ``iterate``'s do, at the nominal order n + 2.  The digit estimate at x
-    is -log10 ||u||, u the Newton correction, solved from the Jacobian at
-    _ESTIMATE digits and F(x) at p rounded there.  F(x) at p is taken once
-    per iterate and kept with its point and its estimate, which the outer
-    loop's residual, the estimate and a pass from that point share.  A
-    reduced pass runs the ladder, the Jacobian callbacks and the LU solves
-    at its own precision, from x and F(x) rounded to it; the passes at p
-    stop each ladder at the level whose correction has settled, in the max
-    norm.  Below _SCHEDULE_FROM digits every pass is ``nd_step``'s.
+    is -log10 ||u||, u the Newton correction from F(x) at p.  At a reduced
+    pass's result x_k, u = J(x_{k-1})^-1 F(x_k) takes the LU factors of the
+    pass's own level-0 solve, at its precision W, and F(x_k) rounded to W:
+    J(x_{k-1}) = J(x_k)(1 + O(10^-s)), so the logarithm moves by far less
+    than the planner's guard, at no Jacobian callback or factorization.
+    Elsewhere (x0) u is solved from the Jacobian at _ESTIMATE digits and
+    F(x) rounded there.  F(x) at p is taken once per iterate and kept with
+    its point and its estimate, which the outer loop's residual, the
+    estimate and a pass from that point share.  A reduced pass runs the
+    ladder, the Jacobian callbacks and the LU solves at its own precision,
+    from x and F(x) rounded to it; the passes at p stop each ladder at the
+    level whose correction has settled, in the max norm.  Below
+    _SCHEDULE_FROM digits every pass is ``nd_step``'s.
     """
     d = func.dimension
     scheduled = precision >= _SCHEDULE_FROM
     full = _vector_map(func, n, precision, bound, stop=scheduled)
     last = (None, None, None)  # (raw x, F(x) at p, its digit estimate or None)
+    kept = (None, None, None)  # (a reduced pass's result, its precision, its level-0 LU)
 
     def residual(x):
         nonlocal last
@@ -221,19 +252,26 @@ def _residual_and_step(func: VectorFunction, n: int, precision: int, max_iter: i
         nonlocal last
         fx = residual(x)
         if last[2] is None:
-            jacobian = _call(func.jacobian, _as_matrix, d, _ESTIMATE, _rounded(x, _ESTIMATE))
-            u = _lu_solve(jacobian, _rounded(fx, _ESTIMATE), _ESTIMATE)
-            last = x, fx, -_log10_abs(_finite(_max_norm(u, working_prec(_ESTIMATE))))
+            if x is kept[0]:
+                work, substitute = kept[1:]
+            else:
+                work = _ESTIMATE
+                substitute = _lu(_call(func.jacobian, _as_matrix, d, work, _rounded(x, work)), work)
+            u = substitute(_rounded(fx, work))
+            last = x, fx, -_log10_abs(_finite(_max_norm(u, working_prec(work))))
         return last[2]
 
     def reduced(x, fx, work):
-        return _vector_map(func, n, work, bound)(_rounded(x, work), _rounded(fx, work))
+        nonlocal kept
+        y, substitute = _vector_map(func, n, work, bound)(_rounded(x, work), _rounded(fx, work))
+        kept = y, work, substitute
+        return y
 
     attempt = _planner(precision, max_iter, n + 2, reduced, digits,
                        partial(_max_norm, prec=working_prec(precision)), bound)
 
     def step(x, fx):
-        return (attempt(x, fx) if scheduled else None) or full(x, fx)
+        return (attempt(x, fx) if scheduled else None) or full(x, fx)[0]
 
     return residual, step
 
@@ -247,7 +285,7 @@ def nd_step(kind: str, func: VectorFunction, x, precision: int) -> list[BigReal]
     point = _as_vector(x, func.dimension, prec)
     _check_finite("x", point)
     step = _vector_map(func, level, precision, _default_bound(_max_norm(point, prec), prec))
-    y = step(point, _call(func.residual, _as_vector, func.dimension, precision, point))
+    y, _ = step(point, _call(func.residual, _as_vector, func.dimension, precision, point))
     _finite(_max_norm(y, prec))
     return _big_reals(y, precision)
 
@@ -267,11 +305,13 @@ def nd_iterate(
     Below 600 digits each pass is ``nd_step``'s, bit for bit.  From 600
     digits each pass before the last runs at the precision its iterate's
     digit estimate plans for it, as in ``iterate``: the estimate is the max
-    norm of the Newton correction, solved at 30 digits from the residual the
-    loop takes at the full precision and the Jacobian at 30 digits.  A
-    reduced pass calls the Jacobian at its own precision; the residual runs
-    at the full precision once per iterate, and the ladders of the passes at
-    the full precision stop at the level whose correction has settled."""
+    norm of the Newton correction from the residual the loop takes at the
+    full precision.  At x0 it is solved at 30 digits, with the Jacobian at
+    30 digits; at a reduced pass's result it takes the LU factors of that
+    pass's Newton solve, with no Jacobian call.  A reduced pass calls the
+    Jacobian at its own precision; the residual runs at the full precision
+    once per iterate, and the ladders of the passes at the full precision
+    stop at the level whose correction has settled."""
     level = _level(kind)
     prec = working_prec(precision)
     x = _as_vector(x0, func.dimension, prec)

@@ -25,7 +25,7 @@ from cotesroot import (
 from cotesroot import multivariate
 from cotesroot.bigreal import working_dps, working_prec
 from cotesroot.expr import eval_jet
-from cotesroot.multivariate import _LEVELS, _lu_solve
+from cotesroot.multivariate import _LEVELS, _lu
 from cotesroot.solver import (BREAKDOWN, CONVERGED, DIVERGED, MAX_ITERATIONS, MethodId,
                               Termination, _max_norm, apply_method)
 
@@ -147,7 +147,7 @@ def test_raw_lu_matches_mpf_reference_bitwise(shape, precision):
             expected = _lu_outcome(lambda: [v._mpf_ for v in reference_lu_solve(
                 [[mp.make_mpf(v) for v in row] for row in a], [mp.make_mpf(v) for v in b],
                 precision)])
-        assert _lu_outcome(lambda: _lu_solve(a, b, precision)) == expected
+        assert _lu_outcome(lambda: _lu(a, precision)(b)) == expected
         kinds.add(expected[0])
     assert kinds >= ({Breakdown.SINGULAR_MATRIX} if shape == "singular" else {"solved"})
 
@@ -394,8 +394,9 @@ def test_scheduled_dense_run_reduces_its_passes_then_ends_at_p(monkeypatch, kind
     """From 600 digits the passes run at the precisions their iterates' digit
     estimates plan: the Jacobians of the reduced passes are taken below p,
     at rising precisions, and those of the last pass at p.  The residual is
-    taken at p exactly once per iterate, and the estimates take the
-    Jacobian at 30 digits.  The run ends as the unscheduled run does, within
+    taken at p exactly once per iterate.  Only the estimate at x0 takes a
+    Jacobian, at 30 digits: the one at a reduced pass's result reuses the
+    pass's own LU factors.  The run ends as the unscheduled run does, within
     10^-p of its final iterate."""
     func, root = _cubic_system(11, 8)
     x0 = [str(float(r) + 0.1) for r in root]
@@ -403,7 +404,9 @@ def test_scheduled_dense_run_reduces_its_passes_then_ends_at_p(monkeypatch, kind
     run = nd_iterate(_recording(func, log), x0, kind=kind, precision=P)
     assert run.termination == Termination(CONVERGED, "residual")
     assert [dps for what, dps in log if what == "F"] == [AT_P] * len(run.iterates)
-    passes = [dps for what, dps in log if what == "J" and dps != ESTIMATE]
+    jacobians = [dps for what, dps in log if what == "J"]
+    assert jacobians[0] == ESTIMATE and jacobians.count(ESTIMATE) == 1
+    passes = jacobians[1:]
     reduced = [dps for dps in passes if dps < AT_P]
     assert passes[:len(reduced)] == reduced == sorted(reduced)
     assert len(set(reduced)) >= 3 and passes[-1] == AT_P
@@ -423,7 +426,8 @@ DOUBLE_ROOTS = {  # residual, Jacobian and a start 10^-120 off the double root
 def test_a_double_root_keeps_the_unscheduled_run(monkeypatch, root, kind):
     """At a double root every kind gains linearly.  On [x^2 (1 + y), y^2],
     10^-120 off (0, 0), the first pass is planned above p/4, its result
-    falls short of the plan, and it is redone at p.  On [(x - 1)^2, y - 2],
+    falls short of the plan (an estimate from the pass's own LU factors, no
+    Jacobian), and it is redone at p.  On [(x - 1)^2, y - 2],
     10^-120 off (1, 2), x - 1 vanishes at the estimate's 30 digits, so its
     solve finds the Jacobian singular, and the first pass runs at p at once.
     Either way every later pass runs at p, and the run keeps the unscheduled
@@ -441,13 +445,14 @@ def test_a_double_root_keeps_the_unscheduled_run(monkeypatch, root, kind):
         assert jacobians[0] == ESTIMATE and set(jacobians[1:]) == {AT_P}
         return
     # the estimate at x0, the reduced pass (a Jacobian per node of its whole
-    # ladder, 1 + n(n+1)/2), the estimate at its short result, then passes at p
+    # ladder, 1 + n(n+1)/2), then passes at p: the estimate at the reduced
+    # pass's short result takes that pass's LU factors, with no Jacobian
     n = _LEVELS[kind]
     nodes = 1 + n * (n + 1) // 2
     reduced = jacobians[1:1 + nodes]
     assert len(set(reduced)) == 1 and AT_P < 4 * reduced[0] < 4 * AT_P
-    assert jacobians[0] == jacobians[1 + nodes] == ESTIMATE
-    assert set(jacobians[2 + nodes:]) == {AT_P}
+    assert jacobians[0] == ESTIMATE
+    assert set(jacobians[1 + nodes:]) == {AT_P}
 
 
 def test_a_reduced_pass_that_breaks_down_is_redone_at_p(monkeypatch):
