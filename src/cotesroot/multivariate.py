@@ -93,25 +93,33 @@ def _lu(matrix, precision):
     """The LU factors, with partial pivoting, of a square matrix A of raw mpfs
     at the working precision of ``precision``, each step the call the mpf
     operator makes there, as their substitution b -> x with Ax = b; a
-    ``singular_matrix`` Breakdown on tiny pivots, and a ``nonfinite`` one when
-    the largest |entry|, which scales their threshold, is infinite or NaN.
+    ``nonfinite`` Breakdown when the largest |entry| is infinite or NaN.
 
+    A pivot is tiny, the ``singular_matrix`` Breakdown, where it is at most
+    10^(5 - precision) times the largest |entry| of its row of A.  That is
+    the test of a global threshold on A with each row scaled to the same
+    size, but the elimination runs on A itself, so a row's scale changes
+    neither the verdict nor, for a power of two, the bits of x: a Jacobian
+    whose rows span many orders of magnitude is as regular as its rows are.
     The substitution applies the row swaps and nonzero multipliers to b in
     the elimination's order, so x has the bits of an elimination that carries
     b as a column of A."""
     prec = working_prec(precision)
     d = len(matrix)
-    sizes = [mpf_abs(v, prec, _RND) for row in matrix for v in row] or [fzero]
-    scale = _finite(sizes[_argmax(sizes)])  # the nonfinite Breakdown on an infinite or NaN max
-    threshold = mpf_mul(mpf_pow_int(_TEN, 5 - precision, prec, _RND), scale, prec, _RND)
+    rows = [[mpf_abs(v, prec, _RND) for v in row] for row in matrix]
+    sizes = [v for row in rows for v in row] or [fzero]
+    _finite(sizes[_argmax(sizes)])  # the nonfinite Breakdown on an infinite or NaN max
+    tiny = mpf_pow_int(_TEN, 5 - precision, prec, _RND)
+    thresholds = [mpf_mul(tiny, row[_argmax(row)], prec, _RND) for row in rows]
     a = [list(row) for row in matrix]
     steps = []  # per column: its pivot row and the (row, multiplier) pairs of its updates
     for col in range(d):
         sizes = [mpf_abs(a[row][col], prec, _RND) for row in range(col, d)]
         pivot_row = col + _argmax(sizes)
-        if mpf_le(sizes[pivot_row - col], threshold):
+        if mpf_le(sizes[pivot_row - col], thresholds[pivot_row]):
             raise Breakdown(Breakdown.SINGULAR_MATRIX, f"pivot below threshold in column {col}")
         a[col], a[pivot_row] = a[pivot_row], a[col]
+        thresholds[col], thresholds[pivot_row] = thresholds[pivot_row], thresholds[col]
         inv = mpf_rdiv_int(1, a[col][col], prec, _RND)
         pivot, updates = a[col][col + 1:], []
         for row in range(col + 1, d):

@@ -6,8 +6,8 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_rational, fzero, mpf_mul_int,
-                          round_nearest)
+from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_rational, fzero, mpf_mul,
+                          mpf_mul_int, round_nearest)
 from comparison_set import DenseSystem
 from reference_lu import reference_lu_solve
 from test_expr import _assert_threads_match_serial
@@ -103,6 +103,17 @@ def test_solve_needs_pivoting():
     assert [float(v) for v in x] == [9.0, 5.0]
 
 
+def test_solve_tests_each_pivot_against_its_own_row():
+    """A pivot is tiny against the largest |entry| of its row, not of the
+    matrix: rows 10^30 apart in scale are as regular as they are each, and
+    a row that cancels to its rounding is still singular."""
+    x = solve_linear([[10**30, 0], [0, 3]], [10**30, 6], 30)
+    assert [float(v) for v in x] == [1.0, 2.0]
+    with pytest.raises(Breakdown) as err:
+        solve_linear([[10**30, 10**30], [1, 1 + mp.mpf(10) ** -45]], [1, 1], 30)
+    assert str(err.value) == "pivot below threshold in column 1"
+
+
 def _lu_case(rng, shape, prec):
     """A seeded d x d system (d from 1 to 6) of raw entries at ``prec`` bits."""
     d = rng.randint(1, 6)
@@ -119,6 +130,10 @@ def _lu_case(rng, shape, prec):
 
     a = [[entry() for _ in range(d)] for _ in range(d)]
     b = [entry() for _ in range(d)]
+    if shape == "scaled":  # rows 10^-60..10^60 apart: regular to the pivot test of each row
+        a = [[mpf_mul(v, scale, prec, round_nearest) for v in row]
+             for row, scale in ((row, from_rational(10 ** rng.randint(0, 120), 10 ** 60, prec,
+                                                    round_nearest)) for row in a)]
     if shape == "singular" and d > 1:  # one row a multiple of another: exactly singular
         i, j = rng.sample(range(d), 2)
         k = rng.choice((1, -1, 2, -2))
@@ -134,7 +149,8 @@ def _lu_outcome(solve):
 
 
 @pytest.mark.parametrize("precision", [30, 60, 1000])
-@pytest.mark.parametrize("shape", ["dense", "singular", "special", "ties", "zero_factor"])
+@pytest.mark.parametrize("shape", ["dense", "scaled", "singular", "special", "ties",
+                                   "zero_factor"])
 def test_raw_lu_matches_mpf_reference_bitwise(shape, precision):
     """The raw LU gives the bits, or the Breakdown kind and message, of the same
     LU on mpf operators under mp.workdps; the raw one runs outside it."""
@@ -453,6 +469,31 @@ def test_a_double_root_keeps_the_unscheduled_run(monkeypatch, root, kind):
     assert len(set(reduced)) == 1 and AT_P < 4 * reduced[0] < 4 * AT_P
     assert jacobians[0] == ESTIMATE
     assert set(jacobians[1 + nodes:]) == {AT_P}
+
+
+@pytest.mark.parametrize("kind", ["newton", "trapezoidal", "simpson"])
+def test_a_badly_scaled_jacobian_keeps_its_schedule(monkeypatch, kind):
+    """[10^30 (x - 1) + (x - 1)^3, (y - 2) + (y - 2)^3] from (1.5, 2.5): the
+    Jacobian's rows are 10^30 apart, which no pivot test of a row against
+    the other's scale would pass at the estimate's 30 digits or a reduced
+    pass's few dozen.  Tested each against its own row, the passes before
+    the last run below p at rising precisions, and the run ends as the
+    unscheduled run does, within 10^-p."""
+    def residual(p):
+        return [mp.mpf(10) ** 30 * (p[0] - 1) + (p[0] - 1) ** 3, (p[1] - 2) + (p[1] - 2) ** 3]
+
+    def jacobian(p):
+        return [[mp.mpf(10) ** 30 + 3 * (p[0] - 1) ** 2, 0], [0, 1 + 3 * (p[1] - 2) ** 2]]
+
+    func, x0, log = VectorFunction(2, residual, jacobian), ["1.5", "2.5"], []
+    run = nd_iterate(_recording(func, log), x0, kind=kind, precision=P)
+    assert run.termination == Termination(CONVERGED, "residual")
+    jacobians = [dps for what, dps in log if what == "J"]
+    assert jacobians[0] == ESTIMATE and jacobians.count(ESTIMATE) == 1
+    reduced = [dps for dps in jacobians[1:] if dps < AT_P]
+    assert jacobians[1:1 + len(reduced)] == reduced == sorted(reduced)
+    assert len(set(reduced)) >= 3 and jacobians[-1] == AT_P
+    _assert_within_the_bound(run, _unscheduled(monkeypatch, func, x0, kind=kind, precision=P), P)
 
 
 def test_a_reduced_pass_that_breaks_down_is_redone_at_p(monkeypatch):
