@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
@@ -50,11 +51,18 @@ _CALLBACK_LOCK = threading.RLock()
 
 @dataclass(frozen=True)
 class VectorFunction:
-    """Residual and Jacobian evaluators for a map R^d -> R^d."""
+    """Residual and Jacobian evaluators for a map R^d -> R^d; d, the
+    ``dimension``, is an integer (a numpy one too, but not a bool) of at
+    least 1."""
 
     dimension: int
     residual: Callable[[Sequence], Sequence]
     jacobian: Callable[[Sequence], Sequence]
+
+    def __post_init__(self):
+        d = self.dimension
+        if not isinstance(d, Integral) or isinstance(d, bool) or d < 1:
+            raise ValueError(f"dimension must be an integer of at least 1, got {d!r}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,9 @@ class VectorTrajectory:
         return self.iterates[-1]
 
 
-def _as_vector(values, d, prec) -> list:
+def _as_vector(values, d, prec, name="the residual") -> list:
+    if isinstance(values, (str, bytes)):  # its characters are no vector
+        raise ValueError(f"{name} must be a sequence of numbers, not {type(values).__name__}")
     out = [as_mpf(v, prec)._mpf_ for v in values]
     if len(out) != d:
         raise ValueError(f"expected a vector of length {d}, got {len(out)}")
@@ -155,7 +165,7 @@ def solve_linear(matrix, rhs, precision: int) -> list[BigReal]:
     """Solve a dense square system; raises Breakdown if singular or not finite.
     It never reads or sets mpmath's context, so threads may call it at once."""
     prec = working_prec(precision)
-    a, b = _as_matrix(matrix, len(rhs), prec), _as_vector(rhs, len(rhs), prec)
+    a, b = _as_matrix(matrix, len(rhs), prec), _as_vector(rhs, len(rhs), prec, "rhs")
     x = _lu(a, precision)(b)
     _finite(_max_norm(x, prec))
     return _big_reals(x, precision)
@@ -290,7 +300,7 @@ def nd_step(kind: str, func: VectorFunction, x, precision: int) -> list[BigReal]
     Every ladder node must stay inside 10^6 (1 + max |x_i|)
     (``solver._default_bound``), else the ``diverged`` Breakdown."""
     level, prec = _level(kind), working_prec(precision)
-    point = _as_vector(x, func.dimension, prec)
+    point = _as_vector(x, func.dimension, prec, "x")
     _check_finite("x", point)
     step = _vector_map(func, level, precision, _default_bound(_max_norm(point, prec), prec))
     y, _ = step(point, _call(func.residual, _as_vector, func.dimension, precision, point))
@@ -322,7 +332,7 @@ def nd_iterate(
     stop at the level whose correction has settled."""
     level = _level(kind)
     prec = working_prec(precision)
-    x = _as_vector(x0, func.dimension, prec)
+    x = _as_vector(x0, func.dimension, prec, "x0")
     rules = _stop_rules(precision, prec, x, max_iter, step_tol, residual_tol, divergence_bound)
     points, _, termination = _outer_loop(
         x, *_residual_and_step(func, level, precision, max_iter, rules[2]),

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -593,6 +594,37 @@ def test_nd_iterate_rejects_empty_budget(max_iter):
     demo = demo_system("circle-line")
     with pytest.raises(ValueError, match="max_iter"):
         nd_iterate(demo.function, demo.x0, precision=40, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3", None])
+def test_nd_iterate_max_iter_must_be_an_int(max_iter):
+    # as ScalarProblem's: 2.5 used to fail in range() and "3" in a comparison,
+    # and True ran as 1
+    demo = demo_system("circle-line")
+    with pytest.raises(ValueError, match=re.escape(f"max_iter must be an integer, got {max_iter!r}")):
+        nd_iterate(demo.function, demo.x0, precision=40, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("dimension", [True, False, 0, -1, 2.0, "2", None])
+def test_vector_function_dimension_must_be_a_positive_int(dimension):
+    # True used to run as d = 1, and -1 failed later as a vector of length -1
+    demo = demo_system("circle-line").function
+    with pytest.raises(ValueError,
+                       match=re.escape(f"dimension must be an integer of at least 1, got {dimension!r}")):
+        VectorFunction(dimension, demo.residual, demo.jacobian)
+
+
+@pytest.mark.parametrize("x0", ["12", b"12"])
+def test_a_string_is_no_start_point(x0):
+    """A str was taken one character at a time: "12" solved from (1, 2)."""
+    demo = demo_system("circle-line").function
+    name = type(x0).__name__
+    with pytest.raises(ValueError, match=f"^x0 must be a sequence of numbers, not {name}$"):
+        nd_iterate(demo, x0, precision=40)
+    with pytest.raises(ValueError, match=f"^x must be a sequence of numbers, not {name}$"):
+        nd_step("newton", demo, x0, 40)
+    with pytest.raises(ValueError, match=f"^rhs must be a sequence of numbers, not {name}$"):
+        solve_linear([[1, 0], [0, 1]], x0, 40)
 
 
 @pytest.mark.parametrize("name", ["step_tol", "residual_tol", "divergence_bound"])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from collections import Counter
 from dataclasses import replace
@@ -674,6 +675,15 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         ScalarProblem(f, bigreal(1, 40), precision=40,
                       divergence_bound=bigreal("0.5", 40))
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3", None])
+def test_max_iter_must_be_an_int(max_iter):
+    """A budget that is not an int (a bool is none) fails where the problem is
+    built, naming max_iter: 2.5 used to fail in range() and "3" in a
+    comparison, and True ran as 1."""
+    with pytest.raises(ValueError, match=re.escape(f"max_iter must be an integer, got {max_iter!r}")):
+        ScalarProblem(parse("x^2-2"), bigreal(1, 30), precision=30, max_iter=max_iter)
 
 
 def test_problem_rejects_low_precision():
