@@ -13,13 +13,13 @@ use, planned by the scalar solver's planner from the max norm of the Newton
 correction: solved at 30 digits at the start point, and at a reduced pass's
 result from the LU factors of that pass's own Newton solve.  A reduced pass
 runs its ladder, Jacobians and LU solves at its own precision, and the
-passes at full precision stop each ladder at the level that has settled.  The user's callbacks alone run
-inside ``mp.workdps``, at the precision of the pass or estimate that calls
-them: they receive lists of mpf and may read mpmath's precision, and their
-results are rounded to raw tuples there.  One lock serializes the callbacks
-of all threads, so concurrent vector solves keep their bits; the ladders and
-LU solves run unlocked.  ``solve_linear`` never reads or sets mpmath's
-context.
+passes at full precision stop each ladder at the level that has settled.
+The user's callbacks alone run inside ``mp.workdps``, at the precision of
+the pass or estimate that calls them: they receive lists of mpf and may
+read mpmath's precision, and their results are rounded to raw tuples
+there.  One lock serializes the callbacks of all threads, so concurrent
+vector solves keep their bits; the ladders and LU solves run unlocked.
+``solve_linear`` never reads or sets mpmath's context.
 """
 
 from __future__ import annotations
@@ -221,11 +221,13 @@ def _vector_map(func: VectorFunction, n: int, precision: int, bound, stop=False)
     jacobian = partial(_call, func.jacobian, _as_matrix, d, precision)
 
     def step(x, fx):
-        factors = []  # level 0's, of J(x), first
+        factors = []  # level 0's, of J(x), alone
 
         def solve(b, c, f):
-            factors.append(_lu(b, precision))
-            return factors[-1](points[2](c, f))
+            substitute = _lu(b, precision)
+            if not factors:
+                factors.append(substitute)
+            return substitute(points[2](c, f))
 
         y = _ladder_full(n, x, lambda p: (fx, jacobian(p)), jacobian, weighted_sum, solve,
                          points, SEED_TRAPEZOID, lambda p: mpf_gt(norm(p), bound), settles)
@@ -267,11 +269,12 @@ def _residual_and_step(func: VectorFunction, n: int, precision: int, max_iter: i
         return last[1]
 
     def digits(x):
-        nonlocal last
+        nonlocal last, kept
         fx = residual(x)
         if last[2] is None:
             if x is kept[0]:
                 work, substitute = kept[1:]
+                kept = (None, None, None)  # used once: the estimate is kept in last
             else:
                 work = _ESTIMATE
                 substitute = _lu(_call(func.jacobian, _as_matrix, d, work, _rounded(x, work)), work)

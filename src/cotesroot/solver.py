@@ -423,10 +423,11 @@ def _default_bound(size, prec: int):
 def _stop_rules(precision, prec, x0, max_iter, step_tol, residual_tol, divergence_bound):
     """The outer loop's step and residual tolerances and divergence bound, raw.
 
-    ``x0`` holds the start point's coordinates as raw mpfs; ``max_iter`` must be
-    an integer (a numpy one too, but not a bool) of at least 1.  Unset values default to 10^(10 - precision) for both
-    tolerances and ``_default_bound`` of max |x0_i| for the bound, computed
-    and converted at ``prec`` bits, the working precision of ``precision``.
+    ``x0`` holds the start point's coordinates as raw mpfs; ``max_iter`` must
+    be an integer (a numpy one too, but not a bool) of at least 1.  Unset
+    values default to 10^(10 - precision) for both tolerances and
+    ``_default_bound`` of max |x0_i| for the bound, computed and converted at
+    ``prec`` bits, the working precision of ``precision``.
     """
     if not isinstance(max_iter, Integral) or isinstance(max_iter, bool):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")

@@ -601,7 +601,8 @@ def test_nd_iterate_max_iter_must_be_an_int(max_iter):
     # as ScalarProblem's: 2.5 used to fail in range() and "3" in a comparison,
     # and True ran as 1
     demo = demo_system("circle-line")
-    with pytest.raises(ValueError, match=re.escape(f"max_iter must be an integer, got {max_iter!r}")):
+    message = f"max_iter must be an integer, got {max_iter!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         nd_iterate(demo.function, demo.x0, precision=40, max_iter=max_iter)
 
 
@@ -609,8 +610,8 @@ def test_nd_iterate_max_iter_must_be_an_int(max_iter):
 def test_vector_function_dimension_must_be_a_positive_int(dimension):
     # True used to run as d = 1, and -1 failed later as a vector of length -1
     demo = demo_system("circle-line").function
-    with pytest.raises(ValueError,
-                       match=re.escape(f"dimension must be an integer of at least 1, got {dimension!r}")):
+    message = f"dimension must be an integer of at least 1, got {dimension!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         VectorFunction(dimension, demo.residual, demo.jacobian)
 
 

@@ -682,7 +682,8 @@ def test_max_iter_must_be_an_int(max_iter):
     """A budget that is not an int (a bool is none) fails where the problem is
     built, naming max_iter: 2.5 used to fail in range() and "3" in a
     comparison, and True ran as 1."""
-    with pytest.raises(ValueError, match=re.escape(f"max_iter must be an integer, got {max_iter!r}")):
+    message = f"max_iter must be an integer, got {max_iter!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         ScalarProblem(parse("x^2-2"), bigreal(1, 30), precision=30, max_iter=max_iter)
 
 
