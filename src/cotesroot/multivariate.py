@@ -197,10 +197,10 @@ def _rounded(vec, precision) -> list:
 
 
 def _vector_map(func: VectorFunction, n: int, precision: int, bound, stop=False):
-    """The ladder's level-n step (x, F(x)) -> (y, the substitution of J(x)'s LU)
-    on raw points at the working precision of ``precision``, the Jacobians
-    and LU solves included; every node must stay inside the raw ``bound`` in
-    the max norm.
+    """The ladder's level-n step (x, F(x)) -> y on raw points at the working
+    precision of ``precision``, the Jacobians and LU solves included; every
+    node must stay inside the raw ``bound`` in the max norm.  Given a list
+    ``factors``, the step appends the substitution of level 0's LU, of J(x).
 
     The scalar point operations and weighted slope sum apply entry by entry.
     With ``stop`` the ladder ends at the level whose correction has settled,
@@ -220,18 +220,15 @@ def _vector_map(func: VectorFunction, n: int, precision: int, bound, stop=False)
 
     jacobian = partial(_call, func.jacobian, _as_matrix, d, precision)
 
-    def step(x, fx):
-        factors = []  # level 0's, of J(x), alone
-
+    def step(x, fx, factors=None):
         def solve(b, c, f):
             substitute = _lu(b, precision)
-            if not factors:
+            if factors == []:  # level 0's, the first
                 factors.append(substitute)
             return substitute(points[2](c, f))
 
-        y = _ladder_full(n, x, lambda p: (fx, jacobian(p)), jacobian, weighted_sum, solve,
-                         points, SEED_TRAPEZOID, lambda p: mpf_gt(norm(p), bound), settles)
-        return y, factors[0]
+        return _ladder_full(n, x, lambda p: (fx, jacobian(p)), jacobian, weighted_sum, solve,
+                            points, SEED_TRAPEZOID, lambda p: mpf_gt(norm(p), bound), settles)
 
     return step
 
@@ -284,15 +281,16 @@ def _residual_and_step(func: VectorFunction, n: int, precision: int, max_iter: i
 
     def reduced(x, fx, work):
         nonlocal kept
-        y, substitute = _vector_map(func, n, work, bound)(_rounded(x, work), _rounded(fx, work))
-        kept = y, work, substitute
+        factors = []
+        y = _vector_map(func, n, work, bound)(_rounded(x, work), _rounded(fx, work), factors)
+        kept = y, work, factors[0]
         return y
 
     attempt = _planner(precision, max_iter, n + 2, reduced, digits,
                        partial(_max_norm, prec=working_prec(precision)), bound)
 
     def step(x, fx):
-        return (attempt(x, fx) if scheduled else None) or full(x, fx)[0]
+        return (attempt(x, fx) if scheduled else None) or full(x, fx)
 
     return residual, step
 
@@ -306,7 +304,7 @@ def nd_step(kind: str, func: VectorFunction, x, precision: int) -> list[BigReal]
     point = _as_vector(x, func.dimension, prec, "x")
     _check_finite("x", point)
     step = _vector_map(func, level, precision, _default_bound(_max_norm(point, prec), prec))
-    y, _ = step(point, _call(func.residual, _as_vector, func.dimension, precision, point))
+    y = step(point, _call(func.residual, _as_vector, func.dimension, precision, point))
     _finite(_max_norm(y, prec))
     return _big_reals(y, precision)
 
