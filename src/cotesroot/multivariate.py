@@ -223,7 +223,7 @@ def _vector_map(func: VectorFunction, n: int, precision: int, bound, stop=False)
     def step(x, fx, factors=None):
         def solve(b, c, f):
             substitute = _lu(b, precision)
-            if factors == []:  # level 0's, the first
+            if factors == []:  # the first solve is level 0's
                 factors.append(substitute)
             return substitute(points[2](c, f))
 
