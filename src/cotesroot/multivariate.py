@@ -9,11 +9,15 @@ the division; the trapezoidal step is the variant of Weerakoon & Fernando
 precision, lifting the scalar map's point operations and weighted slope sum
 entry by entry, so for d = 1 a step equals the scalar map bit for bit.  From
 600 digits ``nd_iterate`` runs each pass at the precision its iterate can
-use, planned by the scalar solver's planner from the max norm of the Newton
-correction: solved at 30 digits at the start point, and at a reduced pass's
-result from the LU factors of that pass's own Newton solve.  A reduced pass
-runs its ladder, Jacobians and LU solves at its own precision, and the
-passes at full precision stop each ladder at the level that has settled.
+use.  The scalar solver's planner owns the passes, the residual at full
+precision taken once per iterate and the estimate carried from a reduced
+pass into the next plan included; this module gives it pieces that keep no
+state: the residual, the estimate from the max norm of the Newton
+correction (solved at 30 digits at the start point, and at a reduced
+pass's result from the LU factors that pass returns with it) and the
+reduced and full passes.  A reduced pass runs its ladder, Jacobians and LU
+solves at its own precision, and the passes at full precision stop each
+ladder at the level that has settled.
 The user's callbacks alone run inside ``mp.workdps``, at the precision of
 the pass or estimate that calls them: they receive lists of mpf and may
 read mpmath's precision, and their results are rounded to raw tuples
@@ -25,6 +29,7 @@ vector solves keep their bits; the ladders and LU solves run unlocked.
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral
@@ -83,17 +88,29 @@ class VectorTrajectory:
         return self.iterates[-1]
 
 
+def _entries(values, name, kind="numbers"):
+    """iter(values), or a ValueError naming ``name`` where values is a str,
+    bytes, set or mapping, whose characters, order or keys are no vector,
+    or is not iterable.  A list or tuple skips the slower abstract tests."""
+    if isinstance(values, (list, tuple)) or not isinstance(values, (str, bytes, Set, Mapping)):
+        try:
+            return iter(values)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a sequence of {kind}, not {type(values).__name__}")
+
+
 def _as_vector(values, d, prec, name="the residual") -> list:
-    if isinstance(values, (str, bytes)):  # its characters are no vector
-        raise ValueError(f"{name} must be a sequence of numbers, not {type(values).__name__}")
-    out = [as_mpf(v, prec)._mpf_ for v in values]
-    if len(out) != d:
+    """``values`` as raw mpfs at ``prec`` bits, of length d unless d is None."""
+    out = [as_mpf(v, prec)._mpf_ for v in _entries(values, name)]
+    if d is not None and len(out) != d:
         raise ValueError(f"expected a vector of length {d}, got {len(out)}")
     return out
 
 
-def _as_matrix(rows, d, prec) -> list[list]:
-    out = [[as_mpf(v, prec)._mpf_ for v in row] for row in rows]
+def _as_matrix(rows, d, prec, name="the Jacobian") -> list[list]:
+    out = [[as_mpf(v, prec)._mpf_ for v in _entries(row, f"each row of {name}")]
+           for row in _entries(rows, name, "rows")]
     if len(out) != d or any(len(row) != d for row in out):
         raise ValueError(f"expected a {d}x{d} matrix")
     return out
@@ -165,7 +182,8 @@ def solve_linear(matrix, rhs, precision: int) -> list[BigReal]:
     """Solve a dense square system; raises Breakdown if singular or not finite.
     It never reads or sets mpmath's context, so threads may call it at once."""
     prec = working_prec(precision)
-    a, b = _as_matrix(matrix, len(rhs), prec), _as_vector(rhs, len(rhs), prec, "rhs")
+    b = _as_vector(rhs, None, prec, "rhs")
+    a = _as_matrix(matrix, len(b), prec, "matrix")
     x = _lu(a, precision)(b)
     _finite(_max_norm(x, prec))
     return _big_reals(x, precision)
@@ -234,65 +252,46 @@ def _vector_map(func: VectorFunction, n: int, precision: int, bound, stop=False)
 
 
 def _residual_and_step(func: VectorFunction, n: int, precision: int, max_iter: int, bound):
-    """``nd_iterate``'s residual x -> F(x) at p and its level-n step (x, F(x)) -> y,
-    each pass at the precision its iterate can use.
+    """``nd_iterate``'s residual x -> F(x) at p and its level-n step x -> y from
+    ``solver._planner``: each pass at the precision its iterate can use.
 
-    From _SCHEDULE_FROM digits the passes follow ``solver._planner``, as
-    ``iterate``'s do, at the nominal order n + 2.  The digit estimate at x
-    is -log10 ||u||, u the Newton correction from F(x) at p.  At a reduced
-    pass's result x_k, u = J(x_{k-1})^-1 F(x_k) takes the LU factors of the
-    pass's own level-0 solve, at its precision W, and F(x_k) rounded to W:
-    J(x_{k-1}) = J(x_k)(1 + O(10^-s)), so the logarithm moves by far less
-    than the planner's guard, at no Jacobian callback or factorization.
-    Elsewhere (x0) u is solved from the Jacobian at _ESTIMATE digits and
-    F(x) rounded there.  F(x) at p is taken once per iterate and kept with
-    its point and its estimate, which the outer loop's residual, the
-    estimate and a pass from that point share.  A reduced pass runs the
-    ladder, the Jacobian callbacks and the LU solves at its own precision,
-    from x and F(x) rounded to it; the passes at p stop each ladder at the
-    level whose correction has settled, in the max norm.  Below
-    _SCHEDULE_FROM digits every pass is ``nd_step``'s.
+    From _SCHEDULE_FROM digits the passes follow the plan, as ``iterate``'s
+    do, at the nominal order n + 2.  The evaluation at p is (F(x),), and the
+    digit estimate at x is -log10 ||u||, u the Newton correction from F(x).
+    At a reduced pass's result x_k, u = J(x_{k-1})^-1 F(x_k) takes the
+    factors that pass returns, the LU of its own level-0 solve and its
+    precision W, and F(x_k) rounded to W: J(x_{k-1}) = J(x_k)(1 + O(10^-s)),
+    so the logarithm moves by far less than the planner's guard, at no
+    Jacobian callback or factorization.  At x0 there are no such factors,
+    and u is solved from the Jacobian at _ESTIMATE digits and F(x) rounded
+    there.  A reduced pass runs the ladder, the Jacobian callbacks and the
+    LU solves at its own precision, from x and F(x) rounded to it; the
+    passes at p stop each ladder at the level whose correction has settled,
+    in the max norm.  Below _SCHEDULE_FROM digits every pass is
+    ``nd_step``'s.
     """
     d = func.dimension
     scheduled = precision >= _SCHEDULE_FROM
     full = _vector_map(func, n, precision, bound, stop=scheduled)
-    last = (None, None, None)  # (raw x, F(x) at p, its digit estimate or None)
-    kept = (None, None, None)  # (a reduced pass's result, its precision, its level-0 LU)
 
-    def residual(x):
-        nonlocal last
-        if x != last[0]:
-            last = x, _call(func.residual, _as_vector, d, precision, x), None
-        return last[1]
+    def at_p(x):
+        return (_call(func.residual, _as_vector, d, precision, x),)
 
-    def digits(x):
-        nonlocal last, kept
-        fx = residual(x)
-        if last[2] is None:
-            if x is kept[0]:
-                work, substitute = kept[1:]
-                kept = (None, None, None)  # used once: the estimate is kept in last
-            else:
-                work = _ESTIMATE
-                substitute = _lu(_call(func.jacobian, _as_matrix, d, work, _rounded(x, work)), work)
-            u = substitute(_rounded(fx, work))
-            last = x, fx, -_log10_abs(_finite(_max_norm(u, working_prec(work))))
-        return last[2]
+    def estimate(x, evaluation, factors):
+        work, substitute = factors or (_ESTIMATE, _lu(_call(
+            func.jacobian, _as_matrix, d, _ESTIMATE, _rounded(x, _ESTIMATE)), _ESTIMATE))
+        u = substitute(_rounded(evaluation[0], work))
+        return -_log10_abs(_finite(_max_norm(u, working_prec(work))))
 
-    def reduced(x, fx, work):
-        nonlocal kept
+    def reduced(x, evaluation, work):
         factors = []
-        y = _vector_map(func, n, work, bound)(_rounded(x, work), _rounded(fx, work), factors)
-        kept = y, work, factors[0]
-        return y
+        y = _vector_map(func, n, work, bound)(_rounded(x, work), _rounded(evaluation[0], work),
+                                              factors)
+        return y, (work, factors[0])
 
-    attempt = _planner(precision, max_iter, n + 2, reduced, digits,
-                       partial(_max_norm, prec=working_prec(precision)), bound)
-
-    def step(x, fx):
-        return (attempt(x, fx) if scheduled else None) or full(x, fx)
-
-    return residual, step
+    return _planner(precision, max_iter, n + 2, scheduled, at_p, estimate, reduced,
+                    lambda x, evaluation: full(x, evaluation[0]),
+                    partial(_max_norm, prec=working_prec(precision)), bound)
 
 
 def nd_step(kind: str, func: VectorFunction, x, precision: int) -> list[BigReal]:
@@ -327,10 +326,12 @@ def nd_iterate(
     norm of the Newton correction from the residual the loop takes at the
     full precision.  At x0 it is solved at 30 digits, with the Jacobian at
     30 digits; at a reduced pass's result it takes the LU factors of that
-    pass's Newton solve, with no Jacobian call.  A reduced pass calls the
-    Jacobian at its own precision; the residual runs at the full precision
-    once per iterate, and the ladders of the passes at the full precision
-    stop at the level whose correction has settled."""
+    pass's Newton solve, with no Jacobian call, and is carried into the next
+    plan.  A reduced pass calls the Jacobian at its own precision; the
+    residual runs at the full precision once per iterate, in ``iterate``'s
+    planner, which the estimate and a pass from there share, and the ladders
+    of the passes at the full precision stop at the level whose correction
+    has settled."""
     level = _level(kind)
     prec = working_prec(precision)
     x = _as_vector(x0, func.dimension, prec, "x0")

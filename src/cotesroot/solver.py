@@ -12,7 +12,11 @@ seeding below, whose level 2 shares a node with level 1), or fewer where
 
 The same ladder, the same outer loop and the same precision planner run the
 vector steps of ``multivariate``: there the slopes are Jacobians, B_k is a
-matrix and the division by B_k is an LU solve.
+matrix and the division by B_k is an LU solve.  The planner (``_planner``)
+owns a run's passes: it evaluates each iterate at the full precision once,
+for the residual, the digit estimate and a pass from there, and carries an
+accepted reduced result's estimate into the next plan; ``iterate`` and
+``nd_iterate`` give it only pieces that keep no state.
 
 ``simpson_seed`` switches how the three-node level obtains its step: the
 default "trapezoid" wiring (h_2 from y_1) is the properly recursive ladder
@@ -288,12 +292,16 @@ def _settling(precision: int, prec: int, norm, sub):
     ``sub(u, v)`` is u - v.
 
     The later levels' corrections differ from u by less still, about 10^-10
-    of an ulp of y, so y_n has the bits of y_k.  The first bound keeps u's
-    own rounding, about 10^-(precision + 10) ||u||, below the second; without
-    it a ladder at a root at 0, where u is about x_b, stops where its
-    corrections agree to their last bit but y_n does not.  At a multiple
-    root the corrections of successive levels differ by a fixed fraction of
-    the error, so it does not end a ladder there before the roundoff floor.
+    of an ulp of y in the norm.  So with abs y_n has the bits of y_k; with
+    the max norm a component near the largest keeps its bits too, but one
+    far below it may move by about 10^-(precision + _SCHEDULE_GUARD) of the
+    largest: below an ulp of the largest, not of its own.  The first bound
+    keeps u's own rounding, about 10^-(precision + 10) ||u||, below the
+    second; without it a ladder at a root at 0, where u is about x_b, stops
+    where its corrections agree to their last bit but y_n does not.  At a
+    multiple root the corrections of successive levels differ by a fixed
+    fraction of the error, so it does not end a ladder there before the
+    roundoff floor.
     """
     small = mpf_pow_int(_TEN, -_SCHEDULE_GUARD, prec, _RND)
     settle = mpf_pow_int(_TEN, -precision - _SCHEDULE_GUARD, prec, _RND)
@@ -449,12 +457,13 @@ def _stop_rules(precision, prec, x0, max_iter, step_tol, residual_tol, divergenc
 
 
 def _outer_loop(x, residual, step, sub, norm, max_iter, step_tol, residual_tol, bound):
-    """Iterate x <- step(x, f(x)) until a stop rule fires; scalars and vectors alike.
+    """Iterate x <- step(x) until a stop rule fires; scalars and vectors alike.
 
     ``sub(p, q)`` is p - q, and ``norm`` a raw mpf, abs or the max norm, which
     a NaN anywhere must make NaN; the tolerances and the bound are raw.  Pass 0
     takes x0, which ``_stop_rules`` checked, each later pass one step from the
-    residual the previous pass took.  A small step converges only where the
+    iterate before it; ``_planner`` gives ``residual`` and ``step`` one
+    evaluation per iterate.  A small step converges only where the
     residual norm is at most its value at x0: a map on F = -f/f' also has
     small steps near a pole of f.  Returns the (iterate, residual or None)
     pairs, the steps and the termination.  Any Breakdown ends the run, keeping
@@ -464,11 +473,11 @@ def _outer_loop(x, residual, step, sub, norm, max_iter, step_tol, residual_tol, 
     a step whose ladder left the bound (the ``diverged`` Breakdown) ends it
     diverged at the last iterate.
     """
-    points, steps, fx = [], [], None
+    points, steps = [], []
     try:
         for _ in range(max_iter + 1):
             if points:
-                xn = step(x, fx)
+                xn = step(x)
                 steps.append(sub(xn, x))
                 x = xn
             points.append((x, None))
@@ -525,8 +534,10 @@ def _significant_digits(x, z, precision) -> float:
     return float(precision) if err == fzero else -_log10_abs(err)
 
 
-def _planner(precision: int, max_iter: int, q: int, reduced, digits, norm, bound):
-    """The precision plan of a run's passes, one for ``iterate`` and ``nd_iterate``.
+def _planner(precision: int, max_iter: int, q: int, scheduled: bool, at_p, estimate, reduced,
+             full, norm, bound):
+    """A run's residual and step, one for ``iterate`` and ``nd_iterate``: each
+    pass at the precision its iterate can use.
 
     Pass k maps x_{k-1}, with about s correct digits, to x_k with about q·s,
     q the nominal order, so it needs only P = q·s + _SCHEDULE_GUARD digits of
@@ -535,29 +546,45 @@ def _planner(precision: int, max_iter: int, q: int, reduced, digits, norm, bound
     where 4·P is at most p.  Above p/4 it is P only where P < p and the passes
     left can finish the run at the nominal order, q·s·q^(max_iter - k) >= p;
     a run that ends at ``max_iter`` before it converges then runs those
-    passes at p.  One estimate, ``digits``, both plans a pass and judges its
-    result: a reduced pass is redone at p when it breaks down, when the
-    estimate at x_k breaks down, or when x_k is as accurate as P digits
-    allow, an estimate of at least P - 10 - log10 max(1, ||x_k||): the
-    nominal order is a lower bound, and a pass that gains more is cut short
-    by P, not by the map.  This also catches a pass that stalls at its own
-    rounding.  A pass planned above p/4 is also redone at p when x_k falls
-    short of its plan, an estimate below q·s - _SCHEDULE_GUARD, as at a
-    multiple root, where the gain is linear.  A reduced x_k outside the raw
-    ``bound`` in the raw ``norm`` is kept as it is, with no estimate there,
-    and the outer loop ends the run diverged.  The pass that reaches
-    ``max_iter`` runs at p, and so does every pass after one that ran at p.
+    passes at p.  One estimate both plans a pass and judges its result: a
+    reduced pass is redone at p when it breaks down, when the estimate at
+    x_k breaks down, or when x_k is as accurate as P digits allow, an
+    estimate of at least P - 10 - log10 max(1, ||x_k||): the nominal order is
+    a lower bound, and a pass that gains more is cut short by P, not by the
+    map.  This also catches a pass that stalls at its own rounding.  A pass
+    planned above p/4 is also redone at p when x_k falls short of its plan,
+    an estimate below q·s - _SCHEDULE_GUARD, as at a multiple root, where
+    the gain is linear.  A reduced x_k outside the raw ``bound`` in the raw
+    ``norm`` is kept as it is, with no estimate there, and the outer loop
+    ends the run diverged.  The pass that reaches ``max_iter`` runs at p, and
+    so does every pass after one that ran at p.  Unless ``scheduled``, every
+    pass runs at p and nothing is estimated.
 
-    The caller gives ``reduced(x, fx, work)``, the pass from x, whose residual
-    at p is fx, at ``work`` digits, and ``digits(y)``, the estimate of y's
-    correct digits, -log10 of its Newton correction's norm, which may raise
-    Breakdown.  Returns attempt(x, fx): x's next iterate from a pass at its
-    plan, or None where the pass runs at p, which the caller's full step
-    then runs.  The caller's passes at p stop each ladder at the level that
-    has settled (``_settling``).
+    The caller gives the pieces, which keep no state.  ``at_p(x)`` is x's
+    evaluation at p, a tuple whose first entry is the residual there.  It is
+    taken once per point and kept with it in the run's one-entry cache,
+    which the residual, the estimate and a pass from that point read.
+    ``estimate(x, evaluation, factors)`` is the estimate of x's correct
+    digits, -log10 of its Newton correction's norm, which may raise
+    Breakdown; ``factors`` is None at a start point and at a reduced pass's
+    result what that pass returned with it.  ``reduced(x, evaluation, work)``
+    is the pass from x at ``work`` digits, (x_k, factors), and
+    ``full(x, evaluation)`` the pass at p, which stops each ladder at the
+    level that has settled (``_settling``).  An accepted result's estimate
+    is carried into the next plan, since the next pass starts there, and a
+    redone pass takes the evaluation at its own start.  Returns residual(x)
+    and step(x) for ``_outer_loop``.
     """
     passes = count(1)
-    planning = True
+    planning = scheduled
+    last = (None, None)  # (raw x, its evaluation at p)
+    carried = None  # the last reduced result's estimate: the next plan's, if it was accepted
+
+    def evaluation(x):
+        nonlocal last
+        if x != last[0]:
+            last = x, at_p(x)
+        return last[1]
 
     def plan(k, s):
         work = math.ceil(q * s) + _SCHEDULE_GUARD
@@ -569,39 +596,40 @@ def _planner(precision: int, max_iter: int, q: int, reduced, digits, norm, bound
                     >= math.log(precision))
         return work if work < precision and finishes else precision
 
-    def attempt(x, fx):
-        nonlocal planning
-        k = next(passes)
+    def step(x):
+        nonlocal planning, carried
+        start, k = evaluation(x), next(passes)
         if planning and k < max_iter:
             try:
-                s = max(digits(x), 0.0)
-                work = plan(k, s)
+                s = max(estimate(x, start, None) if carried is None else carried, 0.0)
+                carried, work = None, plan(k, s)
                 if work < precision:
-                    xn = reduced(x, fx, work)
+                    xn, factors = reduced(x, start, work)
                     size = norm(xn)
                     if mpf_gt(size, bound):
                         return xn
-                    gained = digits(xn)
-                    if gained < work - 10 - max(_log10_abs(size), 0.0) and (
-                            4 * work <= precision or gained >= q * s - _SCHEDULE_GUARD):
+                    carried = estimate(xn, evaluation(xn), factors)
+                    if carried < work - 10 - max(_log10_abs(size), 0.0) and (
+                            4 * work <= precision or carried >= q * s - _SCHEDULE_GUARD):
                         return xn
             except Breakdown:
                 pass
         planning = False
-        return None
+        return full(x, start)
 
-    return attempt
+    return lambda x: evaluation(x)[0], step
 
 
 def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int, bound):
-    """``iterate``'s residual and step: each pass at the precision its iterate can use.
+    """``iterate``'s residual and step from ``_planner``: each pass at the
+    precision its iterate can use.
 
-    From _SCHEDULE_FROM digits on plain maps the passes follow ``_planner``,
-    with the estimate s = log10|f'| - log10|f| from the residual's base jet
-    at p, which does not cancel near a simple root.  Always at p: every pass
-    below _SCHEDULE_FROM digits and every pass of a "+F" map (F = -f/f'
-    cancels near a multiple root).  Residuals, stop rules and reported
-    iterates stay at p.
+    From _SCHEDULE_FROM digits on plain maps the passes follow the plan,
+    with the estimate s = log10|f'| - log10|f| from the base jet at p, which
+    does not cancel near a simple root.  Always at p: every pass below
+    _SCHEDULE_FROM digits and every pass of a "+F" map (F = -f/f' cancels
+    near a multiple root).  Residuals, stop rules and reported iterates stay
+    at p.
 
     Where the schedule runs, each ladder of a pass at p also stops at the
     level whose correction has settled (``_method_map``'s ``stop``), with
@@ -609,45 +637,35 @@ def _residual_and_step(m: MethodId, f: Expression, precision: int, max_iter: int
     digits needs only the levels whose order brings s past p.  Reduced
     passes run whole ladders: each is planned to gain the map's full order.
 
-    The residual is the f of the base jet at p (order 0 has the same bits),
-    kept with its point, which the estimate reads and a pass at p from that
-    point reuses, a redone one too; it is f alone only where that jet breaks
-    down (abs at 0), and then the estimate and the step do too.
+    The evaluation at p is the base jet, whose f is the residual (order 0
+    has the same bits), which the estimate reads and a pass at p from that
+    point reuses, a redone one too; it is (f,) alone only where that jet
+    breaks down (abs at 0), and then the estimate and the step do too.
     """
     prec = working_prec(precision)
     scheduled = precision >= _SCHEDULE_FROM and not m.transform
     full = _method_map(m, f, precision, prec, bound, stop=scheduled)
     order = 2 if m.transform else 1  # of the base jet: F' needs f''
-    last = (None, None, None)  # (raw x, f at p there, base jet there or None)
 
-    def residual(x):
-        nonlocal last
-        if x != last[0]:
-            try:
-                jet = _eval(f, x, order, prec)
-            except Breakdown:
-                jet = None
-            last = x, _eval(f, x, 0, prec) if jet is None else jet[0], jet
-        return last[1]
+    def at_p(x):
+        try:
+            return _eval(f, x, order, prec)
+        except Breakdown:
+            pass
+        return (_eval(f, x, 0, prec),)
 
-    def digits(x):
-        residual(x)
-        if last[2] is None or last[2][1] == fzero:
+    def estimate(_x, jet, _factors):
+        if len(jet) < 2 or jet[1] == fzero:
             raise Breakdown(Breakdown.ZERO_DERIVATIVE, "no f' at the digit estimate")
-        return _log10_abs(last[2][1]) - _log10_abs(last[2][0])
+        return _log10_abs(jet[1]) - _log10_abs(jet[0])
 
-    def reduced(x, _fx, work):
+    def reduced(x, _jet, work):
         low = working_prec(work)
-        return _method_map(m, f, work, low, bound)(mpf_pos(x, low, _RND))
+        return _method_map(m, f, work, low, bound)(mpf_pos(x, low, _RND)), None
 
-    attempt = _planner(precision, max_iter, _nominal_order(m), reduced, digits,
-                       lambda v: mpf_abs(v, prec, _RND), bound)
-
-    def step(x, fx):
-        jet = last[2] if x == last[0] else None  # the estimate may move the cache
-        return (attempt(x, fx) if scheduled else None) or full(x, jet)
-
-    return residual, step
+    return _planner(precision, max_iter, _nominal_order(m), scheduled, at_p, estimate, reduced,
+                    lambda x, jet: full(x, jet if len(jet) > 1 else None),
+                    lambda v: mpf_abs(v, prec, _RND), bound)
 
 
 def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
@@ -657,13 +675,15 @@ def iterate(problem: ScalarProblem, m: MethodId) -> Trajectory:
     From 600 digits up on plain maps, each pass before the last runs at the
     precision its iterate's digit estimate plans for it, where that is below
     the full precision and, for a plan above a quarter of it, where the
-    passes left can still reach it and the result meets its plan.  The
-    estimate reads the base jet that the residual takes at the full
-    precision, and the first pass at that precision reuses the jet; the
-    ladders of the passes at the full precision stop at the level whose
-    correction has settled, with the whole ladder's bits
-    (``_residual_and_step``).  No pass reads or sets mpmath's context, so
-    threads may run solves at once."""
+    passes left can still reach it and the result meets its plan.  One
+    planner (``_planner``) owns the passes: it takes the base jet at the
+    full precision once per iterate, which the residual, the estimate and
+    a pass at that precision from there share, and it carries an accepted
+    reduced result's estimate into the next plan.  The ladders of the
+    passes at the full precision stop at the level whose correction has
+    settled, with the whole ladder's bits (``_residual_and_step``).  No
+    pass reads or sets mpmath's context, so threads may run solves at
+    once."""
     precision = problem.precision
     prec = working_prec(precision)
     x0 = as_mpf(problem.x0, prec)._mpf_

@@ -56,6 +56,8 @@ def test_solve_identity():
 def test_solve_diagonal():
     x = solve_linear([[2, 0], [0, 4]], [2, 8], 40)
     assert [float(v) for v in x] == [1.0, 2.0]
+    # iterators are converted before a length is read
+    assert solve_linear(iter([[2, 0], [0, 4]]), iter([2, 8]), 40) == x
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -615,9 +617,11 @@ def test_vector_function_dimension_must_be_a_positive_int(dimension):
         VectorFunction(dimension, demo.residual, demo.jacobian)
 
 
-@pytest.mark.parametrize("x0", ["12", b"12"])
+@pytest.mark.parametrize("x0", ["12", b"12", {0.5, 1.0}, {3: "a", 4: "b"}, None, 3])
 def test_a_string_is_no_start_point(x0):
-    """A str was taken one character at a time: "12" solved from (1, 2)."""
+    """A str was taken one character at a time: "12" solved from (1, 2).  A
+    set ran in its iteration order and a dict as its keys; None or a number
+    raised a bare TypeError, from a callback's result too."""
     demo = demo_system("circle-line").function
     name = type(x0).__name__
     with pytest.raises(ValueError, match=f"^x0 must be a sequence of numbers, not {name}$"):
@@ -626,6 +630,16 @@ def test_a_string_is_no_start_point(x0):
         nd_step("newton", demo, x0, 40)
     with pytest.raises(ValueError, match=f"^rhs must be a sequence of numbers, not {name}$"):
         solve_linear([[1, 0], [0, 1]], x0, 40)
+    with pytest.raises(ValueError, match=f"^matrix must be a sequence of rows, not {name}$"):
+        solve_linear(x0, [1, 2], 40)
+    with pytest.raises(ValueError, match=f"^each row of matrix must be a sequence of numbers, "
+                                         f"not {name}$"):
+        solve_linear([[1, 0], x0], [1, 2], 40)
+    with pytest.raises(ValueError, match=f"^the residual must be a sequence of numbers, "
+                                         f"not {name}$"):
+        nd_iterate(VectorFunction(2, lambda p: x0, demo.jacobian), ["1", "0.5"], precision=40)
+    with pytest.raises(ValueError, match=f"^the Jacobian must be a sequence of rows, not {name}$"):
+        nd_iterate(VectorFunction(2, demo.residual, lambda p: x0), ["1", "0.5"], precision=40)
 
 
 @pytest.mark.parametrize("name", ["step_tol", "residual_tol", "divergence_bound"])

@@ -11,6 +11,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int, mpf_abs, round_nearest, to_int
 
 from conftest import certified_root, cubic
 
@@ -417,3 +418,89 @@ def test_iterate_near_a_simple_root_is_a_chain_of_applications(root, b, c, spec,
     traj = iterate(ScalarProblem(f, _near(r, precision, digits, side), precision=precision), m)
     assert traj.termination.kind == CONVERGED
     _assert_a_chain_of_applications(traj, f, m, precision)
+
+
+# ------------------------------------------------------------ the planner alone
+
+def _stub_planner(log, digits, results=None, breaks=(), scheduled=True):
+    """``solver._planner`` at p = 1000, q = 3, max_iter = 6 and the bound 1000,
+    on pieces that log their calls.  Points are integers as raw mpfs; an
+    evaluation is (x, "evaluation at", x), logged by the x it was taken at.
+    ``digits`` maps a point to its estimate; the reduced pass from n gives
+    ``results[n]`` (n + 1 by default), or breaks down where n is in
+    ``breaks``, and the full pass gives n + 10."""
+    def at_p(x):
+        log.append(("at_p", to_int(x)))
+        return x, "evaluation at", to_int(x)
+
+    def estimate(x, evaluation, factors):
+        log.append(("estimate", to_int(x), evaluation[2], factors))
+        return digits[to_int(x)]
+
+    def reduced(x, evaluation, work):
+        n = to_int(x)
+        log.append(("reduced", n, evaluation[2], work))
+        if n in breaks:
+            raise Breakdown(Breakdown.SINGULAR_MATRIX, "stub")
+        return from_int((results or {}).get(n, n + 1)), f"factors from {n}"
+
+    def full(x, evaluation):
+        log.append(("full", to_int(x), evaluation[2]))
+        return from_int(to_int(x) + 10)
+
+    return solver._planner(1000, 6, 3, scheduled, at_p, estimate, reduced, full,
+                           lambda v: mpf_abs(v, 53, round_nearest), from_int(1000))
+
+
+def _stub_run(residual, step, passes):
+    """The outer loop's calls from x0 = 1: the residual at each iterate, then
+    a step from it, and the residual at the last iterate where it is inside
+    the bound; returns the iterates."""
+    xs = [from_int(1)]
+    for _ in range(passes):
+        residual(xs[-1])
+        xs.append(step(xs[-1]))
+    if to_int(xs[-1]) <= 1000:
+        residual(xs[-1])
+    return [to_int(x) for x in xs]
+
+
+def test_the_planner_carries_an_accepted_estimate_and_latches_at_p():
+    """Plans from 10, 30 and 90 digits are 50, 110 and 290, each accepted
+    (the last above p/4, and 260 meets its plan 3·90 - 20); the one from 260
+    is 800, whose result is as accurate as 800 digits allow, so it is redone
+    by the full pass from x_3 with x_3's evaluation, taken before the
+    reduced pass, and every later pass is full.  Each point is evaluated
+    once, and each estimate is taken once: at x0 with no factors, and at a
+    reduced result with that pass's factors, carried into the next plan."""
+    log = []
+    xs = _stub_run(*_stub_planner(log, {1: 10, 2: 30, 3: 90, 4: 260, 5: 900}), 5)
+    assert xs == [1, 2, 3, 4, 14, 24]
+    assert log == [
+        ("at_p", 1), ("estimate", 1, 1, None), ("reduced", 1, 1, 50),
+        ("at_p", 2), ("estimate", 2, 2, "factors from 1"), ("reduced", 2, 2, 110),
+        ("at_p", 3), ("estimate", 3, 3, "factors from 2"), ("reduced", 3, 3, 290),
+        ("at_p", 4), ("estimate", 4, 4, "factors from 3"), ("reduced", 4, 4, 800),
+        ("at_p", 5), ("estimate", 5, 5, "factors from 4"), ("full", 4, 4),
+        ("at_p", 14), ("full", 14, 14), ("at_p", 24),
+    ]
+
+
+@pytest.mark.parametrize("results,breaks,xs,tail", [
+    # the reduced pass breaks down: redone by the full pass, which latches
+    (None, {1}, [1, 11, 21], [("full", 1, 1), ("at_p", 11), ("full", 11, 11), ("at_p", 21)]),
+    # the result lies outside the bound: returned with no evaluation or
+    # estimate there, and the outer loop ends the run diverged
+    ({1: 5000}, (), [1, 5000], []),
+], ids=["breakdown", "outside-bound"])
+def test_the_planner_falls_back_or_returns_an_unjudged_result(results, breaks, xs, tail):
+    log = []
+    passes = len(xs) - 1
+    assert _stub_run(*_stub_planner(log, {1: 10}, results, breaks), passes) == xs
+    assert log == [("at_p", 1), ("estimate", 1, 1, None), ("reduced", 1, 1, 50), *tail]
+
+
+def test_an_unscheduled_planner_runs_full_passes_only():
+    log = []
+    assert _stub_run(*_stub_planner(log, {}, scheduled=False), 2) == [1, 11, 21]
+    assert log == [("at_p", 1), ("full", 1, 1), ("at_p", 11), ("full", 11, 11), ("at_p", 21)]
